@@ -31,23 +31,52 @@ class VerificationResult:
         return "\n".join([head] + [f"  {line}" for line in self.lines])
 
 
+def _shape_problem(report) -> str | None:
+    """Why a decoded report cannot be read field by field, or None."""
+    if not isinstance(report, dict):
+        return f"report is a {type(report).__name__}, not an object"
+    for key, kind, name in (("verdict", dict, "an object"), ("checks", dict, "an object"),
+                            ("ladder", list, "a list")):
+        if not isinstance(report.get(key), kind):
+            return f"{key} is not {name}"
+    verdict = report["verdict"]
+    if not isinstance(verdict.get("proved", False), bool):
+        return "verdict.proved is not a boolean"
+    for key in ("N", "max_order_checked"):
+        if key in verdict and type(verdict[key]) is not int:
+            return f"verdict.{key} is not an integer"
+    return None
+
+
+def _parse_entry(field, x):
+    if not isinstance(x, str):
+        raise ValueError(f"ladder entry {x!r} is not a scalar literal")
+    try:
+        return field.parse_literal(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"ladder entry {x!r} divides by zero") from exc
+
+
 def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
     if not entries:
         return None
     field = base.field
     coeffs = {a.name: [base.mats[a.name]] for a in base.algebra.quiver.arrows}
     for expected_order, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
+            raise ValueError(f"ladder entry {expected_order} is not an object with matrices")
         if entry.get("order") != expected_order:
             raise ValueError(f"ladder orders out of sequence at {entry.get('order')}")
-        mats = entry.get("matrices", {})
+        mats = entry["matrices"]
         for a in base.algebra.quiver.arrows:
             rows = mats.get(a.name)
             if rows is None:
                 raise ValueError(f"ladder entry {expected_order} misses arrow {a.name}")
             dt, ds = base.dims[a.target], base.dims[a.source]
-            if len(rows) != dt or any(len(r) != ds for r in rows):
+            if (not isinstance(rows, list) or len(rows) != dt
+                    or any(not isinstance(r, list) or len(r) != ds for r in rows)):
                 raise ValueError(f"ladder matrix shape mismatch for {a.name}")
-            parsed = [[field.parse_literal(x) for x in r] for r in rows]
+            parsed = [[_parse_entry(field, x) for x in r] for r in rows]
             coeffs[a.name].append(
                 Matrix.from_rows(field, parsed) if dt else Matrix.zeros(field, 0, ds))
     top = Lift(base, len(entries), coeffs)
@@ -66,7 +95,14 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         if not ok:
             failures.append(name)
 
-    report = json.loads(report_json)
+    try:
+        report = json.loads(report_json)
+        problem = _shape_problem(report)
+    except (ValueError, RecursionError) as exc:
+        problem = f"not readable JSON: {exc}"
+    check("report_shape", problem is None, problem or "")
+    if problem is not None:
+        return VerificationResult(False, failures, lines)
     source = parse(source_text, filename)
     check("input_digest", report.get("input_digest") == source_digest(source))
     check("field", report.get("field") == field_to_json(source.field))
@@ -84,10 +120,10 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     check("tangent_dim", report.get("tangent_dim") == tangent,
           f"recomputed {tangent}")
 
-    verdict = report.get("verdict", {})
+    verdict = report["verdict"]
     vtype = verdict.get("type")
-    ladder_entries = report.get("ladder", [])
-    checks = report.get("checks", {})
+    ladder_entries = report["ladder"]
+    checks = report["checks"]
 
     if vtype == "point":
         check("verdict_point_tangent_zero", tangent == 0)
@@ -146,9 +182,16 @@ def verify_report(source_text: str, module_name: str, report_json: str,
               f"length {ladder.length}, N {n}")
         check("hom_top_is_one", hom_top == 1)
         check("ext_top_is_zero", ext_top == 0)
+        prime = source.field.is_prime_field
+        check("finite_proved_iff_prime_field", verdict.get("proved") is prime,
+              f"proved {verdict.get('proved')}, prime field {prime}")
     elif vtype == "power_series":
         if verdict.get("proved"):
             check("proved_power_series_is_hereditary", algebra.hereditary)
+        else:
+            checked = verdict.get("max_order_checked")
+            check("max_order_checked_is_ladder_length", checked == ladder.length,
+                  f"max_order_checked {checked}, ladder length {ladder.length}")
     elif vtype == "inconclusive":
         check("inconclusive_side_condition_fails",
               hom_top != 1 or ext_top != 0 or not transcript.ok)

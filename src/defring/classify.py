@@ -11,7 +11,6 @@ algebra or a search that never obstructs yields k[[t]].
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .dsl import SourceFile, print_source
@@ -23,26 +22,13 @@ from .lift import (
     extend_step,
     verify_ladder,
 )
-from .linalg import in_row_span, vec_add, vec_is_zero, vec_scale
+from .linalg import in_row_span
 from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, hom_stable, validate
-
-
-class BudgetExceeded(Exception):
-    """A configured search budget was too small for the requested run."""
-
-    def __init__(self, what: str, needed: int, budget: int):
-        super().__init__(f"{what}: needs {needed}, budget {budget}")
-        self.what = what
-        self.needed = needed
-        self.budget = budget
 
 
 @dataclass
 class ClassifyConfig:
     max_order: int = 10
-    strategy: str | None = None  # exhaustive | greedy | None = pick by field
-    point_budget: int = 200000
-    branch_budget: int = 20000
 
 
 def tangent_dimension(v: Representation) -> int:
@@ -58,7 +44,6 @@ def tangent_dimension(v: Representation) -> int:
 @dataclass
 class SearchResult:
     kind: str  # terminated | reached_bound | unobstructed
-    exhaustive: bool
     ladder: Ladder | None
     terminated_at: int | None = None
     obstruction: Obstruction | None = None
@@ -66,191 +51,62 @@ class SearchResult:
     notes: list = dc_field(default_factory=list)
 
 
-def _vector_key(vec) -> tuple:
-    return tuple(str(s.value) for s in vec)
-
-
-def _nontrivial_seeds(system: DeformationSystem, point_budget: int) -> list:
-    """All non-coboundary cocycle points over a prime field, in a fixed order."""
-    field = system.field
-    z = system.cocycles()
-    count = field.p ** len(z)
-    if count > point_budget:
-        raise BudgetExceeded("first-order point enumeration", count, point_budget)
-    cob = system.coboundary_space()
-    seeds = []
-    for combo in itertools.product(range(field.p), repeat=len(z)):
-        vec = system.layout.zero_vector()
-        for c, basis_vec in zip(combo, z):
-            if c:
-                vec = vec_add(vec, vec_scale(field.scalar(c), basis_vec))
-        if vec_is_zero(vec):
-            continue
-        if not in_row_span(cob, vec):
-            seeds.append(vec)
-    seeds.sort(key=_vector_key)
-    return seeds
-
-
-def solution_points(solution, field) -> list:
-    """Every point of an affine solution space over a prime field, sorted."""
-    points = []
-    for combo in itertools.product(range(field.p), repeat=len(solution.kernel)):
-        vec = solution.particular
-        for c, basis_vec in zip(combo, solution.kernel):
-            if c:
-                vec = vec_add(vec, vec_scale(field.scalar(c), basis_vec))
-        points.append(vec)
-    points.sort(key=_vector_key)
-    return points
-
-
-def _exhaustive_search(base: Representation, system: DeformationSystem,
-                       cfg: ClassifyConfig) -> SearchResult:
-    field = base.field
-    if field.p is None:
-        raise ValueError("exhaustive search requires a prime field")
-    notes = []
-    seeds = _nontrivial_seeds(system, cfg.point_budget)
-    if not seeds:
-        return SearchResult("terminated", exhaustive=True, ladder=None, terminated_at=0,
-                            notes=["no nonzero tangent class to seed a chain"])
-    frontier = [Lift.first_order(base, system.layout.unpack(v)) for v in seeds]
-    notes.append(f"order 1: {len(frontier)} chains")
-    last_obstruction = None
-    order = 1
-    while order < cfg.max_order:
-        next_frontier = []
-        for lift in frontier:
-            step = extend_step(lift, system)
-            if isinstance(step, Obstruction):
-                last_obstruction = step
-                continue
-            count = field.p ** len(step.solution.kernel)
-            if len(next_frontier) + count > cfg.point_budget:
-                raise BudgetExceeded("extension frontier", len(next_frontier) + count,
-                                     cfg.point_budget)
-            for vec in solution_points(step.solution, field):
-                next_frontier.append(lift.extended(system.layout.unpack(vec)))
-        if not next_frontier:
-            notes.append(f"order {order + 1}: every chain obstructs")
-            return SearchResult("terminated", exhaustive=True,
-                                ladder=Ladder.from_lift(frontier[0]),
-                                terminated_at=order, obstruction=last_obstruction,
-                                notes=notes)
-        frontier = next_frontier
-        order += 1
-        notes.append(f"order {order}: {len(frontier)} chains")
-    return SearchResult("reached_bound", exhaustive=True,
-                        ladder=Ladder.from_lift(frontier[0]), notes=notes)
-
-
-def _greedy_candidates(solution, field) -> list:
-    """The particular solution nudged by each kernel direction, both ways."""
-    out = [solution.particular]
-    for basis_vec in solution.kernel:
-        out.append(vec_add(solution.particular, basis_vec))
-        out.append(vec_add(solution.particular, vec_scale(-field.one(), basis_vec)))
-    seen = set()
-    unique = []
-    for vec in out:
-        key = _vector_key(vec)
-        if key not in seen:
-            seen.add(key)
-            unique.append(vec)
-    return unique
-
-
-def _greedy_search(base: Representation, system: DeformationSystem,
-                   cfg: ClassifyConfig) -> SearchResult:
-    field = base.field
-    notes = ["greedy search: candidate extensions limited to kernel-basis nudges"]
-    cob = system.coboundary_space()
-    seeds = []
-    for basis_vec in system.cocycles():
-        for signed in (basis_vec, vec_scale(-field.one(), basis_vec)):
-            if not in_row_span(cob, signed):
-                seeds.append(signed)
-    if not seeds:
-        return SearchResult("terminated", exhaustive=False, ladder=None, terminated_at=0,
-                            notes=notes + ["no nonzero tangent class to seed a chain"])
-    stack = [Lift.first_order(base, system.layout.unpack(v)) for v in reversed(seeds)]
-    best = None
-    last_obstruction = None
-    visits = 0
-    while stack:
-        lift = stack.pop()
-        visits += 1
-        if visits > cfg.branch_budget:
-            raise BudgetExceeded("greedy branch visits", visits, cfg.branch_budget)
-        if best is None or lift.order > best.order:
-            best = lift
-        if lift.order == cfg.max_order:
-            notes.append(f"reached order {cfg.max_order} after {visits} visits")
-            return SearchResult("reached_bound", exhaustive=False,
-                                ladder=Ladder.from_lift(lift), notes=notes)
-        step = extend_step(lift, system)
-        if isinstance(step, Obstruction):
-            if last_obstruction is None or step.order > last_obstruction.order:
-                last_obstruction = step
-            continue
-        for vec in reversed(_greedy_candidates(step.solution, field)):
-            stack.append(lift.extended(system.layout.unpack(vec)))
-    notes.append(f"all {visits} explored chains obstruct by order {best.order + 1}")
-    notes.append("strategy-limited: greedy search does not enumerate every chain")
-    return SearchResult("terminated", exhaustive=False, ladder=Ladder.from_lift(best),
-                        terminated_at=best.order, obstruction=last_obstruction, notes=notes)
-
-
-def _hereditary_search(base: Representation, system: DeformationSystem,
-                       cfg: ClassifyConfig) -> SearchResult:
-    """No relations means no equations: every chain extends, pick the first."""
-    field = base.field
-    cob = system.coboundary_space()
-    seed = None
-    for basis_vec in system.cocycles():
-        if not in_row_span(cob, basis_vec):
-            seed = basis_vec
-            break
-    if seed is None:
-        return SearchResult("terminated", exhaustive=True, ladder=None, terminated_at=0,
-                            notes=["no nonzero tangent class to seed a chain"])
-    lift = Lift.first_order(base, system.layout.unpack(seed))
-    kernel_dims = [len(system.cocycles())]
-    while lift.order < cfg.max_order:
-        step = extend_step(lift, system)
-        assert not isinstance(step, Obstruction), "relation-free system cannot obstruct"
-        kernel_dims.append(len(step.solution.kernel))
-        lift = step.particular()
-    notes = ["no relations: the extension system is empty and always feasible",
-             f"extension kernel dimensions per order: {kernel_dims}"]
-    return SearchResult("unobstructed", exhaustive=True, ladder=Ladder.from_lift(lift),
-                        kernel_dims=kernel_dims, notes=notes)
-
-
-def ladder_search(base: Representation, max_order: int = 10, strategy: str | None = None,
-                  point_budget: int = 200000, branch_budget: int = 20000,
+def ladder_search(base: Representation, max_order: int = 10,
                   system: DeformationSystem | None = None) -> SearchResult:
-    """Grow chains of lifts order by order up to max_order.
+    """Grow one chain of lifts order by order up to max_order.
 
-    Exhaustive strategy (prime fields) follows every extension point, so
-    termination at order N certifies that every chain obstructs at N+1.
-    Greedy strategy (any field) backtracks over a bounded candidate set
-    and its terminations are strategy-limited evidence, not proof.
+    One chain stands for all of them when the tangent dimension is one.
+    The valid extensions of a lift L_n over k[t]/(t^(n+1)) form an affine
+    space: a particular solution plus the cocycle space Z.  Conjugating
+    by 1 + t^(n+1) C moves the new coefficient by a coboundary, and the
+    reparametrisation t -> t + c t^(n+1) moves it by c B1, where B1 is
+    the first-order class.  Since dim Z/B = 1 and B1 is not a coboundary,
+    these two moves reach every extension, so all extensions of L_n are
+    isomorphic up to reparametrisation; the seeds c B1 + b are related
+    by t -> c t in the same way.  By induction every nontrivial chain is
+    the same chain, so all of them obstruct at the same order, and the
+    module at the top of the ladder does not depend on the choice.  With
+    a larger tangent space the chain is one of many and stands for none
+    of the others; classify() never searches there.
+
+    The chain is seeded with the first cocycle basis vector that is not a
+    coboundary and extended by the particular solution at each order.
+    It stops at an obstruction (terminated) or at max_order (reached_bound,
+    or unobstructed for a relation-free algebra, whose extension system is
+    empty and always feasible).  kernel_dims lists dim Z and then the
+    kernel dimension of each extension step.
     """
-    cfg = ClassifyConfig(max_order=max_order, strategy=strategy,
-                         point_budget=point_budget, branch_budget=branch_budget)
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     if system is None:
         system = DeformationSystem(base, base)
-    if base.algebra.hereditary:
-        return _hereditary_search(base, system, cfg)
-    if strategy is None:
-        strategy = "exhaustive" if base.field.p is not None else "greedy"
-    if strategy == "exhaustive":
-        return _exhaustive_search(base, system, cfg)
-    if strategy == "greedy":
-        return _greedy_search(base, system, cfg)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    cocycles = system.cocycles()
+    cob = system.coboundary_space()
+    seed = next((vec for vec in cocycles if not in_row_span(cob, vec)), None)
+    if seed is None:
+        return SearchResult("terminated", ladder=None, terminated_at=0,
+                            notes=["no nonzero tangent class to seed a chain"])
+    lift = Lift.first_order(base, system.layout.unpack(seed))
+    kernel_dims = [len(cocycles)]
+    obstruction = None
+    while lift.order < max_order:
+        step = extend_step(lift, system)
+        if isinstance(step, Obstruction):
+            obstruction = step
+            break
+        kernel_dims.append(step.kernel_dim)
+        lift = step.particular()
+    notes = [f"extension kernel dimensions per order: {kernel_dims}"]
+    if obstruction is not None:
+        kind = "terminated"
+    elif base.algebra.hereditary:
+        kind = "unobstructed"
+        notes.insert(0, "no relations: the extension system is empty and always feasible")
+    else:
+        kind = "reached_bound"
+    return SearchResult(kind, Ladder.from_lift(lift),
+                        terminated_at=lift.order if obstruction is not None else None,
+                        obstruction=obstruction, kernel_dims=kernel_dims, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -359,41 +215,15 @@ def classify(source: SourceFile, module_name: str,
                   "the deformation ring need not be a quotient of a power series ring in one variable")
         return report(Verdict("out_of_scope", reason=reason), extra=[reason])
 
-    search = ladder_search(rep, max_order=cfg.max_order, strategy=cfg.strategy,
-                           point_budget=cfg.point_budget, branch_budget=cfg.branch_budget,
-                           system=system)
+    search = ladder_search(rep, max_order=cfg.max_order, system=system)
     notes.extend(search.notes)
     ladder = search.ladder
-
-    if search.kind == "unobstructed":
-        hom_top, ext_top = _top_checks(ladder, rep)
-        transcript = verify_ladder(ladder, system=system)
-        notes.extend(transcript.lines())
-        checks = Checks(hom_top_dim=hom_top, ext_top_dim=ext_top,
-                        sigma_nilpotent=sigma_checks_pass(transcript),
-                        first_order_nontrivial=nontriviality_checks_pass(transcript))
-        return report(Verdict("power_series", proved=True), ladder, checks)
-
-    if search.kind == "reached_bound":
-        hom_top, ext_top = _top_checks(ladder, rep)
-        transcript = verify_ladder(ladder, system=system)
-        notes.extend(transcript.lines())
-        checks = Checks(hom_top_dim=hom_top, ext_top_dim=ext_top,
-                        sigma_nilpotent=sigma_checks_pass(transcript),
-                        first_order_nontrivial=nontriviality_checks_pass(transcript))
-        return report(Verdict("power_series", proved=False, max_order_checked=cfg.max_order),
-                      ladder, checks,
-                      extra=[f"no obstruction found up to order {cfg.max_order}; "
-                             "the classification is evidence, not proof"])
-
-    # terminated
-    n = search.terminated_at
-    if n == 0 or ladder is None:
+    if ladder is None:
         # unreachable when the tangent gate passed, kept for robustness
         return report(Verdict("point"),
                       extra=["no nontrivial first-order lift: the ring is the base field"])
-    if search.obstruction is not None:
-        ob = search.obstruction
+    ob = search.obstruction
+    if ob is not None:
         notes.append(f"obstruction at order {ob.order}: "
                      f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
     hom_top, ext_top = _top_checks(ladder, rep)
@@ -402,6 +232,14 @@ def classify(source: SourceFile, module_name: str,
     checks = Checks(hom_top_dim=hom_top, ext_top_dim=ext_top,
                     sigma_nilpotent=sigma_checks_pass(transcript),
                     first_order_nontrivial=nontriviality_checks_pass(transcript))
+
+    if search.kind == "unobstructed":
+        return report(Verdict("power_series", proved=True), ladder, checks)
+    if search.kind == "reached_bound":
+        return report(Verdict("power_series", proved=False, max_order_checked=cfg.max_order),
+                      ladder, checks,
+                      extra=[f"no obstruction found up to order {cfg.max_order}; "
+                             "the classification is evidence, not proof"])
     failures = []
     if hom_top != 1:
         failures.append(f"hom_top_dim = {hom_top} (need 1)")
@@ -412,11 +250,10 @@ def classify(source: SourceFile, module_name: str,
     if failures:
         reason = "side conditions at the ladder top fail: " + "; ".join(failures)
         return report(Verdict("inconclusive", reason=reason), ladder, checks, extra=[reason])
-    if not search.exhaustive:
-        return report(Verdict("finite", n=n, proved=False), ladder, checks,
-                      extra=["finite verdict is strategy-limited: "
-                             "greedy termination does not certify that every chain obstructs"])
-    return report(Verdict("finite", n=n, proved=True), ladder, checks)
+    if not rep.field.is_prime_field:
+        return report(Verdict("finite", n=search.terminated_at, proved=False), ladder, checks,
+                      extra=["finite verdicts are marked proved over prime fields only"])
+    return report(Verdict("finite", n=search.terminated_at, proved=True), ladder, checks)
 
 
 def sigma_checks_pass(transcript) -> bool:

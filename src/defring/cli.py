@@ -3,7 +3,7 @@
 One input file carries the field, the quiver, optional relations, and
 any number of named modules; every subcommand addresses modules by
 name.  Exit status: 0 for results (all verdicts included), 1 for input
-problems, 2 for exhausted search budgets.
+problems, 2 for an exhausted oracle enumeration budget.
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ from pathlib import Path
 
 from .algebra import HereditaryModeUnsupported, PresentedAlgebra
 from .certificates import verify_report
-from .classify import (
-    BudgetExceeded,
-    ClassifyConfig,
-    classify,
-    ladder_search,
-    tangent_dimension,
-)
+from .classify import ClassifyConfig, classify, ladder_search, tangent_dimension
 from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_report
 from .lift import verify_ladder
-from .oracle import enumerate_lifts
+from .oracle import BudgetExceeded, enumerate_lifts
 from .rep import (
     NotHereditary,
     Representation,
@@ -147,13 +141,13 @@ def cmd_ladder(args) -> int:
     m = _module(source, algebra, args.module)
     tangent = tangent_dimension(m)
     print(f"tangent dimension: {tangent}")
-    search = ladder_search(m, max_order=args.max_order, strategy=args.strategy,
-                           point_budget=args.point_budget, branch_budget=args.branch_budget)
+    if tangent != 1:
+        print("note: the tangent dimension is not 1, so this chain stands for no other chain")
+    search = ladder_search(m, max_order=args.max_order)
     for note in search.notes:
         print(f"note: {note}")
     if search.kind == "terminated":
-        print(f"search: terminated at order {search.terminated_at}"
-              + ("" if search.exhaustive else " (strategy-limited)"))
+        print(f"search: terminated at order {search.terminated_at}")
         if search.obstruction is not None:
             ob = search.obstruction
             print(f"obstruction at order {ob.order}: rank {ob.rank_coefficient}, "
@@ -181,9 +175,7 @@ def cmd_classify(args) -> int:
     algebra = _algebra(source)
     _module(source, algebra, args.module)  # existence + validity with clean errors
     name = args.module or next(iter(source.modules))
-    cfg = ClassifyConfig(max_order=args.max_order, strategy=args.strategy,
-                         point_budget=args.point_budget, branch_budget=args.branch_budget)
-    report = classify(source, name, cfg)
+    report = classify(source, name, ClassifyConfig(max_order=args.max_order))
     sys.stdout.write(report_to_text(report))
     if args.json:
         Path(args.json).write_text(serialize_report(report), encoding="utf-8")
@@ -252,17 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("stable-end", cmd_stable_end, "dimension of the stable endomorphism space")
 
-    p = add("ladder", cmd_ladder, "run the order-by-order lifting search")
+    p = add("ladder", cmd_ladder, "grow one chain of lifts order by order")
     p.add_argument("--max-order", type=int, default=10)
-    p.add_argument("--strategy", default=None, choices=["exhaustive", "greedy"])
-    p.add_argument("--point-budget", type=int, default=200000)
-    p.add_argument("--branch-budget", type=int, default=20000)
 
     p = add("classify", cmd_classify, "classify the weak universal deformation ring")
     p.add_argument("--max-order", type=int, default=10)
-    p.add_argument("--strategy", default=None, choices=["exhaustive", "greedy"])
-    p.add_argument("--point-budget", type=int, default=200000)
-    p.add_argument("--branch-budget", type=int, default=20000)
     p.add_argument("--json", default=None, help="also write the JSON report here")
 
     p = add("oracle", cmd_oracle, "brute-force enumeration of valid lifts")

@@ -11,12 +11,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import BudgetExceeded
 from .lift import Lift, Obstruction, as_representation, extend_step, is_valid
-from .linalg import Matrix, in_row_span
+from .linalg import AffineSolutionSpace, Matrix, in_row_span, vec_add, vec_scale
 from .rep import DeformationSystem, Representation, iso_test
 
 DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceeded(Exception):
+    """A configured enumeration budget was too small for the requested run."""
+
+    def __init__(self, what: str, needed: int, budget: int):
+        super().__init__(f"{what}: needs {needed}, budget {budget}")
+        self.what = what
+        self.needed = needed
+        self.budget = budget
 
 
 def coefficient_slots(v: Representation) -> list:
@@ -184,6 +193,23 @@ def oracle_max_order(v: Representation, max_order: int,
     return best
 
 
+def _vector_key(vec) -> tuple:
+    return tuple(str(s.value) for s in vec)
+
+
+def solution_points(solution, field) -> list:
+    """Every point of an affine solution space over a prime field, sorted."""
+    points = []
+    for combo in itertools.product(range(field.p), repeat=len(solution.kernel)):
+        vec = solution.particular
+        for c, basis_vec in zip(combo, solution.kernel):
+            if c:
+                vec = vec_add(vec, vec_scale(field.scalar(c), basis_vec))
+        points.append(vec)
+    points.sort(key=_vector_key)
+    return points
+
+
 def incremental_valid_points(v: Representation, order: int,
                              budget: int = DEFAULT_BUDGET) -> list:
     """Valid point sets per order 1..order via the incremental extension engine.
@@ -199,9 +225,6 @@ def incremental_valid_points(v: Representation, order: int,
     count = field.p ** len(z)
     if count > budget:
         raise BudgetExceeded("first-order point enumeration", count, budget)
-    from .classify import solution_points
-    from .linalg import AffineSolutionSpace
-
     first = AffineSolutionSpace(True, system.layout.zero_vector(), list(z))
     frontier = [Lift.first_order(v, system.layout.unpack(vec))
                 for vec in solution_points(first, field)]

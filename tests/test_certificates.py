@@ -3,7 +3,8 @@ import json
 import pytest
 
 from defring import ClassifyConfig, classify, serialize_report, verify_report
-from helpers import load_source, read_corpus
+from defring.cli import main
+from helpers import CORPUS, load_source, read_corpus
 
 
 def report_for(name, module, **kw):
@@ -123,3 +124,66 @@ def test_summary_shape():
     summary = result.summary()
     assert "ok" in summary
     assert all(": " in line for line in result.lines)
+
+
+@pytest.mark.parametrize(
+    "make_body",
+    [
+        lambda blob: "[]",
+        lambda blob: '{"verdict": 3}',
+        lambda blob: "not json",
+        lambda blob: "[" * 100000,
+        lambda blob: _tampered(blob, ["checks"], [1]),
+        lambda blob: _tampered(blob, ["ladder"], {"order": 1}),
+        lambda blob: _tampered(blob, ["verdict", "proved"], "yes"),
+    ],
+    ids=["list", "verdict-int", "not-json", "deep-nesting", "checks-list", "ladder-object", "proved-string"],
+)
+def test_malformed_report_fails_shape_check(make_body):
+    body = make_body(report_for("kx2_f5.alg", "V"))
+    result = verify_report(read_corpus("kx2_f5.alg"), "V", body)
+    assert not result.ok
+    assert result.failures == ["report_shape"]
+
+
+def test_malformed_ladder_entries_fail_to_parse():
+    blob = report_for("kx3_q.alg", "V")
+    for path, value in ((["ladder", 0], 7),
+                        (["ladder", 0, "matrices"], [1]),
+                        (["ladder", 0, "matrices", "x"], 5),
+                        (["ladder", 0, "matrices", "x"], [[1]]),
+                        (["ladder", 0, "matrices", "x"], [["1/0"]])):
+        result = verify_report(read_corpus("kx3_q.alg"), "V", _tampered(blob, path, value))
+        assert "ladder_parses" in result.failures, (path, value)
+
+
+def test_verify_cli_rejects_malformed_report(tmp_path, capsys):
+    for body in ("[]", '{"verdict": 3}'):
+        path = tmp_path / "report.json"
+        path.write_text(body)
+        code = main(["verify", str(CORPUS / "kx2_f5.alg"), "-m", "V", "--json", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "report_shape: FAILED" in out
+
+
+def test_rejects_finite_relabelled_as_unproved_power_series():
+    blob = report_for("kx3_f5.alg", "V")
+    bad = _tampered(blob, ["verdict"],
+                    {"type": "power_series", "proved": False, "max_order_checked": 99})
+    result = verify_report(read_corpus("kx3_f5.alg"), "V", bad)
+    assert not result.ok
+    assert result.failures == ["max_order_checked_is_ladder_length"]
+
+
+def test_rejects_proved_finite_over_rationals():
+    blob = report_for("kx3_q.alg", "V")
+    bad = _tampered(blob, ["verdict", "proved"], True)
+    result = verify_report(read_corpus("kx3_q.alg"), "V", bad)
+    assert not result.ok
+    assert result.failures == ["finite_proved_iff_prime_field"]
+    # and the converse: an unproved finite verdict over F_p does not verify either
+    blob = report_for("kx3_f5.alg", "V")
+    bad = _tampered(blob, ["verdict", "proved"], False)
+    assert verify_report(read_corpus("kx3_f5.alg"), "V", bad).failures == [
+        "finite_proved_iff_prime_field"]

@@ -3,10 +3,10 @@ import json
 import pytest
 
 from defring import (
-    BudgetExceeded,
     ClassifyConfig,
     classify,
     ladder_search,
+    parse,
     serialize_report,
     source_digest,
     tangent_dimension,
@@ -98,6 +98,9 @@ def test_reached_bound_gives_unproved_power_series():
     assert report.verdict.max_order_checked == 2
     # with enough room the same module is settled as finite
     assert run("kx4_f5.alg", "V", max_order=10).verdict.type == "finite"
+    # a bound below one order would leave a ladder longer than the order checked
+    with pytest.raises(ValueError):
+        run("kx4_f5.alg", "V", max_order=0)
 
 
 def test_finite_verdict_stable_under_larger_bound():
@@ -106,33 +109,45 @@ def test_finite_verdict_stable_under_larger_bound():
     assert (a.verdict.type, a.verdict.n) == (b.verdict.type, b.verdict.n) == ("finite", 2)
 
 
-def test_greedy_strategy_never_claims_proof():
-    report = run("kx3_f5.alg", "V", strategy="greedy")
-    assert report.verdict.type == "finite"
-    assert report.verdict.n == 2
-    assert report.verdict.proved is False
-    assert any("strategy-limited" in note for note in report.notes)
+def test_finite_verdict_over_rationals_is_never_proved():
+    for name, n in (("kx2_q.alg", 1), ("kx3_q.alg", 2)):
+        report = run(name, "V")
+        assert (report.verdict.type, report.verdict.n) == ("finite", n)
+        assert report.verdict.proved is False
+        assert any("prime fields only" in note for note in report.notes)
 
 
-def test_exhaustive_requires_prime_field():
-    with pytest.raises(ValueError):
-        run("kx2_q.alg", "V", strategy="exhaustive")
-    with pytest.raises(ValueError):
-        run("kx2_f5.alg", "V", strategy="sideways")
+def test_search_takes_no_strategy_or_budget():
+    for knob in ("strategy", "point_budget", "branch_budget"):
+        with pytest.raises(TypeError):
+            ClassifyConfig(**{knob: None})
+        with pytest.raises(TypeError):
+            ladder_search(load_module("kx2_f5.alg", "V"), **{knob: None})
+    # the same one chain runs over Q and over F_p
+    assert run("kx3_q.alg", "V").verdict.n == run("kx3_f5.alg", "V").verdict.n == 2
 
 
-def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded) as exc:
-        run("kx2_f5.alg", "V", point_budget=1)
-    assert exc.value.budget == 1
-    assert exc.value.needed > 1
+def truncated_simple(field: str, n: int):
+    return parse(f"field {field}\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {n}\n"
+                 "module V\n  dim v = 1\n  mat x = [[0]]\n")
+
+
+def test_one_chain_needs_no_budget():
+    # an enumeration of every chain would follow 6 * 7^5 of them here
+    report = classify(truncated_simple("F 7", 7), "V")
+    assert (report.verdict.type, report.verdict.n, report.verdict.proved) == ("finite", 6, True)
+    report = classify(truncated_simple("Q", 12), "V", ClassifyConfig(max_order=12))
+    assert (report.verdict.type, report.verdict.n, report.verdict.proved) == ("finite", 11, False)
+    # dim Z = 5 for PV, yet one chain settles it
+    search = ladder_search(load_module("kx2_f5.alg", "PV"))
+    assert (search.kind, search.terminated_at, search.kernel_dims) == ("terminated", 1, [5])
 
 
 def test_ladder_search_result_shape():
     v = load_module("kx3_f5.alg", "V")
     result = ladder_search(v, max_order=10)
     assert result.kind == "terminated"
-    assert result.exhaustive
+    assert result.kernel_dims == [1, 1]
     assert result.terminated_at == 2
     assert result.obstruction is not None and result.obstruction.certifies
     assert result.ladder.length == 2

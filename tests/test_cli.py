@@ -80,6 +80,10 @@ def test_ladder_output(capsys):
     assert "obstruction at order 3: rank 0, augmented rank 1" in out
     assert "order 1 coefficients:" in out
     assert "certificate: ok" in out
+    assert "stands for no other chain" not in out
+    code, out, _ = run(capsys, "ladder", KX2, "-m", "VV")
+    assert code == 0
+    assert "stands for no other chain" in out
 
 
 def test_classify_text(capsys):
@@ -146,16 +150,20 @@ def test_oracle_budget_exhaustion(capsys):
     assert "budget" in err.lower()
 
 
-def test_classify_budget_exhaustion(capsys):
-    code, _, err = run(capsys, "classify", KX2, "-m", "V", "--point-budget", "1")
-    assert code == 2
-    assert "budget" in err.lower()
+def test_search_knobs_are_usage_errors(capsys):
+    for command in ("classify", "ladder"):
+        for flag in ("--point-budget", "--branch-budget", "--strategy"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, KX2, "-m", "V", flag, "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_exhaustive_on_rationals_is_an_input_error(capsys):
-    code, _, err = run(capsys, "classify", KX2_Q, "-m", "V", "--strategy", "exhaustive")
-    assert code == 1
-    assert "prime field" in err
+def test_classify_on_rationals_needs_no_strategy(capsys):
+    code, out, err = run(capsys, "classify", KX2_Q, "-m", "V")
+    assert code == 0 and not err
+    assert "R^w ≅ k[[t]]/(t^2)" in out
+    assert "prime fields only" in out
 
 
 def test_parse_error_location(capsys, tmp_path):

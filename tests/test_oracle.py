@@ -1,11 +1,18 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defring import (
     BudgetExceeded,
+    PresentedAlgebra,
+    Representation,
     enumerate_lifts,
     incremental_valid_points,
     is_valid,
+    ladder_search,
     oracle_max_order,
+    parse,
+    tangent_dimension,
     validate,
 )
 from defring.lift import as_representation
@@ -97,3 +104,41 @@ def test_prime_field_required():
     v = load_module("kx2_q.alg", "V")
     with pytest.raises(ValueError):
         valid_point_set(v, 1)
+
+
+# brute-force points the oracle may test per example; bounds each example to about two seconds
+ORACLE_POINTS = 4096
+
+
+@st.composite
+def small_loop_modules(draw):
+    """One vertex, one or two loops, dimension <= 3, strictly upper-triangular."""
+    p = draw(st.sampled_from([2, 3]))
+    loops = draw(st.sampled_from(["x", "xy"]))
+    d = draw(st.integers(1, 3))
+    truncate = draw(st.integers(2, 4))
+    assume(p ** (len(loops) * d * d) <= ORACLE_POINTS)
+    lines = [f"field F {p}", "quiver", "  vertex v"]
+    lines += [f"  arrow {a}: v -> v" for a in loops]
+    lines += [f"truncate {truncate}", "module M", f"  dim v = {d}"]
+    for a in loops:
+        rows = [[draw(st.integers(0, p - 1)) if c > r else 0 for c in range(d)]
+                for r in range(d)]
+        lines.append(f"  mat {a} = " + str(rows).replace(" ", ""))
+    source = parse("\n".join(lines) + "\n")
+    algebra = PresentedAlgebra.from_source(source)
+    return Representation.from_module_def(algebra, source.modules["M"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_loop_modules())
+def test_one_chain_obstructs_where_the_oracle_does(base):
+    assume(validate(base) == [])
+    assume(tangent_dimension(base) == 1)
+    slots = len(coefficient_slots(base))
+    cap = 1
+    while cap < 5 and base.field.p ** (slots * (cap + 1)) <= ORACLE_POINTS:
+        cap += 1
+    search = ladder_search(base, max_order=cap)
+    engine_n = search.terminated_at if search.kind == "terminated" else cap
+    assert engine_n == oracle_max_order(base, cap)
