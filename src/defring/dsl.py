@@ -622,7 +622,7 @@ def report_to_text(report) -> str:
     v = report.verdict
     if v.type == "finite":
         lines.append(f"ladder: terminated at order {v.n}; the chain obstructs at order {v.n + 1}")
-        lines.append(f"verdict: R^w ≅ k[[t]]/(t^{v.n + 1})")
+        lines.append(f"verdict: R^w ≅ k[[t]]/(t^{v.n + 1}) ({'proved' if v.proved else 'not proved'})")
     elif v.type == "power_series":
         qual = "proved" if v.proved else f"unobstructed through order {v.max_order_checked}, not proved"
         lines.append(f"verdict: R^w ≅ k[[t]] ({qual})")

@@ -138,8 +138,13 @@ class Matrix:
     def power(self, n: int) -> "Matrix":
         assert self.nrows == self.ncols and n >= 0
         out = Matrix.identity(self.field, self.nrows)
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def transpose(self) -> "Matrix":

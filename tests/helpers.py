@@ -1,8 +1,12 @@
-"""Shared corpus loading for the test suite."""
+"""Shared corpus loading and reference implementations for the test suite."""
 
 from pathlib import Path
 
 from defring import PresentedAlgebra, Representation, parse
+from defring.lift import (CheckFailed, LadderCheck, LadderTranscript, as_representation,
+                          is_valid)
+from defring.linalg import Matrix, rank, solve_matrix
+from defring.rep import DeformationSystem, is_homomorphism
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -23,3 +27,127 @@ def load_algebra(name):
 def load_module(name, module_name):
     src, algebra = load_algebra(name)
     return Representation.from_module_def(algebra, src.modules[module_name])
+
+
+# ----------------------------------------------------------------------
+# dense reference for verify_ladder
+
+
+def shift_endomorphism(lift):
+    """Multiplication by t on the underlying module: the block subdiagonal."""
+    base = lift.base
+    field = lift.field
+    ell = lift.order
+    out = {}
+    for v in base.algebra.quiver.vertices:
+        d = base.dims[v]
+        n = (ell + 1) * d
+        data = [[field.zero()] * n for _ in range(n)]
+        for bi in range(1, ell + 1):
+            for r in range(d):
+                data[bi * d + r][(bi - 1) * d + r] = field.one()
+        out[v] = Matrix.from_rows(field, data) if n else Matrix.zeros(field, 0, 0)
+    return out
+
+
+def base_embedding(lift):
+    """The witness copy of the base inside the top degree block."""
+    return _unit_columns(lift, lambda d: range(lift.order * d, (lift.order + 1) * d))
+
+
+def block_projection(lift):
+    """Drop the top degree block: the reduction map of underlying modules."""
+    field = lift.field
+    out = {}
+    for v, d in lift.base.dims.items():
+        n = (lift.order + 1) * d
+        rows = [[field.one() if c == i else field.zero() for c in range(n)]
+                for i in range(lift.order * d)]
+        out[v] = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, n)
+    return out
+
+
+def block_injection(lift):
+    """Multiply by t: shift degrees up by one, from order-1 into order blocks."""
+    return _unit_columns(lift, lambda d: range(d, (lift.order + 1) * d))
+
+
+def _unit_columns(lift, rows_of):
+    field = lift.field
+    out = {}
+    for v, d in lift.base.dims.items():
+        n = (lift.order + 1) * d
+        cols = [[field.one() if i == r else field.zero() for i in range(n)] for r in rows_of(d)]
+        out[v] = Matrix.from_columns(field, n, cols)
+    return out
+
+
+def dense_verify_ladder(ladder, system=None, strict=False):
+    """verify_ladder replayed on the dense (order+1)·d matrices of every rung.
+
+    Builds each rung's underlying module, the reduction and shift-in maps,
+    the shift endomorphism and the base witness, and checks every identity
+    on them directly.  Chains whose rung orders are not 1..N raise here.
+    """
+    checks = []
+    base = ladder.base
+    vertices = base.algebra.quiver.vertices
+
+    def add(name, order, ok, detail=""):
+        checks.append(LadderCheck(name, order, bool(ok), detail))
+        if strict and not ok:
+            raise CheckFailed(f"order {order}: {name} {detail}".strip())
+
+    if system is None:
+        system = DeformationSystem(base, base)
+    nontrivial = not system.is_coboundary(ladder.first_order_class)
+    add("first_order_nontrivial", 1, nontrivial,
+        "" if nontrivial else "first-order class is a coboundary")
+
+    prev_rep = base
+    for ell, rung in enumerate(ladder.chain, start=1):
+        add("order_matches", ell, rung.order == ell)
+        add("residuals_vanish", ell, is_valid(rung))
+        if ell >= 2:
+            add("coherent_with_previous", ell, rung.reduced(ell - 1) == ladder.chain[ell - 2])
+        w = as_representation(rung)
+        eps = block_projection(rung)
+        iota = block_injection(rung)
+        sigma = shift_endomorphism(rung)
+        add("reduction_is_hom", ell, is_homomorphism(w, prev_rep, eps))
+        add("reduction_surjective", ell,
+            all(rank(eps[v]) == prev_rep.dims[v] for v in vertices))
+        add("shift_in_is_hom", ell, is_homomorphism(prev_rep, w, iota))
+        add("shift_in_injective", ell,
+            all(rank(iota[v]) == prev_rep.dims[v] for v in vertices))
+        add("sigma_is_composite", ell,
+            all((iota[v] * eps[v] - sigma[v]).is_zero() for v in vertices))
+        add("sigma_commutes", ell, is_homomorphism(w, w, sigma))
+        add("sigma_nilpotent", ell,
+            all(sigma[v].power(ell + 1).is_zero() for v in vertices))
+        add("sigma_power_nonzero", ell,
+            any(not sigma[v].power(ell).is_zero() for v in vertices if base.dims[v]))
+        emb = base_embedding(rung)
+        add("witness_is_hom", ell, is_homomorphism(base, w, emb))
+        kernel_ok = True
+        image_ok = True
+        for v in vertices:
+            d = base.dims[v]
+            n = (ell + 1) * d
+            # ker sigma: witness columns lie in it and dimensions agree
+            if not (sigma[v] * emb[v]).is_zero():
+                kernel_ok = False
+            if n - rank(sigma[v]) != d:
+                kernel_ok = False
+            if rank(emb[v]) != d:
+                kernel_ok = False
+            # im sigma^ell: columns solve emb * X = sigma^ell
+            power = sigma[v].power(ell)
+            if rank(power) != d:
+                image_ok = False
+            elif solve_matrix(emb[v], power) is None:
+                image_ok = False
+        add("kernel_is_base_witness", ell, kernel_ok)
+        add("image_power_is_base_witness", ell, image_ok)
+        prev_rep = w
+    return LadderTranscript(checks)

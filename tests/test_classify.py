@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from defring import (
     tangent_dimension,
     verify_ladder,
 )
-from helpers import load_module, load_source, read_corpus
+from helpers import CORPUS, load_module, load_source, read_corpus
 
 
 def run(name, module, **kw):
@@ -230,3 +232,16 @@ def test_input_digest_ignores_comments_and_spacing():
     report = run("kx2_f5.alg", "V")
     assert report.input_digest == digest_plain
     assert len(report.input_digest) == 64
+
+
+def test_corpus_reports_match_recorded_digests():
+    # sha256 of every corpus module's classify JSON, recorded before the
+    # ladder checks moved from dense matrices to coefficient blocks
+    recorded = json.loads((Path(__file__).parent / "corpus_report_digests.json").read_text())
+    seen = {}
+    for path in sorted(CORPUS.glob("*.alg")):
+        source = load_source(path.name)
+        for module in sorted(source.modules):
+            blob = serialize_report(classify(source, module))
+            seen[f"{path.name}:{module}"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert seen == recorded

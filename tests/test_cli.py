@@ -89,8 +89,11 @@ def test_ladder_output(capsys):
 def test_classify_text(capsys):
     code, out, _ = run(capsys, "classify", KX2, "-m", "V")
     assert code == 0
-    assert "verdict: R^w ≅ k[[t]]/(t^2)" in out
+    assert "verdict: R^w ≅ k[[t]]/(t^2) (proved)\n" in out
     assert "tangent dimension: 1" in out
+    code, out, _ = run(capsys, "classify", KX2_Q, "-m", "V")
+    assert code == 0
+    assert "verdict: R^w ≅ k[[t]]/(t^2) (not proved)\n" in out
 
 
 def test_classify_point_text(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defring import (
     CheckFailed,
@@ -7,19 +9,21 @@ from defring import (
     Lift,
     LiftExtensions,
     Obstruction,
+    PresentedAlgebra,
+    Representation,
     as_representation,
-    base_embedding,
     extend_step,
     first_order_space,
     is_valid,
     ladder_search,
+    parse,
     residual_coefficients,
-    shift_endomorphism,
+    tangent_dimension,
     validate,
     verify_ladder,
 )
 from defring.linalg import Matrix, rank
-from helpers import load_module
+from helpers import base_embedding, dense_verify_ladder, load_module, shift_endomorphism
 
 
 def ints(mat):
@@ -195,3 +199,83 @@ def test_verify_ladder_flags_inconsistent_chain():
     assert not transcript.ok
     failed = [c.name for c in transcript.checks if not c.ok]
     assert any("residual" in n for n in failed)
+
+
+def test_verify_ladder_reports_out_of_order_rungs():
+    v = load_module("kx4_f5.alg", "V")
+    chain = ladder_search(v, max_order=10).ladder.chain
+    shuffled = Ladder(v, [chain[1], chain[0], chain[2]])
+    transcript = verify_ladder(shuffled)
+    failed = {(c.order, c.name) for c in transcript.checks if not c.ok}
+    assert {(1, "order_matches"), (2, "order_matches")} <= failed
+    assert (3, "order_matches") not in failed
+    # the shift of a misplaced rung has the wrong nilpotency degree
+    assert {(1, "sigma_nilpotent"), (2, "sigma_power_nonzero"),
+            (1, "image_power_is_base_witness"), (2, "image_power_is_base_witness")} <= failed
+    with pytest.raises(CheckFailed):
+        verify_ladder(shuffled, strict=True)
+
+
+def _bump(m, r, c):
+    rows = m.tolist()
+    rows[r][c] = rows[r][c] + m.field.one()
+    return Matrix.from_rows(m.field, rows)
+
+
+@st.composite
+def tangent_one_ladders(draw):
+    """A tangent-1 loop module and a ladder over it, valid or broken in one way."""
+    field = draw(st.sampled_from(["F 2", "F 3", "Q"]))
+    entries = st.integers(-1, 2) if field == "Q" else st.integers(0, int(field[2:]) - 1)
+    loops = draw(st.sampled_from(["x", "xy"]))
+    d = draw(st.integers(1, 2))
+    truncate = draw(st.sampled_from([2, 3, 4, None]))
+    lines = [f"field {field}", "quiver", "  vertex v"]
+    lines += [f"  arrow {a}: v -> v" for a in loops]
+    lines += [f"truncate {truncate}"] if truncate else []
+    lines += ["module M", f"  dim v = {d}"]
+    for a in loops:
+        rows = [[draw(entries) if c > r else 0 for c in range(d)] for r in range(d)]
+        lines.append(f"  mat {a} = " + str(rows).replace(" ", ""))
+    source = parse("\n".join(lines) + "\n")
+    base = Representation.from_module_def(PresentedAlgebra.from_source(source),
+                                          source.modules["M"])
+    assume(validate(base) == [] and tangent_dimension(base) == 1)
+    ladder = ladder_search(base, max_order=4).ladder
+    kind = draw(st.sampled_from(["search", "perturbed", "incoherent", "coboundary"]))
+    arrow = draw(st.sampled_from(list(loops)))
+    r, c = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if kind == "perturbed":
+        top = ladder.top
+        k = draw(st.integers(1, top.order))
+        coeffs = {a: list(series) for a, series in top.coeffs.items()}
+        coeffs[arrow][k] = _bump(coeffs[arrow][k], r, c)
+        return Ladder.from_lift(Lift(base, top.order, coeffs))
+    if kind == "incoherent":
+        chain = list(ladder.chain)
+        i = draw(st.integers(0, len(chain) - 1))
+        k = draw(st.integers(1, i + 1))
+        coeffs = {a: list(series) for a, series in chain[i].coeffs.items()}
+        coeffs[arrow][k] = _bump(coeffs[arrow][k], r, c)
+        chain[i] = Lift(base, i + 1, coeffs)
+        return Ladder(base, chain)
+    if kind == "coboundary":
+        _, cob = first_order_space(base)
+        lift = (Lift.first_order(base, cob[draw(st.integers(0, len(cob) - 1))])
+                if cob else Lift.trivial(base, 1))
+        for _ in range(draw(st.integers(0, 2))):
+            step = extend_step(lift)
+            if isinstance(step, Obstruction):
+                break
+            lift = step.particular()
+        return Ladder.from_lift(lift)
+    return ladder
+
+
+@settings(max_examples=60, deadline=None)
+@given(tangent_one_ladders())
+def test_verify_ladder_matches_dense_reference(ladder):
+    def rows(transcript):
+        return [(c.name, c.order, c.ok, c.detail) for c in transcript.checks]
+
+    assert rows(verify_ladder(ladder)) == rows(dense_verify_ladder(ladder))

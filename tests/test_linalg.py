@@ -173,3 +173,14 @@ def test_solve_affine_consistent_rhs(a, coeffs):
     sol = solve_affine(a, b)
     assert sol.feasible
     assert a.apply(sol.particular) == b
+
+
+@pytest.mark.parametrize("field", [F5, Q])
+def test_power_matches_repeated_product(field):
+    a = mat(field, [[1, 2, 0], [0, 3, 1], [4, 0, -2]])
+    if field == Q:
+        a = a.scale(Q.parse_literal("1/3"))
+    expected = Matrix.identity(field, 3)
+    for n in range(10):
+        assert a.power(n) == expected
+        expected = expected * a
