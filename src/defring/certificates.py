@@ -48,6 +48,11 @@ def _shape_problem(report) -> str | None:
     return None
 
 
+def _same(claimed, recomputed) -> bool:
+    """Equal in type as well as value, so true never stands for 1, nor 1.0 for true."""
+    return type(claimed) is type(recomputed) and claimed == recomputed
+
+
 def _parse_entry(field, x):
     if not isinstance(x, str):
         raise ValueError(f"ladder entry {x!r} is not a scalar literal")
@@ -65,7 +70,7 @@ def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
     for expected_order, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
             raise ValueError(f"ladder entry {expected_order} is not an object with matrices")
-        if entry.get("order") != expected_order:
+        if not _same(entry.get("order"), expected_order):
             raise ValueError(f"ladder orders out of sequence at {entry.get('order')}")
         mats = entry["matrices"]
         for a in base.algebra.quiver.arrows:
@@ -117,7 +122,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     check("module_satisfies_relations", not bad, ", ".join(bad))
 
     tangent = tangent_dimension(base)
-    check("tangent_dim", report.get("tangent_dim") == tangent,
+    check("tangent_dim", _same(report.get("tangent_dim"), tangent),
           f"recomputed {tangent}")
 
     verdict = report["verdict"]
@@ -165,15 +170,15 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         # hom/ext of a non-module are meaningless; everything downstream is void
         return VerificationResult(False, failures, lines)
     hom_top = hom_dim(top, base)
-    ext_top = ext1_dim(top, base, backend="all")
-    check("hom_top_dim_matches", checks.get("hom_top_dim") == hom_top,
+    ext_top = ext1_dim(top, base, backend="all", hom=hom_top)
+    check("hom_top_dim_matches", _same(checks.get("hom_top_dim"), hom_top),
           f"recomputed {hom_top}")
-    check("ext_top_dim_matches", checks.get("ext_top_dim") == ext_top,
+    check("ext_top_dim_matches", _same(checks.get("ext_top_dim"), ext_top),
           f"recomputed {ext_top}")
-    check("sigma_nilpotent_matches", checks.get("sigma_nilpotent") == sigma_ok,
+    check("sigma_nilpotent_matches", _same(checks.get("sigma_nilpotent"), sigma_ok),
           f"recomputed {sigma_ok}")
     check("first_order_nontrivial_matches",
-          checks.get("first_order_nontrivial") == nontrivial_ok,
+          _same(checks.get("first_order_nontrivial"), nontrivial_ok),
           f"recomputed {nontrivial_ok}")
 
     if vtype == "finite":

@@ -31,10 +31,12 @@ class ClassifyConfig:
     max_order: int = 10
 
 
-def tangent_dimension(v: Representation) -> int:
-    """dim Ext^1(V, V), cross-checked against the second applicable backend."""
-    dim = ext1_dim(v, v, backend="all")
-    return dim
+def tangent_dimension(v: Representation, system: DeformationSystem | None = None) -> int:
+    """dim Ext^1(V, V), cross-checked against the second applicable backend.
+
+    system, when given, is DeformationSystem(v, v), reused by the cocycle route.
+    """
+    return ext1_dim(v, v, backend="all", system=system)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +169,7 @@ def stable_end_note(v: Representation) -> str:
 def _top_checks(ladder: Ladder, base: Representation) -> tuple:
     top = as_representation(ladder.top)
     hom_top = hom_dim(top, base)
-    ext_top = ext1_dim(top, base, backend="all")
+    ext_top = ext1_dim(top, base, backend="all", hom=hom_top)
     return hom_top, ext_top
 
 
@@ -190,7 +192,7 @@ def classify(source: SourceFile, module_name: str,
     notes.append("assumes a weak universal deformation ring exists; "
                  "the tangent-dimension gate below is the computable surrogate")
     system = DeformationSystem(rep, rep)
-    tangent = tangent_dimension(rep)
+    tangent = tangent_dimension(rep, system)
     notes.append(f"tangent dimension: {tangent}")
     notes.append(stable_end_note(rep))
 

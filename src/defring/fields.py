@@ -5,10 +5,18 @@ Scalars are kept in canonical form at all times: reduced fractions with a
 positive denominator for Q (delegated to fractions.Fraction), and residues
 in 0..p-1 for F_p.  Equality is structural, so two scalars compare equal
 exactly when they are the same mathematical value of the same field.
+
+A scalar's `value` is its raw field value: an `int` residue over F_p, a
+`Fraction` over Q.  The linear algebra kernels compute on raw values and
+turn results back into scalars through `FieldSpec.box`, which interns
+them: each FieldSpec holds one shared Scalar per residue (at most p of
+them, filled on first use) and, over Q, one shared zero.  Scalars are
+immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -41,10 +49,37 @@ def is_prime(n: int) -> bool:
 MAX_PRIME = 2**16
 
 
-class FieldSpec:
-    """The rationals (p is None) or the prime field F_p."""
+class _Residues(dict):
+    """Residue -> the field's one Scalar for it, created on first lookup."""
 
-    __slots__ = ("p",)
+    __slots__ = ("field",)
+
+    def __init__(self, field: "FieldSpec"):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, value: int) -> "Scalar":
+        s = self[value] = Scalar(self.field, value)
+        return s
+
+
+def _rational_box(field: "FieldSpec"):
+    zero = Scalar(field, Fraction(0))
+
+    def box(value: Fraction) -> "Scalar":
+        return Scalar(field, value) if value else zero
+
+    return box
+
+
+class FieldSpec:
+    """The rationals (p is None) or the prime field F_p.
+
+    `box(value)` turns a canonical raw value (a residue in 0..p-1, or a
+    Fraction) into this field's Scalar without reducing or checking it.
+    """
+
+    __slots__ = ("p", "box")
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -53,6 +88,7 @@ class FieldSpec:
             if not is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        self.box = _rational_box(self) if p is None else _Residues(self).__getitem__
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -82,12 +118,13 @@ class FieldSpec:
                 raise FieldMismatch(f"scalar of {value.field} used in {self}")
             return value
         if self.p is None:
-            return Scalar(self, Fraction(value))
+            return self.box(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"fraction {value} is not an element of {self}")
             value = value.numerator
-        return Scalar(self, value % self.p)
+        # operator.index keeps floats out of the residue table
+        return self.box(operator.index(value) % self.p)
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -102,7 +139,7 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError(f"fraction literal {text!r} not allowed over {self}")
             num, _, den = text.partition("/")
-            return Scalar(self, Fraction(int(num), int(den)))
+            return self.box(Fraction(int(num), int(den)))
         return self.scalar(int(text))
 
     def elements(self):
@@ -110,7 +147,7 @@ class FieldSpec:
         if self.p is None:
             raise ValueError("cannot enumerate the rationals")
         for v in range(self.p):
-            yield Scalar(self, v)
+            yield self.box(v)
 
 
 class Scalar:
@@ -136,15 +173,15 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self.field.p is None:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % self.field.p)
+            return self.field.box(self.value + other.value)
+        return self.field.box((self.value + other.value) % self.field.p)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.field.p is None:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.p)
+            return self.field.box(-self.value)
+        return self.field.box((-self.value) % self.field.p)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -163,8 +200,8 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         if self.field.p is None:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % self.field.p)
+            return self.field.box(self.value * other.value)
+        return self.field.box((self.value * other.value) % self.field.p)
 
     __rmul__ = __mul__
 
@@ -172,8 +209,8 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.field.p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
+            return self.field.box(1 / self.value)
+        return self.field.box(pow(self.value, self.field.p - 2, self.field.p))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -4,15 +4,27 @@ Everything here is deterministic: row reduction always pivots on the first
 nonzero entry scanning columns left to right and rows top to bottom, so
 echelon forms, kernel bases, and particular solutions are canonical for a
 given input.  Infeasibility of a linear system is a value, not an error.
+
+A Matrix holds Scalars, but the kernels (`rref` and everything built on
+it, and `Matrix.__mul__`) compute on raw field values: `int` residues
+reduced with `% p` over F_p and `Fraction`s over Q, the path chosen from
+`field.p`.  Scalars appear only where the API hands entries out, and those
+come from `FieldSpec.box`, so they are shared rather than boxed per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldMismatch, FieldSpec, Scalar
 
 Vector = tuple[Scalar, ...]
+
+
+def _coerced(field: FieldSpec, entries) -> list:
+    """Entries as Scalars of field; those already of this very field pass as they are."""
+    scalar = field.scalar
+    return [x if x.__class__ is Scalar and x.field is field else scalar(x) for x in entries]
 
 
 class Matrix:
@@ -35,7 +47,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            data.extend(field.scalar(x) for x in r)
+            data += _coerced(field, r)
         return cls(field, nrows, ncols, data)
 
     @classmethod
@@ -45,8 +57,7 @@ class Matrix:
         data = [zero] * (nrows * ncols)
         for j, col in enumerate(columns):
             assert len(col) == nrows
-            for i, x in enumerate(col):
-                data[i * ncols + j] = field.scalar(x)
+            data[j::ncols] = _coerced(field, col)
         return cls(field, nrows, ncols, data)
 
     @classmethod
@@ -119,21 +130,27 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        zero = self.field.zero()
-        out = [zero] * (self.nrows * other.ncols)
+        field = self.field
+        if other.field != field:
+            raise FieldMismatch(f"{field} vs {other.field}")
+        p = field.p
+        inner, width = self.ncols, other.ncols
+        b = [x.value for x in other.data]
+        # each row of other as its nonzero (column, value) pairs
+        b_rows = [[(j, y) for j, y in enumerate(b[k * width:(k + 1) * width]) if y]
+                  for k in range(inner)]
+        out = []
         for i in range(self.nrows):
-            base = i * self.ncols
-            for k in range(self.ncols):
-                a = self.data[base + k]
-                if a.is_zero():
-                    continue
-                obase = k * other.ncols
-                rbase = i * other.ncols
-                for j in range(other.ncols):
-                    b = other.data[obase + j]
-                    if not b.is_zero():
-                        out[rbase + j] = out[rbase + j] + a * b
-        return Matrix(self.field, self.nrows, other.ncols, out)
+            acc = [0] * width
+            for x, pairs in zip(self.data[i * inner:(i + 1) * inner], b_rows):
+                x = x.value
+                if x:
+                    for j, y in pairs:
+                        acc[j] += x * y
+            if p:
+                acc = [v % p for v in acc]
+            out += map(field.box, acc)
+        return Matrix(field, self.nrows, width, out)
 
     def power(self, n: int) -> "Matrix":
         assert self.nrows == self.ncols and n >= 0
@@ -199,44 +216,87 @@ def block_matrix(field: FieldSpec, grid: list) -> Matrix:
     return Matrix(field, nrows, ncols, data)
 
 
-@dataclass
 class RowEchelon:
-    """Reduced row echelon form with its pivot columns."""
+    """Reduced row echelon form with its pivot columns.
 
-    matrix: Matrix
-    pivots: list
+    `values` holds the echelon rows as raw field values; `matrix` boxes
+    them into a Matrix the first time it is read.
+    """
+
+    __slots__ = ("field", "ncols", "values", "pivots", "_matrix", "_supports")
+
+    def __init__(self, field: FieldSpec, ncols: int, values: list, pivots: list):
+        self.field = field
+        self.ncols = ncols
+        self.values = values
+        self.pivots = pivots
+        self._matrix = None
+        self._supports = None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            box = self.field.box
+            data = [box(x) for row in self.values for x in row]
+            self._matrix = Matrix(self.field, len(self.values), self.ncols, data)
+        return self._matrix
+
+    def supports(self) -> list:
+        """Per row, the (column, value) pairs of its nonzero entries."""
+        if self._supports is None:
+            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.values]
+        return self._supports
+
 
 def rref(m: Matrix) -> RowEchelon:
-    """Reduced row echelon form, first-nonzero pivoting, no reordering tricks."""
-    rows = [list(m.row(i)) for i in range(m.nrows)]
+    """Reduced row echelon form, first-nonzero pivoting, no reordering tricks.
+
+    Rows at and below the current pivot are zero left of its column, so
+    scaling the pivot row and eliminating with it touch only the columns
+    where the pivot row is nonzero.
+    """
+    p = m.field.p
+    nrows, ncols = m.nrows, m.ncols
+    values = [x.value for x in m.data]
+    rows = [values[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     pivots = []
     r = 0
-    for c in range(m.ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for pivot_row in range(r, nrows):
+            if rows[pivot_row][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        support = [j for j in range(c, ncols) if prow[j]]
+        if p:
+            inv = pow(prow[c], -1, p)
+            for j in support:
+                prow[j] = prow[j] * inv % p
+        else:
+            inv = 1 / prow[c]
+            for j in support:
+                prow[j] *= inv
+        pairs = [(j, prow[j]) for j in support]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p:
+                    for j, y in pairs:
+                        row[j] = (row[j] - f * y) % p
+                else:
+                    for j, y in pairs:
+                        row[j] -= f * y
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    flat = [x for row in rows for x in row]
-    return RowEchelon(Matrix(m.field, m.nrows, m.ncols, flat), pivots)
+    return RowEchelon(m.field, ncols, rows, pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -246,17 +306,22 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list:
     """Echelon-normalized basis of the right kernel; len == ncols - rank."""
     ech = rref(m)
-    pivots = ech.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    zero = m.field.zero()
-    one = m.field.one()
+    field = m.field
+    p = field.p
+    box = field.box
+    zero = field.zero()
+    one = field.one()
+    pivot_set = set(ech.pivots)
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
         v = [zero] * m.ncols
         v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -ech.matrix[r, f]
+        for row, c in zip(ech.values, ech.pivots):
+            x = row[f]
+            if x:
+                v[c] = box(p - x if p else -x)
         basis.append(tuple(v))
     return basis
 
@@ -296,14 +361,13 @@ def solve_affine(a: Matrix, b: Vector) -> AffineSolutionSpace:
     assert len(b) == a.nrows
     aug = a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)]))
     ech = rref(aug)
-    if a.ncols in ech.pivots:
-        kern = kernel_basis(a)
-        return AffineSolutionSpace(False, None, kern)
-    zero = a.field.zero()
-    x = [zero] * a.ncols
-    for r, c in enumerate(ech.pivots):
-        x[c] = ech.matrix[r, a.ncols]
     kern = kernel_basis(a)
+    if a.ncols in ech.pivots:
+        return AffineSolutionSpace(False, None, kern)
+    box = a.field.box
+    x = [a.field.zero()] * a.ncols
+    for row, c in zip(ech.values, ech.pivots):
+        x[c] = box(row[a.ncols])
     return AffineSolutionSpace(True, tuple(x), kern)
 
 
@@ -322,30 +386,33 @@ def solve_matrix(a: Matrix, b: Matrix):
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
     """Echelonized span of the given row vectors."""
     if not vectors:
-        return RowEchelon(Matrix.zeros(field, 0, width), [])
-    m = Matrix.from_rows(field, [list(v) for v in vectors])
-    ech = rref(m)
-    keep = ech.matrix.rows()[: ech.rank]
-    if keep:
-        reduced = Matrix.from_rows(field, [list(r) for r in keep])
-    else:
-        reduced = Matrix.zeros(field, 0, width)
-    return RowEchelon(reduced, ech.pivots)
+        return RowEchelon(field, width, [], [])
+    ech = rref(Matrix.from_rows(field, vectors))
+    return RowEchelon(field, ech.ncols, ech.values[: ech.rank], ech.pivots)
+
+
+def _reduce_values(ech: RowEchelon, values: list) -> list:
+    """Subtract echelon rows from raw values, in place, to zero its pivot coordinates."""
+    p = ech.field.p
+    for c, pairs in zip(ech.pivots, ech.supports()):
+        f = values[c]
+        if f:
+            if p:
+                for j, y in pairs:
+                    values[j] = (values[j] - f * y) % p
+            else:
+                for j, y in pairs:
+                    values[j] -= f * y
+    return values
 
 
 def reduce_mod_rows(ech: RowEchelon, v: Vector) -> Vector:
     """Subtract the echelon rows to zero out v's pivot coordinates."""
-    out = list(v)
-    for r, c in enumerate(ech.pivots):
-        f = out[c]
-        if not f.is_zero():
-            row = ech.matrix.row(r)
-            out = [x - f * y for x, y in zip(out, row)]
-    return tuple(out)
+    return tuple(map(ech.field.box, _reduce_values(ech, [x.value for x in v])))
 
 
 def in_row_span(ech: RowEchelon, v: Vector) -> bool:
-    return all(x.is_zero() for x in reduce_mod_rows(ech, v))
+    return not any(_reduce_values(ech, [x.value for x in v]))
 
 
 def complement_representatives(space_basis: list, subspace_vectors: list,
@@ -357,9 +424,13 @@ def complement_representatives(space_basis: list, subspace_vectors: list,
     canonical for the given inputs.
     """
     sub = row_space(subspace_vectors, field, width)
-    reduced = [reduce_mod_rows(sub, v) for v in space_basis]
-    reduced = [v for v in reduced if any(not x.is_zero() for x in v)]
-    return [tuple(r) for r in row_space(reduced, field, width).matrix.rows()]
+    box = field.box
+    reduced = []
+    for v in space_basis:
+        values = _reduce_values(sub, [x.value for x in v])
+        if any(values):
+            reduced.append(tuple(map(box, values)))
+    return [tuple(map(box, row)) for row in row_space(reduced, field, width).values]
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:

@@ -522,35 +522,51 @@ def ext1_syzygy(m: Representation, n: Representation):
     return dim, [layout.unpack(v) for v in reps]
 
 
-def ext1_hereditary(m: Representation, n: Representation) -> int:
-    """Relation-free closed form via the bilinear form of the quiver."""
+def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None) -> int:
+    """Relation-free closed form via the bilinear form of the quiver.
+
+    hom, when given, is dim Hom(M, N) already computed by the caller.
+    """
     if not m.algebra.hereditary:
         raise NotHereditary("closed form only valid without relations")
     _same_algebra(m, n)
     quiver = m.algebra.quiver
     arrows_term = sum(m.dims[a.source] * n.dims[a.target] for a in quiver.arrows)
     vertex_term = sum(m.dims[v] * n.dims[v] for v in quiver.vertices)
-    return arrows_term - vertex_term + hom_dim(m, n)
+    if hom is None:
+        hom = hom_dim(m, n)
+    return arrows_term - vertex_term + hom
 
 
-def ext1_cocycle(m: Representation, n: Representation):
-    """Ext^1 as first-order deformation cocycles modulo coboundaries."""
-    sys = DeformationSystem(m, n)
-    return sys.ext_dim_and_representatives()
+def ext1_cocycle(m: Representation, n: Representation,
+                 system: DeformationSystem | None = None):
+    """Ext^1 as first-order deformation cocycles modulo coboundaries.
+
+    system, when given, is the DeformationSystem of (m, n).
+    """
+    if system is None:
+        system = DeformationSystem(m, n)
+    return system.ext_dim_and_representatives()
 
 
-def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle") -> int:
-    """Dimension of Ext^1; backend 'all' cross-checks every applicable route."""
+def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
+             system: DeformationSystem | None = None, hom: int | None = None) -> int:
+    """Dimension of Ext^1; backend 'all' cross-checks every applicable route.
+
+    system (the DeformationSystem of (m, n)) is handed to the cocycle
+    route and hom (dim Hom(m, n)) to the hereditary closed form, so a
+    caller that has them computes neither again.
+    """
     if backend == "cocycle":
-        return ext1_cocycle(m, n)[0]
+        return ext1_cocycle(m, n, system)[0]
     if backend == "syzygy":
         return ext1_syzygy(m, n)[0]
     if backend == "hereditary":
-        return ext1_hereditary(m, n)
+        return ext1_hereditary(m, n, hom)
     if backend == "all":
-        dims = {"cocycle": ext1_cocycle(m, n)[0]}
+        dims = {"cocycle": ext1_cocycle(m, n, system)[0]}
         if m.algebra.hereditary:
-            dims["hereditary"] = ext1_hereditary(m, n)
+            dims["hereditary"] = ext1_hereditary(m, n, hom)
         else:
             dims["syzygy"] = ext1_syzygy(m, n)[0]
         values = set(dims.values())

@@ -187,3 +187,25 @@ def test_rejects_proved_finite_over_rationals():
     bad = _tampered(blob, ["verdict", "proved"], False)
     assert verify_report(read_corpus("kx3_f5.alg"), "V", bad).failures == [
         "finite_proved_iff_prime_field"]
+
+
+@pytest.mark.parametrize(
+    "path,value,failure",
+    [
+        (["ladder", 0, "order"], True, "ladder_parses"),
+        (["ladder", 1, "order"], 2.0, "ladder_parses"),
+        (["tangent_dim"], True, "tangent_dim"),
+        (["checks", "hom_top_dim"], True, "hom_top_dim_matches"),
+        (["checks", "ext_top_dim"], False, "ext_top_dim_matches"),
+        (["checks", "sigma_nilpotent"], 1, "sigma_nilpotent_matches"),
+        (["checks", "first_order_nontrivial"], 1.0, "first_order_nontrivial_matches"),
+    ],
+    ids=["order-true", "order-float", "tangent-true", "hom-true", "ext-false",
+         "sigma-int", "nontrivial-float"],
+)
+def test_rejects_values_equal_only_across_types(path, value, failure):
+    # JSON true == 1 and 2.0 == 2 in Python; the claim must match in type too
+    blob = report_for("kx3_f5.alg", "V")
+    result = verify_report(read_corpus("kx3_f5.alg"), "V", _tampered(blob, path, value))
+    assert not result.ok
+    assert failure in result.failures

@@ -245,3 +245,33 @@ def test_corpus_reports_match_recorded_digests():
             blob = serialize_report(classify(source, module))
             seen[f"{path.name}:{module}"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     assert seen == recorded
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_classify_builds_one_deformation_system_for_the_tangent_space(monkeypatch):
+    # out_of_scope: the tangent route reuses the system classify built
+    from defring.rep import DeformationSystem
+    built = _count_calls(monkeypatch, DeformationSystem, "__init__")
+    assert run("kx2_f5.alg", "VV").verdict.type == "out_of_scope"
+    assert len(built) == 1
+
+
+def test_ext_at_the_ladder_top_reuses_its_hom(monkeypatch):
+    # hereditary: Hom(V, V) for the closed form of the tangent space, then
+    # Hom(top, V) once for both hom_top_dim and the closed form of ext_top_dim
+    import defring.rep
+    calls = _count_calls(monkeypatch, defring.rep, "hom_basis")
+    report = run("loop_free_q.alg", "V", max_order=3)
+    assert report.checks.hom_top_dim == 1 and report.checks.ext_top_dim == 1
+    assert len(calls) == 2

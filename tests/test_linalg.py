@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring.fields import FieldSpec
+from defring.fields import FieldMismatch, FieldSpec
 from defring.linalg import (
     Matrix,
     block_matrix,
@@ -19,6 +21,8 @@ from defring.linalg import (
     vec_is_zero,
     vec_scale,
 )
+from helpers import (boxed_complement_representatives, boxed_kernel_basis, boxed_mul,
+                     boxed_reduce_mod_rows, boxed_row_space, boxed_rref, boxed_solve_affine)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -184,3 +188,94 @@ def test_power_matches_repeated_product(field):
     for n in range(10):
         assert a.power(n) == expected
         expected = expected * a
+
+
+KERNEL_FIELDS = [FieldSpec.prime(2), F3, F5, FieldSpec.prime(65521), Q]
+
+
+@st.composite
+def kernel_case(draw):
+    """A field, A (n x m, possibly 0 x m or n x 0, often rank deficient),
+    B (m x k), a right-hand side of length n and C (t x n)."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    if field.p is None:
+        value = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=3))
+    else:
+        value = st.one_of(st.just(0), st.integers(-3, 3), st.integers(0, field.p - 1))
+
+    def matrix(nrows, ncols):
+        flat = draw(st.lists(value, min_size=nrows * ncols, max_size=nrows * ncols))
+        return Matrix(field, nrows, ncols, [field.scalar(x) for x in flat])
+
+    n, m, k, t = (draw(st.integers(0, 5)) for _ in range(4))
+    a = matrix(n, m)
+    if n and m and draw(st.booleans()):
+        inner = draw(st.integers(1, min(n, m)))
+        a = boxed_mul(matrix(n, inner), matrix(inner, m))
+    rhs = tuple(matrix(1, n).data)
+    return field, a, matrix(m, k), rhs, matrix(t, n)
+
+
+def canonical(field, entries):
+    if field.p is None:
+        return all(x.field == field and type(x.value) is Fraction for x in entries)
+    return all(x.field == field and type(x.value) is int and 0 <= x.value < field.p
+               for x in entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_kernels_match_boxed_reference(case):
+    field, a, b, rhs, c = case
+    ech = rref(a)
+    ref_matrix, ref_pivots = boxed_rref(a)
+    assert ech.pivots == ref_pivots
+    assert ech.matrix == ref_matrix and canonical(field, ech.matrix.data)
+
+    kernel = kernel_basis(a)
+    assert kernel == boxed_kernel_basis(a)
+    assert all(canonical(field, v) for v in kernel)
+
+    sol = solve_affine(a, rhs)
+    assert (sol.feasible, sol.particular, sol.kernel) == boxed_solve_affine(a, rhs)
+    assert sol.particular is None or canonical(field, sol.particular)
+
+    product = a * b
+    assert product == boxed_mul(a, b) and canonical(field, product.data)
+
+    # the span of C·A lies in the span of A's rows
+    space = a.rows()
+    sub = boxed_mul(c, a).rows() if a.nrows else []
+    ech_sub = row_space(sub, field, a.ncols)
+    ref_rows, ref_pivots = boxed_row_space(sub, field, a.ncols)
+    assert ech_sub.pivots == ref_pivots and ech_sub.matrix.rows() == ref_rows
+    for v in space:
+        reduced = reduce_mod_rows(ech_sub, v)
+        assert reduced == boxed_reduce_mod_rows(ref_rows, ref_pivots, v)
+        assert canonical(field, reduced)
+        assert in_row_span(ech_sub, v) == vec_is_zero(reduced)
+    reps = complement_representatives(space, sub, field, a.ncols)
+    assert reps == boxed_complement_representatives(space, sub, field, a.ncols)
+    assert all(canonical(field, v) for v in reps)
+
+
+def test_own_scalars_pass_through_and_foreign_fields_are_rejected():
+    x = F5.scalar(3)
+    m = Matrix.from_rows(F5, [[x, 4], [-1, FieldSpec.prime(5).scalar(2)]])
+    assert m.data[0] is x
+    assert as_ints(m) == [[3, 4], [4, 2]]
+    with pytest.raises(FieldMismatch):
+        Matrix.from_rows(F5, [[F3.scalar(1)]])
+    with pytest.raises(FieldMismatch):
+        Matrix.from_columns(F5, 1, [[F3.scalar(1)]])
+    with pytest.raises(FieldMismatch):
+        mat(F5, [[1]]) * mat(F3, [[1]])
+
+
+def test_kernel_outputs_are_interned():
+    a = mat(F5, [[1, 2, 3], [2, 4, 1], [0, 0, 0]])
+    echelon = rref(a).matrix
+    assert all(x is F5.scalar(x.value) for x in echelon.data)
+    assert all(x is F5.zero() for x in (a * Matrix.zeros(F5, 3, 2)).data)
+    zeros = (mat(Q, [[1, -1]]) * mat(Q, [[1], [1]])).data + rref(mat(Q, [[0, 0]])).matrix.data
+    assert all(x is Q.zero() for x in zeros)
