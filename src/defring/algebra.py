@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .dsl import Relation
 from .fields import FieldSpec
-from .linalg import Matrix, rref, vec_is_zero
+from .linalg import Matrix, rref
 from .quiver import Path, Quiver
 
 
@@ -94,6 +94,7 @@ class PresentedAlgebra:
         index = {p: i for i, p in enumerate(paths)}
         n = len(paths)
         zero = self.field.zero()
+        scalar = self.field.scalar
         generators = []
         seen = set()
         for rel in self.relations:
@@ -102,25 +103,21 @@ class PresentedAlgebra:
             for y in suffixes:
                 for x in prefixes:
                     vec = [zero] * n
-                    hit = False
                     for coeff, p in rel.terms:
                         arrows = y.arrows + p.arrows + x.arrows
                         if len(arrows) < m:
-                            full = Path(arrows, y.source, x.target)
-                            vec[index[full]] = vec[index[full]] + coeff
-                            hit = True
-                    if hit and not vec_is_zero(vec):
-                        key = tuple((i, s.value) for i, s in enumerate(vec) if not s.is_zero())
+                            i = index[Path(arrows, y.source, x.target)]
+                            vec[i] = scalar(vec[i] + coeff)
+                    if any(vec):
+                        key = tuple((i, s) for i, s in enumerate(vec) if s)
                         if key not in seen:
                             seen.add(key)
                             generators.append(vec)
         if generators:
             ech = rref(Matrix.from_rows(self.field, generators))
-            pivots = ech.pivots
-            rows = ech.matrix
+            pivots, rows = ech.pivots, ech.rows
         else:
-            pivots = []
-            rows = Matrix.zeros(self.field, 0, n)
+            pivots, rows = [], []
         pivot_set = set(pivots)
         self.basis = [p for i, p in enumerate(paths) if i not in pivot_set]
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
@@ -131,14 +128,12 @@ class PresentedAlgebra:
         for r, c in enumerate(pivots):
             expr = [zero] * len(self.basis)
             for i, j in free_positions.items():
-                coeff = rows[r, i]
-                if not coeff.is_zero():
-                    expr[j] = -coeff
+                expr[j] = scalar(-rows[r][i])
             reduction[paths[c]] = tuple(expr)
         self._reduction = reduction
         self._paths = paths
         for rel in self.relations:
-            if not vec_is_zero(self.reduce_terms(rel.terms)):
+            if any(self.reduce_terms(rel.terms)):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")
 
     def reduce_path(self, path: Path) -> tuple:
@@ -156,15 +151,12 @@ class PresentedAlgebra:
 
     def reduce_terms(self, terms) -> tuple:
         """Reduce a linear combination of paths to basis coordinates."""
-        zero = self.field.zero()
-        out = [zero] * len(self.basis)
+        out = [self.field.zero()] * len(self.basis)
         for coeff, p in terms:
-            if coeff.is_zero():
-                continue
-            for j, x in enumerate(self.reduce_path(p)):
-                if not x.is_zero():
-                    out[j] = out[j] + coeff * x
-        return tuple(out)
+            if coeff:
+                for j, x in enumerate(self.reduce_path(p)):
+                    out[j] += coeff * x
+        return tuple(map(self.field.scalar, out))
 
     def multiply_basis(self, first: Path, then: Path) -> tuple:
         """Product of two basis paths, applied first-then, in basis coordinates."""
@@ -201,7 +193,7 @@ class PresentedAlgebra:
                 reduced = self.reduce_path(extended)
                 col = [self.field.zero()] * dims[a.target]
                 for j, coeff in enumerate(reduced):
-                    if not coeff.is_zero():
+                    if coeff:
                         q = self.basis[j]
                         assert q.source == v and q.target == a.target
                         col[slot[q]] = coeff

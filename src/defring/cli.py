@@ -19,6 +19,7 @@ from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_rep
 from .lift import verify_ladder
 from .oracle import BudgetExceeded, enumerate_lifts
 from .rep import (
+    DeformationSystem,
     NotHereditary,
     Representation,
     ext1_dim,
@@ -139,11 +140,12 @@ def cmd_ladder(args) -> int:
     _, source = _load(args)
     algebra = _algebra(source)
     m = _module(source, algebra, args.module)
-    tangent = tangent_dimension(m)
+    system = DeformationSystem(m, m)
+    tangent = tangent_dimension(m, system)
     print(f"tangent dimension: {tangent}")
     if tangent != 1:
         print("note: the tangent dimension is not 1, so this chain stands for no other chain")
-    search = ladder_search(m, max_order=args.max_order)
+    search = ladder_search(m, max_order=args.max_order, system=system)
     for note in search.notes:
         print(f"note: {note}")
     if search.kind == "terminated":
@@ -163,7 +165,7 @@ def cmd_ladder(args) -> int:
         print(f"order {order} coefficients:")
         for name in sorted(mats):
             print(f"  {name}: {render_matrix(mats[name])}")
-    transcript = verify_ladder(search.ladder)
+    transcript = verify_ladder(search.ladder, system=system)
     for line in transcript.lines():
         print(line)
     print("certificate:", "ok" if transcript.ok else "FAILED")

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .fields import FieldSpec, Scalar, format_scalar
+from .fields import FieldSpec, format_scalar
 from .linalg import Matrix
 from .quiver import Arrow, Path, Quiver
 
@@ -333,7 +333,7 @@ class _Parser:
         return self.field
 
     def parse_scalar(self, tokens, idx):
-        """Parse [-]literal starting at idx; returns (Scalar, next_idx)."""
+        """Parse [-]literal starting at idx; returns (field value, next_idx)."""
         tok = self.expect(tokens, idx, "scalar")
         negate = False
         if tok.text == "-":
@@ -347,7 +347,7 @@ class _Parser:
             value = fld.parse_literal(tok.text)
         except (ValueError, ZeroDivisionError) as exc:
             self.fail("bad-scalar-literal", str(exc), tok)
-        return (-value if negate else value), idx + 1
+        return (fld.scalar(-value) if negate else value), idx + 1
 
     def parse_matrix(self, tokens, idx):
         """Parse [[a,b],[c,d]] starting at idx; returns (rows, next_idx)."""
@@ -401,7 +401,7 @@ class _Parser:
                 self.fail("syntax", f"expected '+' or '-', found {tok.text!r}", tok)
             coeff, path, idx = self.parse_term(tokens, idx)
             if sign < 0:
-                coeff = -coeff
+                coeff = self.field.scalar(-coeff)
             terms.append((coeff, path))
             first = False
         if not terms:
@@ -500,8 +500,8 @@ def parse(text: str, filename: str = "<input>") -> SourceFile:
 # canonical printing
 
 
-def render_term(coeff: Scalar, path: Path) -> str:
-    if coeff.is_one():
+def render_term(coeff, path: Path) -> str:
+    if coeff == 1:
         return path.label()
     return f"{format_scalar(coeff)}*{path.label()}"
 
@@ -509,8 +509,8 @@ def render_term(coeff: Scalar, path: Path) -> str:
 def render_relation(rel: Relation) -> str:
     parts = []
     for i, (coeff, path) in enumerate(rel.terms):
-        negative = coeff.field.p is None and coeff.value < 0
-        if negative:
+        # canonical values are negative only over Q
+        if coeff < 0:
             text = render_term(-coeff, path)
             parts.append(("-" + text) if i == 0 else ("- " + text))
         else:
@@ -566,6 +566,22 @@ def matrix_to_json(m: Matrix) -> list:
     return [[format_scalar(x) for x in m.row(i)] for i in range(m.nrows)]
 
 
+def _indented_json(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2), with every leaf through the C encoder.
+
+    json.dumps with an indent runs the pure-Python encoder, whose nested
+    closures leave a reference cycle behind on every call.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{inner}{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, list) and obj:
+        items = (inner + _indented_json(v, inner) for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def serialize_report(report) -> str:
     """Deterministic JSON text for a classification report.
 
@@ -600,7 +616,7 @@ def serialize_report(report) -> str:
         },
         "notes": list(report.notes),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _indented_json(obj) + "\n"
 
 
 VERDICT_TEXT = {

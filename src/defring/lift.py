@@ -11,7 +11,7 @@ carries a rank certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import Matrix, rank
 from .rep import DeformationSystem, Representation
@@ -105,10 +105,8 @@ def residual_coefficient(lift: Lift, rel, j: int) -> Matrix:
     first = rel.terms[0][1]
     out = Matrix.zeros(field, lift.base.dims[first.target], lift.base.dims[first.source])
     for coeff, path in rel.terms:
-        if coeff.is_zero():
-            continue
-        poly = _path_poly(lift, path, j)
-        out = out + poly[j].scale(coeff)
+        if coeff:
+            out = out + _path_poly(lift, path, j)[j].scale(coeff)
     return out
 
 
@@ -184,20 +182,11 @@ def extend_step(lift: Lift, system: DeformationSystem | None = None):
     sol = system.solve_step(rhs)
     if not sol.feasible:
         labels = [rel.label() for rel in lift.base.algebra.generating_relations()]
-        aug_rows = []
-        flat_rhs = []
-        for block in rhs:
-            for r in range(block.nrows):
-                for c in range(block.ncols):
-                    flat_rhs.append(-block[r, c])
-        base_rank = rank(system.matrix)
-        aug = system.matrix.hstack(
-            Matrix.from_columns(system.field, system.matrix.nrows, [flat_rhs]))
         return Obstruction(
             order=lift.order + 1,
             residuals=list(zip(labels, rhs)),
-            rank_coefficient=base_rank,
-            rank_augmented=rank(aug),
+            rank_coefficient=sol.rank,
+            rank_augmented=sol.rank_augmented,
         )
     return LiftExtensions(lift, system, sol)
 
@@ -318,9 +307,9 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
     shift = Matrix(field, blocks, blocks, data)
     power = shift.power(ell)
     nonzero = not power.is_zero()
-    kernel = all(x.is_zero() for x in shift.column(blocks - 1)) and rank(shift) == blocks - 1
+    kernel = not any(shift.column(blocks - 1)) and rank(shift) == blocks - 1
     # a nonzero matrix whose rows below the top one vanish has image <e_top>
-    image = nonzero and all(x.is_zero() for x in power.data[: (blocks - 1) * blocks])
+    image = nonzero and not any(power.data[: (blocks - 1) * blocks])
     return (power * shift).is_zero(), nonzero, kernel, image
 
 

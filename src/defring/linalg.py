@@ -5,30 +5,36 @@ nonzero entry scanning columns left to right and rows top to bottom, so
 echelon forms, kernel bases, and particular solutions are canonical for a
 given input.  Infeasibility of a linear system is a value, not an error.
 
-A Matrix holds Scalars, but the kernels (`rref` and everything built on
-it, and `Matrix.__mul__`) compute on raw field values: `int` residues
-reduced with `% p` over F_p and `Fraction`s over Q, the path chosen from
-`field.p`.  Scalars appear only where the API hands entries out, and those
-come from `FieldSpec.box`, so they are shared rather than boxed per cell.
+A Matrix holds plain field values in canonical form: `int` residues in
+0..p-1 over F_p and `Fraction`s over Q (see fields.py).  `from_rows` and
+`from_columns` are where entries are brought into that form; the bare
+constructor trusts its input.  Every operation that forms new values
+(`+`, `-`, negation, `scale`, `*`, `apply` and the elimination kernels)
+reduces them with `% p` over F_p, the path chosen from `field.p`, so
+vectors and matrices handed out are always canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .fields import FieldMismatch, FieldSpec, Scalar
+from .fields import FieldMismatch, FieldSpec, format_scalar
 
-Vector = tuple[Scalar, ...]
+Vector = tuple  # canonical field values
 
 
-def _coerced(field: FieldSpec, entries) -> list:
-    """Entries as Scalars of field; those already of this very field pass as they are."""
+def _canonical(field: FieldSpec, entries) -> list:
+    """Entries (ints or Fractions) as canonical values of field."""
+    p = field.p
     scalar = field.scalar
-    return [x if x.__class__ is Scalar and x.field is field else scalar(x) for x in entries]
+    if p is None:
+        return [x if x.__class__ is Fraction else scalar(x) for x in entries]
+    return [x % p if x.__class__ is int else scalar(x) for x in entries]
 
 
 class Matrix:
-    """Immutable dense matrix with Scalar entries, row-major storage."""
+    """Immutable dense matrix of canonical field values, row-major storage."""
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
@@ -47,7 +53,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            data += _coerced(field, r)
+            data += _canonical(field, r)
         return cls(field, nrows, ncols, data)
 
     @classmethod
@@ -57,7 +63,7 @@ class Matrix:
         data = [zero] * (nrows * ncols)
         for j, col in enumerate(columns):
             assert len(col) == nrows
-            data[j::ncols] = _coerced(field, col)
+            data[j::ncols] = _canonical(field, col)
         return cls(field, nrows, ncols, data)
 
     @classmethod
@@ -72,7 +78,7 @@ class Matrix:
             m[i * n + i] = one
         return cls(field, n, n, m)
 
-    def __getitem__(self, ij) -> Scalar:
+    def __getitem__(self, ij):
         i, j = ij
         return self.data[i * self.ncols + j]
 
@@ -101,56 +107,59 @@ class Matrix:
         return hash((self.field, self.nrows, self.ncols, tuple(self.data)))
 
     def __repr__(self):
-        rows = ", ".join("[" + ", ".join(repr(x) for x in self.row(i)) + "]" for i in range(self.nrows))
+        rows = ", ".join("[" + ", ".join(map(format_scalar, self.row(i))) + "]"
+                         for i in range(self.nrows))
         return f"Matrix({self.nrows}x{self.ncols}, [{rows}])"
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.data)
+        return not any(self.data)
+
+    def _same_field(self, other: "Matrix"):
+        if other.field != self.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+
+    def _reduced(self, data: list) -> "Matrix":
+        """A matrix of this shape holding data, reduced into the field."""
+        p = self.field.p
+        return Matrix(self.field, self.nrows, self.ncols, [x % p for x in data] if p else data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            [a + b for a, b in zip(self.data, other.data)],
-        )
+        self._same_field(other)
+        return self._reduced([a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            [a - b for a, b in zip(self.data, other.data)],
-        )
+        self._same_field(other)
+        return self._reduced([a - b for a, b in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [-a for a in self.data])
+        return self._reduced([-a for a in self.data])
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [c * a for a in self.data])
+    def scale(self, c) -> "Matrix":
+        c = self.field.scalar(c)
+        return self._reduced([c * a for a in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        field = self.field
-        if other.field != field:
-            raise FieldMismatch(f"{field} vs {other.field}")
-        p = field.p
+        self._same_field(other)
+        p = self.field.p
+        zero = self.field.zero()
         inner, width = self.ncols, other.ncols
-        b = [x.value for x in other.data]
+        b = other.data
         # each row of other as its nonzero (column, value) pairs
         b_rows = [[(j, y) for j, y in enumerate(b[k * width:(k + 1) * width]) if y]
                   for k in range(inner)]
         out = []
         for i in range(self.nrows):
-            acc = [0] * width
+            acc = [zero] * width
             for x, pairs in zip(self.data[i * inner:(i + 1) * inner], b_rows):
-                x = x.value
                 if x:
                     for j, y in pairs:
                         acc[j] += x * y
-            if p:
-                acc = [v % p for v in acc]
-            out += map(field.box, acc)
-        return Matrix(field, self.nrows, width, out)
+            out += [v % p for v in acc] if p else acc
+        return Matrix(self.field, self.nrows, width, out)
 
     def power(self, n: int) -> "Matrix":
         assert self.nrows == self.ncols and n >= 0
@@ -170,14 +179,15 @@ class Matrix:
 
     def apply(self, v: Vector) -> Vector:
         assert len(v) == self.ncols
+        p = self.field.p
+        n = self.ncols
         out = []
         for i in range(self.nrows):
             acc = self.field.zero()
-            base = i * self.ncols
-            for j, x in enumerate(v):
-                if not x.is_zero():
-                    acc = acc + self.data[base + j] * x
-            out.append(acc)
+            for a, x in zip(self.data[i * n:(i + 1) * n], v):
+                if x:
+                    acc += a * x
+            out.append(acc % p if p else acc)
         return tuple(out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -217,20 +227,16 @@ def block_matrix(field: FieldSpec, grid: list) -> Matrix:
 
 
 class RowEchelon:
-    """Reduced row echelon form with its pivot columns.
+    """Reduced row echelon form: the echelon rows as lists of field values,
+    and their pivot columns."""
 
-    `values` holds the echelon rows as raw field values; `matrix` boxes
-    them into a Matrix the first time it is read.
-    """
+    __slots__ = ("field", "ncols", "rows", "pivots", "_supports")
 
-    __slots__ = ("field", "ncols", "values", "pivots", "_matrix", "_supports")
-
-    def __init__(self, field: FieldSpec, ncols: int, values: list, pivots: list):
+    def __init__(self, field: FieldSpec, ncols: int, rows: list, pivots: list):
         self.field = field
         self.ncols = ncols
-        self.values = values
+        self.rows = rows
         self.pivots = pivots
-        self._matrix = None
         self._supports = None
 
     @property
@@ -239,16 +245,12 @@ class RowEchelon:
 
     @property
     def matrix(self) -> Matrix:
-        if self._matrix is None:
-            box = self.field.box
-            data = [box(x) for row in self.values for x in row]
-            self._matrix = Matrix(self.field, len(self.values), self.ncols, data)
-        return self._matrix
+        return Matrix(self.field, len(self.rows), self.ncols, [x for row in self.rows for x in row])
 
     def supports(self) -> list:
         """Per row, the (column, value) pairs of its nonzero entries."""
         if self._supports is None:
-            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.values]
+            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.rows]
         return self._supports
 
 
@@ -261,8 +263,7 @@ def rref(m: Matrix) -> RowEchelon:
     """
     p = m.field.p
     nrows, ncols = m.nrows, m.ncols
-    values = [x.value for x in m.data]
-    rows = [values[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    rows = [m.data[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -303,27 +304,29 @@ def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
+def _kernel(field: FieldSpec, rows: list, pivots: list, ncols: int) -> list:
+    """Echelon-normalized kernel basis of the first ncols columns of echelon rows."""
+    p = field.p
+    zero, one = field.zero(), field.one()
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, c in zip(rows, pivots):
+            x = row[f]
+            if x:
+                v[c] = p - x if p else -x
+        basis.append(tuple(v))
+    return basis
+
+
 def kernel_basis(m: Matrix) -> list:
     """Echelon-normalized basis of the right kernel; len == ncols - rank."""
     ech = rref(m)
-    field = m.field
-    p = field.p
-    box = field.box
-    zero = field.zero()
-    one = field.one()
-    pivot_set = set(ech.pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * m.ncols
-        v[f] = one
-        for row, c in zip(ech.values, ech.pivots):
-            x = row[f]
-            if x:
-                v[c] = box(p - x if p else -x)
-        basis.append(tuple(v))
-    return basis
+    return _kernel(m.field, ech.rows, ech.pivots, m.ncols)
 
 
 @dataclass
@@ -331,12 +334,17 @@ class AffineSolutionSpace:
     """Solutions of A x = b: a particular point plus the kernel of A.
 
     feasible is False when the system has no solution; then particular is
-    None and kernel still describes ker A for diagnostic use.
+    None and kernel still describes ker A for diagnostic use.  rank and
+    rank_augmented are rank(A) and rank([A | b]), which differ exactly
+    when the system is infeasible.
     """
 
+    field: FieldSpec
     feasible: bool
     particular: Vector | None
     kernel: list
+    rank: int
+    rank_augmented: int
 
     @property
     def dimension(self) -> int:
@@ -347,28 +355,31 @@ class AffineSolutionSpace:
         assert self.feasible and len(coeffs) == len(self.kernel)
         out = list(self.particular)
         for c, k in zip(coeffs, self.kernel):
-            if not c.is_zero():
+            if c:
                 out = [x + c * y for x, y in zip(out, k)]
-        return tuple(out)
+        return tuple(_canonical(self.field, out))
 
 
 def solve_affine(a: Matrix, b: Vector) -> AffineSolutionSpace:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly with one row reduction of [A | b].
 
-    Feasibility is decided by rank(A) == rank([A | b]); the particular
-    solution sets every free variable to zero.
+    The first ncols columns of rref([A | b]) are rref(A), so the kernel
+    basis and rank(A) are read from it too.  The system is feasible
+    exactly when column ncols holds no pivot, i.e. rank(A) == rank([A | b]);
+    the particular solution sets every free variable to zero.
     """
     assert len(b) == a.nrows
-    aug = a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)]))
-    ech = rref(aug)
-    kern = kernel_basis(a)
-    if a.ncols in ech.pivots:
-        return AffineSolutionSpace(False, None, kern)
-    box = a.field.box
-    x = [a.field.zero()] * a.ncols
-    for row, c in zip(ech.values, ech.pivots):
-        x[c] = box(row[a.ncols])
-    return AffineSolutionSpace(True, tuple(x), kern)
+    n = a.ncols
+    ech = rref(a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)])))
+    feasible = n not in ech.pivots
+    pivots = ech.pivots if feasible else ech.pivots[:-1]
+    kern = _kernel(a.field, ech.rows, pivots, n)
+    if not feasible:
+        return AffineSolutionSpace(a.field, False, None, kern, len(pivots), ech.rank)
+    x = [a.field.zero()] * n
+    for row, c in zip(ech.rows, pivots):
+        x[c] = row[n]
+    return AffineSolutionSpace(a.field, True, tuple(x), kern, ech.rank, ech.rank)
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -388,11 +399,11 @@ def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
     if not vectors:
         return RowEchelon(field, width, [], [])
     ech = rref(Matrix.from_rows(field, vectors))
-    return RowEchelon(field, ech.ncols, ech.values[: ech.rank], ech.pivots)
+    return RowEchelon(field, ech.ncols, ech.rows[: ech.rank], ech.pivots)
 
 
 def _reduce_values(ech: RowEchelon, values: list) -> list:
-    """Subtract echelon rows from raw values, in place, to zero its pivot coordinates."""
+    """Subtract echelon rows from canonical values, in place, to zero its pivot coordinates."""
     p = ech.field.p
     for c, pairs in zip(ech.pivots, ech.supports()):
         f = values[c]
@@ -408,11 +419,11 @@ def _reduce_values(ech: RowEchelon, values: list) -> list:
 
 def reduce_mod_rows(ech: RowEchelon, v: Vector) -> Vector:
     """Subtract the echelon rows to zero out v's pivot coordinates."""
-    return tuple(map(ech.field.box, _reduce_values(ech, [x.value for x in v])))
+    return tuple(_reduce_values(ech, _canonical(ech.field, v)))
 
 
 def in_row_span(ech: RowEchelon, v: Vector) -> bool:
-    return not any(_reduce_values(ech, [x.value for x in v]))
+    return not any(_reduce_values(ech, _canonical(ech.field, v)))
 
 
 def complement_representatives(space_basis: list, subspace_vectors: list,
@@ -424,22 +435,5 @@ def complement_representatives(space_basis: list, subspace_vectors: list,
     canonical for the given inputs.
     """
     sub = row_space(subspace_vectors, field, width)
-    box = field.box
-    reduced = []
-    for v in space_basis:
-        values = _reduce_values(sub, [x.value for x in v])
-        if any(values):
-            reduced.append(tuple(map(box, values)))
-    return [tuple(map(box, row)) for row in row_space(reduced, field, width).values]
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a.is_zero() for a in v)
+    reduced = [_reduce_values(sub, _canonical(field, v)) for v in space_basis]
+    return [tuple(row) for row in row_space([v for v in reduced if any(v)], field, width).rows]

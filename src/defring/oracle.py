@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lift import Lift, Obstruction, as_representation, extend_step, is_valid
-from .linalg import AffineSolutionSpace, Matrix, in_row_span, vec_add, vec_scale
+from .linalg import AffineSolutionSpace, Matrix, in_row_span
 from .rep import DeformationSystem, Representation, iso_test
 
 DEFAULT_BUDGET = 10**7
@@ -49,7 +49,7 @@ def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
         entries = {a.name: [[field.zero()] * v.dims[a.source] for _ in range(v.dims[a.target])]
                    for a in v.algebra.quiver.arrows}
         for name, r, c in slots:
-            entries[name][r][c] = field.scalar(point[pos])
+            entries[name][r][c] = point[pos]
             pos += 1
         for a in v.algebra.quiver.arrows:
             coeffs[a.name].append(
@@ -64,7 +64,7 @@ def point_from_lift(lift: Lift) -> tuple:
     out = []
     for j in range(1, lift.order + 1):
         for name, r, c in slots:
-            out.append(lift.coeffs[name][j][r, c].value)
+            out.append(lift.coeffs[name][j][r, c])
     return tuple(out)
 
 
@@ -87,13 +87,7 @@ def _first_degree_nontrivial(v: Representation, system: DeformationSystem,
                              points: list) -> int:
     slots = coefficient_slots(v)
     cob = system.coboundary_space()
-    field = v.field
-    count = 0
-    for point in points:
-        first = tuple(field.scalar(c) for c in point[: len(slots)])
-        if not in_row_span(cob, first):
-            count += 1
-    return count
+    return sum(1 for point in points if not in_row_span(cob, point[: len(slots)]))
 
 
 @dataclass
@@ -194,18 +188,13 @@ def oracle_max_order(v: Representation, max_order: int,
 
 
 def _vector_key(vec) -> tuple:
-    return tuple(str(s.value) for s in vec)
+    return tuple(map(str, vec))
 
 
 def solution_points(solution, field) -> list:
     """Every point of an affine solution space over a prime field, sorted."""
-    points = []
-    for combo in itertools.product(range(field.p), repeat=len(solution.kernel)):
-        vec = solution.particular
-        for c, basis_vec in zip(combo, solution.kernel):
-            if c:
-                vec = vec_add(vec, vec_scale(field.scalar(c), basis_vec))
-        points.append(vec)
+    points = [solution.point(combo)
+              for combo in itertools.product(range(field.p), repeat=len(solution.kernel))]
     points.sort(key=_vector_key)
     return points
 
@@ -225,7 +214,8 @@ def incremental_valid_points(v: Representation, order: int,
     count = field.p ** len(z)
     if count > budget:
         raise BudgetExceeded("first-order point enumeration", count, budget)
-    first = AffineSolutionSpace(True, system.layout.zero_vector(), list(z))
+    rank = system.layout.total - len(z)
+    first = AffineSolutionSpace(field, True, system.layout.zero_vector(), list(z), rank, rank)
     frontier = [Lift.first_order(v, system.layout.unpack(vec))
                 for vec in solution_points(first, field)]
     out = [sorted(point_from_lift(l) for l in frontier)]

@@ -82,7 +82,7 @@ class Representation:
         first = terms[0][1]
         out = Matrix.zeros(self.field, self.dims[first.target], self.dims[first.source])
         for coeff, p in terms:
-            if not coeff.is_zero():
+            if coeff:
                 out = out + self.path_matrix(p).scale(coeff)
         return out
 
@@ -171,7 +171,7 @@ class MapLayout:
         return out
 
     def zero_vector(self) -> tuple:
-        return tuple([self.field.zero()] * self.total)
+        return (self.field.zero(),) * self.total
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +194,9 @@ class HomSpace:
     def element(self, coeffs) -> dict:
         vec = list(self.layout.zero_vector())
         for c, b in zip(coeffs, self.basis):
-            if not c.is_zero():
-                packed = self.layout.pack(b)
-                vec = [x + c * y for x, y in zip(vec, packed)]
-        return self.layout.unpack(tuple(vec))
+            if c:
+                vec = [x + c * y for x, y in zip(vec, self.layout.pack(b))]
+        return self.layout.unpack(tuple(map(self.layout.field.scalar, vec)))
 
 
 def _same_algebra(m: Representation, n: Representation):
@@ -221,22 +220,19 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
         ma, na = m.mats[a.name], n.mats[a.name]
         et, ds = n.dims[a.target], m.dims[a.source]
         dt_cols = m.dims[a.target]
-        es = n.dims[a.source]
         off_t = layout.offsets[a.target]
         off_s = layout.offsets[a.source]
         for i in range(et):
             for j in range(ds):
                 row = [zero] * layout.total
                 # (T_t M_a)[i, j] = sum_k T_t[i, k] M_a[k, j]
-                for k in range(dt_cols):
-                    coeff = ma[k, j]
-                    if not coeff.is_zero():
-                        row[off_t + i * dt_cols + k] = row[off_t + i * dt_cols + k] + coeff
+                for k, x in enumerate(ma.column(j)):
+                    if x:
+                        row[off_t + i * dt_cols + k] += x
                 # (N_a T_s)[i, j] = sum_l N_a[i, l] T_s[l, j]
-                for l in range(es):
-                    coeff = na[i, l]
-                    if not coeff.is_zero():
-                        row[off_s + l * m.dims[a.source] + j] = row[off_s + l * m.dims[a.source] + j] - coeff
+                for l, x in enumerate(na.row(i)):
+                    if x:
+                        row[off_s + l * ds + j] -= x
                 rows.append(row)
     if rows:
         eq = Matrix.from_rows(field, rows)
@@ -310,7 +306,7 @@ def iso_test(m: Representation, n: Representation, *, point_budget: int = 10**6,
         for coeffs in itertools.product(range(field.p), repeat=h):
             if all(c == 0 for c in coeffs):
                 continue
-            hit = check(hom_mn.element([field.scalar(c) for c in coeffs]))
+            hit = check(hom_mn.element(coeffs))
             if hit:
                 return hit
         return IsoResult("unknown")
@@ -352,7 +348,7 @@ def radical_subspaces(m: Representation) -> dict:
             for j in range(mat.ncols):
                 vectors.append(mat.column(j))
         ech = row_space(vectors, m.field, m.dims[v])
-        out[v] = [ech.matrix.row(i) for i in range(ech.rank)]
+        out[v] = [tuple(row) for row in ech.rows]
     return out
 
 
@@ -638,7 +634,7 @@ class DeformationSystem:
                 for _ in range(block_rows)
             ]
             for coeff, path in rel.terms:
-                if coeff.is_zero():
+                if not coeff:
                     continue
                 k = path.length
                 prefixes = [Matrix.identity(self.field, m.dims[path.source])]
@@ -657,15 +653,13 @@ class DeformationSystem:
                     for r in range(block_rows):
                         for alpha in range(n.dims[arrow.target]):
                             left = coeff * suf[r, alpha]
-                            if left.is_zero():
+                            if not left:
                                 continue
                             for beta in range(b_cols):
                                 for c in range(block_cols):
                                     right = pre[beta, c]
-                                    if not right.is_zero():
-                                        cell = block[r][c]
-                                        idx = off + alpha * b_cols + beta
-                                        cell[idx] = cell[idx] + left * right
+                                    if right:
+                                        block[r][c][off + alpha * b_cols + beta] += left * right
             for r in range(block_rows):
                 for c in range(block_cols):
                     rows.append(block[r][c])
@@ -682,28 +676,25 @@ class DeformationSystem:
         """Images of elementary vertex maps under C -> C M - N C, packed."""
         out = []
         quiver = self.quiver
+        scalar = self.field.scalar
         for v in quiver.vertices:
             for i in range(self.n.dims[v]):
                 for j in range(self.m.dims[v]):
-                    mats = {}
+                    vec = list(self.layout.zero_vector())
                     for a in quiver.arrows:
-                        b = Matrix.zeros(self.field, self.n.dims[a.target], self.m.dims[a.source])
-                        data = [list(row) for row in b.rows()]
+                        off = self.layout.offsets[a.name]
+                        width = self.m.dims[a.source]
                         if a.target == v:
                             # (E_ij M_a)[r, c] = delta(r, i) M_a[j, c]
-                            ma = self.m.mats[a.name]
-                            for c in range(ma.ncols):
-                                data[i][c] = data[i][c] + ma[j, c]
+                            for c, x in enumerate(self.m.mats[a.name].row(j)):
+                                if x:
+                                    vec[off + i * width + c] = scalar(vec[off + i * width + c] + x)
                         if a.source == v:
                             # (N_a E_ij)[r, c] = N_a[r, i] delta(c, j)
-                            na = self.n.mats[a.name]
-                            for r in range(na.nrows):
-                                data[r][j] = data[r][j] - na[r, i]
-                        mats[a.name] = (
-                            Matrix.from_rows(self.field, data)
-                            if data else Matrix.zeros(self.field, 0, self.m.dims[a.source])
-                        )
-                    out.append(self.layout.pack(mats))
+                            for r, x in enumerate(self.n.mats[a.name].column(i)):
+                                if x:
+                                    vec[off + r * width + j] = scalar(vec[off + r * width + j] - x)
+                    out.append(tuple(vec))
         return out
 
     def coboundary_space(self):
@@ -723,7 +714,5 @@ class DeformationSystem:
         rhs = []
         for rel, block in zip(self.relations, rhs_blocks):
             assert (block.nrows, block.ncols) == (self.n.dims[rel.target], self.m.dims[rel.source])
-            for r in range(block.nrows):
-                for c in range(block.ncols):
-                    rhs.append(-block[r, c])
+            rhs += (-block).data
         return solve_affine(self.matrix, tuple(rhs))

@@ -154,47 +154,56 @@ def dense_verify_ladder(ladder, system=None, strict=False):
 
 
 # ----------------------------------------------------------------------
-# boxed reference for the linalg kernels: every operation on Scalars
+# reference for the linalg kernels: whole rows, every operation reduced
 
 
-def boxed_mul(a, b):
-    """Matrix product entry by entry on Scalars, skipping zero factors."""
+def _field_ops(field):
+    """add, sub, mul and inv on canonical values of field, each result reduced."""
+    scalar, p = field.scalar, field.p
+    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, p - 2, p))
+    return ((lambda a, b: scalar(a + b)), (lambda a, b: scalar(a - b)),
+            (lambda a, b: scalar(a * b)), inv)
+
+
+def reference_mul(a, b):
+    """Matrix product entry by entry, skipping zero factors."""
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
-    zero = a.field.zero()
-    out = [zero] * (a.nrows * b.ncols)
+    add, _, mul, _ = _field_ops(a.field)
+    out = [a.field.zero()] * (a.nrows * b.ncols)
     for i in range(a.nrows):
         for k in range(a.ncols):
             x = a[i, k]
-            if x.is_zero():
+            if not x:
                 continue
             for j in range(b.ncols):
                 y = b[k, j]
-                if not y.is_zero():
-                    out[i * b.ncols + j] = out[i * b.ncols + j] + x * y
+                if y:
+                    out[i * b.ncols + j] = add(out[i * b.ncols + j], mul(x, y))
     return Matrix(a.field, a.nrows, b.ncols, out)
 
 
-def boxed_rref(m):
-    """(echelon Matrix, pivots): first-nonzero pivoting over whole rows of Scalars."""
+def reference_rref(m):
+    """(echelon Matrix, pivots): first-nonzero pivoting over whole rows."""
+    _, sub, mul, inv = _field_ops(m.field)
     rows = [list(m.row(i)) for i in range(m.nrows)]
     pivots = []
     r = 0
     for c in range(m.ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * x for x in rows[r]]
+        scale = inv(rows[r][c])
+        rows[r] = [mul(scale, x) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -203,51 +212,54 @@ def boxed_rref(m):
     return Matrix(m.field, m.nrows, m.ncols, flat), pivots
 
 
-def boxed_kernel_basis(m):
-    echelon, pivots = boxed_rref(m)
+def reference_kernel_basis(m):
+    _, sub, _, _ = _field_ops(m.field)
+    echelon, pivots = reference_rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [m.field.zero()] * m.ncols
         v[f] = m.field.one()
         for r, c in enumerate(pivots):
-            v[c] = -echelon[r, f]
+            v[c] = sub(m.field.zero(), echelon[r, f])
         basis.append(tuple(v))
     return basis
 
 
-def boxed_solve_affine(a, b):
-    """(feasible, particular or None, kernel basis) of A x = b."""
+def reference_solve_affine(a, b):
+    """(feasible, particular or None, kernel basis, rank A, rank [A | b]) of A x = b."""
     aug = a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)]))
-    echelon, pivots = boxed_rref(aug)
-    kern = boxed_kernel_basis(a)
+    echelon, pivots = reference_rref(aug)
+    kern = reference_kernel_basis(a)
+    ranks = (len(reference_rref(a)[1]), len(pivots))
     if a.ncols in pivots:
-        return False, None, kern
+        return (False, None, kern) + ranks
     x = [a.field.zero()] * a.ncols
     for r, c in enumerate(pivots):
         x[c] = echelon[r, a.ncols]
-    return True, tuple(x), kern
+    return (True, tuple(x), kern) + ranks
 
 
-def boxed_row_space(vectors, field, width):
+def reference_row_space(vectors, field, width):
     """(nonzero echelon rows, pivots) of the span of vectors."""
     if not vectors:
         return [], []
-    echelon, pivots = boxed_rref(Matrix.from_rows(field, [list(v) for v in vectors]))
+    echelon, pivots = reference_rref(Matrix.from_rows(field, [list(v) for v in vectors]))
     return echelon.rows()[: len(pivots)], pivots
 
 
-def boxed_reduce_mod_rows(rows, pivots, v):
+def reference_reduce_mod_rows(field, rows, pivots, v):
+    _, sub, mul, _ = _field_ops(field)
     out = list(v)
     for row, c in zip(rows, pivots):
         f = out[c]
-        if not f.is_zero():
-            out = [x - f * y for x, y in zip(out, row)]
+        if f:
+            out = [sub(x, mul(f, y)) for x, y in zip(out, row)]
     return tuple(out)
 
 
-def boxed_complement_representatives(space_basis, subspace_vectors, field, width):
-    rows, pivots = boxed_row_space(subspace_vectors, field, width)
-    reduced = [boxed_reduce_mod_rows(rows, pivots, v) for v in space_basis]
-    reduced = [v for v in reduced if any(not x.is_zero() for x in v)]
-    return [tuple(r) for r in boxed_row_space(reduced, field, width)[0]]
+def reference_complement_representatives(space_basis, subspace_vectors, field, width):
+    rows, pivots = reference_row_space(subspace_vectors, field, width)
+    reduced = [reference_reduce_mod_rows(field, rows, pivots, v) for v in space_basis]
+    reduced = [v for v in reduced if any(v)]
+    return [tuple(r) for r in reference_row_space(reduced, field, width)[0]]

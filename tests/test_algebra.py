@@ -1,7 +1,6 @@
 import pytest
 
 from defring import HereditaryModeUnsupported, PresentedAlgebra, parse
-from defring.linalg import vec_is_zero
 from helpers import load_algebra
 
 
@@ -47,8 +46,8 @@ def test_reduce_path_kills_truncated_powers():
     x = alg.quiver.path(["x"])
     xx = alg.quiver.path(["x", "x"])
     xxx = alg.quiver.path(["x", "x", "x"])
-    assert not vec_is_zero(alg.reduce_path(xx))
-    assert vec_is_zero(alg.reduce_path(xxx))
+    assert any(alg.reduce_path(xx))
+    assert not any(alg.reduce_path(xxx))
 
 
 def test_multiply_basis_matches_path_reduction():
@@ -56,23 +55,23 @@ def test_multiply_basis_matches_path_reduction():
     x = alg.quiver.path(["x"])
     xx = alg.quiver.path(["x", "x"])
     assert alg.multiply_basis(x, x) == alg.reduce_path(xx)
-    assert vec_is_zero(alg.multiply_basis(x, xx))
+    assert not any(alg.multiply_basis(x, xx))
     # non-composable products vanish
     _, a2 = load_algebra("a2_f5.alg")
     a = a2.quiver.path(["a"])
-    assert vec_is_zero(a2.multiply_basis(a, a))
+    assert not any(a2.multiply_basis(a, a))
 
 
 def test_multiply_basis_associative_on_basis():
     _, alg = load_algebra("kx4_f5.alg")
-    from defring.linalg import vec_add, vec_scale
+    scalar = alg.field.scalar
 
     def mul_coords(coords, path):
         # multiply a coordinate vector by a basis path on the right
         out = tuple([alg.field.zero()] * len(alg.basis))
         for c, p in zip(coords, alg.basis):
-            if not c.is_zero():
-                out = vec_add(out, vec_scale(c, alg.multiply_basis(p, path)))
+            if c:
+                out = tuple(scalar(x + c * y) for x, y in zip(out, alg.multiply_basis(p, path)))
         return out
 
     for p in alg.basis:
@@ -96,7 +95,7 @@ def test_left_projectives():
     _, alg = load_algebra("kx2_f5.alg")
     p = alg.left_projective("v")
     assert p.dims == {"v": 2}
-    assert p.mats["x"].tolist()[1][0].is_one()
+    assert p.mats["x"].tolist()[1][0] == 1
 
     _, a2 = load_algebra("a2_f5.alg")
     p1 = a2.left_projective("v1")
@@ -135,7 +134,7 @@ def test_declared_relations_reduce_to_zero():
     for name in ("kx2_rel_f5.alg", "parallel_rel_f3.alg"):
         _, alg = load_algebra(name)
         for rel in alg.relations:
-            assert vec_is_zero(alg.reduce_terms(rel.terms))
+            assert not any(alg.reduce_terms(rel.terms))
 
 
 def test_relation_spanning_a_generator_shrinks_basis():

@@ -13,6 +13,7 @@ from defring import (
     source_digest,
     tangent_dimension,
     verify_ladder,
+    verify_report,
 )
 from helpers import CORPUS, load_module, load_source, read_corpus
 
@@ -247,6 +248,29 @@ def test_corpus_reports_match_recorded_digests():
     assert seen == recorded
 
 
+FRACTIONAL_Q = """\
+field Q
+quiver
+  vertex 1
+  arrow x: 1 -> 1
+truncate 3
+module V
+  dim 1 = 2
+  mat x = [[0,0],[2/3,0]]
+"""
+
+
+def test_report_with_fractional_ladder_entries_matches_recorded_digest():
+    # recorded before matrices held plain residues and Fractions
+    blob = serialize_report(classify(parse(FRACTIONAL_Q), "V"))
+    report = json.loads(blob)
+    assert report["verdict"]["type"] == "inconclusive"
+    assert report["ladder"][1]["matrices"]["x"] == [["0", "-3/2"], ["0", "0"]]
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        "97baf885f1d71bc6e422e54b3ce1aa4dfb6f154c6afc45f174506306abc08dcf")
+    assert verify_report(FRACTIONAL_Q, "V", blob).ok
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -264,6 +288,16 @@ def test_classify_builds_one_deformation_system_for_the_tangent_space(monkeypatc
     from defring.rep import DeformationSystem
     built = _count_calls(monkeypatch, DeformationSystem, "__init__")
     assert run("kx2_f5.alg", "VV").verdict.type == "out_of_scope"
+    assert len(built) == 1
+
+
+def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):
+    # the tangent space, the chain and its certificate share one system
+    from defring.cli import main
+    from defring.rep import DeformationSystem
+    built = _count_calls(monkeypatch, DeformationSystem, "__init__")
+    assert main(["ladder", str(CORPUS / "kx3_f5.alg"), "-m", "V"]) == 0
+    assert "certificate: ok" in capsys.readouterr().out
     assert len(built) == 1
 
 

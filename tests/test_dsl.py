@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defring import ParseError, parse, print_source
-from helpers import CORPUS, read_corpus
+from defring import ParseError, classify, parse, print_source, serialize_report
+from helpers import CORPUS, load_source, read_corpus
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.alg"))
 
@@ -162,7 +164,7 @@ def test_error_syntax():
 def test_fraction_scalars_over_q():
     text = BASE.replace("field F 5", "field Q").replace("[[0]]", "[[-1/2]]")
     src = parse(text)
-    assert str(src.modules["V"].mats["x"][0, 0].value) == "-1/2"
+    assert str(src.modules["V"].mats["x"][0, 0]) == "-1/2"
     assert "-1/2" in print_source(src)
 
 
@@ -183,3 +185,17 @@ def test_parser_survives_mutations(pos, ch):
         parse(mutated)
     except ParseError:
         pass
+
+
+def test_serialize_report_leaves_no_reference_cycles():
+    report = classify(load_source("kx3_f5.alg"), "V")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        blob = serialize_report(report)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert blob.startswith('{\n  "input_digest": ') and blob.endswith("\n}\n")

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from defring.fields import (
-    MAX_PRIME,
-    DivisionByZero,
-    FieldMismatch,
-    FieldSpec,
-    Scalar,
-    format_scalar,
-    is_prime,
-)
+from defring.fields import MAX_PRIME, FieldSpec, format_scalar, is_prime
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -39,57 +31,61 @@ def test_modulus_validation():
 
 @pytest.mark.parametrize("field", [F2, F3], ids=repr)
 def test_field_axioms_exhaustive(field):
+    # the field operations are integer operations followed by scalar()
+    p = field.p
     elems = list(field.elements())
+    assert elems == list(range(p))
     zero, one = field.zero(), field.one()
+    add = lambda a, b: field.scalar(a + b)  # noqa: E731
+    mul = lambda a, b: field.scalar(a * b)  # noqa: E731
     for a, b, c in product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     for a, b in product(elems, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
+        assert add(a, b) == add(b, a) in elems
+        assert mul(a, b) == mul(b, a) in elems
     for a in elems:
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        if not a.is_zero():
-            assert a * a.inv() == one
+        assert add(a, zero) == a
+        assert mul(a, one) == a
+        assert add(a, field.scalar(-a)) == zero
+        if a:
+            assert mul(a, pow(a, -1, p)) == one
 
 
 def test_prime_canonical_residues():
-    assert F5.scalar(7).value == 2
-    assert F5.scalar(-1).value == 4
-    assert F5.scalar(2) - 4 == F5.scalar(3)
-    assert (F5.scalar(3) ** 4).is_one()
+    assert F5.scalar(7) == 2
+    assert F5.scalar(-1) == 4
+    assert F5.scalar(Fraction(12, 2)) == 1
+    assert type(F5.scalar(True)) is int
+    assert F5.scalar(2 - 4) == 3
+    assert F5.scalar(3 ** 4) == F5.one() == 1
+    for bad in (2.0, Fraction(1, 2)):
+        with pytest.raises((TypeError, ValueError)):
+            F5.scalar(bad)
 
 
 def test_rational_arithmetic_uses_fractions():
     half = Q.parse_literal("1/2")
     third = Q.parse_literal("1/3")
-    assert (half + third).value == Fraction(5, 6)
-    assert (half * third).value == Fraction(1, 6)
-    assert (half / third).value == Fraction(3, 2)
+    assert type(half) is Fraction and type(Q.scalar(3)) is Fraction
+    assert type(Q.zero()) is Fraction and type(Q.one()) is Fraction
+    assert half + third == Fraction(5, 6)
+    assert half * third == Fraction(1, 6)
+    assert half / third == Fraction(3, 2)
     assert format_scalar(half - half) == "0"
     assert format_scalar(Q.scalar(Fraction(-4, 6))) == "-2/3"
+    assert format_scalar(Q.scalar(-4)) == "-4"
 
 
 def test_parse_literal():
     assert F5.parse_literal("-1") == F5.scalar(4)
-    assert F5.parse_literal(" 12 ").value == 2
-    assert Q.parse_literal("-3/6").value == Fraction(-1, 2)
+    assert F5.parse_literal(" 12 ") == 2
+    assert Q.parse_literal("-3/6") == Fraction(-1, 2)
     with pytest.raises(ValueError):
         F5.parse_literal("1/2")
     with pytest.raises(ValueError):
         Q.parse_literal("x")
-
-
-def test_field_mismatch_and_division_errors():
-    with pytest.raises(FieldMismatch):
-        F2.scalar(1) + F3.scalar(1)
-    with pytest.raises(FieldMismatch):
-        Q.scalar(F5.scalar(1))
-    with pytest.raises(DivisionByZero):
-        F5.zero().inv()
     with pytest.raises(ValueError):
         list(Q.elements())
 
@@ -104,10 +100,11 @@ def test_repr_and_equality():
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_f5_ring_laws_random(a, b, c):
+    # scalar() is a ring homomorphism from the integers
     x, y, z = F5.scalar(a), F5.scalar(b), F5.scalar(c)
-    assert (x + y) * z == x * z + y * z
-    assert x - y == -(y - x)
-    assert int((x * y).value) == (a * b) % 5
+    assert F5.scalar((x + y) * z) == F5.scalar(x * z + y * z) == F5.scalar((a + b) * c)
+    assert F5.scalar(x - y) == F5.scalar(-(y - x)) == F5.scalar(a - b)
+    assert F5.scalar(x * y) == (a * b) % 5
 
 
 @given(
@@ -117,13 +114,4 @@ def test_f5_ring_laws_random(a, b, c):
 def test_rational_format_round_trip(a, b):
     s = Q.scalar(a) * Q.scalar(b) + Q.scalar(a)
     assert Q.parse_literal(format_scalar(s)) == s
-
-
-@given(st.integers(1, 4), st.integers(-6, 6))
-def test_f5_pow_matches_repeated_multiply(base, n):
-    s = F5.scalar(base)
-    expected = F5.one()
-    step = s if n >= 0 else s.inv()
-    for _ in range(abs(n)):
-        expected = expected * step
-    assert s ** n == expected
+    assert type(Q.parse_literal(format_scalar(s))) is Fraction

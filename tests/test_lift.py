@@ -26,10 +26,6 @@ from defring.linalg import Matrix, rank
 from helpers import base_embedding, dense_verify_ladder, load_module, shift_endomorphism
 
 
-def ints(mat):
-    return [[int(x.value) for x in row] for row in mat.tolist()]
-
-
 def unit_lift(v, *degrees):
     # x deforms by the given scalar coefficients in degrees 1..order
     field = v.field
@@ -56,7 +52,7 @@ def test_first_order_residual_of_square_relation():
     # the t^2 coefficient of the square is c1^2 = 1
     stuck = lift.extended({"x": Matrix.zeros(v.field, 1, 1)})
     res = residual_coefficients(stuck, 2)
-    assert [ints(r) for r in res] == [[[1]]]
+    assert [r.tolist() for r in res] == [[[1]]]
     assert not is_valid(stuck)
 
 
@@ -64,7 +60,7 @@ def test_first_order_space_matches_cocycles():
     v = load_module("kx2_f5.alg", "V")
     cocycles, coboundaries = first_order_space(v)
     assert len(cocycles) == 1
-    assert ints(cocycles[0]["x"]) == [[1]]
+    assert cocycles[0]["x"].tolist() == [[1]]
     assert all(all(m.is_zero() for m in c.values()) for c in coboundaries)
 
     p1 = load_module("kx2_f5.alg", "P1")
@@ -99,7 +95,40 @@ def test_extend_step_reports_obstruction():
     assert step.certifies
     labels = [label for label, _ in step.residuals]
     assert labels == ["x*x"]
-    assert [ints(r) for _, r in step.residuals] == [[[1]]]
+    assert [r.tolist() for _, r in step.residuals] == [[[1]]]
+
+
+@pytest.mark.parametrize("name", ["kx2_f5.alg", "kx3_f5.alg"])
+def test_obstruction_ranks_are_those_of_the_step_system(name):
+    v = load_module(name, "V")
+    system = DeformationSystem(v, v)
+    search = ladder_search(v, system=system)
+    ob = search.obstruction
+    assert search.kind == "terminated" and ob.order == search.ladder.top.order + 1
+    rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order) for x in block.data]
+    a = system.matrix
+    augmented = a.hstack(Matrix.from_columns(v.field, a.nrows, [rhs]))
+    assert (ob.rank_coefficient, ob.rank_augmented) == (rank(a), rank(augmented))
+    assert ob.certifies
+
+
+@pytest.mark.parametrize("name", ["kx4_f5.alg", "kx2_f5.alg"])
+def test_extend_step_row_reduces_once(monkeypatch, name):
+    # one feasible step and one obstructed step
+    import defring.linalg
+    v = load_module(name, "V")
+    system = DeformationSystem(v, v)
+    calls = []
+    original = defring.linalg.rref
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(defring.linalg, "rref", counting)
+    step = extend_step(unit_lift(v, 1), system)
+    assert isinstance(step, Obstruction) == (name == "kx2_f5.alg")
+    assert len(calls) == 1
 
 
 def test_reduce_extend_round_trip():
@@ -123,7 +152,7 @@ def test_as_representation_block_toeplitz():
     rep = as_representation(lift)
     assert rep.dims == {"v": 3}
     # block (i, j) holds coefficient i - j: constant diagonal stripes
-    assert ints(rep.mats["x"]) == [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
+    assert rep.mats["x"].tolist() == [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
     assert validate(rep) == []
 
 
@@ -139,7 +168,7 @@ def test_shift_endomorphism_structure():
     lift = unit_lift(v, 1, 0)
     rep = as_representation(lift)
     sigma = shift_endomorphism(lift)["v"]
-    assert ints(sigma) == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert sigma.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     # commutes with the action, cubes to zero, squares to the base embedding
     assert sigma * rep.mats["x"] == rep.mats["x"] * sigma
     assert sigma.power(lift.order + 1).is_zero()
