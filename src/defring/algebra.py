@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .dsl import Relation
 from .fields import FieldSpec
-from .linalg import Matrix, rref
+from .linalg import Matrix, row_space
 from .quiver import Path, Quiver
 
 
@@ -113,11 +113,8 @@ class PresentedAlgebra:
                         if key not in seen:
                             seen.add(key)
                             generators.append(vec)
-        if generators:
-            ech = rref(Matrix.from_rows(self.field, generators))
-            pivots, rows = ech.pivots, ech.rows
-        else:
-            pivots, rows = [], []
+        ech = row_space(generators, self.field, n)
+        pivots, rows = ech.pivots, ech.rows
         pivot_set = set(pivots)
         self.basis = [p for i, p in enumerate(paths) if i not in pivot_set]
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
@@ -128,7 +125,7 @@ class PresentedAlgebra:
         for r, c in enumerate(pivots):
             expr = [zero] * len(self.basis)
             for i, j in free_positions.items():
-                expr[j] = scalar(-rows[r][i])
+                expr[j] = scalar(-rows[r].get(i, zero))
             reduction[paths[c]] = tuple(expr)
         self._reduction = reduction
         self._paths = paths

@@ -17,7 +17,7 @@ from .classify import (nontriviality_checks_pass, sigma_checks_pass,
 from .dsl import field_to_json, parse
 from .lift import Ladder, Lift, verify_ladder
 from .linalg import Matrix
-from .rep import Representation, ext1_dim, hom_dim, validate
+from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, validate
 
 
 @dataclass
@@ -121,7 +121,9 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     bad = validate(base)
     check("module_satisfies_relations", not bad, ", ".join(bad))
 
-    tangent = tangent_dimension(base)
+    # one system serves the tangent space and the ladder certificate
+    system = DeformationSystem(base, base)
+    tangent = tangent_dimension(base, system)
     check("tangent_dim", _same(report.get("tangent_dim"), tangent),
           f"recomputed {tangent}")
 
@@ -150,7 +152,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         check("ladder_present", False, "verdict needs a ladder certificate")
         return VerificationResult(False, failures, lines)
 
-    transcript = verify_ladder(ladder)
+    transcript = verify_ladder(ladder, system=system)
     sigma_ok = sigma_checks_pass(transcript)
     nontrivial_ok = nontriviality_checks_pass(transcript)
     if vtype in ("finite", "power_series"):

@@ -1,17 +1,22 @@
-"""Dense exact linear algebra over a FieldSpec.
-
-Everything here is deterministic: row reduction always pivots on the first
-nonzero entry scanning columns left to right and rows top to bottom, so
-echelon forms, kernel bases, and particular solutions are canonical for a
-given input.  Infeasibility of a linear system is a value, not an error.
+"""Exact linear algebra over a FieldSpec, with sparse elimination.
 
 A Matrix holds plain field values in canonical form: `int` residues in
 0..p-1 over F_p and `Fraction`s over Q (see fields.py).  `from_rows` and
 `from_columns` are where entries are brought into that form; the bare
 constructor trusts its input.  Every operation that forms new values
-(`+`, `-`, negation, `scale`, `*`, `apply` and the elimination kernels)
+(`+`, `-`, negation, `scale`, `*`, `apply` and the elimination kernel)
 reduces them with `% p` over F_p, the path chosen from `field.p`, so
 vectors and matrices handed out are always canonical.
+
+Linear systems are row-reduced sparsely: `rref` is the one elimination
+kernel, and it works on SparseRows, one {column: value} dict of nonzero
+entries per row.  A Matrix is converted once on the way in; the
+deformation and Hom systems are built as SparseRows directly.  The
+reduced row echelon form of a matrix is unique, so pivots, echelon rows,
+kernel bases (one vector per free column, that column set to 1) and
+particular solutions (free variables set to 0) are canonical for a given
+input, whatever order the elimination visits rows in.  Infeasibility of a
+linear system is a value, not an error.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ def _canonical(field: FieldSpec, entries) -> list:
     if p is None:
         return [x if x.__class__ is Fraction else scalar(x) for x in entries]
     return [x % p if x.__class__ is int else scalar(x) for x in entries]
+
+
+def _sparse(values) -> dict:
+    """{index: value} of the nonzero canonical values."""
+    return {j: x for j, x in enumerate(values) if x}
 
 
 class Matrix:
@@ -90,6 +100,11 @@ class Matrix:
 
     def rows(self) -> list:
         return [self.row(i) for i in range(self.nrows)]
+
+    def sparse_rows(self) -> "SparseRows":
+        n = self.ncols
+        return SparseRows(self.field, n, [_sparse(self.data[i * n:(i + 1) * n])
+                                          for i in range(self.nrows)])
 
     def tolist(self) -> list:
         return [list(self.row(i)) for i in range(self.nrows)]
@@ -226,78 +241,124 @@ def block_matrix(field: FieldSpec, grid: list) -> Matrix:
     return Matrix(field, nrows, ncols, data)
 
 
-class RowEchelon:
-    """Reduced row echelon form: the echelon rows as lists of field values,
-    and their pivot columns."""
+class SparseRows:
+    """The rows of an nrows x ncols matrix as {column: value} dicts that hold
+    only the nonzero entries, canonical values of field.  A zero row is an
+    empty dict and keeps its index.  The bare constructor trusts its input;
+    `from_dicts` brings accumulated entries into canonical form."""
 
-    __slots__ = ("field", "ncols", "rows", "pivots", "_supports")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: FieldSpec, ncols: int, rows: list, pivots: list):
+    def __init__(self, field: FieldSpec, ncols: int, rows: list):
         self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self.rows = rows
+
+    @classmethod
+    def from_dicts(cls, field: FieldSpec, ncols: int, rows: list) -> "SparseRows":
+        """Rows of {column: int or Fraction}, reduced into field, zeros dropped."""
+        p = field.p
+        if p:
+            rows = [{j: y for j, x in row.items() if (y := x % p)} for row in rows]
+        else:
+            scalar = field.scalar
+            rows = [{j: scalar(x) for j, x in row.items() if x} for row in rows]
+        return cls(field, ncols, rows)
+
+    def augmented(self, column) -> "SparseRows":
+        """[self | column] for a column of nrows canonical values."""
+        n = self.ncols
+        rows = [{**row, n: x} if x else row for row, x in zip(self.rows, column)]
+        return SparseRows(self.field, n + 1, rows)
+
+
+class RowEchelon:
+    """Reduced row echelon form of an nrows x ncols matrix: its nonzero rows,
+    as {column: value} dicts in pivot order, and their pivot columns."""
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "pivots")
+
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows: list, pivots: list):
+        self.field = field
+        self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
         self.pivots = pivots
-        self._supports = None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def vectors(self) -> list:
+        """The nonzero rows as dense tuples."""
+        zero = self.field.zero()
+        return [tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows]
+
     @property
     def matrix(self) -> Matrix:
-        return Matrix(self.field, len(self.rows), self.ncols, [x for row in self.rows for x in row])
-
-    def supports(self) -> list:
-        """Per row, the (column, value) pairs of its nonzero entries."""
-        if self._supports is None:
-            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.rows]
-        return self._supports
+        """The echelon form padded with zero rows to nrows."""
+        data = [x for row in self.vectors() for x in row]
+        data += [self.field.zero()] * ((self.nrows - self.rank) * self.ncols)
+        return Matrix(self.field, self.nrows, self.ncols, data)
 
 
-def rref(m: Matrix) -> RowEchelon:
-    """Reduced row echelon form, first-nonzero pivoting, no reordering tricks.
+def _subtract_multiple(row: dict, f, other: dict, p):
+    """row -= f * other, in place, keeping only nonzero canonical entries."""
+    if p:
+        for j, y in other.items():
+            x = (row.get(j, 0) - f * y) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+    else:
+        for j, y in other.items():
+            x = row.get(j, 0) - f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
 
-    Rows at and below the current pivot are zero left of its column, so
-    scaling the pivot row and eliminating with it touch only the columns
-    where the pivot row is nonzero.
+
+def rref(m) -> RowEchelon:
+    """Reduced row echelon form of a Matrix or SparseRows, by sparse Gauss–Jordan.
+
+    Every pivot row holds 1 at its pivot and 0 at every other pivot column.
+    Each incoming row is reduced against the pivot rows, which leaves it
+    zero at every pivot column; if anything is left, its first nonzero
+    column becomes a new pivot, the row is scaled to 1 there, and that
+    column is cleared from the other pivot rows.  Only nonzero entries are
+    ever visited.  The reduced row echelon form is unique, so the result is
+    the same as any elimination order gives.
     """
+    if isinstance(m, Matrix):
+        m = m.sparse_rows()
     p = m.field.p
-    nrows, ncols = m.nrows, m.ncols
-    rows = [m.data[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for pivot_row in range(r, nrows):
-            if rows[pivot_row][c]:
-                break
-        else:
+    pivot_rows = {}  # pivot column -> its row
+    for row in m.rows:
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        support = [j for j in range(c, ncols) if prow[j]]
-        if p:
-            inv = pow(prow[c], -1, p)
-            for j in support:
-                prow[j] = prow[j] * inv % p
-        else:
-            inv = 1 / prow[c]
-            for j in support:
-                prow[j] *= inv
-        pairs = [(j, prow[j]) for j in support]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                if p:
-                    for j, y in pairs:
-                        row[j] = (row[j] - f * y) % p
-                else:
-                    for j, y in pairs:
-                        row[j] -= f * y
-        pivots.append(c)
-        r += 1
-    return RowEchelon(m.field, ncols, rows, pivots)
+        row = dict(row)
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract_multiple(row, row[c], pivot_rows[c], p)
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            if p:
+                inv = pow(row[c], -1, p)
+                row = {j: x * inv % p for j, x in row.items()}
+            else:
+                inv = 1 / row[c]
+                row = {j: x * inv for j, x in row.items()}
+        for other in pivot_rows.values():
+            f = other.get(c)
+            if f:
+                _subtract_multiple(other, f, row, p)
+        pivot_rows[c] = row
+    pivots = sorted(pivot_rows)
+    return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -308,6 +369,11 @@ def _kernel(field: FieldSpec, rows: list, pivots: list, ncols: int) -> list:
     """Echelon-normalized kernel basis of the first ncols columns of echelon rows."""
     p = field.p
     zero, one = field.zero(), field.one()
+    entries = {}  # free column -> (pivot column, entry) pairs of the rows nonzero there
+    for row, c in zip(rows, pivots):
+        for j, x in row.items():
+            if j != c and j < ncols:
+                entries.setdefault(j, []).append((c, p - x if p else -x))
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -315,16 +381,15 @@ def _kernel(field: FieldSpec, rows: list, pivots: list, ncols: int) -> list:
             continue
         v = [zero] * ncols
         v[f] = one
-        for row, c in zip(rows, pivots):
-            x = row[f]
-            if x:
-                v[c] = p - x if p else -x
+        for c, x in entries.get(f, ()):
+            v[c] = x
         basis.append(tuple(v))
     return basis
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Echelon-normalized basis of the right kernel; len == ncols - rank."""
+def kernel_basis(m) -> list:
+    """Echelon-normalized basis of the right kernel of a Matrix or SparseRows;
+    len == ncols - rank."""
     ech = rref(m)
     return _kernel(m.field, ech.rows, ech.pivots, m.ncols)
 
@@ -360,59 +425,68 @@ class AffineSolutionSpace:
         return tuple(_canonical(self.field, out))
 
 
-def solve_affine(a: Matrix, b: Vector) -> AffineSolutionSpace:
+def solve_affine(a, b: Vector) -> AffineSolutionSpace:
     """Solve A x = b exactly with one row reduction of [A | b].
 
-    The first ncols columns of rref([A | b]) are rref(A), so the kernel
-    basis and rank(A) are read from it too.  The system is feasible
-    exactly when column ncols holds no pivot, i.e. rank(A) == rank([A | b]);
-    the particular solution sets every free variable to zero.
+    A is a Matrix or SparseRows.  The first ncols columns of rref([A | b])
+    are rref(A), so the kernel basis and rank(A) are read from it too.  The
+    system is feasible exactly when column ncols holds no pivot, i.e.
+    rank(A) == rank([A | b]); the particular solution sets every free
+    variable to zero.
     """
     assert len(b) == a.nrows
     n = a.ncols
-    ech = rref(a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)])))
-    feasible = n not in ech.pivots
+    rows = a.sparse_rows() if isinstance(a, Matrix) else a
+    ech = rref(rows.augmented(_canonical(a.field, b)))
+    feasible = not ech.pivots or ech.pivots[-1] != n
     pivots = ech.pivots if feasible else ech.pivots[:-1]
     kern = _kernel(a.field, ech.rows, pivots, n)
     if not feasible:
         return AffineSolutionSpace(a.field, False, None, kern, len(pivots), ech.rank)
-    x = [a.field.zero()] * n
+    zero = a.field.zero()
+    x = [zero] * n
     for row, c in zip(ech.rows, pivots):
-        x[c] = row[n]
+        x[c] = row.get(n, zero)
     return AffineSolutionSpace(a.field, True, tuple(x), kern, ech.rank, ech.rank)
 
 
 def solve_matrix(a: Matrix, b: Matrix):
-    """Solve A X = B column by column; None when any column is infeasible."""
+    """Solve A X = B with one row reduction of [A | B]; None when any column
+    of B is out of reach, i.e. when a pivot lies in B's columns.  Column j
+    of X is what solve_affine(A, B[:, j]) gives: the rows of rref([A | B])
+    restricted to [A | B[:, j]] are rref([A | B[:, j]])."""
     assert a.nrows == b.nrows
-    cols = []
-    for j in range(b.ncols):
-        sol = solve_affine(a, b.column(j))
-        if not sol.feasible:
-            return None
-        cols.append(list(sol.particular))
-    return Matrix.from_columns(a.field, a.ncols, cols)
+    n, k = a.ncols, b.ncols
+    ech = rref(a.hstack(b))
+    if ech.pivots and ech.pivots[-1] >= n:
+        return None
+    data = [a.field.zero()] * (n * k)
+    for row, c in zip(ech.rows, ech.pivots):
+        for j, x in row.items():
+            if j >= n:
+                data[c * k + j - n] = x
+    return Matrix(a.field, n, k, data)
 
 
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
     """Echelonized span of the given row vectors."""
     if not vectors:
-        return RowEchelon(field, width, [], [])
-    ech = rref(Matrix.from_rows(field, vectors))
-    return RowEchelon(field, ech.ncols, ech.rows[: ech.rank], ech.pivots)
+        return RowEchelon(field, 0, width, [], [])
+    ech = rref(SparseRows(field, width, [_sparse(_canonical(field, v)) for v in vectors]))
+    return RowEchelon(field, ech.rank, width, ech.rows, ech.pivots)
 
 
 def _reduce_values(ech: RowEchelon, values: list) -> list:
     """Subtract echelon rows from canonical values, in place, to zero its pivot coordinates."""
     p = ech.field.p
-    for c, pairs in zip(ech.pivots, ech.supports()):
+    for c, row in zip(ech.pivots, ech.rows):
         f = values[c]
         if f:
             if p:
-                for j, y in pairs:
+                for j, y in row.items():
                     values[j] = (values[j] - f * y) % p
             else:
-                for j, y in pairs:
+                for j, y in row.items():
                     values[j] -= f * y
     return values
 
@@ -435,5 +509,6 @@ def complement_representatives(space_basis: list, subspace_vectors: list,
     canonical for the given inputs.
     """
     sub = row_space(subspace_vectors, field, width)
-    reduced = [_reduce_values(sub, _canonical(field, v)) for v in space_basis]
-    return [tuple(row) for row in row_space([v for v in reduced if any(v)], field, width).rows]
+    reduced = [row for v in space_basis
+               if (row := _sparse(_reduce_values(sub, _canonical(field, v))))]
+    return rref(SparseRows(field, width, reduced)).vectors() if reduced else []

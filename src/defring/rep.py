@@ -17,6 +17,7 @@ from .algebra import HereditaryModeUnsupported, PresentedAlgebra
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
+    SparseRows,
     complement_representatives,
     in_row_span,
     kernel_basis,
@@ -204,41 +205,44 @@ def _same_algebra(m: Representation, n: Representation):
         raise ValueError("representations live over different presentations")
 
 
-def hom_basis(m: Representation, n: Representation) -> HomSpace:
-    """Solve the intertwining equations T_t M_a = N_a T_s for all arrows.
-
-    Relations impose nothing extra: any arrow-wise intertwiner between
-    valid modules automatically respects them.
-    """
+def hom_equations(m: Representation, n: Representation):
+    """(layout, equations) of the intertwiners T with T_t M_a = N_a T_s for all
+    arrows: one sparse row per arrow a and entry (i, j) of its square."""
     _same_algebra(m, n)
     quiver = m.algebra.quiver
-    field = m.field
-    layout = MapLayout(field, [(v, n.dims[v], m.dims[v]) for v in quiver.vertices])
+    layout = MapLayout(m.field, [(v, n.dims[v], m.dims[v]) for v in quiver.vertices])
     rows = []
-    zero = field.zero()
     for a in quiver.arrows:
         ma, na = m.mats[a.name], n.mats[a.name]
         et, ds = n.dims[a.target], m.dims[a.source]
         dt_cols = m.dims[a.target]
         off_t = layout.offsets[a.target]
         off_s = layout.offsets[a.source]
+        columns = [[(k, x) for k, x in enumerate(ma.column(j)) if x] for j in range(ds)]
         for i in range(et):
+            na_row = [(l, x) for l, x in enumerate(na.row(i)) if x]
             for j in range(ds):
-                row = [zero] * layout.total
+                row = {}
                 # (T_t M_a)[i, j] = sum_k T_t[i, k] M_a[k, j]
-                for k, x in enumerate(ma.column(j)):
-                    if x:
-                        row[off_t + i * dt_cols + k] += x
+                for k, x in columns[j]:
+                    col = off_t + i * dt_cols + k
+                    row[col] = row.get(col, 0) + x
                 # (N_a T_s)[i, j] = sum_l N_a[i, l] T_s[l, j]
-                for l, x in enumerate(na.row(i)):
-                    if x:
-                        row[off_s + l * ds + j] -= x
+                for l, x in na_row:
+                    col = off_s + l * ds + j
+                    row[col] = row.get(col, 0) - x
                 rows.append(row)
-    if rows:
-        eq = Matrix.from_rows(field, rows)
-    else:
-        eq = Matrix.zeros(field, 0, layout.total)
-    basis = [layout.unpack(v) for v in kernel_basis(eq)]
+    return layout, SparseRows.from_dicts(m.field, layout.total, rows)
+
+
+def hom_basis(m: Representation, n: Representation) -> HomSpace:
+    """Solve the intertwining equations T_t M_a = N_a T_s for all arrows.
+
+    Relations impose nothing extra: any arrow-wise intertwiner between
+    valid modules automatically respects them.
+    """
+    layout, equations = hom_equations(m, n)
+    basis = [layout.unpack(v) for v in kernel_basis(equations)]
     return HomSpace(m, n, layout, basis)
 
 
@@ -347,8 +351,7 @@ def radical_subspaces(m: Representation) -> dict:
             mat = m.mats[a.name]
             for j in range(mat.ncols):
                 vectors.append(mat.column(j))
-        ech = row_space(vectors, m.field, m.dims[v])
-        out[v] = [tuple(row) for row in ech.rows]
+        out[v] = row_space(vectors, m.field, m.dims[v]).vectors()
     return out
 
 
@@ -608,8 +611,10 @@ class DeformationSystem:
     replaces one arrow occurrence at a time by B, with N matrices to the
     left of the replacement and M matrices to the right.  The kernel is
     the cocycle space; for M == N it is also the space of valid
-    first-order lift coefficients, and the same matrix drives every
-    higher-order extension step.
+    first-order lift coefficients, and the same equations drive every
+    higher-order extension step.  The equations are sparse rows, one per
+    generator and entry of its block, filled from the nonzero entries of
+    the arrow matrices; most of them are zero rows.
     """
 
     def __init__(self, m: Representation, n: Representation):
@@ -625,14 +630,10 @@ class DeformationSystem:
             [(a.name, n.dims[a.target], m.dims[a.source]) for a in quiver.arrows],
         )
         rows = []
-        zero = self.field.zero()
         for rel in self.relations:
             block_rows = n.dims[rel.target]
             block_cols = m.dims[rel.source]
-            block = [
-                [[zero] * self.layout.total for _ in range(block_cols)]
-                for _ in range(block_rows)
-            ]
+            block = [[{} for _ in range(block_cols)] for _ in range(block_rows)]
             for coeff, path in rel.terms:
                 if not coeff:
                     continue
@@ -650,27 +651,25 @@ class DeformationSystem:
                     pre = prefixes[pos]
                     off = self.layout.offsets[arrow.name]
                     b_cols = m.dims[arrow.source]
+                    # entry (r, c) gains coeff * suf[r, alpha] * pre[beta, c] at B_arrow[alpha, beta]
+                    right = [(beta, c, y) for beta in range(b_cols)
+                             for c, y in enumerate(pre.row(beta)) if y]
                     for r in range(block_rows):
-                        for alpha in range(n.dims[arrow.target]):
-                            left = coeff * suf[r, alpha]
-                            if not left:
+                        for alpha, x in enumerate(suf.row(r)):
+                            if not x:
                                 continue
-                            for beta in range(b_cols):
-                                for c in range(block_cols):
-                                    right = pre[beta, c]
-                                    if right:
-                                        block[r][c][off + alpha * b_cols + beta] += left * right
-            for r in range(block_rows):
-                for c in range(block_cols):
-                    rows.append(block[r][c])
-        if rows:
-            self.matrix = Matrix.from_rows(self.field, rows)
-        else:
-            self.matrix = Matrix.zeros(self.field, 0, self.layout.total)
+                            left = coeff * x
+                            base = off + alpha * b_cols
+                            for beta, c, y in right:
+                                entries = block[r][c]
+                                entries[base + beta] = entries.get(base + beta, 0) + left * y
+            for block_row in block:
+                rows += block_row
+        self.equations = SparseRows.from_dicts(self.field, self.layout.total, rows)
 
     def cocycles(self) -> list:
         """Echelon basis of the kernel, as packed vectors."""
-        return kernel_basis(self.matrix)
+        return kernel_basis(self.equations)
 
     def coboundary_vectors(self) -> list:
         """Images of elementary vertex maps under C -> C M - N C, packed."""
@@ -710,9 +709,9 @@ class DeformationSystem:
         return in_row_span(self.coboundary_space(), self.layout.pack(mats))
 
     def solve_step(self, rhs_blocks: list):
-        """Solve D(B) = -(stacked residual blocks); same row order as the matrix."""
+        """Solve D(B) = -(stacked residual blocks); same row order as the equations."""
         rhs = []
         for rel, block in zip(self.relations, rhs_blocks):
             assert (block.nrows, block.ncols) == (self.n.dims[rel.target], self.m.dims[rel.source])
             rhs += (-block).data
-        return solve_affine(self.matrix, tuple(rhs))
+        return solve_affine(self.equations, rhs)

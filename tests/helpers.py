@@ -6,7 +6,7 @@ from defring import PresentedAlgebra, Representation, parse
 from defring.lift import (CheckFailed, LadderCheck, LadderTranscript, as_representation,
                           is_valid)
 from defring.linalg import Matrix, rank, solve_matrix
-from defring.rep import DeformationSystem, is_homomorphism
+from defring.rep import DeformationSystem, MapLayout, is_homomorphism
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -263,3 +263,93 @@ def reference_complement_representatives(space_basis, subspace_vectors, field, w
     reduced = [reference_reduce_mod_rows(field, rows, pivots, v) for v in space_basis]
     reduced = [v for v in reduced if any(v)]
     return [tuple(r) for r in reference_row_space(reduced, field, width)[0]]
+
+
+# ----------------------------------------------------------------------
+# dense references for the sparse equation builders in rep
+
+
+def dense_matrix(rows):
+    """A SparseRows value as the dense Matrix it stands for."""
+    zero = rows.field.zero()
+    data = [row.get(j, zero) for row in rows.rows for j in range(rows.ncols)]
+    return Matrix(rows.field, rows.nrows, rows.ncols, data)
+
+
+def reference_hom_equations(m, n):
+    """The intertwining equations of hom_equations, one dense row each."""
+    quiver = m.algebra.quiver
+    field = m.field
+    layout = MapLayout(field, [(v, n.dims[v], m.dims[v]) for v in quiver.vertices])
+    rows = []
+    zero = field.zero()
+    for a in quiver.arrows:
+        ma, na = m.mats[a.name], n.mats[a.name]
+        et, ds = n.dims[a.target], m.dims[a.source]
+        dt_cols = m.dims[a.target]
+        off_t = layout.offsets[a.target]
+        off_s = layout.offsets[a.source]
+        for i in range(et):
+            for j in range(ds):
+                row = [zero] * layout.total
+                # (T_t M_a)[i, j] = sum_k T_t[i, k] M_a[k, j]
+                for k, x in enumerate(ma.column(j)):
+                    if x:
+                        row[off_t + i * dt_cols + k] += x
+                # (N_a T_s)[i, j] = sum_l N_a[i, l] T_s[l, j]
+                for l, x in enumerate(na.row(i)):
+                    if x:
+                        row[off_s + l * ds + j] -= x
+                rows.append(row)
+    if rows:
+        return Matrix.from_rows(field, rows)
+    return Matrix.zeros(field, 0, layout.total)
+
+
+def reference_deformation_matrix(m, n):
+    """The DeformationSystem equations of (m, n), one dense row per generator
+    and entry of its block."""
+    field = m.field
+    quiver = m.algebra.quiver
+    layout = MapLayout(field, [(a.name, n.dims[a.target], m.dims[a.source])
+                               for a in quiver.arrows])
+    rows = []
+    zero = field.zero()
+    for rel in m.algebra.generating_relations():
+        block_rows = n.dims[rel.target]
+        block_cols = m.dims[rel.source]
+        block = [[[zero] * layout.total for _ in range(block_cols)]
+                 for _ in range(block_rows)]
+        for coeff, path in rel.terms:
+            if not coeff:
+                continue
+            k = path.length
+            prefixes = [Matrix.identity(field, m.dims[path.source])]
+            for arrow in path.arrows:
+                prefixes.append(m.mats[arrow.name] * prefixes[-1])
+            suffixes = [None] * (k + 1)
+            suffixes[k] = Matrix.identity(field, n.dims[path.target])
+            for i in range(k - 1, -1, -1):
+                suffixes[i] = suffixes[i + 1] * n.mats[path.arrows[i].name]
+            for pos in range(k):
+                arrow = path.arrows[pos]
+                suf = suffixes[pos + 1]
+                pre = prefixes[pos]
+                off = layout.offsets[arrow.name]
+                b_cols = m.dims[arrow.source]
+                for r in range(block_rows):
+                    for alpha in range(n.dims[arrow.target]):
+                        left = coeff * suf[r, alpha]
+                        if not left:
+                            continue
+                        for beta in range(b_cols):
+                            for c in range(block_cols):
+                                right = pre[beta, c]
+                                if right:
+                                    block[r][c][off + alpha * b_cols + beta] += left * right
+        for r in range(block_rows):
+            for c in range(block_cols):
+                rows.append(block[r][c])
+    if rows:
+        return Matrix.from_rows(field, rows)
+    return Matrix.zeros(field, 0, layout.total)

@@ -10,7 +10,6 @@ import json
 import random
 
 from defring import (
-    DeformationSystem,
     Ladder,
     Lift,
     Representation,
@@ -35,7 +34,8 @@ from defring import (
 from defring.cli import main
 from defring.linalg import Matrix, block_matrix, rank, solve_matrix
 from defring.oracle import valid_point_set
-from helpers import CORPUS, load_algebra, load_module, load_source, read_corpus
+from helpers import (CORPUS, load_algebra, load_module, load_source, read_corpus,
+                     reference_deformation_matrix)
 
 
 def test_criterion_1_truncated_family_is_finite():
@@ -233,10 +233,9 @@ def test_criterion_8_obstruction_certificate_is_sound():
     assert ob.order == 2
     assert ob.certifies
 
-    # recompute the rank gap from scratch: coefficient matrix from the
-    # deformation system, augmented with the packed residual column
-    system = DeformationSystem(v, v)
-    a = system.matrix
+    # recompute the rank gap from scratch: the dense coefficient matrix of
+    # the deformation system, augmented with the packed residual column
+    a = reference_deformation_matrix(v, v)
     assert rank(a) == ob.rank_coefficient == 0
     rhs_entries = []
     for _, res in ob.residuals:

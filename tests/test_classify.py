@@ -291,6 +291,17 @@ def test_classify_builds_one_deformation_system_for_the_tangent_space(monkeypatc
     assert len(built) == 1
 
 
+def test_verify_report_builds_one_deformation_system_for_the_base(monkeypatch):
+    # finite: the tangent space and the ladder certificate share one system;
+    # the second is the cocycle route to Ext^1(top, V)
+    from defring.rep import DeformationSystem
+    blob = serialize_report(run("kx3_f5.alg", "V"))
+    built = _count_calls(monkeypatch, DeformationSystem, "__init__")
+    assert verify_report(read_corpus("kx3_f5.alg"), "V", blob, "kx3_f5.alg").ok
+    assert len(built) == 2
+    assert [args[1] is args[2] for args in built] == [True, False]
+
+
 def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):
     # the tangent space, the chain and its certificate share one system
     from defring.cli import main

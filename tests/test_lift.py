@@ -23,7 +23,8 @@ from defring import (
     verify_ladder,
 )
 from defring.linalg import Matrix, rank
-from helpers import base_embedding, dense_verify_ladder, load_module, shift_endomorphism
+from helpers import (base_embedding, dense_verify_ladder, load_module, reference_deformation_matrix,
+                     shift_endomorphism)
 
 
 def unit_lift(v, *degrees):
@@ -106,7 +107,7 @@ def test_obstruction_ranks_are_those_of_the_step_system(name):
     ob = search.obstruction
     assert search.kind == "terminated" and ob.order == search.ladder.top.order + 1
     rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order) for x in block.data]
-    a = system.matrix
+    a = reference_deformation_matrix(v, v)
     augmented = a.hstack(Matrix.from_columns(v.field, a.nrows, [rhs]))
     assert (ob.rank_coefficient, ob.rank_augmented) == (rank(a), rank(augmented))
     assert ob.certifies

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +191,8 @@ KERNEL_FIELDS = [FieldSpec.prime(2), F3, F5, FieldSpec.prime(65521), Q]
 
 @st.composite
 def kernel_case(draw):
-    """A field, A (n x m, possibly 0 x m or n x 0, often rank deficient),
+    """A field, A (n x m, possibly 0 x m or n x 0, often rank deficient, in
+    part of the examples padded with many zero rows and repeated rows),
     B (m x k), a right-hand side of length n and C (t x n)."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     if field.p is None:
@@ -207,6 +209,14 @@ def kernel_case(draw):
     if n and m and draw(st.booleans()):
         inner = draw(st.integers(1, min(n, m)))
         a = reference_mul(matrix(n, inner), matrix(inner, m))
+    if draw(st.booleans()):
+        # zero rows and copies of rows, shuffled in: the shape of the
+        # deformation and Hom systems
+        rows = a.rows()
+        extra = draw(st.lists(st.sampled_from(rows + [(field.zero(),) * m]), max_size=10))
+        rows = draw(st.permutations(rows + extra))
+        a = Matrix(field, len(rows), m, [x for row in rows for x in row])
+        n = a.nrows
     rhs = tuple(matrix(1, n).data)
     return field, a, matrix(m, k), rhs, matrix(t, n)
 
@@ -234,6 +244,18 @@ def test_kernels_match_boxed_reference(case):
     assert ((sol.feasible, sol.particular, sol.kernel, sol.rank, sol.rank_augmented)
             == reference_solve_affine(a, rhs))
     assert sol.particular is None or canonical(field, sol.particular)
+
+    # A X = C^T with one row reduction, column by column as solve_affine
+    rhs_columns = c.transpose()
+    with mock.patch("defring.linalg.rref", wraps=rref) as counted:
+        x = solve_matrix(a, rhs_columns)
+    assert counted.call_count == 1
+    columns = [reference_solve_affine(a, rhs_columns.column(j)) for j in range(c.nrows)]
+    if all(col[0] for col in columns):
+        assert x is not None and canonical(field, x.data)
+        assert [x.column(j) for j in range(c.nrows)] == [col[1] for col in columns]
+    else:
+        assert x is None
 
     product = a * b
     assert product == reference_mul(a, b) and canonical(field, product.data)
@@ -309,7 +331,7 @@ def test_matrix_operations_keep_entries_canonical(case):
     sol = solve_affine(a, b.column(0) if m else (field.zero(),) * n)
     entries += sol.particular or ()
     ech = row_space(b.rows(), field, m)
-    entries += [x for row in ech.rows for x in row]
+    entries += [x for row in ech.vectors() for x in row]
     entries += [x for v in a.rows() for x in reduce_mod_rows(ech, v)]
     entries += [x for v in complement_representatives(a.rows(), [], field, m) for x in v]
     assert canonical(field, entries)

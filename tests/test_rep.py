@@ -16,6 +16,7 @@ from defring import (
     hom_dim,
     hom_stable,
     iso_test,
+    ladder_search,
     parse,
     projective_cover,
     radical,
@@ -24,8 +25,11 @@ from defring import (
     validate,
 )
 from defring.linalg import Matrix, rank, solve_matrix
-from defring.rep import NotHereditary, NotInvariant, is_homomorphism, sub_from_maps
-from helpers import load_algebra, load_module
+from defring.lift import as_representation
+from defring.rep import (NotHereditary, NotInvariant, hom_equations, is_homomorphism,
+                         sub_from_maps)
+from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
+                     reference_deformation_matrix, reference_hom_equations)
 
 THREE_CHAIN = """\
 field F 5
@@ -282,3 +286,35 @@ def test_hom_mismatched_algebras_rejected():
     v2 = load_module("kx2_f2.alg", "V")
     with pytest.raises(ValueError):
         hom_dim(v5, v2)
+
+
+def _equation_pairs():
+    """(label, M, N): every corpus module with itself, P+S over k<x,y>/J^3
+    over F_5 and Q, and a ladder top against its base in both orders."""
+    pairs = []
+    for path in sorted(CORPUS.glob("*.alg")):
+        for module in load_source(path.name).modules:
+            m = load_module(path.name, module)
+            pairs.append((f"{path.stem} {module}", m, m))
+    for field in ("F 5", "Q"):
+        alg = PresentedAlgebra.from_source(parse(
+            f"field {field}\nquiver\n  vertex v\n  arrow x: v -> v\n  arrow y: v -> v\n"
+            "truncate 3\n"))
+        s = Representation(alg, {"v": 1}, {})
+        ps = direct_sum(alg.left_projective("v"), s)
+        pairs.append((f"P+S over {field}", ps, ps))
+    base = load_module("kx3_f5.alg", "V")
+    top_rep = as_representation(ladder_search(base).ladder.top)
+    pairs += [("ladder top, base", top_rep, base), ("base, ladder top", base, top_rep)]
+    return pairs
+
+
+def test_sparse_equations_match_dense_reference():
+    pairs = _equation_pairs()
+    assert len(pairs) >= 30
+    for label, m, n in pairs:
+        system = DeformationSystem(m, n)
+        assert dense_matrix(system.equations) == reference_deformation_matrix(m, n), label
+        layout, equations = hom_equations(m, n)
+        assert equations.ncols == layout.total
+        assert dense_matrix(equations) == reference_hom_equations(m, n), label
