@@ -42,7 +42,6 @@ from .lift import (
     Obstruction,
     as_representation,
     extend_step,
-    first_order_space,
     is_valid,
     residual_coefficients,
     verify_ladder,
@@ -118,7 +117,6 @@ __all__ = [
     "ext1_hereditary",
     "ext1_syzygy",
     "extend_step",
-    "first_order_space",
     "hom_basis",
     "hom_dim",
     "hom_stable",

@@ -82,9 +82,8 @@ def ladder_search(base: Representation, max_order: int = 10,
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     if system is None:
         system = DeformationSystem(base, base)
-    cocycles = system.cocycles()
-    cob = system.coboundary_space()
-    seed = next((vec for vec in cocycles if not in_row_span(cob, vec)), None)
+    cocycles = system.cocycles
+    seed = next((vec for vec in cocycles if not in_row_span(system.coboundaries, vec)), None)
     if seed is None:
         return SearchResult("terminated", ladder=None, terminated_at=0,
                             notes=["no nonzero tangent class to seed a chain"])

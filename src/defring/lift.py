@@ -191,18 +191,6 @@ def extend_step(lift: Lift, system: DeformationSystem | None = None):
     return LiftExtensions(lift, system, sol)
 
 
-def first_order_space(base: Representation):
-    """Valid first-order coefficient tuples and the trivial ones among them.
-
-    Returns (cocycle basis, coboundary generators) as per-arrow matrix
-    dicts; the quotient of their spans is the tangent space.
-    """
-    sys = DeformationSystem(base, base)
-    z = [sys.layout.unpack(v) for v in sys.cocycles()]
-    cob = [sys.layout.unpack(v) for v in sys.coboundary_vectors()]
-    return z, cob
-
-
 # ----------------------------------------------------------------------
 # the module underlying a lift
 

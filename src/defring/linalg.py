@@ -213,33 +213,6 @@ class Matrix:
             data.extend(other.row(i))
         return Matrix(self.field, self.nrows, self.ncols + other.ncols, data)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        assert self.ncols == other.ncols and self.field == other.field
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.data + other.data)
-
-
-def block_matrix(field: FieldSpec, grid: list) -> Matrix:
-    """Assemble a matrix from a 2d grid of equally aligned blocks."""
-    row_heights = [grid[i][0].nrows for i in range(len(grid))]
-    col_widths = [b.ncols for b in grid[0]]
-    nrows = sum(row_heights)
-    ncols = sum(col_widths)
-    zero = field.zero()
-    data = [zero] * (nrows * ncols)
-    r0 = 0
-    for bi, blockrow in enumerate(grid):
-        c0 = 0
-        for bj, block in enumerate(blockrow):
-            assert block.nrows == row_heights[bi] and block.ncols == col_widths[bj]
-            for i in range(block.nrows):
-                base = (r0 + i) * ncols + c0
-                bbase = i * block.ncols
-                for j in range(block.ncols):
-                    data[base + j] = block.data[bbase + j]
-            c0 += block.ncols
-        r0 += blockrow[0].nrows
-    return Matrix(field, nrows, ncols, data)
-
 
 class SparseRows:
     """The rows of an nrows x ncols matrix as {column: value} dicts that hold
@@ -500,15 +473,23 @@ def in_row_span(ech: RowEchelon, v: Vector) -> bool:
     return not any(_reduce_values(ech, _canonical(ech.field, v)))
 
 
-def complement_representatives(space_basis: list, subspace_vectors: list,
-                               field: FieldSpec, width: int) -> list:
-    """Echelon representatives of span(space_basis) modulo span(subspace_vectors).
+def column_space(m: SparseRows) -> RowEchelon:
+    """Echelonized span of the columns of m, i.e. the image of the map it stands for."""
+    columns = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return rref(SparseRows(m.field, m.nrows, columns))
+
+
+def complement_representatives(space_basis: list, sub: RowEchelon) -> list:
+    """Echelon representatives of span(space_basis) modulo the span of sub.
 
     The subspace must be contained in the space; representatives are the
     nonzero echelon rows of the reduced space basis, so the result is
     canonical for the given inputs.
     """
-    sub = row_space(subspace_vectors, field, width)
+    field = sub.field
     reduced = [row for v in space_basis
                if (row := _sparse(_reduce_values(sub, _canonical(field, v))))]
-    return rref(SparseRows(field, width, reduced)).vectors() if reduced else []
+    return rref(SparseRows(field, sub.ncols, reduced)).vectors() if reduced else []

@@ -68,7 +68,13 @@ def point_from_lift(lift: Lift) -> tuple:
     return tuple(out)
 
 
+def _require_order(order: int, name: str = "order"):
+    if order < 1:
+        raise ValueError(f"{name} must be at least 1, got {order}")
+
+
 def _valid_points(v: Representation, order: int, budget: int) -> tuple:
+    _require_order(order)
     field = v.field
     if field.p is None:
         raise ValueError("oracle enumeration needs a prime field")
@@ -83,11 +89,9 @@ def _valid_points(v: Representation, order: int, budget: int) -> tuple:
     return total, valid
 
 
-def _first_degree_nontrivial(v: Representation, system: DeformationSystem,
-                             points: list) -> int:
-    slots = coefficient_slots(v)
-    cob = system.coboundary_space()
-    return sum(1 for point in points if not in_row_span(cob, point[: len(slots)]))
+def _first_degree_nontrivial(system: DeformationSystem, points: list) -> int:
+    width = system.layout.total  # the degree-1 slots of a point
+    return sum(1 for point in points if not in_row_span(system.coboundaries, point[:width]))
 
 
 @dataclass
@@ -134,7 +138,7 @@ def enumerate_lifts(v: Representation, order: int,
     """Exhaustively test every coefficient tuple up to the given order."""
     total, valid = _valid_points(v, order, budget)
     system = DeformationSystem(v, v)
-    nontrivial = _first_degree_nontrivial(v, system, valid)
+    nontrivial = _first_degree_nontrivial(system, valid)
     buckets = {}  # rank profile -> [(representative Representation, [points])]
     unknown = []
     ordered_classes = []
@@ -177,11 +181,12 @@ def oracle_max_order(v: Representation, max_order: int,
     so the first order with no nontrivial valid point settles all larger
     ones and the scan can stop there.
     """
+    _require_order(max_order, "max_order")
     system = DeformationSystem(v, v)
     best = 0
     for order in range(1, max_order + 1):
         _, valid = _valid_points(v, order, budget)
-        if _first_degree_nontrivial(v, system, valid) == 0:
+        if _first_degree_nontrivial(system, valid) == 0:
             break
         best = order
     return best
@@ -206,11 +211,12 @@ def incremental_valid_points(v: Representation, order: int,
     Seeds from every first-order cocycle point, trivial ones included,
     so the sets are directly comparable with enumerate_lifts output.
     """
+    _require_order(order)
     field = v.field
     if field.p is None:
         raise ValueError("incremental point sets need a prime field")
     system = DeformationSystem(v, v)
-    z = system.cocycles()
+    z = system.cocycles
     count = field.p ** len(z)
     if count > budget:
         raise BudgetExceeded("first-order point enumeration", count, budget)

@@ -66,9 +66,6 @@ class Quiver:
                 raise ValueError(f"arrow {a.name} uses an unknown vertex")
             self.arrow_by_name[a.name] = a
 
-    def arrows_from(self, v: str):
-        return [a for a in self.arrows if a.source == v]
-
     def arrows_into(self, v: str):
         return [a for a in self.arrows if a.target == v]
 

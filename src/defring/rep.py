@@ -12,12 +12,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import HereditaryModeUnsupported, PresentedAlgebra
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
+    RowEchelon,
     SparseRows,
+    column_space,
     complement_representatives,
     in_row_span,
     kernel_basis,
@@ -423,10 +426,6 @@ def _pseudo_section(m: Representation, free: dict, v: str) -> Matrix:
     return Matrix.from_columns(field, m.dims[v], cols)
 
 
-def quotient_from_maps(m: Representation, bases: dict) -> Representation:
-    return _quotient_with_projection(m, bases)[0]
-
-
 def radical(m: Representation) -> Representation:
     return sub_from_maps(m, radical_subspaces(m))
 
@@ -516,7 +515,7 @@ def ext1_syzygy(m: Representation, n: Representation):
         restricted = {v: t[v] * incl[v] for v in m.algebra.quiver.vertices}
         image.append(layout.pack(restricted))
     packed = [layout.pack(b) for b in hom_on.basis]
-    reps = complement_representatives(packed, image, m.field, layout.total)
+    reps = complement_representatives(packed, row_space(image, m.field, layout.total))
     dim = len(reps)
     return dim, [layout.unpack(v) for v in reps]
 
@@ -614,7 +613,8 @@ class DeformationSystem:
     first-order lift coefficients, and the same equations drive every
     higher-order extension step.  The equations are sparse rows, one per
     generator and entry of its block, filled from the nonzero entries of
-    the arrow matrices; most of them are zero rows.
+    the arrow matrices; most of them are zero rows.  The cocycles and the
+    coboundaries, whose quotient is Ext^1(M, N), are each computed once.
     """
 
     def __init__(self, m: Representation, n: Representation):
@@ -622,12 +622,10 @@ class DeformationSystem:
         self.m = m
         self.n = n
         self.field = m.field
-        quiver = m.algebra.quiver
-        self.quiver = quiver
         self.relations = m.algebra.generating_relations()
         self.layout = MapLayout(
             self.field,
-            [(a.name, n.dims[a.target], m.dims[a.source]) for a in quiver.arrows],
+            [(a.name, n.dims[a.target], m.dims[a.source]) for a in m.algebra.quiver.arrows],
         )
         rows = []
         for rel in self.relations:
@@ -667,46 +665,29 @@ class DeformationSystem:
                 rows += block_row
         self.equations = SparseRows.from_dicts(self.field, self.layout.total, rows)
 
+    @cached_property
     def cocycles(self) -> list:
-        """Echelon basis of the kernel, as packed vectors."""
+        """Echelon basis of the kernel of the equations (the cocycles Z), as
+        packed vectors; computed on first use."""
         return kernel_basis(self.equations)
 
-    def coboundary_vectors(self) -> list:
-        """Images of elementary vertex maps under C -> C M - N C, packed."""
-        out = []
-        quiver = self.quiver
-        scalar = self.field.scalar
-        for v in quiver.vertices:
-            for i in range(self.n.dims[v]):
-                for j in range(self.m.dims[v]):
-                    vec = list(self.layout.zero_vector())
-                    for a in quiver.arrows:
-                        off = self.layout.offsets[a.name]
-                        width = self.m.dims[a.source]
-                        if a.target == v:
-                            # (E_ij M_a)[r, c] = delta(r, i) M_a[j, c]
-                            for c, x in enumerate(self.m.mats[a.name].row(j)):
-                                if x:
-                                    vec[off + i * width + c] = scalar(vec[off + i * width + c] + x)
-                        if a.source == v:
-                            # (N_a E_ij)[r, c] = N_a[r, i] delta(c, j)
-                            for r, x in enumerate(self.n.mats[a.name].column(i)):
-                                if x:
-                                    vec[off + r * width + j] = scalar(vec[off + r * width + j] - x)
-                    out.append(tuple(vec))
-        return out
+    @cached_property
+    def coboundaries(self) -> RowEchelon:
+        """Echelon form of the coboundaries B, the image of the vertex maps
+        under C -> (C_t M_a - N_a C_s)_a; computed on first use.
 
-    def coboundary_space(self):
-        return row_space(self.coboundary_vectors(), self.field, self.layout.total)
+        That map is the one whose kernel is Hom(M, N): its matrix is
+        hom_equations(M, N), whose rows are indexed by this system's packed
+        arrow coordinates, so B is spanned by its columns.
+        """
+        return column_space(hom_equations(self.m, self.n)[1])
 
     def ext_dim_and_representatives(self):
-        z = self.cocycles()
-        cob = self.coboundary_vectors()
-        reps = complement_representatives(z, cob, self.field, self.layout.total)
+        reps = complement_representatives(self.cocycles, self.coboundaries)
         return len(reps), [self.layout.unpack(v) for v in reps]
 
     def is_coboundary(self, mats: dict) -> bool:
-        return in_row_span(self.coboundary_space(), self.layout.pack(mats))
+        return in_row_span(self.coboundaries, self.layout.pack(mats))
 
     def solve_step(self, rhs_blocks: list):
         """Solve D(B) = -(stacked residual blocks); same row order as the equations."""

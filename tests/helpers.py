@@ -306,6 +306,35 @@ def reference_hom_equations(m, n):
     return Matrix.zeros(field, 0, layout.total)
 
 
+def reference_coboundary_vectors(m, n):
+    """Images of the elementary vertex maps E_ij under C -> (C_t M_a - N_a C_s)_a,
+    packed in DeformationSystem(m, n) coordinates, one dense tuple each."""
+    quiver = m.algebra.quiver
+    field = m.field
+    layout = MapLayout(field, [(a.name, n.dims[a.target], m.dims[a.source])
+                               for a in quiver.arrows])
+    out = []
+    for v in quiver.vertices:
+        for i in range(n.dims[v]):
+            for j in range(m.dims[v]):
+                vec = list(layout.zero_vector())
+                for a in quiver.arrows:
+                    off = layout.offsets[a.name]
+                    width = m.dims[a.source]
+                    if a.target == v:
+                        # (E_ij M_a)[r, c] = delta(r, i) M_a[j, c]
+                        for c, x in enumerate(m.mats[a.name].row(j)):
+                            if x:
+                                vec[off + i * width + c] = field.scalar(vec[off + i * width + c] + x)
+                    if a.source == v:
+                        # (N_a E_ij)[r, c] = N_a[r, i] delta(c, j)
+                        for r, x in enumerate(n.mats[a.name].column(i)):
+                            if x:
+                                vec[off + r * width + j] = field.scalar(vec[off + r * width + j] - x)
+                out.append(tuple(vec))
+    return out
+
+
 def reference_deformation_matrix(m, n):
     """The DeformationSystem equations of (m, n), one dense row per generator
     and entry of its block."""

@@ -10,6 +10,7 @@ import json
 import random
 
 from defring import (
+    DeformationSystem,
     Ladder,
     Lift,
     Representation,
@@ -20,7 +21,6 @@ from defring import (
     ext1_hereditary,
     ext1_syzygy,
     extend_step,
-    first_order_space,
     hom_dim,
     incremental_valid_points,
     ladder_search,
@@ -32,7 +32,7 @@ from defring import (
     verify_report,
 )
 from defring.cli import main
-from defring.linalg import Matrix, block_matrix, rank, solve_matrix
+from defring.linalg import Matrix, rank, solve_matrix
 from defring.oracle import valid_point_set
 from helpers import (CORPUS, load_algebra, load_module, load_source, read_corpus,
                      reference_deformation_matrix)
@@ -246,8 +246,8 @@ def test_criterion_8_obstruction_certificate_is_sound():
 
     # the trivial (coboundary) first-order class must not enter a ladder
     p1 = load_module("kx2_f5.alg", "P1")
-    cocycles, _ = first_order_space(p1)
-    trivial = Lift.first_order(p1, cocycles[0])
+    system = DeformationSystem(p1, p1)
+    trivial = Lift.first_order(p1, system.layout.unpack(system.cocycles[0]))
     transcript = verify_ladder(Ladder.from_lift(trivial))
     assert not transcript.ok
     assert any("nontrivial" in c.name and not c.ok for c in transcript.checks)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from defring import (
     verify_ladder,
     verify_report,
 )
-from helpers import CORPUS, load_module, load_source, read_corpus
+from defring.linalg import Matrix
+from helpers import CORPUS, load_module, load_source, read_corpus, reference_coboundary_vectors
 
 
 def run(name, module, **kw):
@@ -300,6 +302,60 @@ def test_verify_report_builds_one_deformation_system_for_the_base(monkeypatch):
     assert verify_report(read_corpus("kx3_f5.alg"), "V", blob, "kx3_f5.alg").ok
     assert len(built) == 2
     assert [args[1] is args[2] for args in built] == [True, False]
+
+
+def _count_first_order_reductions(monkeypatch, base):
+    """[cocycle kernels, coboundary row spaces] taken for DeformationSystem(V, V).
+
+    Counts row reductions: of the system's own equations for the cocycles,
+    and of the coboundary generators (one row per elementary vertex map of
+    base) on the system's behalf, i.e. with one of its methods on the stack.
+    """
+    import defring.linalg
+    from defring.rep import DeformationSystem
+    systems = []
+    counts = [0, 0]
+    init, rref = DeformationSystem.__init__, defring.linalg.rref
+    vectors = reference_coboundary_vectors(base, base)
+    generators = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+    def recording_init(self, m, n):
+        init(self, m, n)
+        if m is n:
+            systems.append(self)
+
+    def on_behalf_of_a_system():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if any(frame.f_locals.get("self") is s for s in systems):
+                return True
+            frame = frame.f_back
+        return False
+
+    def counting_rref(m):
+        rows = m.sparse_rows() if isinstance(m, Matrix) else m
+        if any(m is s.equations for s in systems):
+            counts[0] += 1
+        elif (rows.ncols, rows.rows) == (len(vectors[0]), generators) and on_behalf_of_a_system():
+            counts[1] += 1
+        return rref(m)
+
+    monkeypatch.setattr(DeformationSystem, "__init__", recording_init)
+    monkeypatch.setattr(defring.linalg, "rref", counting_rref)
+    return counts
+
+
+def test_first_order_space_is_computed_once_per_system(monkeypatch):
+    # finite: the tangent space, the chain's seed and the certificate's
+    # nontriviality check read one cocycle basis and one coboundary space
+    counts = _count_first_order_reductions(monkeypatch, load_module("kx3_f5.alg", "V"))
+    report = run("kx3_f5.alg", "V")
+    assert report.verdict.type == "finite"
+    assert counts == [1, 1]
+    counts[:] = [0, 0]
+    blob = serialize_report(report)
+    assert verify_report(read_corpus("kx3_f5.alg"), "V", blob, "kx3_f5.alg").ok
+    assert counts == [1, 1]
 
 
 def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):

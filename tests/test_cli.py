@@ -153,6 +153,13 @@ def test_oracle_budget_exhaustion(capsys):
     assert "budget" in err.lower()
 
 
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_oracle_rejects_orders_below_one(capsys, order):
+    code, out, err = run(capsys, "oracle", KX2, "-m", "P1", "--order", order)
+    assert code == 1 and not out
+    assert err == f"error: order must be at least 1, got {order}\n"
+
 def test_search_knobs_are_usage_errors(capsys):
     for command in ("classify", "ladder"):
         for flag in ("--point-budget", "--branch-budget", "--strategy"):

@@ -13,7 +13,6 @@ from defring import (
     Representation,
     as_representation,
     extend_step,
-    first_order_space,
     is_valid,
     ladder_search,
     parse,
@@ -23,8 +22,8 @@ from defring import (
     verify_ladder,
 )
 from defring.linalg import Matrix, rank
-from helpers import (base_embedding, dense_verify_ladder, load_module, reference_deformation_matrix,
-                     shift_endomorphism)
+from helpers import (base_embedding, dense_verify_ladder, load_module, reference_coboundary_vectors,
+                     reference_deformation_matrix, shift_endomorphism)
 
 
 def unit_lift(v, *degrees):
@@ -59,17 +58,18 @@ def test_first_order_residual_of_square_relation():
 
 def test_first_order_space_matches_cocycles():
     v = load_module("kx2_f5.alg", "V")
-    cocycles, coboundaries = first_order_space(v)
+    sys_v = DeformationSystem(v, v)
+    cocycles = [sys_v.layout.unpack(z) for z in sys_v.cocycles]
     assert len(cocycles) == 1
     assert cocycles[0]["x"].tolist() == [[1]]
-    assert all(all(m.is_zero() for m in c.values()) for c in coboundaries)
+    assert sys_v.coboundaries.rank == 0
 
     p1 = load_module("kx2_f5.alg", "P1")
-    z_p, b_p = first_order_space(p1)
     # rigid module: every infinitesimal deformation is a coboundary
     sys_p = DeformationSystem(p1, p1)
-    for z in z_p:
-        assert sys_p.is_coboundary(z)
+    assert sys_p.cocycles
+    for z in sys_p.cocycles:
+        assert sys_p.is_coboundary(sys_p.layout.unpack(z))
 
 
 def test_extend_step_solves_next_order():
@@ -211,9 +211,9 @@ def test_verify_ladder_accepts_engine_output():
 
 def test_verify_ladder_rejects_trivial_first_class():
     p1 = load_module("kx2_f5.alg", "P1")
-    z, _ = first_order_space(p1)
+    system = DeformationSystem(p1, p1)
     # every cocycle here is a coboundary, so the gate must fail
-    lift = Lift.first_order(p1, z[0])
+    lift = Lift.first_order(p1, system.layout.unpack(system.cocycles[0]))
     transcript = verify_ladder(Ladder.from_lift(lift))
     assert not transcript.ok
     failed = [c.name for c in transcript.checks if not c.ok]
@@ -290,7 +290,8 @@ def tangent_one_ladders(draw):
         chain[i] = Lift(base, i + 1, coeffs)
         return Ladder(base, chain)
     if kind == "coboundary":
-        _, cob = first_order_space(base)
+        layout = DeformationSystem(base, base).layout
+        cob = [layout.unpack(v) for v in reference_coboundary_vectors(base, base)]
         lift = (Lift.first_order(base, cob[draw(st.integers(0, len(cob) - 1))])
                 if cob else Lift.trivial(base, 1))
         for _ in range(draw(st.integers(0, 2))):

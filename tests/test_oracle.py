@@ -106,6 +106,15 @@ def test_prime_field_required():
         valid_point_set(v, 1)
 
 
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("run", [enumerate_lifts, valid_point_set, oracle_max_order,
+                                 incremental_valid_points])
+def test_orders_below_one_are_rejected(run, order):
+    v = load_module("kx2_f5.alg", "P1")
+    with pytest.raises(ValueError, match=f"at least 1, got {order}"):
+        run(v, order)
+
 # brute-force points the oracle may test per example; bounds each example to about two seconds
 ORACLE_POINTS = 4096
 

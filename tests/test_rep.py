@@ -24,12 +24,13 @@ from defring import (
     top,
     validate,
 )
-from defring.linalg import Matrix, rank, solve_matrix
+from defring.linalg import Matrix, rank, row_space, solve_matrix
 from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, hom_equations, is_homomorphism,
                          sub_from_maps)
 from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
-                     reference_deformation_matrix, reference_hom_equations)
+                     reference_coboundary_vectors, reference_deformation_matrix,
+                     reference_hom_equations)
 
 THREE_CHAIN = """\
 field F 5
@@ -267,8 +268,8 @@ def test_sub_from_maps_requires_invariance():
 def test_deformation_system_shapes():
     v = load_module("kx2_f5.alg", "V")
     sys_v = DeformationSystem(v, v)
-    assert len(sys_v.cocycles()) == 1
-    assert len(sys_v.coboundary_space().pivots) == 0
+    assert len(sys_v.cocycles) == 1
+    assert sys_v.coboundaries.rank == 0
     dim, reps = sys_v.ext_dim_and_representatives()
     assert dim == 1 and len(reps) == 1
 
@@ -277,7 +278,7 @@ def test_deformation_system_shapes():
     dim_p, reps_p = sys_p.ext_dim_and_representatives()
     assert dim_p == 0 and reps_p == []
     # every cocycle of a rigid module is a coboundary
-    for z in sys_p.cocycles():
+    for z in sys_p.cocycles:
         assert sys_p.is_coboundary(sys_p.layout.unpack(z))
 
 
@@ -318,3 +319,9 @@ def test_sparse_equations_match_dense_reference():
         layout, equations = hom_equations(m, n)
         assert equations.ncols == layout.total
         assert dense_matrix(equations) == reference_hom_equations(m, n), label
+        # the coboundary generators are the columns of the Hom equations
+        cob = reference_coboundary_vectors(m, n)
+        assert dense_matrix(equations).transpose().rows() == cob, label
+        ech = row_space(cob, m.field, system.layout.total)
+        assert system.coboundaries.pivots == ech.pivots, label
+        assert system.coboundaries.rows == ech.rows, label
