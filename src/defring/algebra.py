@@ -42,7 +42,12 @@ class PresentedAlgebra:
         self.basis: list | None = None
         self.basis_index: dict | None = None
         self._reduction: dict | None = None
+        self._generators = ()
         if truncate is not None:
+            one = field.one()
+            self._generators = tuple(self.relations) + tuple(
+                Relation(((one, p),), p.source, p.target)
+                for p in quiver.paths_of_length(truncate))
             self._build()
 
     @classmethod
@@ -68,15 +73,10 @@ class PresentedAlgebra:
 
     # ------------------------------------------------------------------
 
-    def generating_relations(self) -> list:
-        """Ideal generators: the declared relations plus all length-m paths."""
-        if self.hereditary:
-            return []
-        gens = list(self.relations)
-        one = self.field.one()
-        for p in self.quiver.paths_of_length(self.truncate):
-            gens.append(Relation(((one, p),), p.source, p.target))
-        return gens
+    def generating_relations(self) -> tuple:
+        """Ideal generators: the declared relations plus all length-m paths,
+        computed once with the algebra (none in hereditary mode)."""
+        return self._generators
 
     @property
     def dimension(self) -> int:

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import PresentedAlgebra
 from .classify import (nontriviality_checks_pass, sigma_checks_pass,
-                       source_digest, tangent_dimension)
+                       source_digest, tangent_dimension, top_checks)
 from .dsl import field_to_json, parse
 from .lift import Ladder, Lift, verify_ladder
 from .linalg import Matrix
-from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, validate
+from .rep import DeformationSystem, Representation, validate
 
 
 @dataclass
@@ -171,8 +171,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     if top_problems:
         # hom/ext of a non-module are meaningless; everything downstream is void
         return VerificationResult(False, failures, lines)
-    hom_top = hom_dim(top, base)
-    ext_top = ext1_dim(top, base, backend="all", hom=hom_top)
+    hom_top, ext_top = top_checks(top, base)
     check("hom_top_dim_matches", _same(checks.get("hom_top_dim"), hom_top),
           f"recomputed {hom_top}")
     check("ext_top_dim_matches", _same(checks.get("ext_top_dim"), ext_top),

@@ -155,21 +155,23 @@ def source_digest(source: SourceFile) -> str:
     return hashlib.sha256(print_source(source).encode("utf-8")).hexdigest()
 
 
-def stable_end_note(v: Representation) -> str:
+def stable_end_note(v: Representation, system: DeformationSystem | None = None) -> str:
+    """The stable endomorphism note; system is DeformationSystem(v, v), if built."""
     if v.algebra.hereditary:
         return "stable endomorphism check not applicable without truncation"
-    dim = hom_stable(v, v)
+    dim = hom_stable(v, v, system)
     note = f"stable endomorphism dimension: {dim}"
     if dim == 1:
         note += " (advisory: the one-dimensional case, weak and full deformations agree)"
     return note
 
 
-def _top_checks(ladder: Ladder, base: Representation) -> tuple:
-    top = as_representation(ladder.top)
-    hom_top = hom_dim(top, base)
-    ext_top = ext1_dim(top, base, backend="all", hom=hom_top)
-    return hom_top, ext_top
+def top_checks(top: Representation, base: Representation) -> tuple:
+    """(dim Hom(top, V), dim Ext^1(top, V)), the side conditions at the top
+    of a ladder; one DeformationSystem(top, V) builds δ once for both."""
+    system = DeformationSystem(top, base)
+    hom_top = hom_dim(top, base, system)
+    return hom_top, ext1_dim(top, base, backend="all", system=system, hom=hom_top)
 
 
 def classify(source: SourceFile, module_name: str,
@@ -193,7 +195,7 @@ def classify(source: SourceFile, module_name: str,
     system = DeformationSystem(rep, rep)
     tangent = tangent_dimension(rep, system)
     notes.append(f"tangent dimension: {tangent}")
-    notes.append(stable_end_note(rep))
+    notes.append(stable_end_note(rep, system))
 
     def report(verdict, ladder=None, checks=None, extra=()):
         notes.extend(extra)
@@ -227,7 +229,7 @@ def classify(source: SourceFile, module_name: str,
     if ob is not None:
         notes.append(f"obstruction at order {ob.order}: "
                      f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
-    hom_top, ext_top = _top_checks(ladder, rep)
+    hom_top, ext_top = top_checks(as_representation(ladder.top), rep)
     transcript = verify_ladder(ladder, system=system)
     notes.extend(transcript.lines())
     checks = Checks(hom_top_dim=hom_top, ext_top_dim=ext_top,

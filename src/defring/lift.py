@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, SparseRows, rank
 from .rep import DeformationSystem, Representation
 
 
@@ -287,17 +287,21 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
     """Facts about the nilpotent shift J of k[t]/(t^blocks), with top line e_top.
 
     Returns whether J^(ell+1) = 0, whether J^ell != 0, whether ker J is
-    spanned by e_top, and whether im J^ell is spanned by e_top.
+    spanned by e_top, and whether im J^ell is spanned by e_top.  J^ell's rows
+    are read once as sparse rows, and rank J is taken on J's sparse rows.
     """
+    one = field.one()
+    rows = [{}] + [{i - 1: one} for i in range(1, blocks)]
     data = [field.zero()] * (blocks * blocks)
-    for i in range(1, blocks):
-        data[i * blocks + i - 1] = field.one()
+    data[blocks::blocks + 1] = [one] * (blocks - 1)  # entries (i, i - 1)
     shift = Matrix(field, blocks, blocks, data)
     power = shift.power(ell)
-    nonzero = not power.is_zero()
-    kernel = not any(shift.column(blocks - 1)) and rank(shift) == blocks - 1
+    power_rows = power.sparse_rows().rows
+    nonzero = any(power_rows)
+    kernel = (not any(blocks - 1 in row for row in rows)
+              and rank(SparseRows(field, blocks, rows)) == blocks - 1)
     # a nonzero matrix whose rows below the top one vanish has image <e_top>
-    image = nonzero and not any(power.data[: (blocks - 1) * blocks])
+    image = nonzero and not any(power_rows[:-1])
     return (power * shift).is_zero(), nonzero, kernel, image
 
 

@@ -6,7 +6,9 @@ A Matrix holds plain field values in canonical form: `int` residues in
 constructor trusts its input.  Every operation that forms new values
 (`+`, `-`, negation, `scale`, `*`, `apply` and the elimination kernel)
 reduces them with `% p` over F_p, the path chosen from `field.p`, so
-vectors and matrices handed out are always canonical.
+vectors and matrices handed out are always canonical.  `*` is the dense
+product; `power` squares on sparse rows and builds a dense Matrix only
+for the result.
 
 Linear systems are row-reduced sparsely: `rref` is the one elimination
 kernel, and it works on SparseRows, one {column: value} dict of nonzero
@@ -177,16 +179,19 @@ class Matrix:
         return Matrix(self.field, self.nrows, width, out)
 
     def power(self, n: int) -> "Matrix":
+        """self^n by repeated squaring on sparse rows; only the result is dense."""
         assert self.nrows == self.ncols and n >= 0
-        out = Matrix.identity(self.field, self.nrows)
-        square = self
+        p, one, zero = self.field.p, self.field.one(), self.field.zero()
+        out = [{i: one} for i in range(self.nrows)]
+        square = self.sparse_rows().rows
         while n:
             if n & 1:
-                out = out * square
+                out = _sparse_product(out, square, p)
             n >>= 1
             if n:
-                square = square * square
-        return out
+                square = _sparse_product(square, square, p)
+        return Matrix(self.field, self.nrows, self.ncols,
+                      [row.get(j, zero) for row in out for j in range(self.ncols)])
 
     def transpose(self) -> "Matrix":
         data = [self.data[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows)]
@@ -212,6 +217,19 @@ class Matrix:
             data.extend(self.row(i))
             data.extend(other.row(i))
         return Matrix(self.field, self.nrows, self.ncols + other.ncols, data)
+
+
+def _sparse_product(a: list, b: list, p) -> list:
+    """Product of two matrices given as lists of {column: value} rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: y for j, x in acc.items() if (y := x % p)} if p
+                   else {j: x for j, x in acc.items() if x})
+    return out
 
 
 class SparseRows:

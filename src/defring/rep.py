@@ -238,19 +238,21 @@ def hom_equations(m: Representation, n: Representation):
     return layout, SparseRows.from_dicts(m.field, layout.total, rows)
 
 
-def hom_basis(m: Representation, n: Representation) -> HomSpace:
+def hom_basis(m: Representation, n: Representation,
+              system: DeformationSystem | None = None) -> HomSpace:
     """Solve the intertwining equations T_t M_a = N_a T_s for all arrows.
 
     Relations impose nothing extra: any arrow-wise intertwiner between
-    valid modules automatically respects them.
+    valid modules automatically respects them.  system is (m, n)'s DeformationSystem, if any.
     """
-    layout, equations = hom_equations(m, n)
+    layout, equations = hom_equations(m, n) if system is None else system.delta
     basis = [layout.unpack(v) for v in kernel_basis(equations)]
     return HomSpace(m, n, layout, basis)
 
 
-def hom_dim(m: Representation, n: Representation) -> int:
-    return hom_basis(m, n).dim
+def hom_dim(m: Representation, n: Representation,
+            system: DeformationSystem | None = None) -> int:
+    return hom_basis(m, n, system).dim
 
 
 def is_homomorphism(m: Representation, n: Representation, maps: dict) -> bool:
@@ -520,10 +522,11 @@ def ext1_syzygy(m: Representation, n: Representation):
     return dim, [layout.unpack(v) for v in reps]
 
 
-def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None) -> int:
+def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None,
+                    system: DeformationSystem | None = None) -> int:
     """Relation-free closed form via the bilinear form of the quiver.
 
-    hom, when given, is dim Hom(M, N) already computed by the caller.
+    hom is dim Hom(M, N) if the caller has it; else it is read off system's δ.
     """
     if not m.algebra.hereditary:
         raise NotHereditary("closed form only valid without relations")
@@ -532,7 +535,7 @@ def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None
     arrows_term = sum(m.dims[a.source] * n.dims[a.target] for a in quiver.arrows)
     vertex_term = sum(m.dims[v] * n.dims[v] for v in quiver.vertices)
     if hom is None:
-        hom = hom_dim(m, n)
+        hom = hom_dim(m, n, system)
     return arrows_term - vertex_term + hom
 
 
@@ -551,20 +554,20 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
              system: DeformationSystem | None = None, hom: int | None = None) -> int:
     """Dimension of Ext^1; backend 'all' cross-checks every applicable route.
 
-    system (the DeformationSystem of (m, n)) is handed to the cocycle
-    route and hom (dim Hom(m, n)) to the hereditary closed form, so a
-    caller that has them computes neither again.
+    system (the DeformationSystem of (m, n)) is handed to the cocycle route
+    and the hereditary closed form, and hom (dim Hom(m, n)) to the latter,
+    so a caller that has them computes neither again.
     """
     if backend == "cocycle":
         return ext1_cocycle(m, n, system)[0]
     if backend == "syzygy":
         return ext1_syzygy(m, n)[0]
     if backend == "hereditary":
-        return ext1_hereditary(m, n, hom)
+        return ext1_hereditary(m, n, hom, system)
     if backend == "all":
         dims = {"cocycle": ext1_cocycle(m, n, system)[0]}
         if m.algebra.hereditary:
-            dims["hereditary"] = ext1_hereditary(m, n, hom)
+            dims["hereditary"] = ext1_hereditary(m, n, hom, system)
         else:
             dims["syzygy"] = ext1_syzygy(m, n)[0]
         values = set(dims.values())
@@ -578,17 +581,18 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
 # stable Hom
 
 
-def hom_stable(m: Representation, n: Representation) -> int:
+def hom_stable(m: Representation, n: Representation,
+               system: DeformationSystem | None = None) -> int:
     """dim Hom(M, N) minus the maps that factor through a projective.
 
     Every map factoring through any projective factors through the cover
     of N, so the image of Hom(M, P(N)) under postcomposition is exactly
-    the projectively-trivial part.
+    the projectively-trivial part.  system is (m, n)'s DeformationSystem, if any.
     """
     _require_truncated(m.algebra, "stable Hom")
     _same_algebra(m, n)
     p, cover = projective_cover(n)
-    hom_mn = hom_basis(m, n)
+    hom_mn = hom_basis(m, n, system)
     hom_mp = hom_basis(m, p)
     layout = hom_mn.layout
     image = []
@@ -672,15 +676,19 @@ class DeformationSystem:
         return kernel_basis(self.equations)
 
     @cached_property
-    def coboundaries(self) -> RowEchelon:
-        """Echelon form of the coboundaries B, the image of the vertex maps
-        under C -> (C_t M_a - N_a C_s)_a; computed on first use.
+    def delta(self):
+        """hom_equations(M, N), built on first use: the matrix of the map
+        δ: C -> (C_t M_a - N_a C_s)_a, whose kernel is Hom(M, N)."""
+        return hom_equations(self.m, self.n)
 
-        That map is the one whose kernel is Hom(M, N): its matrix is
-        hom_equations(M, N), whose rows are indexed by this system's packed
-        arrow coordinates, so B is spanned by its columns.
+    @cached_property
+    def coboundaries(self) -> RowEchelon:
+        """Echelon form of the coboundaries B, the image of δ; computed on
+        first use.  The rows of δ are indexed by this system's packed arrow
+        coordinates, so B is spanned by its columns.  This is an elimination
+        of its own, apart from the kernel that hom_basis takes.
         """
-        return column_space(hom_equations(self.m, self.n)[1])
+        return column_space(self.delta[1])
 
     def ext_dim_and_representatives(self):
         reps = complement_representatives(self.cocycles, self.coboundaries)

@@ -153,6 +153,24 @@ def dense_verify_ladder(ladder, system=None, strict=False):
     return LadderTranscript(checks)
 
 
+def reference_shift_checks(field, blocks, ell):
+    """lift._shift_checks on the dense shift J of k[t]/(t^blocks), with J^ell
+    taken by repeated dense products: (J^(ell+1) = 0, J^ell != 0, ker J is
+    <e_top>, im J^ell is <e_top>)."""
+    data = [field.zero()] * (blocks * blocks)
+    for i in range(1, blocks):
+        data[i * blocks + i - 1] = field.one()
+    shift = Matrix(field, blocks, blocks, data)
+    power = Matrix.identity(field, blocks)
+    for _ in range(ell):
+        power = power * shift
+    nonzero = not power.is_zero()
+    kernel = not any(shift.column(blocks - 1)) and rank(shift) == blocks - 1
+    # a nonzero matrix whose rows below the top one vanish has image <e_top>
+    image = nonzero and not any(power.data[: (blocks - 1) * blocks])
+    return (power * shift).is_zero(), nonzero, kernel, image
+
+
 # ----------------------------------------------------------------------
 # reference for the linalg kernels: whole rows, every operation reduced
 

@@ -121,7 +121,7 @@ def test_projective_dims_sum_to_algebra_dim(name):
 def test_hereditary_mode_guards():
     _, alg = load_algebra("loop_free_f2.alg")
     assert alg.hereditary
-    assert alg.generating_relations() == []
+    assert alg.generating_relations() == ()
     with pytest.raises(HereditaryModeUnsupported):
         alg.dimension
     with pytest.raises(HereditaryModeUnsupported):

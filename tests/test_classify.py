@@ -376,3 +376,45 @@ def test_ext_at_the_ladder_top_reuses_its_hom(monkeypatch):
     report = run("loop_free_q.alg", "V", max_order=3)
     assert report.checks.hom_top_dim == 1 and report.checks.ext_top_dim == 1
     assert len(calls) == 2
+
+
+
+
+def _builds_per_pair(calls):
+    """How often hom_equations(M, N) was built for each pair, in first-call order."""
+    per_pair = {}
+    for m, n in calls:
+        per_pair[id(m), id(n)] = per_pair.get((id(m), id(n)), 0) + 1
+    return list(per_pair.values())
+
+
+def test_hom_equations_are_built_once_per_pair(monkeypatch):
+    # hereditary: δ = hom_equations(M, N) serves both Hom(M, N) and the
+    # coboundaries, for (V, V) in the tangent space and (top, V) in
+    # hom_top_dim and ext_top_dim
+    import defring.rep
+    from defring.lift import as_representation
+    calls = _count_calls(monkeypatch, defring.rep, "hom_equations")
+    report = run("loop_free_q.alg", "V")
+    top = as_representation(report.ladder.top)
+
+    def pairs():
+        (v, same), (upper, lower) = calls[0], calls[-1]
+        return same is v and upper == top and lower is v, _builds_per_pair(calls)
+
+    assert pairs() == (True, [1, 1])
+    calls.clear()
+    assert verify_report(read_corpus("loop_free_q.alg"), "V", serialize_report(report)).ok
+    assert pairs() == (True, [1, 1])
+
+
+def test_truncated_classify_builds_each_hom_equations_once(monkeypatch):
+    # (V, V) serves the coboundaries and the stable endomorphisms
+    import defring.rep
+    calls = _count_calls(monkeypatch, defring.rep, "hom_equations")
+    report = run("kx3_f5.alg", "V")
+    assert report.verdict.type == "finite"
+    assert set(_builds_per_pair(calls)) == {1}
+    calls.clear()
+    assert verify_report(read_corpus("kx3_f5.alg"), "V", serialize_report(report)).ok
+    assert set(_builds_per_pair(calls)) == {1}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import defring
 from defring.cli import main
 from helpers import CORPUS, read_corpus
 
@@ -206,3 +211,21 @@ def test_single_module_file_needs_no_flag(capsys):
     code, out, _ = run(capsys, "classify", str(CORPUS / "kx3_q.alg"))
     assert code == 0
     assert "verdict" in out
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    # Hom of a 16-dimensional module with x = 0 is all 256 matrices: about
+    # 145 KB of output, more than a pipe holds, so the command is still
+    # writing when the reader closes its end after the first line
+    zero = "[" + ", ".join(["[" + ", ".join(["0"] * 16) + "]"] * 16) + "]"
+    big = tmp_path / "big.alg"
+    big.write_text(f"field Q\nquiver\n  vertex v\n  arrow x: v -> v\n\n"
+                   f"module W\n  dim v = 16\n  mat x = {zero}\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(defring.__file__).resolve().parent.parent))
+    with subprocess.Popen([sys.executable, "-m", "defring", "hom", str(big)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"dim Hom = 256\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -21,9 +21,11 @@ from defring import (
     validate,
     verify_ladder,
 )
+from defring.fields import FieldSpec
+from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
 from helpers import (base_embedding, dense_verify_ladder, load_module, reference_coboundary_vectors,
-                     reference_deformation_matrix, shift_endomorphism)
+                     reference_deformation_matrix, reference_shift_checks, shift_endomorphism)
 
 
 def unit_lift(v, *degrees):
@@ -177,6 +179,19 @@ def test_shift_endomorphism_structure():
     emb = base_embedding(lift)["v"]
     assert rank(emb) == 1
     assert (sigma * emb).is_zero()
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()],
+                         ids=str)
+def test_shift_checks_match_dense_reference(field):
+    # every pair, also the ones where J is not sized by the order (blocks != ell + 1)
+    for blocks in range(1, 17):
+        for ell in range(19):
+            facts = _shift_checks(field, blocks, ell)
+            assert facts == reference_shift_checks(field, blocks, ell), (blocks, ell)
+            assert all(type(x) is bool for x in facts)
+            if blocks == ell + 1:
+                assert facts == (True, True, True, True)
 
 
 def test_ladder_from_lift():

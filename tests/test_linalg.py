@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -180,6 +181,43 @@ def test_power_matches_repeated_product(field):
     for n in range(10):
         assert a.power(n) == expected
         expected = expected * a
+
+
+@st.composite
+def power_case(draw):
+    """A field, a square matrix of size 0..30 and an exponent 0..40.  The
+    matrix is random (entries drawn from a seed, at a drawn density; over Q
+    with fractional entries), strictly lower triangular, or the nilpotent
+    shift with ones just below the diagonal."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), F3, FieldSpec.prime(65521), Q]))
+    size = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["random", "lower", "shift"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.05, 0.2, 1.0]))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.p is None:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(field.p)
+
+    rows = [[field.one() if kind == "shift" and j == i - 1
+             else entry() if kind == "random" or (kind == "lower" and j < i)
+             else 0 for j in range(size)] for i in range(size)]
+    return Matrix.from_rows(field, rows), draw(st.integers(0, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_case())
+def test_power_matches_repeated_reference_product(case):
+    a, n = case
+    expected = Matrix.identity(a.field, a.nrows)
+    for _ in range(n):
+        expected = reference_mul(expected, a)
+    result = a.power(n)
+    assert result == expected
+    assert canonical(a.field, result.data)
 
 
 KERNEL_FIELDS = [FieldSpec.prime(2), F3, F5, FieldSpec.prime(65521), Q]
