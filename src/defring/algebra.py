@@ -16,7 +16,7 @@ from __future__ import annotations
 from .dsl import Relation
 from .fields import FieldSpec
 from .linalg import Matrix, row_space
-from .quiver import Path, Quiver
+from .quiver import Path, PathTree, Quiver
 
 
 class HereditaryModeUnsupported(Exception):
@@ -43,12 +43,21 @@ class PresentedAlgebra:
         self.basis_index: dict | None = None
         self._reduction: dict | None = None
         self._generators = ()
+        # vertex -> (dims, mats) of its left projective, built on first use; a
+        # Representation here would make a reference cycle with the algebra
+        self._projectives = {}
         if truncate is not None:
             one = field.one()
             self._generators = tuple(self.relations) + tuple(
                 Relation(((one, p),), p.source, p.target)
                 for p in quiver.paths_of_length(truncate))
             self._build()
+        # the generator paths with their prefixes shared, and per generator
+        # its nonzero terms as (coefficient, node of the path)
+        self.generator_tree = PathTree()
+        self.generator_terms = tuple(
+            tuple((c, self.generator_tree.add(p)) for c, p in rel.terms if c)
+            for rel in self._generators)
 
     @classmethod
     def from_source(cls, src) -> "PresentedAlgebra":
@@ -168,6 +177,7 @@ class PresentedAlgebra:
 
         Its basis is the set of canonical basis paths starting at v; an
         arrow acts by extending the path at its target end and reducing.
+        Its matrices are built once per vertex.
         """
         from .rep import Representation
 
@@ -175,6 +185,8 @@ class PresentedAlgebra:
             raise HereditaryModeUnsupported("projectives need a truncated presentation")
         if v not in self.quiver.vertex_set:
             raise KeyError(v)
+        if v in self._projectives:
+            return Representation(self, *self._projectives[v])
         basis_v = [p for p in self.basis if p.source == v]
         by_vertex = {w: [p for p in basis_v if p.target == w] for w in self.quiver.vertices}
         slot = {}
@@ -196,4 +208,5 @@ class PresentedAlgebra:
                         col[slot[q]] = coeff
                 cols.append(col)
             mats[a.name] = Matrix.from_columns(self.field, dims[a.target], cols)
+        self._projectives[v] = dims, mats
         return Representation(self, dims, mats)

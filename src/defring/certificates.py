@@ -73,6 +73,9 @@ def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
         if not _same(entry.get("order"), expected_order):
             raise ValueError(f"ladder orders out of sequence at {entry.get('order')}")
         mats = entry["matrices"]
+        unknown = sorted(set(mats) - set(coeffs))
+        if unknown:
+            raise ValueError(f"ladder entry {expected_order} names unknown arrow {unknown[0]}")
         for a in base.algebra.quiver.arrows:
             rows = mats.get(a.name)
             if rows is None:

@@ -7,6 +7,13 @@ residuals; the next coefficient tuple must solve a linear system whose
 matrix is the first-order deformation system of the base module and whose
 right hand side is the next residual.  Infeasibility is an obstruction and
 carries a rank certificate.
+
+A lift carries the t-series of every prefix of every generator path (the
+nodes of the algebra's generator tree) through degree L.  Extending the lift
+computes one new degree per prefix, sum_i C_i(a) * prefix_(d-i), so a chain
+of length N costs about N^2 block products per prefix rather than N^3, and
+far fewer when the coefficients are sparse; residuals are read off the
+stored degrees, and the degree L+1 residual is completed from them.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, SparseRows, rank
-from .rep import DeformationSystem, Representation
+from .rep import DeformationSystem, Representation, combination
 
 
 class CheckFailed(Exception):
@@ -22,7 +29,15 @@ class CheckFailed(Exception):
 
 
 class Lift:
-    """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base."""
+    """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base.
+
+    A lift also holds the t-series of every node of its algebra's
+    generator tree (every prefix of every generating-relation path),
+    through degree order: series[node][d] is the t^d coefficient of that
+    prefix evaluated at the arrow polynomials.  The constructor grows them
+    degree by degree, `extended` adds the one new degree and `reduced`
+    slices them, so a residual is read off rather than re-expanded.
+    """
 
     def __init__(self, base: Representation, order: int, coeffs: dict):
         assert order >= 0
@@ -37,6 +52,18 @@ class Lift:
                 assert (m.nrows, m.ncols) == (base.dims[a.target], base.dims[a.source])
             self.coeffs[a.name] = series
         self.field = base.field
+        self.series = [[] for _ in range(len(base.algebra.generator_tree))]
+        for d in range(order + 1):
+            for series, value in zip(self.series, _series_degree(self, d)):
+                series.append(value)
+
+    @classmethod
+    def _of(cls, base: Representation, order: int, coeffs: dict, series: list) -> "Lift":
+        """A lift from parts that already agree with each other."""
+        lift = cls.__new__(cls)
+        lift.base, lift.order, lift.coeffs, lift.series = base, order, coeffs, series
+        lift.field = base.field
+        return lift
 
     @classmethod
     def trivial(cls, base: Representation, order: int = 0) -> "Lift":
@@ -48,17 +75,25 @@ class Lift:
 
     @classmethod
     def first_order(cls, base: Representation, b: dict) -> "Lift":
-        coeffs = {a.name: [base.mats[a.name], b[a.name]] for a in base.algebra.quiver.arrows}
-        return cls(base, 1, coeffs)
+        return cls.trivial(base).extended(b)
 
     def extended(self, b: dict) -> "Lift":
+        """This lift with degree order + 1 coefficients b; one new series degree."""
+        base = self.base
+        for a in base.algebra.quiver.arrows:
+            assert (b[a.name].nrows, b[a.name].ncols) == (base.dims[a.target], base.dims[a.source])
         coeffs = {name: series + [b[name]] for name, series in self.coeffs.items()}
-        return Lift(self.base, self.order + 1, coeffs)
+        out = Lift._of(base, self.order + 1, coeffs, self.series)
+        out.series = [series + [value]
+                      for series, value in zip(self.series, _series_degree(out, out.order))]
+        return out
 
     def reduced(self, to_order: int) -> "Lift":
         assert 0 <= to_order <= self.order
-        coeffs = {name: series[: to_order + 1] for name, series in self.coeffs.items()}
-        return Lift(self.base, to_order, coeffs)
+        n = to_order + 1
+        return Lift._of(self.base, to_order,
+                        {name: series[:n] for name, series in self.coeffs.items()},
+                        [series[:n] for series in self.series])
 
     def top_coefficients(self) -> dict:
         return {name: series[self.order] for name, series in self.coeffs.items()}
@@ -79,40 +114,51 @@ class Lift:
 # residuals
 
 
-def _path_poly(lift: Lift, path, max_deg: int) -> list:
-    """Coefficients 0..max_deg of the path evaluated at the arrow polynomials."""
-    field = lift.field
-    d_src = lift.base.dims[path.source]
-    out = [Matrix.identity(field, d_src)]
-    out += [Matrix.zeros(field, d_src, d_src) for _ in range(max_deg)]
-    for arrow in path.arrows:
-        series = lift.coeffs[arrow.name]
-        nxt = [Matrix.zeros(field, series[0].nrows, out[0].ncols) for _ in range(max_deg + 1)]
-        for d in range(max_deg + 1):
-            for i in range(min(d, lift.order) + 1):
-                coeff = series[i]
-                prev = out[d - i]
-                if not coeff.is_zero() and not prev.is_zero():
-                    nxt[d] = nxt[d] + coeff * prev
-        out = nxt
-    return out
+def _series_degree(lift: Lift, d: int) -> list:
+    """The t^d coefficient of every generator-tree node at the lift.
 
-
-def residual_coefficient(lift: Lift, rel, j: int) -> Matrix:
-    """t^j coefficient of one ideal generator evaluated at the lift."""
-    assert j <= lift.order + 1
+    Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), with C_i
+    the arrow's degree-i coefficient (zero above lift.order).  The parent's
+    degrees below d are read from lift.series, its degree d from this pass.
+    """
+    base = lift.base
     field = lift.field
-    first = rel.terms[0][1]
-    out = Matrix.zeros(field, lift.base.dims[first.target], lift.base.dims[first.source])
-    for coeff, path in rel.terms:
-        if coeff:
-            out = out + _path_poly(lift, path, j)[j].scale(coeff)
+    tree = base.algebra.generator_tree
+    support = {}  # arrow name -> its nonzero (degree, coefficient) pairs up to degree d
+    out = []
+    for parent, step, source in zip(tree.parents, tree.steps, tree.sources):
+        if parent < 0:
+            n = base.dims[step]
+            out.append(Matrix.identity(field, n) if d == 0 else Matrix.zeros(field, n, n))
+            continue
+        terms = support.get(step.name)
+        if terms is None:
+            coeffs = lift.coeffs[step.name][:d + 1]
+            terms = support[step.name] = [(i, c) for i, c in enumerate(coeffs) if not c.is_zero()]
+        below = lift.series[parent]
+        value = None
+        for i, coeff in terms:
+            factor = out[parent] if i == 0 else below[d - i]
+            if not factor.is_zero():
+                term = coeff * factor
+                value = term if value is None else value + term
+        out.append(Matrix.zeros(field, base.dims[step.target], base.dims[source])
+                   if value is None else value)
     return out
 
 
 def residual_coefficients(lift: Lift, j: int) -> list:
-    """The t^j residual of every ideal generator, in generator order."""
-    return [residual_coefficient(lift, rel, j) for rel in lift.base.algebra.generating_relations()]
+    """The t^j residual of every ideal generator, in generator order.
+
+    Degrees up to the lift's order are read off its series; degree
+    order + 1 is completed from them without being stored.
+    """
+    assert j <= lift.order + 1
+    values = [series[j] for series in lift.series] if j <= lift.order else _series_degree(lift, j)
+    algebra = lift.base.algebra
+    dims = lift.base.dims
+    return [combination(lift.field, dims[rel.target], dims[rel.source], terms, values)
+            for rel, terms in zip(algebra.generating_relations(), algebra.generator_terms)]
 
 
 def _vanishes(lift: Lift, j: int) -> bool:
@@ -332,8 +378,13 @@ def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None,
       C_0..C_(ell-1) equal the previous rung's coefficients
       (`reduction_is_hom`, `shift_in_is_hom`).  The degree-j residual
       depends on C_0..C_j only, so a rung coherent with a valid previous
-      rung is valid exactly when its degree-ell residual vanishes; any
-      other rung has every degree recomputed (`residuals_vanish`).
+      rung is valid exactly when its degree-ell residual vanishes, one
+      degree read off the rung's series; any other rung has every degree
+      checked (`residuals_vanish`).  A rung's series are always grown from
+      its own coefficients: a rung built on its own, a forged one
+      included, grows them from degree 0, and a rung sliced from a longer
+      lift shares that lift's degrees, which depend on the same
+      coefficients.
     - the degree-0 block against the base: block column ell of an arrow
       is C_0 in the top block, so the witness is a homomorphism exactly
       when C_0 is the base matrix (`witness_is_hom`).

@@ -1,9 +1,13 @@
 """Brute-force ground truth over small prime fields.
 
-Enumerates every coefficient tuple of a lift to a given order and keeps
-the ones whose residuals all vanish, independently of the incremental
-engine.  Intended for cross-checking on small cases; the point count is
-p to the power (entries per arrow times order).
+Finds every coefficient tuple of a lift to a given order whose residuals
+all vanish, independently of the incremental engine: no extension step and
+no deformation system decides validity.  The tuples are grown degree by
+degree, and only the valid ones are extended, since a valid lift truncates
+to a valid lift and the degree-j residual depends on degrees <= j only.
+Each extension adds one degree to its lift's path series.  Intended for
+cross-checking on small cases; the point count, which the budget is charged
+for, is p to the power (entries per arrow times order).
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lift import Lift, Obstruction, as_representation, extend_step, is_valid
+from .lift import (Lift, Obstruction, as_representation, extend_step, is_valid,
+                   residual_coefficients)
 from .linalg import AffineSolutionSpace, Matrix, in_row_span
 from .rep import DeformationSystem, Representation, iso_test
 
@@ -38,24 +43,28 @@ def coefficient_slots(v: Representation) -> list:
     return slots
 
 
+def _coefficients(v: Representation, values) -> dict:
+    """One degree's matrix per arrow, from its flat values in slot order."""
+    field = v.field
+    out = {}
+    pos = 0
+    for a in v.algebra.quiver.arrows:
+        rows, cols = v.dims[a.target], v.dims[a.source]
+        out[a.name] = (Matrix.from_rows(field, [values[pos + r * cols:pos + (r + 1) * cols]
+                                                for r in range(rows)])
+                       if rows else Matrix.zeros(field, 0, cols))
+        pos += rows * cols
+    return out
+
+
 def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
     """Rebuild a lift from the flat integer tuple (degrees 1..order)."""
-    field = v.field
-    slots = coefficient_slots(v)
-    assert len(point) == len(slots) * order
-    coeffs = {a.name: [v.mats[a.name]] for a in v.algebra.quiver.arrows}
-    pos = 0
-    for _ in range(order):
-        entries = {a.name: [[field.zero()] * v.dims[a.source] for _ in range(v.dims[a.target])]
-                   for a in v.algebra.quiver.arrows}
-        for name, r, c in slots:
-            entries[name][r][c] = point[pos]
-            pos += 1
-        for a in v.algebra.quiver.arrows:
-            coeffs[a.name].append(
-                Matrix.from_rows(field, entries[a.name]) if v.dims[a.target]
-                else Matrix.zeros(field, 0, v.dims[a.source]))
-    return Lift(v, order, coeffs)
+    width = len(coefficient_slots(v))
+    assert len(point) == width * order
+    lift = Lift.trivial(v)
+    for j in range(order):
+        lift = lift.extended(_coefficients(v, point[j * width:(j + 1) * width]))
+    return lift
 
 
 def point_from_lift(lift: Lift) -> tuple:
@@ -74,19 +83,34 @@ def _require_order(order: int, name: str = "order"):
 
 
 def _valid_points(v: Representation, order: int, budget: int) -> tuple:
+    """(number of points, the valid points in lexicographic order).
+
+    The budget is charged for every point, p^(slots * order), but points are
+    grown degree by degree: a valid lift truncates to a valid lift and the
+    degree-j residual depends on degrees <= j only, so each degree extends
+    only the valid points of the degree before, by every coefficient tuple.
+    """
     _require_order(order)
     field = v.field
     if field.p is None:
         raise ValueError("oracle enumeration needs a prime field")
-    slots = coefficient_slots(v)
-    total = field.p ** (len(slots) * order)
+    width = len(coefficient_slots(v))
+    total = field.p ** (width * order)
     if total > budget:
         raise BudgetExceeded("oracle enumeration", total, budget)
-    valid = []
-    for point in itertools.product(range(field.p), repeat=len(slots) * order):
-        if is_valid(lift_from_point(v, order, point)):
-            valid.append(point)
-    return total, valid
+    degree = [(values, _coefficients(v, values))
+              for values in itertools.product(range(field.p), repeat=width)]
+    trivial = Lift.trivial(v)
+    frontier = [((), trivial)] if is_valid(trivial) else []
+    for j in range(1, order + 1):
+        grown = []
+        for point, lift in frontier:
+            for values, b in degree:
+                extended = lift.extended(b)
+                if all(block.is_zero() for block in residual_coefficients(extended, j)):
+                    grown.append((point + values, extended))
+        frontier = grown
+    return total, [point for point, _ in frontier]
 
 
 def _first_degree_nontrivial(system: DeformationSystem, points: list) -> int:

@@ -49,6 +49,52 @@ class Path:
         return self.label()
 
 
+class PathTree:
+    """Every prefix of a family of paths, each stored once as a node.
+
+    A node is the trivial path at a vertex (parent -1, step the vertex) or
+    its parent node followed by one arrow (step that arrow).  Parents come
+    before their children, so one pass in node order evaluates every
+    prefix from its parent's value; paths that share a prefix share its
+    nodes.
+    """
+
+    def __init__(self, paths=()):
+        self.parents = []  # node -> parent node, -1 for a trivial path
+        self.steps = []  # node -> its last arrow, or the vertex of a trivial path
+        self.sources = []  # node -> source vertex of the prefix
+        self._nodes = {}  # (parent, arrow name or vertex) -> node
+        for path in paths:
+            self.add(path)
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def _child(self, parent: int, key: str, step, source: str) -> int:
+        node = self._nodes.get((parent, key))
+        if node is None:
+            node = self._nodes[(parent, key)] = len(self.parents)
+            self.parents.append(parent)
+            self.steps.append(step)
+            self.sources.append(source)
+        return node
+
+    def add(self, path: Path) -> int:
+        """The node of path, added with its prefixes unless already present."""
+        node = self._child(-1, path.source, path.source, path.source)
+        for arrow in path.arrows:
+            node = self._child(node, arrow.name, arrow, path.source)
+        return node
+
+    def fold(self, root, step) -> list:
+        """Values per node: root(vertex) at a trivial path, else
+        step(arrow, value of the parent)."""
+        values = []
+        for parent, s in zip(self.parents, self.steps):
+            values.append(root(s) if parent < 0 else step(s, values[parent]))
+        return values
+
+
 class Quiver:
     """A finite quiver with named vertices and arrows, in input order."""
 

@@ -30,7 +30,7 @@ from .linalg import (
     solve_affine,
     solve_matrix,
 )
-from .quiver import Path
+from .quiver import Path, PathTree
 
 
 class NotHereditary(Exception):
@@ -82,13 +82,18 @@ class Representation:
             out = self.mats[a.name] * out
         return out
 
+    def path_values(self, tree: PathTree) -> list:
+        """The matrix of every node of tree, one product per node."""
+        return tree.fold(lambda v: Matrix.identity(self.field, self.dims[v]),
+                         lambda a, below: self.mats[a.name] * below)
+
     def terms_value(self, terms) -> Matrix:
+        """A linear combination of parallel paths, shared prefixes evaluated once."""
+        tree = PathTree()
+        nodes = [(coeff, tree.add(p)) for coeff, p in terms if coeff]
         first = terms[0][1]
-        out = Matrix.zeros(self.field, self.dims[first.target], self.dims[first.source])
-        for coeff, p in terms:
-            if coeff:
-                out = out + self.path_matrix(p).scale(coeff)
-        return out
+        return combination(self.field, self.dims[first.target], self.dims[first.source],
+                           nodes, self.path_values(tree))
 
     def __eq__(self, other):
         return (
@@ -102,11 +107,28 @@ class Representation:
         return f"Representation(dims={self.dims})"
 
 
+def combination(field: FieldSpec, nrows: int, ncols: int, terms, values: list) -> Matrix:
+    """The sum of coeff * values[node] over (coeff, node) terms, an nrows x
+    ncols matrix; zero values are skipped."""
+    out = None
+    for coeff, node in terms:
+        value = values[node]
+        if value.is_zero():
+            continue
+        term = value if coeff == 1 else value.scale(coeff)
+        out = term if out is None else out + term
+    return Matrix.zeros(field, nrows, ncols) if out is None else out
+
+
 def validate(rep: Representation) -> list:
-    """Labels of violated ideal generators; empty means the module is valid."""
+    """Labels of violated ideal generators; empty means the module is valid.
+    Every prefix of the generator paths is evaluated once."""
+    algebra = rep.algebra
+    values = rep.path_values(algebra.generator_tree)
     bad = []
-    for rel in rep.algebra.generating_relations():
-        if not rep.terms_value(rel.terms).is_zero():
+    for rel, terms in zip(algebra.generating_relations(), algebra.generator_terms):
+        if not combination(rep.field, rep.dims[rel.target], rep.dims[rel.source],
+                           terms, values).is_zero():
             bad.append(rel.label())
     return bad
 
@@ -469,14 +491,22 @@ def projective_cover(m: Representation):
         p = direct_sum_many(summands)
     else:
         p = Representation(algebra, {}, {})
+    # the images of the lifts at v under every basis path from v, as the
+    # columns of one matrix per path, built along the path tree
+    tops = {v: [u for w, u in lifts if w == v] for v in quiver.vertices}
+    basis_paths = {v: [q for q in algebra.basis if q.source == v and tops[v]]
+                   for v in quiver.vertices}
+    tree = PathTree()
+    nodes = {v: [tree.add(q) for q in paths] for v, paths in basis_paths.items()}
+    values = tree.fold(lambda v: Matrix.from_columns(field, m.dims[v], tops[v]),
+                       lambda a, below: m.mats[a.name] * below)
     cover = {}
-    basis_paths = {v: [q for q in algebra.basis if q.source == v] for v in quiver.vertices}
     for w in quiver.vertices:
         cols = []
-        for (v, u), summand in zip(lifts, summands):
-            for q in basis_paths[v]:
-                if q.target == w:
-                    cols.append(list(m.path_matrix(q).apply(u)))
+        for v in quiver.vertices:
+            images = [values[node] for q, node in zip(basis_paths[v], nodes[v]) if q.target == w]
+            for j in range(len(tops[v])):
+                cols += [image.column(j) for image in images]
         cover[w] = Matrix.from_columns(field, m.dims[w], cols)
         if rank(cover[w]) != m.dims[w]:
             raise AssertionError(f"cover not surjective at vertex {w}")

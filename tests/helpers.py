@@ -3,10 +3,14 @@
 from pathlib import Path
 
 from defring import PresentedAlgebra, Representation, parse
+import itertools
+
 from defring.lift import (CheckFailed, LadderCheck, LadderTranscript, as_representation,
                           is_valid)
-from defring.linalg import Matrix, rank, solve_matrix
-from defring.rep import DeformationSystem, MapLayout, is_homomorphism
+from defring.linalg import Matrix, rank, row_space, solve_matrix
+from defring.oracle import coefficient_slots, lift_from_point
+from defring.rep import (DeformationSystem, MapLayout, direct_sum_many, is_homomorphism,
+                         radical_subspaces)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -27,6 +31,82 @@ def load_algebra(name):
 def load_module(name, module_name):
     src, algebra = load_algebra(name)
     return Representation.from_module_def(algebra, src.modules[module_name])
+
+
+# ----------------------------------------------------------------------
+# references for the path series of a lift and the evaluation of paths
+
+
+def reference_path_poly(lift, path, max_deg):
+    """Coefficients 0..max_deg of the path evaluated at the arrow polynomials,
+    expanded from degree 0 arrow by arrow."""
+    field = lift.field
+    d_src = lift.base.dims[path.source]
+    out = [Matrix.identity(field, d_src)]
+    out += [Matrix.zeros(field, d_src, d_src) for _ in range(max_deg)]
+    for arrow in path.arrows:
+        series = lift.coeffs[arrow.name]
+        nxt = [Matrix.zeros(field, series[0].nrows, out[0].ncols) for _ in range(max_deg + 1)]
+        for d in range(max_deg + 1):
+            for i in range(min(d, lift.order) + 1):
+                coeff = series[i]
+                prev = out[d - i]
+                if not coeff.is_zero() and not prev.is_zero():
+                    nxt[d] = nxt[d] + coeff * prev
+        out = nxt
+    return out
+
+
+def reference_residual_coefficients(lift, j):
+    """The t^j residual of every ideal generator, each path expanded anew."""
+    out = []
+    for rel in lift.base.algebra.generating_relations():
+        first = rel.terms[0][1]
+        block = Matrix.zeros(lift.field, lift.base.dims[first.target],
+                             lift.base.dims[first.source])
+        for coeff, path in rel.terms:
+            if coeff:
+                block = block + reference_path_poly(lift, path, j)[j].scale(coeff)
+        out.append(block)
+    return out
+
+
+def reference_valid_points(v, order):
+    """Every coefficient tuple of degrees 1..order, filtered by the reference
+    residuals: (number of points, valid points in lexicographic order)."""
+    width = len(coefficient_slots(v))
+    valid = []
+    for point in itertools.product(range(v.field.p), repeat=width * order):
+        lift = lift_from_point(v, order, point)
+        if all(block.is_zero() for j in range(order + 1)
+               for block in reference_residual_coefficients(lift, j)):
+            valid.append(point)
+    return v.field.p ** (width * order), valid
+
+
+def reference_projective_cover(m):
+    """projective_cover with every basis path multiplied out from scratch and
+    applied to each top vector on its own."""
+    algebra = m.algebra
+    field = m.field
+    quiver = algebra.quiver
+    rad = radical_subspaces(m)
+    lifts = []
+    for v in quiver.vertices:
+        pivot_set = set(row_space(rad[v], field, m.dims[v]).pivots)
+        for c in range(m.dims[v]):
+            if c not in pivot_set:
+                unit = [field.zero()] * m.dims[v]
+                unit[c] = field.one()
+                lifts.append((v, tuple(unit)))
+    summands = [algebra.left_projective(v) for v, _ in lifts]
+    p = direct_sum_many(summands) if summands else Representation(algebra, {}, {})
+    cover = {}
+    for w in quiver.vertices:
+        cols = [list(m.path_matrix(q).apply(u)) for v, u in lifts
+                for q in algebra.basis if q.source == v and q.target == w]
+        cover[w] = Matrix.from_columns(field, m.dims[w], cols)
+    return p, cover
 
 
 # ----------------------------------------------------------------------

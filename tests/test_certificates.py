@@ -157,6 +157,17 @@ def test_malformed_ladder_entries_fail_to_parse():
         assert "ladder_parses" in result.failures, (path, value)
 
 
+@pytest.mark.parametrize("value", [1, [["1"]], [[]]], ids=["int", "matrix", "empty"])
+def test_ladder_entries_naming_an_unknown_arrow_fail_to_parse(value):
+    blob = report_for("kx3_f5.alg", "V")
+    for entry in range(len(json.loads(blob)["ladder"])):
+        bad = _tampered(blob, ["ladder", entry, "matrices", "extra"], value)
+        result = verify_report(read_corpus("kx3_f5.alg"), "V", bad)
+        assert not result.ok
+        assert result.failures == ["ladder_parses"]
+        assert any("unknown arrow extra" in line for line in result.lines)
+
+
 def test_verify_cli_rejects_malformed_report(tmp_path, capsys):
     for body in ("[]", '{"verdict": 3}'):
         path = tmp_path / "report.json"

@@ -418,3 +418,51 @@ def test_truncated_classify_builds_each_hom_equations_once(monkeypatch):
     calls.clear()
     assert verify_report(read_corpus("kx3_f5.alg"), "V", serialize_report(report)).ok
     assert set(_builds_per_pair(calls)) == {1}
+
+
+def _truncated_loop(n):
+    return (f"field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {n}\n\n"
+            "module V\n  dim v = 1\n  mat x = [[0]]\n")
+
+
+def test_matrix_products_grow_about_linearly_with_the_ladder(monkeypatch):
+    # classify plus verify_report of the simple module of k[x]/(x^n) over F_3;
+    # a ladder that re-expands every path from degree 0 at every order makes
+    # 3.8x the products at n = 40 that it makes at n = 20
+    import defring.linalg
+    original = defring.linalg.Matrix.__mul__
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(defring.linalg.Matrix, "__mul__", counting)
+    products = {}
+    for n in (20, 40):
+        calls.clear()
+        text = _truncated_loop(n)
+        report = classify(parse(text), "V", ClassifyConfig(max_order=n))
+        assert (report.verdict.type, report.verdict.n) == ("finite", n - 1)
+        assert verify_report(text, "V", serialize_report(report)).ok
+        products[n] = len(calls)
+    assert products[40] <= 2.5 * products[20], products
+
+
+@pytest.mark.parametrize("name,module", [("kx3_f5.alg", "V"), ("a2_f5.alg", "P1"),
+                                         ("kx2_f5.alg", "PV")])
+def test_classify_and_verify_leave_no_reference_cycles(name, module):
+    # what one run builds (algebra, projectives, lifts and their series) is
+    # freed by reference counting alone, not left for the cycle collector
+    import gc
+    text = read_corpus(name)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        blob = serialize_report(classify(parse(text), module))
+        assert verify_report(text, module, blob).ok
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

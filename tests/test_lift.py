@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,10 @@ from defring import (
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
-from helpers import (base_embedding, dense_verify_ladder, load_module, reference_coboundary_vectors,
-                     reference_deformation_matrix, reference_shift_checks, shift_endomorphism)
+from helpers import (base_embedding, dense_verify_ladder, load_module, read_corpus,
+                     reference_coboundary_vectors, reference_deformation_matrix,
+                     reference_residual_coefficients, reference_shift_checks,
+                     shift_endomorphism)
 
 
 def unit_lift(v, *degrees):
@@ -287,7 +291,7 @@ def tangent_one_ladders(draw):
                                           source.modules["M"])
     assume(validate(base) == [] and tangent_dimension(base) == 1)
     ladder = ladder_search(base, max_order=4).ladder
-    kind = draw(st.sampled_from(["search", "perturbed", "incoherent", "coboundary"]))
+    kind = draw(st.sampled_from(["search", "perturbed", "incoherent", "rebased", "coboundary"]))
     arrow = draw(st.sampled_from(list(loops)))
     r, c = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     if kind == "perturbed":
@@ -303,6 +307,17 @@ def tangent_one_ladders(draw):
         coeffs = {a: list(series) for a, series in chain[i].coeffs.items()}
         coeffs[arrow][k] = _bump(coeffs[arrow][k], r, c)
         chain[i] = Lift(base, i + 1, coeffs)
+        return Ladder(base, chain)
+    if kind == "rebased":
+        # rung i and every rung above it carry one edit below rung i's order,
+        # so the rungs above are coherent with a rung that is not
+        chain = list(ladder.chain)
+        i = draw(st.integers(min(1, len(chain) - 1), len(chain) - 1))
+        k = draw(st.integers(1, max(1, i)))
+        for j in range(i, len(chain)):
+            coeffs = {a: list(series) for a, series in chain[j].coeffs.items()}
+            coeffs[arrow][k] = _bump(coeffs[arrow][k], r, c)
+            chain[j] = Lift(base, j + 1, coeffs)
         return Ladder(base, chain)
     if kind == "coboundary":
         layout = DeformationSystem(base, base).layout
@@ -325,3 +340,68 @@ def test_verify_ladder_matches_dense_reference(ladder):
         return [(c.name, c.order, c.ok, c.detail) for c in transcript.checks]
 
     assert rows(verify_ladder(ladder)) == rows(dense_verify_ladder(ladder))
+
+
+# ----------------------------------------------------------------------
+# the path series a lift carries
+
+J3_XY = """\
+field F 5
+quiver
+  vertex v
+  arrow x: v -> v
+  arrow y: v -> v
+truncate 3
+
+module M
+  dim v = 3
+  mat x = [[0,0,0],[1,0,0],[0,1,0]]
+  mat y = [[0,0,0],[0,0,0],[1,0,0]]
+"""
+
+SERIES_BASES = [(read_corpus("kx2_rel_f5.alg"), "P1"), (read_corpus("parallel_rel_f3.alg"), "M"),
+                (J3_XY, "M")]
+
+
+def _with_field(text, field):
+    return "\n".join(f"field {field}" if line.startswith("field ") else line
+                      for line in text.splitlines()) + "\n"
+
+
+@st.composite
+def random_lifts(draw):
+    """A lift over kx2_rel_f5 P1, parallel_rel_f3 M or M over k<x,y>/J^3, grown
+    by a random sequence of extended and reduced calls; fields F_2, F_5 and Q,
+    with fractional entries over Q."""
+    text, name = draw(st.sampled_from(SERIES_BASES))
+    field = draw(st.sampled_from(["F 2", "F 5", "Q"]))
+    source = parse(_with_field(text, field))
+    base = Representation.from_module_def(PresentedAlgebra.from_source(source),
+                                          source.modules[name])
+    values = (st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]) if field == "Q"
+              else st.sampled_from([0, 0, 0, 1, 2, 3, 4]))
+    lift = Lift.trivial(base, draw(st.integers(0, 2)))
+    history = [lift]
+    for op in draw(st.lists(st.sampled_from(["extended", "extended", "reduced"]), max_size=6)):
+        if op == "reduced":
+            lift = lift.reduced(draw(st.integers(0, lift.order)))
+        else:
+            b = {}
+            for a in base.algebra.quiver.arrows:
+                rows, cols = base.dims[a.target], base.dims[a.source]
+                b[a.name] = Matrix.from_rows(
+                    base.field, [[draw(values) for _ in range(cols)] for _ in range(rows)])
+            lift = lift.extended(b)
+        history.append(lift)
+    return history
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lifts())
+def test_series_residuals_match_reference(history):
+    for lift in history:
+        for j in range(lift.order + 2):
+            assert residual_coefficients(lift, j) == reference_residual_coefficients(lift, j), j
+        # the series of a grown lift are those the constructor grows from scratch
+        assert Lift(lift.base, lift.order, lift.coeffs).series == lift.series
+        assert is_valid(lift) == (validate(as_representation(lift)) == [])

@@ -22,7 +22,7 @@ from defring.oracle import (
     point_from_lift,
     valid_point_set,
 )
-from helpers import load_module
+from helpers import load_module, reference_valid_points
 
 
 def test_coefficient_slots_row_major():
@@ -83,6 +83,19 @@ def test_valid_points_are_valid_lifts():
         lift = lift_from_point(v, 3, point)
         assert is_valid(lift)
         assert validate(as_representation(lift)) == []
+
+
+@pytest.mark.parametrize("name,module,order", [
+    ("kx2_f2.alg", "V", 4), ("kx3_f2.alg", "V", 4), ("kx2_rel_f5.alg", "V", 3),
+    ("kx2_f3.alg", "V", 3), ("kx3_f3.alg", "V", 3), ("parallel_rel_f3.alg", "M", 2),
+    ("kronecker_f2.alg", "M11", 3), ("loop_free_f3.alg", "V", 3),
+    ("kx2_f5.alg", "V", 3), ("kx2_rel_f5.alg", "P1", 1), ("a2_f5.alg", "P1", 2),
+])
+def test_degree_by_degree_points_match_product_enumeration(name, module, order):
+    v = load_module(name, module)
+    total, valid = reference_valid_points(v, order)
+    assert enumerate_lifts(v, order).total_points == total
+    assert valid_point_set(v, order) == valid
 
 
 def test_incremental_matches_brute_force():

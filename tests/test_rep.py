@@ -30,7 +30,7 @@ from defring.rep import (NotHereditary, NotInvariant, hom_equations, is_homomorp
                          sub_from_maps)
 from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
                      reference_coboundary_vectors, reference_deformation_matrix,
-                     reference_hom_equations)
+                     reference_hom_equations, reference_projective_cover)
 
 THREE_CHAIN = """\
 field F 5
@@ -325,3 +325,37 @@ def test_sparse_equations_match_dense_reference():
         ech = row_space(cob, m.field, system.layout.total)
         assert system.coboundaries.pivots == ech.pivots, label
         assert system.coboundaries.rows == ech.rows, label
+
+
+def test_projective_cover_matches_path_matrix_reference():
+    # every truncated corpus module, P+S over k<x,y>/J^3 (F_5 and Q) and a ladder top
+    modules = [(label, m) for label, m, _ in _equation_pairs() if not m.algebra.hereditary]
+    assert len(modules) >= 25
+    for label, m in modules:
+        assert projective_cover(m) == reference_projective_cover(m), label
+
+
+def _all_ones(m):
+    mats = {a.name: Matrix.from_rows(m.field, [[1] * m.dims[a.source]] * m.dims[a.target])
+            if m.dims[a.target] else Matrix.zeros(m.field, 0, m.dims[a.source])
+            for a in m.algebra.quiver.arrows}
+    return Representation(m.algebra, m.dims, mats)
+
+
+def test_validate_and_terms_value_match_path_matrix_sums():
+    reps = [m for _, m, n in _equation_pairs() if m is n]
+    reps += [_all_ones(m) for m in reps]
+    flagged = 0
+    for m in reps:
+        bad = []
+        for rel in m.algebra.generating_relations():
+            first = rel.terms[0][1]
+            expected = Matrix.zeros(m.field, m.dims[first.target], m.dims[first.source])
+            for coeff, path in rel.terms:
+                expected = expected + m.path_matrix(path).scale(coeff)
+            assert m.terms_value(rel.terms) == expected
+            if not expected.is_zero():
+                bad.append(rel.label())
+        assert validate(m) == bad
+        flagged += bool(bad)
+    assert flagged >= 10
