@@ -34,7 +34,6 @@ from .dsl import (
 )
 from .fields import FieldSpec
 from .lift import (
-    CheckFailed,
     Ladder,
     LadderTranscript,
     Lift,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arrow",
     "BudgetExceeded",
-    "CheckFailed",
     "Checks",
     "ClassificationReport",
     "ClassifyConfig",

@@ -15,7 +15,7 @@ from .algebra import PresentedAlgebra
 from .classify import (nontriviality_checks_pass, sigma_checks_pass,
                        source_digest, tangent_dimension, top_checks)
 from .dsl import field_to_json, parse
-from .lift import Ladder, Lift, verify_ladder
+from .lift import Ladder, Lift, as_representation, verify_ladder
 from .linalg import Matrix
 from .rep import DeformationSystem, Representation, validate
 
@@ -31,25 +31,47 @@ class VerificationResult:
         return "\n".join([head] + [f"  {line}" for line in self.lines])
 
 
+REPORT_KEYS = {"input_digest", "field", "tangent_dim", "verdict", "ladder", "checks", "notes"}
+CHECK_KEYS = {"hom_top_dim", "ext_top_dim", "sigma_nilpotent", "first_order_nontrivial"}
+# the keys of a verdict of each type; an unproved power_series adds max_order_checked
+VERDICT_KEYS = {"point": {"type"}, "out_of_scope": {"type"}, "inconclusive": {"type"},
+                "finite": {"type", "N", "proved"}, "power_series": {"type", "proved"}}
+
+
 def _shape_problem(report) -> str | None:
-    """Why a decoded report cannot be read field by field, or None."""
+    """Why a decoded report cannot be read field by field, or None.  A key
+    that no report of its kind carries would be a claim nothing checks."""
     if not isinstance(report, dict):
         return f"report is a {type(report).__name__}, not an object"
+    if not set(report) <= REPORT_KEYS:
+        return f"unknown keys {sorted(set(report) - REPORT_KEYS)}"
     for key, kind, name in (("verdict", dict, "an object"), ("checks", dict, "an object"),
                             ("ladder", list, "a list")):
         if not isinstance(report.get(key), kind):
             return f"{key} is not {name}"
+    if set(report["checks"]) != CHECK_KEYS:
+        return f"checks has keys {sorted(report['checks'])}, not {sorted(CHECK_KEYS)}"
     verdict = report["verdict"]
     if not isinstance(verdict.get("proved", False), bool):
         return "verdict.proved is not a boolean"
     for key in ("N", "max_order_checked"):
         if key in verdict and type(verdict[key]) is not int:
             return f"verdict.{key} is not an integer"
+    vtype = verdict.get("type")
+    keys = VERDICT_KEYS.get(vtype, set()) if isinstance(vtype, str) else set()
+    if vtype == "power_series" and verdict.get("proved") is False:
+        keys = keys | {"max_order_checked"}
+    if keys and set(verdict) != keys:
+        return f"a {vtype} verdict has the keys {sorted(keys)}, not {sorted(verdict)}"
     return None
 
 
 def _same(claimed, recomputed) -> bool:
-    """Equal in type as well as value, so true never stands for 1, nor 1.0 for true."""
+    """Equal in type as well as value, inside objects too, so true never
+    stands for 1, nor 1.0 for 1."""
+    if isinstance(recomputed, dict):
+        return (type(claimed) is dict and claimed.keys() == recomputed.keys()
+                and all(_same(claimed[key], value) for key, value in recomputed.items()))
     return type(claimed) is type(recomputed) and claimed == recomputed
 
 
@@ -113,7 +135,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         return VerificationResult(False, failures, lines)
     source = parse(source_text, filename)
     check("input_digest", report.get("input_digest") == source_digest(source))
-    check("field", report.get("field") == field_to_json(source.field))
+    check("field", _same(report.get("field"), field_to_json(source.field)))
     if module_name not in source.modules:
         check("module_exists", False, module_name)
         return VerificationResult(False, failures, lines)
@@ -135,13 +157,13 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     ladder_entries = report["ladder"]
     checks = report["checks"]
 
-    if vtype == "point":
-        check("verdict_point_tangent_zero", tangent == 0)
+    if vtype in ("point", "out_of_scope"):
+        if vtype == "point":
+            check("verdict_point_tangent_zero", tangent == 0)
+        else:
+            check("verdict_out_of_scope_tangent", tangent >= 2)
         check("ladder_empty", not ladder_entries)
-        return VerificationResult(not failures, failures, lines)
-    if vtype == "out_of_scope":
-        check("verdict_out_of_scope_tangent", tangent >= 2)
-        check("ladder_empty", not ladder_entries)
+        check("checks_null", all(value is None for value in checks.values()))
         return VerificationResult(not failures, failures, lines)
 
     check("tangent_is_one", tangent == 1)
@@ -165,8 +187,6 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     else:
         passed = sum(1 for entry in transcript.checks if entry.ok)
         lines.append(f"ladder transcript: {passed}/{len(transcript.checks)} checks pass")
-
-    from .lift import as_representation
 
     top = as_representation(ladder.top)
     top_problems = validate(top)

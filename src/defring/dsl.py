@@ -88,21 +88,16 @@ def _tokenize(text: str, lineno: int) -> list:
 
 @dataclass(frozen=True)
 class Relation:
-    """A linear combination of parallel paths, declared equal to zero."""
+    """A linear combination of parallel paths, declared equal to zero.
+    Two relations are equal when their terms are."""
 
     terms: tuple
-    source: str
-    target: str
-    line: int = 0
+    source: str = dc_field(compare=False)
+    target: str = dc_field(compare=False)
+    line: int = dc_field(default=0, compare=False)
 
     def label(self) -> str:
         return render_relation(self)
-
-    def __eq__(self, other):
-        return isinstance(other, Relation) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
 
 @dataclass
@@ -113,14 +108,6 @@ class ModuleDef:
     dims: dict
     mats: dict
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleDef)
-            and self.name == other.name
-            and self.dims == other.dims
-            and self.mats == other.mats
-        )
-
 
 @dataclass
 class SourceFile:
@@ -129,21 +116,11 @@ class SourceFile:
     truncate: int | None
     relations: list
     modules: dict
-    name: str = "<input>"
+    name: str = dc_field(default="<input>", compare=False)
 
     @property
     def hereditary(self) -> bool:
         return self.truncate is None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SourceFile)
-            and self.field == other.field
-            and self.quiver == other.quiver
-            and self.truncate == other.truncate
-            and self.relations == other.relations
-            and self.modules == other.modules
-        )
 
 
 class _Parser:

@@ -24,10 +24,6 @@ from .linalg import Matrix, SparseRows, rank
 from .rep import DeformationSystem, Representation, combination
 
 
-class CheckFailed(Exception):
-    """A ladder certificate check did not hold."""
-
-
 class Lift:
     """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base.
 
@@ -254,20 +250,14 @@ def as_representation(lift: Lift) -> Representation:
     dims = {v: (ell + 1) * base.dims[v] for v in base.algebra.quiver.vertices}
     mats = {}
     for a in base.algebra.quiver.arrows:
-        dt, ds = base.dims[a.target], base.dims[a.source]
-        zero = Matrix.zeros(field, dims[a.target], dims[a.source])
-        data = [list(row) for row in zero.rows()]
+        series = lift.coeffs[a.name]
+        zero = [field.zero()] * base.dims[a.source]
+        data = []
         for bi in range(ell + 1):
-            for bj in range(bi + 1):
-                block = lift.coeffs[a.name][bi - bj]
-                if block.is_zero():
-                    continue
-                for r in range(dt):
-                    for c in range(ds):
-                        data[bi * dt + r][bj * ds + c] = block[r, c]
-        mats[a.name] = (
-            Matrix.from_rows(field, data) if dims[a.target] else Matrix.zeros(field, 0, dims[a.source])
-        )
+            for r in range(base.dims[a.target]):
+                for bj in range(ell + 1):
+                    data += series[bi - bj].row(r) if bj <= bi else zero
+        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], data)
     return Representation(base.algebra, dims, mats)
 
 
@@ -351,8 +341,7 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
     return (power * shift).is_zero(), nonzero, kernel, image
 
 
-def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None,
-                  strict: bool = False) -> LadderTranscript:
+def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None) -> LadderTranscript:
     """Replay every certificate check of a ladder.
 
     Checks per rung: residual vanishing, coherence with the previous rung,
@@ -408,8 +397,6 @@ def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None,
 
     def add(name, order, ok, detail=""):
         checks.append(LadderCheck(name, order, bool(ok), detail))
-        if strict and not ok:
-            raise CheckFailed(f"order {order}: {name} {detail}".strip())
 
     if system is None:
         system = DeformationSystem(base, base)

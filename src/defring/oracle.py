@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .lift import (Lift, Obstruction, as_representation, extend_step, is_valid,
                    residual_coefficients)
-from .linalg import AffineSolutionSpace, Matrix, in_row_span
-from .rep import DeformationSystem, Representation, iso_test
+from .linalg import AffineSolutionSpace, in_row_span
+from .rep import DeformationSystem, Representation, arrow_layout, iso_test
 
 DEFAULT_BUDGET = 10**7
 
@@ -34,47 +34,29 @@ class BudgetExceeded(Exception):
 
 
 def coefficient_slots(v: Representation) -> list:
-    """Matrix entry positions of one degree, in arrow then row-major order."""
-    slots = []
-    for a in v.algebra.quiver.arrows:
-        for r in range(v.dims[a.target]):
-            for c in range(v.dims[a.source]):
-                slots.append((a.name, r, c))
-    return slots
-
-
-def _coefficients(v: Representation, values) -> dict:
-    """One degree's matrix per arrow, from its flat values in slot order."""
-    field = v.field
-    out = {}
-    pos = 0
-    for a in v.algebra.quiver.arrows:
-        rows, cols = v.dims[a.target], v.dims[a.source]
-        out[a.name] = (Matrix.from_rows(field, [values[pos + r * cols:pos + (r + 1) * cols]
-                                                for r in range(rows)])
-                       if rows else Matrix.zeros(field, 0, cols))
-        pos += rows * cols
-    return out
+    """Matrix entry positions of one degree, (arrow, row, column), in the
+    order of the deformation system's coordinates: arrow then row-major."""
+    return [(name, r, c) for name, rows, cols in arrow_layout(v, v).shapes
+            for r in range(rows) for c in range(cols)]
 
 
 def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
-    """Rebuild a lift from the flat integer tuple (degrees 1..order)."""
-    width = len(coefficient_slots(v))
+    """Rebuild a lift from a flat tuple of residues, degree 1 first, each
+    degree in the coordinates of `arrow_layout(v, v)`."""
+    layout = arrow_layout(v, v)
+    width = layout.total
     assert len(point) == width * order
     lift = Lift.trivial(v)
     for j in range(order):
-        lift = lift.extended(_coefficients(v, point[j * width:(j + 1) * width]))
+        lift = lift.extended(layout.unpack(point[j * width:(j + 1) * width]))
     return lift
 
 
 def point_from_lift(lift: Lift) -> tuple:
     """Flatten a lift's coefficients of degrees 1..order to residues."""
-    slots = coefficient_slots(lift.base)
-    out = []
-    for j in range(1, lift.order + 1):
-        for name, r, c in slots:
-            out.append(lift.coeffs[name][j][r, c])
-    return tuple(out)
+    layout = arrow_layout(lift.base, lift.base)
+    return tuple(x for j in range(1, lift.order + 1)
+                 for x in layout.pack({name: series[j] for name, series in lift.coeffs.items()}))
 
 
 def _require_order(order: int, name: str = "order"):
@@ -94,12 +76,12 @@ def _valid_points(v: Representation, order: int, budget: int) -> tuple:
     field = v.field
     if field.p is None:
         raise ValueError("oracle enumeration needs a prime field")
-    width = len(coefficient_slots(v))
-    total = field.p ** (width * order)
+    layout = arrow_layout(v, v)
+    total = field.p ** (layout.total * order)
     if total > budget:
         raise BudgetExceeded("oracle enumeration", total, budget)
-    degree = [(values, _coefficients(v, values))
-              for values in itertools.product(range(field.p), repeat=width)]
+    degree = [(values, layout.unpack(values))
+              for values in itertools.product(range(field.p), repeat=layout.total)]
     trivial = Lift.trivial(v)
     frontier = [((), trivial)] if is_valid(trivial) else []
     for j in range(1, order + 1):

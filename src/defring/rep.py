@@ -147,17 +147,15 @@ def direct_sum_many(parts: list) -> Representation:
     dims = {v: sum(p.dims[v] for p in parts) for v in algebra.quiver.vertices}
     mats = {}
     for a in algebra.quiver.arrows:
-        zero = Matrix.zeros(field, dims[a.target], dims[a.source])
-        data = [list(row) for row in zero.rows()]
-        r0 = c0 = 0
+        data, left = [], 0
         for p in parts:
             block = p.mats[a.name]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    data[r0 + i][c0 + j] = block[i, j]
-            r0 += p.dims[a.target]
-            c0 += p.dims[a.source]
-        mats[a.name] = Matrix.from_rows(field, data) if dims[a.target] else Matrix.zeros(field, 0, dims[a.source])
+            before = [field.zero()] * left
+            after = [field.zero()] * (dims[a.source] - left - block.ncols)
+            for row in block.rows():
+                data += before + list(row) + after
+            left += block.ncols
+        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], data)
     return Representation(algebra, dims, mats)
 
 
@@ -198,6 +196,13 @@ class MapLayout:
 
     def zero_vector(self) -> tuple:
         return (self.field.zero(),) * self.total
+
+
+def arrow_layout(m: Representation, n: Representation) -> MapLayout:
+    """Coordinates of one matrix per arrow a, dim N(target a) x dim M(source a),
+    in arrow order: the unknowns of the deformation system of (m, n)."""
+    return MapLayout(m.field, [(a.name, n.dims[a.target], m.dims[a.source])
+                               for a in m.algebra.quiver.arrows])
 
 
 # ----------------------------------------------------------------------
@@ -304,12 +309,22 @@ def _invertible(maps: dict, dims: dict) -> bool:
     return True
 
 
-def iso_test(m: Representation, n: Representation, *, point_budget: int = 10**6,
-             trials: int = 200, seed: int = 20240811) -> IsoResult:
+# iso_test sweeps a prime field's Hom(M, N) whole if it has at most
+# ISO_POINT_BUDGET elements; otherwise it tries the unit vectors, the
+# all-ones vector and ISO_TRIALS vectors with entries in -3..3 drawn from
+# Random(ISO_SEED)
+ISO_POINT_BUDGET = 10**6
+ISO_TRIALS = 200
+ISO_SEED = 20240811
+
+
+def iso_test(m: Representation, n: Representation) -> IsoResult:
     """Certified Iso or NotIso where possible, Unknown otherwise.
 
     NotIso is only ever certified by a dimension-vector mismatch or by
     asymmetric Hom dimensions; a fruitless search is reported as Unknown.
+    The candidates are tried in a fixed order and the first isomorphism
+    is the witness.
     """
     _same_algebra(m, n)
     field = m.field
@@ -328,33 +343,19 @@ def iso_test(m: Representation, n: Representation, *, point_budget: int = 10**6,
     if h == 0:
         return IsoResult("unknown")
 
-    def check(candidate: dict):
+    if field.is_prime_field and field.p ** h <= ISO_POINT_BUDGET:
+        candidates = filter(any, itertools.product(range(field.p), repeat=h))
+    else:
+        # drawn lazily, as the search reaches them
+        rng = random.Random(ISO_SEED)
+        candidates = itertools.chain(
+            ([field.one() if j == i else field.zero() for j in range(h)] for i in range(h)),
+            [[field.one()] * h],
+            ([field.scalar(rng.randint(-3, 3)) for _ in range(h)] for _ in range(ISO_TRIALS)))
+    for coeffs in candidates:
+        candidate = hom_mn.element(coeffs)
         if _invertible(candidate, m.dims) and is_homomorphism(m, n, candidate):
             return IsoResult("iso", witness=candidate)
-        return None
-
-    if field.is_prime_field and field.p ** h <= point_budget:
-        for coeffs in itertools.product(range(field.p), repeat=h):
-            if all(c == 0 for c in coeffs):
-                continue
-            hit = check(hom_mn.element(coeffs))
-            if hit:
-                return hit
-        return IsoResult("unknown")
-    # rationals, or a prime field too large to sweep: deterministic trials
-    probes = []
-    for i in range(h):
-        coeffs = [field.zero()] * h
-        coeffs[i] = field.one()
-        probes.append(coeffs)
-    probes.append([field.one()] * h)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        probes.append([field.scalar(rng.randint(-3, 3)) for _ in range(h)])
-    for coeffs in probes:
-        hit = check(hom_mn.element(coeffs))
-        if hit:
-            return hit
     return IsoResult("unknown")
 
 
@@ -420,12 +421,9 @@ def _quotient_with_projection(m: Representation, bases: dict):
 
     proj = {}
     for v in m.algebra.quiver.vertices:
-        cols = []
-        for j in range(m.dims[v]):
-            unit = [field.zero()] * m.dims[v]
-            unit[j] = field.one()
-            cols.append(list(project(v, tuple(unit))))
-        proj[v] = Matrix.from_columns(field, len(free[v]), cols)
+        identity = Matrix.identity(field, m.dims[v])
+        proj[v] = Matrix.from_columns(field, len(free[v]),
+                                      [project(v, identity.column(j)) for j in range(m.dims[v])])
     mats = {}
     for a in m.algebra.quiver.arrows:
         # stability check: each subspace vector must map into the target subspace
@@ -441,13 +439,8 @@ def _quotient_with_projection(m: Representation, bases: dict):
 
 def _pseudo_section(m: Representation, free: dict, v: str) -> Matrix:
     """Standard-basis lift of quotient coordinates (free coordinates of v)."""
-    field = m.field
-    cols = []
-    for f in free[v]:
-        unit = [field.zero()] * m.dims[v]
-        unit[f] = field.one()
-        cols.append(unit)
-    return Matrix.from_columns(field, m.dims[v], cols)
+    identity = Matrix.identity(m.field, m.dims[v])
+    return Matrix.from_columns(m.field, m.dims[v], [identity.column(f) for f in free[v]])
 
 
 def radical(m: Representation) -> Representation:
@@ -479,13 +472,9 @@ def projective_cover(m: Representation):
     rad = radical_subspaces(m)
     lifts = []  # (vertex, standard-basis lift vector)
     for v in quiver.vertices:
-        ech = row_space(rad[v], field, m.dims[v])
-        pivot_set = set(ech.pivots)
-        for c in range(m.dims[v]):
-            if c not in pivot_set:
-                unit = [field.zero()] * m.dims[v]
-                unit[c] = field.one()
-                lifts.append((v, tuple(unit)))
+        pivot_set = set(row_space(rad[v], field, m.dims[v]).pivots)
+        identity = Matrix.identity(field, m.dims[v])
+        lifts += [(v, identity.column(c)) for c in range(m.dims[v]) if c not in pivot_set]
     summands = [algebra.left_projective(v) for v, _ in lifts]
     if summands:
         p = direct_sum_many(summands)
@@ -636,19 +625,30 @@ def hom_stable(m: Representation, n: Representation,
 # first-order deformation system
 
 
+def _add_scaled(entries: dict, c, part: dict):
+    """entries += c * part, for {column: value} dicts."""
+    for col, y in part.items():
+        y = y if c == 1 else c * y
+        entries[col] = entries[col] + y if col in entries else y
+
+
 class DeformationSystem:
     """The linear part of the relation equations around a pair (M, N).
 
     Unknowns are per-arrow matrices B_a of shape dim N(target) x
     dim M(source).  For every ideal generator the directional derivative
     replaces one arrow occurrence at a time by B, with N matrices to the
-    left of the replacement and M matrices to the right.  The kernel is
-    the cocycle space; for M == N it is also the space of valid
-    first-order lift coefficients, and the same equations drive every
-    higher-order extension step.  The equations are sparse rows, one per
-    generator and entry of its block, filled from the nonzero entries of
-    the arrow matrices; most of them are zero rows.  The cocycles and the
-    coboundaries, whose quotient is Ext^1(M, N), are each computed once.
+    left of the replacement and M matrices to the right.  It is folded
+    along the algebra's generator tree: the node parent-then-a has
+    D(node) = N_a·D(parent) + B_a·M(parent), so a prefix shared by
+    generator paths is differentiated once.  The kernel is the cocycle
+    space; for M == N it is also the space of valid first-order lift
+    coefficients, and the same equations drive every higher-order
+    extension step.  The equations are sparse rows, one per generator and
+    entry of its block, in generator order, filled from the nonzero
+    entries of the arrow matrices; most of them are zero rows.  The
+    cocycles and the coboundaries, whose quotient is Ext^1(M, N), are each
+    computed once.
     """
 
     def __init__(self, m: Representation, n: Representation):
@@ -656,48 +656,53 @@ class DeformationSystem:
         self.m = m
         self.n = n
         self.field = m.field
-        self.relations = m.algebra.generating_relations()
-        self.layout = MapLayout(
-            self.field,
-            [(a.name, n.dims[a.target], m.dims[a.source]) for a in m.algebra.quiver.arrows],
-        )
+        algebra = m.algebra
+        self.relations = algebra.generating_relations()
+        self.layout = arrow_layout(m, n)
+        tree = algebra.generator_tree
+        values = m.path_values(tree)
+        derivatives = []
+        for parent, step in zip(tree.parents, tree.steps):
+            if parent < 0:
+                derivatives.append([{} for _ in range(n.dims[step] * m.dims[step])])
+            else:
+                derivatives.append(self._derivative(step, values[parent], derivatives[parent]))
         rows = []
-        for rel in self.relations:
-            block_rows = n.dims[rel.target]
-            block_cols = m.dims[rel.source]
-            block = [[{} for _ in range(block_cols)] for _ in range(block_rows)]
-            for coeff, path in rel.terms:
-                if not coeff:
-                    continue
-                k = path.length
-                prefixes = [Matrix.identity(self.field, m.dims[path.source])]
-                for arrow in path.arrows:
-                    prefixes.append(m.mats[arrow.name] * prefixes[-1])
-                suffixes = [None] * (k + 1)
-                suffixes[k] = Matrix.identity(self.field, n.dims[path.target])
-                for i in range(k - 1, -1, -1):
-                    suffixes[i] = suffixes[i + 1] * n.mats[path.arrows[i].name]
-                for pos in range(k):
-                    arrow = path.arrows[pos]
-                    suf = suffixes[pos + 1]
-                    pre = prefixes[pos]
-                    off = self.layout.offsets[arrow.name]
-                    b_cols = m.dims[arrow.source]
-                    # entry (r, c) gains coeff * suf[r, alpha] * pre[beta, c] at B_arrow[alpha, beta]
-                    right = [(beta, c, y) for beta in range(b_cols)
-                             for c, y in enumerate(pre.row(beta)) if y]
-                    for r in range(block_rows):
-                        for alpha, x in enumerate(suf.row(r)):
-                            if not x:
-                                continue
-                            left = coeff * x
-                            base = off + alpha * b_cols
-                            for beta, c, y in right:
-                                entries = block[r][c]
-                                entries[base + beta] = entries.get(base + beta, 0) + left * y
-            for block_row in block:
-                rows += block_row
+        for rel, terms in zip(self.relations, algebra.generator_terms):
+            block = [{} for _ in range(n.dims[rel.target] * m.dims[rel.source])]
+            for coeff, node in terms:
+                for entries, part in zip(block, derivatives[node]):
+                    _add_scaled(entries, coeff, part)
+            rows += block
         self.equations = SparseRows.from_dicts(self.field, self.layout.total, rows)
+
+    def _derivative(self, arrow, below: Matrix, derivative: list) -> list:
+        """D(node) = N_a·D(parent) + B_a·M(parent) for the node parent-then-a,
+        given M(parent) (below) and D(parent): one {column: value} dict per
+        entry of the node's block, row-major."""
+        na = self.n.mats[arrow.name]
+        width = below.ncols
+        out = [{} for _ in range(na.nrows * width)]
+        for r in range(na.nrows):
+            targets = out[r * width:(r + 1) * width]
+            for l, x in enumerate(na.row(r)):
+                if x:
+                    for entries, part in zip(targets, derivative[l * width:(l + 1) * width]):
+                        _add_scaled(entries, x, part)
+        # (B_a M(parent))[r, c] = sum_beta B_a[r, beta] M(parent)[beta, c]
+        off = self.layout.offsets[arrow.name]
+        for beta in range(below.nrows):
+            nonzero = [(c, y) for c, y in enumerate(below.row(beta)) if y]
+            for r in range(na.nrows):
+                col = off + r * below.nrows + beta
+                for c, y in nonzero:
+                    entries = out[r * width + c]
+                    entries[col] = entries[col] + y if col in entries else y
+        p = self.field.p
+        if p:  # keep F_p values small along long paths
+            out = [{j: y for j, x in entries.items() if (y := x % p)} if entries else entries
+                   for entries in out]
+        return out
 
     @cached_property
     def cocycles(self) -> list:

@@ -220,3 +220,29 @@ def test_rejects_values_equal_only_across_types(path, value, failure):
     result = verify_report(read_corpus("kx3_f5.alg"), "V", _tampered(blob, path, value))
     assert not result.ok
     assert failure in result.failures
+
+
+@pytest.mark.parametrize(
+    "name,module,forge,failure",
+    [
+        ("a2_f5.alg", "S1", lambda d: d["verdict"].update(N=5, proved=True), "report_shape"),
+        ("kx2_f5.alg", "VV", lambda d: d["verdict"].update(proved=True, N=2), "report_shape"),
+        ("kx2_f5.alg", "PV", lambda d: d["verdict"].update(proved=True, N=2), "report_shape"),
+        ("kx3_f5.alg", "V", lambda d: d["verdict"].update(max_order_checked=99), "report_shape"),
+        ("loop_free_f2.alg", "V", lambda d: d["verdict"].update(N=3), "report_shape"),
+        ("a2_f5.alg", "S1", lambda d: d["checks"].update(hom_top_dim=7), "checks_null"),
+        ("kx2_f5.alg", "VV", lambda d: d["checks"].update(sigma_nilpotent=True), "checks_null"),
+        ("kx3_f5.alg", "V", lambda d: d.update(extra=1), "report_shape"),
+        ("kx3_f5.alg", "V", lambda d: d["checks"].update(extra=1), "report_shape"),
+        ("kx3_f5.alg", "V", lambda d: d["field"].update(p=5.0), "field"),
+    ],
+    ids=["point-proved-N", "out-of-scope-proved-N", "inconclusive-proved-N",
+         "finite-max-order", "proved-power-series-N", "point-hom-top", "out-of-scope-sigma",
+         "extra-key", "extra-check", "field-p-float"],
+)
+def test_rejects_claims_it_does_not_check(name, module, forge, failure):
+    data = json.loads(report_for(name, module))
+    forge(data)
+    result = verify_report(read_corpus(name), module, json.dumps(data))
+    assert not result.ok
+    assert result.failures == [failure]

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defring import (
-    CheckFailed,
     DeformationSystem,
     Ladder,
     Lift,
@@ -237,8 +236,6 @@ def test_verify_ladder_rejects_trivial_first_class():
     assert not transcript.ok
     failed = [c.name for c in transcript.checks if not c.ok]
     assert any("nontrivial" in n for n in failed)
-    with pytest.raises(CheckFailed):
-        verify_ladder(Ladder.from_lift(lift), strict=True)
 
 
 def test_verify_ladder_flags_inconsistent_chain():
@@ -261,8 +258,6 @@ def test_verify_ladder_reports_out_of_order_rungs():
     # the shift of a misplaced rung has the wrong nilpotency degree
     assert {(1, "sigma_nilpotent"), (2, "sigma_power_nonzero"),
             (1, "image_power_is_base_witness"), (2, "image_power_is_base_witness")} <= failed
-    with pytest.raises(CheckFailed):
-        verify_ladder(shuffled, strict=True)
 
 
 def _bump(m, r, c):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from defring import (
     BudgetExceeded,
+    DeformationSystem,
     PresentedAlgebra,
     Representation,
     enumerate_lifts,
@@ -22,7 +23,7 @@ from defring.oracle import (
     point_from_lift,
     valid_point_set,
 )
-from helpers import load_module, reference_valid_points
+from helpers import CORPUS, load_module, load_source, reference_valid_points
 
 
 def test_coefficient_slots_row_major():
@@ -38,6 +39,40 @@ def test_point_lift_round_trip():
     assert lift.order == 2
     assert point_from_lift(lift) == (0, 2)
     assert lift.coeffs["x"][2][0, 0] == 2
+
+
+PRIME_CORPUS_MODULES = [(path.name, module) for path in sorted(CORPUS.glob("*.alg"))
+                        for source in [load_source(path.name)] if source.field.p is not None
+                        for module in source.modules]
+
+
+def test_coefficient_slots_follow_the_deformation_layout():
+    for name, module in PRIME_CORPUS_MODULES:
+        v = load_module(name, module)
+        layout = DeformationSystem(v, v).layout
+        slots = coefficient_slots(v)
+        assert len(slots) == layout.total
+        for i, (arrow, r, c) in enumerate(slots):
+            unit = [0] * layout.total
+            unit[i] = 1
+            mats = layout.unpack(tuple(unit))
+            assert mats[arrow][r, c] == 1, (name, module, i)
+            assert sum(x for m in mats.values() for x in m.data) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIME_CORPUS_MODULES), st.integers(1, 3), st.data())
+def test_point_lift_round_trip_on_corpus_modules(entry, order, data):
+    v = load_module(*entry)
+    slots = coefficient_slots(v)
+    point = tuple(data.draw(st.lists(st.integers(0, v.field.p - 1),
+                                     min_size=len(slots) * order, max_size=len(slots) * order)))
+    lift = lift_from_point(v, order, point)
+    assert lift.order == order
+    assert point_from_lift(lift) == point
+    for j in range(1, order + 1):
+        for i, (arrow, r, c) in enumerate(slots):
+            assert lift.coeffs[arrow][j][r, c] == point[(j - 1) * len(slots) + i]
 
 
 def test_enumerate_first_order():

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring import (
     DeformationSystem,
@@ -24,7 +27,10 @@ from defring import (
     top,
     validate,
 )
+from defring.dsl import Relation
+from defring.fields import FieldSpec
 from defring.linalg import Matrix, rank, row_space, solve_matrix
+from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, hom_equations, is_homomorphism,
                          sub_from_maps)
@@ -325,6 +331,57 @@ def test_sparse_equations_match_dense_reference():
         ech = row_space(cob, m.field, system.layout.total)
         assert system.coboundaries.pivots == ech.pivots, label
         assert system.coboundaries.rows == ech.rows, label
+
+
+@st.composite
+def deformation_pairs(draw):
+    """(M, N) over F_2, F_5 or Q on a quiver of one or two vertices with
+    loops and parallel arrows, relations of several parallel paths (which
+    share prefixes) and a truncation bound; dimensions may be zero and the
+    matrices need not satisfy the relations."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()]))
+
+    def scalar(nonzero=False):
+        if field.p is None:
+            num = draw(st.integers(-3, 3).filter(bool) if nonzero else st.integers(-3, 3))
+            return Fraction(num, draw(st.integers(1, 3)))
+        return draw(st.integers(1 if nonzero else 0, field.p - 1))
+
+    vertices = ["u", "v"][:draw(st.integers(1, 2))]
+    ends = st.sampled_from(vertices)
+    arrows = [Arrow(f"a{i}", draw(ends), draw(ends)) for i in range(draw(st.integers(1, 3)))]
+    quiver = Quiver(vertices, arrows)
+    truncate = draw(st.sampled_from([None, 2, 3, 4]))
+    relations = []
+    if truncate is not None:
+        groups = {}
+        for path in quiver.paths_up_to(3):
+            if path.length:
+                groups.setdefault((path.source, path.target), []).append(path)
+        for _ in range(draw(st.integers(0, 2))):
+            group = draw(st.sampled_from(list(groups.values())))
+            paths = draw(st.lists(st.sampled_from(group), min_size=1, max_size=3, unique=True))
+            terms = tuple((scalar(nonzero=True), q) for q in paths)
+            relations.append(Relation(terms, paths[0].source, paths[0].target))
+    algebra = PresentedAlgebra(field, quiver, relations, truncate)
+
+    def module():
+        dims = {v: draw(st.integers(0, 2)) for v in vertices}
+        mats = {}
+        for a in arrows:
+            rows = [[scalar() for _ in range(dims[a.source])] for _ in range(dims[a.target])]
+            mats[a.name] = (Matrix.from_rows(field, rows) if rows
+                            else Matrix.zeros(field, 0, dims[a.source]))
+        return Representation(algebra, dims, mats)
+
+    return module(), module()
+
+
+@settings(max_examples=60, deadline=None)
+@given(deformation_pairs())
+def test_tree_built_deformation_system_matches_reference(pair):
+    m, n = pair
+    assert dense_matrix(DeformationSystem(m, n).equations) == reference_deformation_matrix(m, n)
 
 
 def test_projective_cover_matches_path_matrix_reference():
