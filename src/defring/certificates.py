@@ -1,9 +1,9 @@
 """Re-verification of classification reports from the input file alone.
 
 A report is a certificate: the ladder coefficients plus the claimed
-checks.  Verification reparses the input, rebuilds every rung from the
-serialized coefficients, and replays all checks with no state carried
-over from the run that produced the report.
+checks.  Verification reparses the input, rebuilds the ladder's top lift
+from the serialized coefficients, and replays every check with no state
+carried over from the run that produced the report.
 """
 
 from __future__ import annotations
@@ -109,8 +109,7 @@ def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
             parsed = [[_parse_entry(field, x) for x in r] for r in rows]
             coeffs[a.name].append(
                 Matrix.from_rows(field, parsed) if dt else Matrix.zeros(field, 0, ds))
-    top = Lift(base, len(entries), coeffs)
-    return Ladder.from_lift(top)
+    return Ladder(Lift(base, len(entries), coeffs))
 
 
 def verify_report(source_text: str, module_name: str, report_json: str,

@@ -105,7 +105,7 @@ def ladder_search(base: Representation, max_order: int = 10,
         notes.insert(0, "no relations: the extension system is empty and always feasible")
     else:
         kind = "reached_bound"
-    return SearchResult(kind, Ladder.from_lift(lift),
+    return SearchResult(kind, Ladder(lift),
                         terminated_at=lift.order if obstruction is not None else None,
                         obstruction=obstruction, kernel_dims=kernel_dims, notes=notes)
 
@@ -141,13 +141,6 @@ class ClassificationReport:
     ladder: Ladder | None
     checks: Checks
     notes: list
-
-    @property
-    def ladder_matrices(self) -> list:
-        """Per order 1..N, the coefficient matrix of each arrow at that order."""
-        if self.ladder is None:
-            return []
-        return self.ladder.coefficient_tuples()
 
 
 def source_digest(source: SourceFile) -> str:
@@ -260,8 +253,7 @@ def classify(source: SourceFile, module_name: str,
 
 
 def sigma_checks_pass(transcript) -> bool:
-    sigma_names = {"sigma_is_composite", "sigma_commutes", "sigma_nilpotent",
-                   "sigma_power_nonzero", "kernel_is_base_witness",
+    sigma_names = {"sigma_nilpotent", "sigma_power_nonzero", "kernel_is_base_witness",
                    "image_power_is_base_witness"}
     return all(c.ok for c in transcript.checks if c.name in sigma_names)
 

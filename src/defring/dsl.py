@@ -574,7 +574,8 @@ def serialize_report(report) -> str:
     if report.verdict.max_order_checked is not None:
         verdict["max_order_checked"] = report.verdict.max_order_checked
     ladder = []
-    for order, mats in enumerate(report.ladder_matrices, start=1):
+    tuples = report.ladder.coefficient_tuples() if report.ladder is not None else []
+    for order, mats in enumerate(tuples, start=1):
         ladder.append({
             "order": order,
             "matrices": {name: matrix_to_json(m) for name, m in mats.items()},

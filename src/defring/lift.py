@@ -31,8 +31,8 @@ class Lift:
     generator tree (every prefix of every generating-relation path),
     through degree order: series[node][d] is the t^d coefficient of that
     prefix evaluated at the arrow polynomials.  The constructor grows them
-    degree by degree, `extended` adds the one new degree and `reduced`
-    slices them, so a residual is read off rather than re-expanded.
+    degree by degree and `extended` adds the one new degree, so a residual
+    is read off rather than re-expanded.
     """
 
     def __init__(self, base: Representation, order: int, coeffs: dict):
@@ -54,14 +54,6 @@ class Lift:
                 series.append(value)
 
     @classmethod
-    def _of(cls, base: Representation, order: int, coeffs: dict, series: list) -> "Lift":
-        """A lift from parts that already agree with each other."""
-        lift = cls.__new__(cls)
-        lift.base, lift.order, lift.coeffs, lift.series = base, order, coeffs, series
-        lift.field = base.field
-        return lift
-
-    @classmethod
     def trivial(cls, base: Representation, order: int = 0) -> "Lift":
         coeffs = {}
         for a in base.algebra.quiver.arrows:
@@ -78,21 +70,12 @@ class Lift:
         base = self.base
         for a in base.algebra.quiver.arrows:
             assert (b[a.name].nrows, b[a.name].ncols) == (base.dims[a.target], base.dims[a.source])
-        coeffs = {name: series + [b[name]] for name, series in self.coeffs.items()}
-        out = Lift._of(base, self.order + 1, coeffs, self.series)
+        out = Lift.__new__(Lift)  # from parts that already agree with each other
+        out.base, out.field, out.order, out.series = base, self.field, self.order + 1, self.series
+        out.coeffs = {name: series + [b[name]] for name, series in self.coeffs.items()}
         out.series = [series + [value]
                       for series, value in zip(self.series, _series_degree(out, out.order))]
         return out
-
-    def reduced(self, to_order: int) -> "Lift":
-        assert 0 <= to_order <= self.order
-        n = to_order + 1
-        return Lift._of(self.base, to_order,
-                        {name: series[:n] for name, series in self.coeffs.items()},
-                        [series[:n] for series in self.series])
-
-    def top_coefficients(self) -> dict:
-        return {name: series[self.order] for name, series in self.coeffs.items()}
 
     def __eq__(self, other):
         return (
@@ -267,31 +250,30 @@ def as_representation(lift: Lift) -> Representation:
 
 @dataclass
 class Ladder:
-    """A coherent chain of lifts, orders 1..N, each reducing to the previous."""
+    """A ladder of lifts, orders 1..N, held as its top lift: the rung of
+    order j is the top's coefficients through degree j."""
 
-    base: Representation
-    chain: list
+    top: Lift
 
-    @classmethod
-    def from_lift(cls, lift: Lift) -> "Ladder":
-        assert lift.order >= 1
-        return cls(lift.base, [lift.reduced(j) for j in range(1, lift.order + 1)])
+    def __post_init__(self):
+        assert self.top.order >= 1
 
     @property
-    def top(self) -> Lift:
-        return self.chain[-1]
+    def base(self) -> Representation:
+        return self.top.base
 
     @property
     def length(self) -> int:
-        return len(self.chain)
+        return self.top.order
 
     @property
     def first_order_class(self) -> dict:
-        return self.chain[0].top_coefficients()
+        return {name: series[1] for name, series in self.top.coeffs.items()}
 
     def coefficient_tuples(self) -> list:
         """Per order 1..N, the degree-at-that-order coefficient per arrow."""
-        return [rung.top_coefficients() for rung in self.chain]
+        return [{name: series[j] for name, series in self.top.coeffs.items()}
+                for j in range(1, self.length + 1)]
 
 
 @dataclass
@@ -342,58 +324,34 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
 
 
 def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None) -> LadderTranscript:
-    """Replay every certificate check of a ladder.
+    """Replay the certificate checks of a ladder that can fail.
 
-    Checks per rung: residual vanishing, coherence with the previous rung,
-    the reduction epimorphism and the degree-shift monomorphism, their
-    composite (the shift endomorphism), its nilpotency degree, and the
-    explicit block witness identifying both the kernel of the shift and
-    the image of its top power with the base module.  The first-order
-    class must not be a coboundary; that is what makes the chain a ladder
-    rather than the trivial tower.
+    `first_order_nontrivial` (order 1): the first-order class is not a
+    coboundary, so the chain is a ladder rather than the trivial tower.
+    `residuals_vanish` (each order ell = 1..N): the residuals of degrees
+    0..ell vanish, one degree of the top's series read per order.  Then, at
+    the top order N, four facts about the shift endomorphism σ = J ⊗ I_d of
+    the underlying module k[t]/(t^(N+1)) ⊗ V (`as_representation`), where J
+    is the nilpotent shift of k[t]/(t^(N+1)): `sigma_nilpotent`,
+    `sigma_power_nonzero`, `kernel_is_base_witness` and
+    `image_power_is_base_witness`.  Rank, kernel and image of X ⊗ I_d are
+    those of X tensored with k^d, so they are decided on J (`_shift_checks`)
+    and hold vacuously at vertices of dimension 0.
 
-    No check builds the module underlying a rung.  For a rung of order ell
-    with coefficients C_0..C_ell, that module (`as_representation`) is
-    k[t]/(t^(ell+1)) ⊗ V: a vertex of dimension d carries degree blocks
-    0..ell, an arrow acts by the block-Toeplitz sum of J^k ⊗ C_k, where J
-    is the (ell+1)×(ell+1) nilpotent shift of k[t]/(t^(ell+1)), and the
-    shift endomorphism is σ = J ⊗ I_d.  The reduction ε = [I | 0] keeps
-    blocks 0..ell-1, the shift-in ι = [0; I] moves block j to block j+1,
-    and the witness embeds V as the top block.  So each check is decided
-    by one of three sources:
-
-    - the rung's coefficient blocks: ε and ι commute with the arrows of the
-      rung and of the previous one (the base when ell = 1) exactly when
-      C_0..C_(ell-1) equal the previous rung's coefficients
-      (`reduction_is_hom`, `shift_in_is_hom`).  The degree-j residual
-      depends on C_0..C_j only, so a rung coherent with a valid previous
-      rung is valid exactly when its degree-ell residual vanishes, one
-      degree read off the rung's series; any other rung has every degree
-      checked (`residuals_vanish`).  A rung's series are always grown from
-      its own coefficients: a rung built on its own, a forged one
-      included, grows them from degree 0, and a rung sliced from a longer
-      lift shares that lift's degrees, which depend on the same
-      coefficients.
-    - the degree-0 block against the base: block column ell of an arrow
-      is C_0 in the top block, so the witness is a homomorphism exactly
-      when C_0 is the base matrix (`witness_is_hom`).
-    - J: rank, kernel and image of X ⊗ I_d are those of X tensored with
-      k^d, so `sigma_nilpotent`, `sigma_power_nonzero`,
-      `kernel_is_base_witness` and `image_power_is_base_witness` are
-      decided on J and hold vacuously at vertices of dimension 0.  ε and
-      ι ⊗ I_d have rank ell·d, the dimension of the previous rung when
-      the orders are consecutive (`reduction_surjective`,
-      `shift_in_injective`).  ιε is J ⊗ I_d and J commutes with every J^k,
-      so `sigma_is_composite` and `sigma_commutes` hold for every rung.
-
-    A rung whose order is not its position fails `order_matches`; the
-    checks above still run, with J sized by the rung's own order.
+    A rung-by-rung certificate would check more, none of which can fail
+    here.  Every rung is a prefix of the top's coefficients, so its order is
+    its position, it agrees with the rung below, and the reduction and
+    shift-in maps between consecutive rungs are homomorphisms, onto and
+    one-to-one.  C_0 is the base matrix (a `Lift` asserts it), so the
+    embedding of V as the top block is a homomorphism.  σ is the composite
+    of those two maps and commutes with the arrows, and the shift facts
+    depend only on the order, so below N they hold as they do at N.
     """
     checks = []
+    top = ladder.top
     base = ladder.base
-    arrows = base.algebra.quiver.arrows
-    dims = list(base.dims.values())
-    occupied = any(dims)
+    n = ladder.length
+    occupied = any(base.dims.values())
 
     def add(name, order, ok, detail=""):
         checks.append(LadderCheck(name, order, bool(ok), detail))
@@ -403,33 +361,13 @@ def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None) -> La
     nontrivial = not system.is_coboundary(ladder.first_order_class)
     add("first_order_nontrivial", 1, nontrivial,
         "" if nontrivial else "first-order class is a coboundary")
-
-    prev = Lift.trivial(base)
-    prev_valid = is_valid(prev)
-    for ell, rung in enumerate(ladder.chain, start=1):
-        coherent = rung.order >= ell - 1 and rung.reduced(ell - 1) == prev
-        add("order_matches", ell, rung.order == ell)
-        if coherent and rung.order == ell:
-            valid = prev_valid and _vanishes(rung, ell)
-        else:
-            valid = is_valid(rung)
+    valid = _vanishes(top, 0)
+    for ell in range(1, n + 1):
+        valid = valid and _vanishes(top, ell)
         add("residuals_vanish", ell, valid)
-        if ell >= 2:
-            add("coherent_with_previous", ell, coherent)
-        extends = all(rung.coeffs[a.name][:-1] == prev.coeffs[a.name] for a in arrows)
-        consecutive = all(rung.order * d == (prev.order + 1) * d for d in dims)
-        add("reduction_is_hom", ell, extends)
-        add("reduction_surjective", ell, consecutive)
-        add("shift_in_is_hom", ell, extends)
-        add("shift_in_injective", ell, consecutive)
-        add("sigma_is_composite", ell, True)
-        add("sigma_commutes", ell, True)
-        nilpotent, nonzero, kernel, image = _shift_checks(base.field, rung.order + 1, ell)
-        add("sigma_nilpotent", ell, nilpotent or not occupied)
-        add("sigma_power_nonzero", ell, nonzero and occupied)
-        add("witness_is_hom", ell,
-            all(rung.coeffs[a.name][0] == base.mats[a.name] for a in arrows))
-        add("kernel_is_base_witness", ell, kernel or not occupied)
-        add("image_power_is_base_witness", ell, image or not occupied)
-        prev, prev_valid = rung, valid
+    nilpotent, nonzero, kernel, image = _shift_checks(base.field, n + 1, n)
+    add("sigma_nilpotent", n, nilpotent or not occupied)
+    add("sigma_power_nonzero", n, nonzero and occupied)
+    add("kernel_is_base_witness", n, kernel or not occupied)
+    add("image_power_is_base_witness", n, image or not occupied)
     return LadderTranscript(checks)

@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     RowEchelon,
     SparseRows,
+    _canonical,
     column_space,
     complement_representatives,
     in_row_span,
@@ -222,12 +223,16 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def packed_basis(self) -> list:
+        return [self.layout.pack(b) for b in self.basis]
+
     def element(self, coeffs) -> dict:
         vec = list(self.layout.zero_vector())
-        for c, b in zip(coeffs, self.basis):
+        for c, b in zip(coeffs, self.packed_basis):
             if c:
-                vec = [x + c * y for x, y in zip(vec, self.layout.pack(b))]
-        return self.layout.unpack(tuple(map(self.layout.field.scalar, vec)))
+                vec = [x + c * y for x, y in zip(vec, b)]
+        return self.layout.unpack(_canonical(self.layout.field, vec))
 
 
 def _same_algebra(m: Representation, n: Representation):
@@ -660,12 +665,15 @@ class DeformationSystem:
         self.relations = algebra.generating_relations()
         self.layout = arrow_layout(m, n)
         tree = algebra.generator_tree
-        values = m.path_values(tree)
+        inner = set(tree.parents)
+        values = []  # M(node), taken only where some node extends it
         derivatives = []
-        for parent, step in zip(tree.parents, tree.steps):
+        for node, (parent, step) in enumerate(zip(tree.parents, tree.steps)):
             if parent < 0:
+                values.append(Matrix.identity(self.field, m.dims[step]))
                 derivatives.append([{} for _ in range(n.dims[step] * m.dims[step])])
             else:
+                values.append(m.mats[step.name] * values[parent] if node in inner else None)
                 derivatives.append(self._derivative(step, values[parent], derivatives[parent]))
         rows = []
         for rel, terms in zip(self.relations, algebra.generator_terms):

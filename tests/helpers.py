@@ -5,7 +5,7 @@ from pathlib import Path
 from defring import PresentedAlgebra, Representation, parse
 import itertools
 
-from defring.lift import LadderCheck, LadderTranscript, as_representation, is_valid
+from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
 from defring.linalg import Matrix, rank, row_space, solve_matrix
 from defring.oracle import coefficient_slots, lift_from_point
 from defring.rep import (DeformationSystem, MapLayout, direct_sum_many, is_homomorphism,
@@ -161,12 +161,18 @@ def _unit_columns(lift, rows_of):
     return out
 
 
-def dense_verify_ladder(ladder, system=None):
-    """verify_ladder replayed on the dense (order+1)·d matrices of every rung.
+def rung(lift, j):
+    """The lift of order j made of lift's coefficients through degree j."""
+    return Lift(lift.base, j, {a: series[:j + 1] for a, series in lift.coeffs.items()})
 
-    Builds each rung's underlying module, the reduction and shift-in maps,
-    the shift endomorphism and the base witness, and checks every identity
-    on them directly.  Chains whose rung orders are not 1..N raise here.
+
+def dense_verify_ladder(ladder, system=None):
+    """Every rung-by-rung certificate check, on the dense (order+1)·d matrices.
+
+    Builds rung j from the top's coefficients through degree j, then each
+    rung's underlying module, the reduction and shift-in maps, the shift
+    endomorphism and the base witness, and checks every identity on them
+    directly, the J facts at every order included.
     """
     checks = []
     base = ladder.base
@@ -181,16 +187,17 @@ def dense_verify_ladder(ladder, system=None):
     add("first_order_nontrivial", 1, nontrivial,
         "" if nontrivial else "first-order class is a coboundary")
 
+    rungs = [rung(ladder.top, j) for j in range(1, ladder.length + 1)]
     prev_rep = base
-    for ell, rung in enumerate(ladder.chain, start=1):
-        add("order_matches", ell, rung.order == ell)
-        add("residuals_vanish", ell, is_valid(rung))
+    for ell, lift in enumerate(rungs, start=1):
+        add("order_matches", ell, lift.order == ell)
+        add("residuals_vanish", ell, is_valid(lift))
         if ell >= 2:
-            add("coherent_with_previous", ell, rung.reduced(ell - 1) == ladder.chain[ell - 2])
-        w = as_representation(rung)
-        eps = block_projection(rung)
-        iota = block_injection(rung)
-        sigma = shift_endomorphism(rung)
+            add("coherent_with_previous", ell, rung(lift, ell - 1) == rungs[ell - 2])
+        w = as_representation(lift)
+        eps = block_projection(lift)
+        iota = block_injection(lift)
+        sigma = shift_endomorphism(lift)
         add("reduction_is_hom", ell, is_homomorphism(w, prev_rep, eps))
         add("reduction_surjective", ell,
             all(rank(eps[v]) == prev_rep.dims[v] for v in vertices))
@@ -204,7 +211,7 @@ def dense_verify_ladder(ladder, system=None):
             all(sigma[v].power(ell + 1).is_zero() for v in vertices))
         add("sigma_power_nonzero", ell,
             any(not sigma[v].power(ell).is_zero() for v in vertices if base.dims[v]))
-        emb = base_embedding(rung)
+        emb = base_embedding(lift)
         add("witness_is_hom", ell, is_homomorphism(base, w, emb))
         kernel_ok = True
         image_ok = True

@@ -77,7 +77,7 @@ def test_criterion_3_free_loop_is_a_power_series_ring():
         search = ladder_search(base, max_order=10)
         assert search.kind == "unobstructed"
         assert search.kernel_dims == [1] * 10
-        lift = search.ladder.chain[0]
+        lift = Lift.first_order(base, search.ladder.first_order_class)
         for _ in range(9):
             step = extend_step(lift)
             assert step.kernel_dim == 1
@@ -248,11 +248,11 @@ def test_criterion_8_obstruction_certificate_is_sound():
     p1 = load_module("kx2_f5.alg", "P1")
     system = DeformationSystem(p1, p1)
     trivial = Lift.first_order(p1, system.layout.unpack(system.cocycles[0]))
-    transcript = verify_ladder(Ladder.from_lift(trivial))
+    transcript = verify_ladder(Ladder(trivial))
     assert not transcript.ok
     assert any("nontrivial" in c.name and not c.ok for c in transcript.checks)
     zero_class = Lift.trivial(v, order=1)
-    assert not verify_ladder(Ladder.from_lift(zero_class)).ok
+    assert not verify_ladder(Ladder(zero_class)).ok
 
 
 def test_criterion_9_classify_json_is_deterministic(tmp_path, capsys):

@@ -238,8 +238,8 @@ def test_input_digest_ignores_comments_and_spacing():
 
 
 def test_corpus_reports_match_recorded_digests():
-    # sha256 of every corpus module's classify JSON, recorded before the
-    # ladder checks moved from dense matrices to coefficient blocks
+    # sha256 of every corpus module's classify JSON, recorded when the notes
+    # stopped listing the ladder checks that hold by construction
     recorded = json.loads((Path(__file__).parent / "corpus_report_digests.json").read_text())
     seen = {}
     for path in sorted(CORPUS.glob("*.alg")):
@@ -263,14 +263,35 @@ module V
 
 
 def test_report_with_fractional_ladder_entries_matches_recorded_digest():
-    # recorded before matrices held plain residues and Fractions
+    # recorded when the notes stopped listing the ladder checks that hold by
+    # construction; the ladder matrices are those since matrices held plain
+    # residues and Fractions
     blob = serialize_report(classify(parse(FRACTIONAL_Q), "V"))
     report = json.loads(blob)
     assert report["verdict"]["type"] == "inconclusive"
     assert report["ladder"][1]["matrices"]["x"] == [["0", "-3/2"], ["0", "0"]]
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
-        "97baf885f1d71bc6e422e54b3ce1aa4dfb6f154c6afc45f174506306abc08dcf")
+        "6d17c96bbe39099bf67d7915690e63e1c13dd9599642f85d54d890a97d7c56a5")
     assert verify_report(FRACTIONAL_Q, "V", blob).ok
+
+
+KX_F3 = """\
+field F 3
+quiver
+  vertex v
+  arrow x: v -> v
+truncate {n}
+module V
+  dim v = 1
+  mat x = [[0]]
+"""
+
+
+def test_notes_grow_by_one_line_per_order():
+    # k[x]/(x^n) has a ladder of length n - 1; each order adds its residuals line
+    notes = [classify(parse(KX_F3.format(n=n)), "V", ClassifyConfig(max_order=n)).notes
+             for n in (20, 40)]
+    assert len(notes[1]) - len(notes[0]) == 20
 
 
 def _count_calls(monkeypatch, owner, name):

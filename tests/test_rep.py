@@ -384,6 +384,27 @@ def test_tree_built_deformation_system_matches_reference(pair):
     assert dense_matrix(DeformationSystem(m, n).equations) == reference_deformation_matrix(m, n)
 
 
+@pytest.mark.parametrize("loops,length,inner", [("xy", 4, 14), ("xyz", 3, 12)])
+def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, length, inner):
+    # D(node) reads M(parent) only, so no product is taken at a leaf
+    arrows = "".join(f"  arrow {a}: v -> v\n" for a in loops)
+    alg = PresentedAlgebra.from_source(parse(
+        f"field F 5\nquiver\n  vertex v\n{arrows}truncate {length}\n"))
+    ps = direct_sum(alg.left_projective("v"), Representation(alg, {"v": 1}, {}))
+    tree = alg.generator_tree
+    assert len({p for p in tree.parents if p >= 0 and tree.parents[p] >= 0}) == inner
+    calls = []
+    original = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    DeformationSystem(ps, ps)
+    assert len(calls) == inner
+
+
 def test_projective_cover_matches_path_matrix_reference():
     # every truncated corpus module, P+S over k<x,y>/J^3 (F_5 and Q) and a ladder top
     modules = [(label, m) for label, m, _ in _equation_pairs() if not m.algebra.hereditary]
