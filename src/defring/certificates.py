@@ -144,6 +144,9 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     base = Representation.from_module_def(algebra, source.modules[module_name])
     bad = validate(base)
     check("module_satisfies_relations", not bad, ", ".join(bad))
+    if bad:
+        # Ext of a non-module is meaningless, and its projective cover need not exist
+        return VerificationResult(False, failures, lines)
 
     # one system serves the tangent space and the ladder certificate
     system = DeformationSystem(base, base)

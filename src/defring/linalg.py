@@ -499,15 +499,3 @@ def column_space(m: SparseRows) -> RowEchelon:
             columns[j][i] = x
     return rref(SparseRows(m.field, m.nrows, columns))
 
-
-def complement_representatives(space_basis: list, sub: RowEchelon) -> list:
-    """Echelon representatives of span(space_basis) modulo the span of sub.
-
-    The subspace must be contained in the space; representatives are the
-    nonzero echelon rows of the reduced space basis, so the result is
-    canonical for the given inputs.
-    """
-    field = sub.field
-    reduced = [row for v in space_basis
-               if (row := _sparse(_reduce_values(sub, _canonical(field, v))))]
-    return rref(SparseRows(field, sub.ncols, reduced)).vectors() if reduced else []

@@ -22,7 +22,6 @@ from .linalg import (
     SparseRows,
     _canonical,
     column_space,
-    complement_representatives,
     in_row_span,
     kernel_basis,
     rank,
@@ -465,10 +464,11 @@ def top(m: Representation) -> Representation:
 
 
 def projective_cover(m: Representation):
-    """Smallest projective mapping onto M, with the covering homomorphism.
+    """Smallest projective mapping onto M: (P, cover, summands).
 
-    One projective summand per top basis vector; the cover sends the
-    generator of each summand to the chosen lift and extends along paths.
+    One projective summand Λe_v per top basis vector, summands listing
+    their vertices v in order; the cover sends the generator of each
+    summand to the chosen lift and extends along paths.
     """
     _require_truncated(m.algebra, "projective cover")
     algebra = m.algebra
@@ -480,9 +480,9 @@ def projective_cover(m: Representation):
         pivot_set = set(row_space(rad[v], field, m.dims[v]).pivots)
         identity = Matrix.identity(field, m.dims[v])
         lifts += [(v, identity.column(c)) for c in range(m.dims[v]) if c not in pivot_set]
-    summands = [algebra.left_projective(v) for v, _ in lifts]
+    summands = [v for v, _ in lifts]
     if summands:
-        p = direct_sum_many(summands)
+        p = direct_sum_many([algebra.left_projective(v) for v in summands])
     else:
         p = Representation(algebra, {}, {})
     # the images of the lifts at v under every basis path from v, as the
@@ -504,11 +504,39 @@ def projective_cover(m: Representation):
         cover[w] = Matrix.from_columns(field, m.dims[w], cols)
         if rank(cover[w]) != m.dims[w]:
             raise AssertionError(f"cover not surjective at vertex {w}")
-    return p, cover
+    return p, cover, summands
+
+
+def yoneda_homs(v: str, n: Representation) -> list:
+    """A basis of Hom(Λe_v, N), Λe_v = algebra.left_projective(v) (Yoneda:
+    Hom(Λe_v, N) ≅ e_vN), read off N without solving a system.
+
+    The map for basis vector e_i of N_v sends the basis path q of Λe_v to
+    N(q)e_i; N's basis-path values come from one fold along the paths from
+    v.  The maps are homomorphisms when N satisfies the relations.
+    """
+    algebra = n.algebra
+    tree = PathTree()
+    nodes = {w: [] for w in algebra.quiver.vertices}
+    for q in algebra.basis:
+        if q.source == v:
+            nodes[q.target].append(tree.add(q))
+    values = n.path_values(tree)
+    width = n.dims[v]
+    maps = []
+    for i in range(width):
+        # entry (r, k) of the map at w is N(q_k)[r, i], q_k the k-th basis path v -> w
+        maps.append({w: Matrix(n.field, n.dims[w], len(at_w),
+                               [values[node].data[r * width + i]
+                                for r in range(n.dims[w]) for node in at_w])
+                     for w, at_w in nodes.items()})
+    return maps
 
 
 def syzygy_data(m: Representation):
-    p, cover = projective_cover(m)
+    """(summands, ΩM, incl): the summand vertices of the projective cover P,
+    the kernel of the cover and its inclusion into P, one matrix per vertex."""
+    p, cover, summands = projective_cover(m)
     field = m.field
     incl = {}
     bases = {}
@@ -517,33 +545,43 @@ def syzygy_data(m: Representation):
         bases[v] = kern
         incl[v] = Matrix.from_columns(field, p.dims[v], [list(k) for k in kern])
     omega = sub_from_maps(p, bases)
-    return p, cover, omega, incl
+    return summands, omega, incl
 
 
 def syzygy(m: Representation) -> Representation:
     """Kernel of the projective cover; dim = dim P - dim M."""
-    return syzygy_data(m)[2]
+    return syzygy_data(m)[1]
 
 
 # ----------------------------------------------------------------------
 # Ext^1, three routes
 
 
-def ext1_syzygy(m: Representation, n: Representation):
-    """Ext^1 as Hom(syzygy, N) modulo restrictions of Hom(cover, N)."""
+def ext1_syzygy(m: Representation, n: Representation) -> int:
+    """dim Ext^1 as dim Hom(ΩM, N) minus the rank of the restrictions to ΩM
+    of Hom(P, N), P = ⊕ Λe_v the projective cover; Hom(Λe_v, N) is read
+    off N (Yoneda), once per top vertex v.
+
+    N must satisfy the relations, or the Yoneda maps are not homomorphisms.
+    """
     _require_truncated(m.algebra, "syzygy route to Ext")
-    p, cover, omega, incl = syzygy_data(m)
-    hom_pn = hom_basis(p, n)
+    summands, omega, incl = syzygy_data(m)
     hom_on = hom_basis(omega, n)
     layout = hom_on.layout
+    vertices = m.algebra.quiver.vertices
+    homs = {v: yoneda_homs(v, n) for v in set(summands)}
+    first = dict.fromkeys(vertices, 0)  # P's first coordinate of the summand at each vertex
     image = []
-    for t in hom_pn.basis:
-        restricted = {v: t[v] * incl[v] for v in m.algebra.quiver.vertices}
-        image.append(layout.pack(restricted))
-    packed = [layout.pack(b) for b in hom_on.basis]
-    reps = complement_representatives(packed, row_space(image, m.field, layout.total))
-    dim = len(reps)
-    return dim, [layout.unpack(v) for v in reps]
+    for v in summands:
+        widths = m.algebra.left_projective(v).dims
+        block = {}  # the rows of ΩM's inclusion that lie in this summand
+        for w in vertices:
+            k = incl[w].ncols
+            block[w] = Matrix(m.field, widths[w], k,
+                              incl[w].data[first[w] * k:(first[w] + widths[w]) * k])
+            first[w] += widths[w]
+        image += [layout.pack({w: phi[w] * block[w] for w in vertices}) for phi in homs[v]]
+    return hom_on.dim - row_space(image, m.field, layout.total).rank
 
 
 def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None,
@@ -564,14 +602,16 @@ def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None
 
 
 def ext1_cocycle(m: Representation, n: Representation,
-                 system: DeformationSystem | None = None):
-    """Ext^1 as first-order deformation cocycles modulo coboundaries.
+                 system: DeformationSystem | None = None) -> int:
+    """dim Ext^1 as dim Z - dim B: the cocycles Z of the first-order
+    deformation equations and the coboundaries B, the column space of δ.
+    B lies in Z, so no quotient is formed.
 
     system, when given, is the DeformationSystem of (m, n).
     """
     if system is None:
         system = DeformationSystem(m, n)
-    return system.ext_dim_and_representatives()
+    return len(system.cocycles) - system.coboundaries.rank
 
 
 def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
@@ -583,17 +623,17 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
     so a caller that has them computes neither again.
     """
     if backend == "cocycle":
-        return ext1_cocycle(m, n, system)[0]
+        return ext1_cocycle(m, n, system)
     if backend == "syzygy":
-        return ext1_syzygy(m, n)[0]
+        return ext1_syzygy(m, n)
     if backend == "hereditary":
         return ext1_hereditary(m, n, hom, system)
     if backend == "all":
-        dims = {"cocycle": ext1_cocycle(m, n, system)[0]}
+        dims = {"cocycle": ext1_cocycle(m, n, system)}
         if m.algebra.hereditary:
             dims["hereditary"] = ext1_hereditary(m, n, hom, system)
         else:
-            dims["syzygy"] = ext1_syzygy(m, n)[0]
+            dims["syzygy"] = ext1_syzygy(m, n)
         values = set(dims.values())
         if len(values) != 1:
             raise AssertionError(f"Ext backends disagree: {dims}")
@@ -615,7 +655,7 @@ def hom_stable(m: Representation, n: Representation,
     """
     _require_truncated(m.algebra, "stable Hom")
     _same_algebra(m, n)
-    p, cover = projective_cover(n)
+    p, cover, _ = projective_cover(n)
     hom_mn = hom_basis(m, n, system)
     hom_mp = hom_basis(m, p)
     layout = hom_mn.layout
@@ -732,10 +772,6 @@ class DeformationSystem:
         of its own, apart from the kernel that hom_basis takes.
         """
         return column_space(self.delta[1])
-
-    def ext_dim_and_representatives(self):
-        reps = complement_representatives(self.cocycles, self.coboundaries)
-        return len(reps), [self.layout.unpack(v) for v in reps]
 
     def is_coboundary(self, mats: dict) -> bool:
         return in_row_span(self.coboundaries, self.layout.pack(mats))

@@ -8,8 +8,8 @@ import itertools
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
 from defring.linalg import Matrix, rank, row_space, solve_matrix
 from defring.oracle import coefficient_slots, lift_from_point
-from defring.rep import (DeformationSystem, MapLayout, direct_sum_many, is_homomorphism,
-                         radical_subspaces)
+from defring.rep import (DeformationSystem, MapLayout, direct_sum_many, hom_basis,
+                         is_homomorphism, projective_cover, radical_subspaces, syzygy_data)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -85,7 +85,7 @@ def reference_valid_points(v, order):
 
 def reference_projective_cover(m):
     """projective_cover with every basis path multiplied out from scratch and
-    applied to each top vector on its own."""
+    applied to each top vector on its own: (P, cover, summand vertices)."""
     algebra = m.algebra
     field = m.field
     quiver = algebra.quiver
@@ -105,7 +105,38 @@ def reference_projective_cover(m):
         cols = [list(m.path_matrix(q).apply(u)) for v, u in lifts
                 for q in algebra.basis if q.source == v and q.target == w]
         cover[w] = Matrix.from_columns(field, m.dims[w], cols)
-    return p, cover
+    return p, cover, [v for v, _ in lifts]
+
+
+# ----------------------------------------------------------------------
+# the two Ext^1 routes as quotients, counted by complement representatives
+
+
+def restricted_cover_homs(m, n):
+    """(hom_basis(ΩM, N), the basis of hom_basis(P, N) restricted to ΩM and
+    packed in its coordinates), P the projective cover of M: Hom(P, N)
+    solved as a linear system rather than read off N."""
+    p = projective_cover(m)[0]
+    _, omega, incl = syzygy_data(m)
+    hom_on = hom_basis(omega, n)
+    vertices = m.algebra.quiver.vertices
+    image = [hom_on.layout.pack({v: t[v] * incl[v] for v in vertices})
+             for t in hom_basis(p, n).basis]
+    return hom_on, image
+
+
+def reference_ext1_syzygy(m, n):
+    """dim Hom(ΩM, N) modulo the restrictions of hom_basis(P, N)."""
+    hom_on, image = restricted_cover_homs(m, n)
+    return len(reference_complement_representatives(hom_on.packed_basis, image, m.field,
+                                                    hom_on.layout.total))
+
+
+def reference_ext1_cocycle(m, n):
+    """dim of the cocycles of DeformationSystem(m, n) modulo its coboundaries."""
+    system = DeformationSystem(m, n)
+    return len(reference_complement_representatives(
+        system.cocycles, system.coboundaries.vectors(), m.field, system.layout.total))
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_rejects_missing_module():
     assert "module_exists" in result.failures
 
 
+def test_module_violating_relations_ends_verification():
+    # x = 1 breaks x^3 = 0; its projective cover and Yoneda maps do not exist
+    blob = report_for("kx3_f5.alg", "V")
+    bad = read_corpus("kx3_f5.alg").replace("mat x = [[0]]", "mat x = [[1]]")
+    result = verify_report(bad, "V", blob)
+    assert not result.ok
+    assert result.failures[-1] == "module_satisfies_relations"
+    assert result.lines[-1].startswith("module_satisfies_relations: FAILED")
+
+
 def test_rejects_report_against_different_source():
     blob = report_for("kx2_f5.alg", "V")
     result = verify_report(read_corpus("kx3_f5.alg"), "V", blob)

@@ -229,3 +229,18 @@ def test_closed_pipe_exits_without_traceback(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_verify_module_violating_relations_exits_without_traceback(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    run(capsys, "classify", KX3, "-m", "V", "--json", str(report))
+    bad = tmp_path / "bad.alg"
+    bad.write_text(read_corpus("kx3_f5.alg").replace("mat x = [[0]]", "mat x = [[1]]"),
+                   encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(defring.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "defring", "verify", str(bad), "-m", "V",
+                           "--json", str(report)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert "module_satisfies_relations: FAILED" in proc.stdout
+    assert "Traceback" not in proc.stderr

@@ -29,14 +29,17 @@ from defring import (
 )
 from defring.dsl import Relation
 from defring.fields import FieldSpec
-from defring.linalg import Matrix, rank, row_space, solve_matrix
+from defring.linalg import Matrix, in_row_span, rank, row_space, solve_matrix
 from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
-from defring.rep import (NotHereditary, NotInvariant, hom_equations, is_homomorphism,
-                         sub_from_maps)
+from defring.rep import (NotHereditary, NotInvariant, _quotient_with_projection,
+                         direct_sum_many, hom_equations, is_homomorphism, sub_from_maps,
+                         syzygy_data, yoneda_homs)
 from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
-                     reference_coboundary_vectors, reference_deformation_matrix,
-                     reference_hom_equations, reference_projective_cover)
+                     read_corpus, reference_coboundary_vectors,
+                     reference_deformation_matrix, reference_ext1_cocycle,
+                     reference_ext1_syzygy, reference_hom_equations,
+                     reference_projective_cover, restricted_cover_homs)
 
 THREE_CHAIN = """\
 field F 5
@@ -134,7 +137,8 @@ def test_radical_top_cover_syzygy():
     assert radical(p1).dim_vector == (1,)
     assert top(p1).dim_vector == (1,)
     assert radical(v).dim_vector == (0,)
-    cover, cover_maps = projective_cover(v)
+    cover, cover_maps, summands = projective_cover(v)
+    assert summands == ["v"]
     assert cover.dim_vector == (2,)
     assert iso_test(cover, p1).kind == "iso"
     assert is_homomorphism(cover, v, cover_maps)
@@ -153,7 +157,7 @@ def test_syzygy_of_projective_vanishes():
 def test_ext_backends_agree_on_small_cases():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
-    assert ext1_cocycle(v, v)[0] == ext1_syzygy(v, v)[0] == 1
+    assert ext1_cocycle(v, v) == ext1_syzygy(v, v) == 1
     assert ext1_dim(v, v, "all") == 1
     assert ext1_dim(p1, p1, "all") == 0
     assert ext1_dim(p1, v, "all") == 0
@@ -166,7 +170,7 @@ def test_ext_backends_agree_on_small_cases():
 
 def test_hereditary_backend():
     m = load_module("kronecker_f3.alg", "M11")
-    assert ext1_hereditary(m, m) == ext1_cocycle(m, m)[0] == 1
+    assert ext1_hereditary(m, m) == ext1_cocycle(m, m) == 1
     assert ext1_dim(m, m, "all") == 1
     loop = load_module("loop_free_f3.alg", "V")
     assert ext1_dim(loop, loop, "all") == 1
@@ -276,13 +280,11 @@ def test_deformation_system_shapes():
     sys_v = DeformationSystem(v, v)
     assert len(sys_v.cocycles) == 1
     assert sys_v.coboundaries.rank == 0
-    dim, reps = sys_v.ext_dim_and_representatives()
-    assert dim == 1 and len(reps) == 1
+    assert ext1_cocycle(v, v, sys_v) == 1
 
     p1 = load_module("kx2_f5.alg", "P1")
     sys_p = DeformationSystem(p1, p1)
-    dim_p, reps_p = sys_p.ext_dim_and_representatives()
-    assert dim_p == 0 and reps_p == []
+    assert ext1_cocycle(p1, p1, sys_p) == 0
     # every cocycle of a rigid module is a coboundary
     for z in sys_p.cocycles:
         assert sys_p.is_coboundary(sys_p.layout.unpack(z))
@@ -437,3 +439,134 @@ def test_validate_and_terms_value_match_path_matrix_sums():
         assert validate(m) == bad
         flagged += bool(bad)
     assert flagged >= 10
+
+
+# ----------------------------------------------------------------------
+# the rank counts of the two Ext^1 routes against their quotient references
+
+# (quiver lines, truncation bounds, optional relations), small projectives
+EXT_ALGEBRAS = [
+    (["vertex v", "arrow x: v -> v"], [2, 3, 4], [None]),
+    (["vertex v", "arrow x: v -> v", "arrow y: v -> v"], [2], [None]),
+    (["vertex v", "arrow x: v -> v", "arrow y: v -> v"], [3], ["x*y - y*x"]),
+    (["vertex u w", "arrow a: u -> w", "arrow b: w -> u"], [3], [None, "a*b"]),
+    (["vertex v1 v2", "arrow a: v1 -> v2", "arrow b: v1 -> v2"], [2], [None, "a - b"]),
+]
+
+
+@st.composite
+def valid_module_pairs(draw):
+    """(M, N) over one truncated algebra over F_2, F_3 or Q, each a sum of
+    one or two indecomposable projectives modulo the submodule that up to two
+    random radical vectors generate, so both satisfy the relations; N is
+    drawn on its own, or is M."""
+    field = draw(st.sampled_from(["F 2", "F 3", "Q"]))
+    quiver, bounds, relations = draw(st.sampled_from(EXT_ALGEBRAS))
+    lines = [f"field {field}", "quiver"] + [f"  {line}" for line in quiver]
+    lines.append(f"truncate {draw(st.sampled_from(bounds))}")
+    relation = draw(st.sampled_from(relations))
+    if relation:
+        lines += ["relations", f"  {relation}"]
+    algebra = PresentedAlgebra.from_source(parse("\n".join(lines) + "\n"))
+    values = (st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]) if field == "Q"
+              else st.integers(0, int(field[2:]) - 1))
+    vertices = algebra.quiver.vertices
+
+    def module():
+        tops = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=2))
+        p = direct_sum_many([algebra.left_projective(v) for v in tops])
+        gens = {v: [] for v in vertices}
+        for _ in range(draw(st.integers(0, 2))):
+            # a random vector moved into the radical by a random arrow
+            a = draw(st.sampled_from(algebra.quiver.arrows))
+            x = tuple(draw(values) for _ in range(p.dims[a.source]))
+            gens[a.target].append(p.mats[a.name].apply(x))
+        # close the generators under the arrows
+        while True:
+            bases = {v: row_space(gens[v], p.field, p.dims[v]) for v in vertices}
+            images = [(a.target, p.mats[a.name].apply(x))
+                      for a in algebra.quiver.arrows for x in bases[a.source].vectors()]
+            missing = [(w, y) for w, y in images if not in_row_span(bases[w], y)]
+            if not missing:
+                break
+            for w, y in missing:
+                gens[w].append(y)
+        return _quotient_with_projection(p, {v: bases[v].vectors() for v in vertices})[0]
+
+    m = module()
+    return m, (m if draw(st.booleans()) else module())
+
+
+def yoneda_cover_homs(m, n):
+    """The Yoneda maps of each summand of M's projective cover P, each
+    placed on its summand: maps P -> N, zero on the other summands."""
+    p, _, summands = projective_cover(m)
+    vertices = m.algebra.quiver.vertices
+    out = []
+    first = dict.fromkeys(vertices, 0)
+    for v in summands:
+        for phi in yoneda_homs(v, n):
+            out.append({w: Matrix.from_columns(
+                m.field, n.dims[w],
+                [(m.field.zero(),) * n.dims[w]] * first[w]
+                + [phi[w].column(j) for j in range(phi[w].ncols)]
+                + [(m.field.zero(),) * n.dims[w]] * (p.dims[w] - first[w] - phi[w].ncols))
+                for w in vertices})
+        for w in vertices:
+            first[w] += m.algebra.left_projective(v).dims[w]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_module_pairs())
+def test_ext_rank_counts_match_quotient_references(pair):
+    m, n = pair
+    assert validate(m) == [] and validate(n) == []
+    cocycle = ext1_cocycle(m, n)
+    assert cocycle == reference_ext1_cocycle(m, n)
+    assert ext1_syzygy(m, n) == reference_ext1_syzygy(m, n) == cocycle
+    assert ext1_dim(m, n, "all") == cocycle
+    # the Yoneda maps are a basis of what hom_basis(P, N) solves for, and
+    # their restrictions to ΩM span what its restrictions span
+    maps = yoneda_cover_homs(m, n)
+    hom_pn = hom_basis(projective_cover(m)[0], n)
+    width = hom_pn.layout.total
+    assert len(maps) == hom_pn.dim
+    assert (row_space([hom_pn.layout.pack(t) for t in maps], m.field, width).vectors()
+            == row_space(hom_pn.packed_basis, m.field, width).vectors())
+    _, _, incl = syzygy_data(m)
+    hom_on, image = restricted_cover_homs(m, n)
+    layout = hom_on.layout
+    restricted = [layout.pack({v: t[v] * incl[v] for v in m.algebra.quiver.vertices})
+                  for t in maps]
+    assert (row_space(restricted, m.field, layout.total).vectors()
+            == row_space(image, m.field, layout.total).vectors())
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_module_pairs())
+def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
+    m, n = pair
+    # B ⊆ Z: every coboundary row of δ solves the deformation equations
+    system = DeformationSystem(m, n)
+    for b in system.coboundaries.rows:
+        for row in system.equations.rows:
+            assert not m.field.scalar(sum(x * b[j] for j, x in row.items() if j in b))
+    # Hom(Λe_v, N) ≅ e_vN: each Yoneda map intertwines Λe_v and N, and so
+    # each one placed on a summand of the cover intertwines P and N
+    for v in m.algebra.quiver.vertices:
+        for phi in yoneda_homs(v, n):
+            assert is_homomorphism(m.algebra.left_projective(v), n, phi)
+    p = projective_cover(m)[0]
+    for phi in yoneda_cover_homs(m, n):
+        assert is_homomorphism(p, n, phi)
+
+
+def test_yoneda_maps_need_the_relations():
+    # over k[x]/(x^3), x = 1 gives N(x^2) != 0, while x·x^2 = 0 in Λ
+    source = parse(read_corpus("kx3_f5.alg").replace("mat x = [[0]]", "mat x = [[1]]"))
+    algebra = PresentedAlgebra.from_source(source)
+    bad = Representation.from_module_def(algebra, source.modules["V"])
+    assert validate(bad) == ["x*x*x"]
+    [phi] = yoneda_homs("v", bad)
+    assert not is_homomorphism(algebra.left_projective("v"), bad, phi)
