@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .fields import FieldSpec, format_scalar
 from .linalg import Matrix
@@ -34,7 +35,6 @@ KEYWORDS = {"field", "quiver", "vertex", "arrow", "truncate", "relations", "modu
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 NUMERIC_RE = re.compile(r"^\d+(/\d+)?$")
-WORD_RE = re.compile(r"[A-Za-z0-9_/]+")
 
 
 class ParseError(Exception):
@@ -48,8 +48,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -57,32 +56,24 @@ class Token:
 
 SYMBOLS = ("->", ":", "=", "[", "]", ",", "*", "+", "-")
 
+# after any whitespace: a token (group 1), the start of a comment (group 2)
+# or a character no token can start with (group 3); a run of whitespace at
+# the end of a line matches nothing
+TOKEN_RE = re.compile(r"\s*(?:(->|[:=\[\],*+\-]|[A-Za-z0-9_/]+)|(#)|(\S))")
+# the Token of one tuple, built in C: Token(...) runs a Python-level __new__
+_new_token = tuple.__new__
+
 
 def _tokenize(text: str, lineno: int) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
+    for m in TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == 1:
+            tokens.append(_new_token(Token, (m[1], lineno, m.start(1) + 1)))
+        elif kind == 2:
             break
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("->", lineno, i + 1))
-            i += 2
-            continue
-        if ch in ":=[],*+-":
-            tokens.append(Token(ch, lineno, i + 1))
-            i += 1
-            continue
-        m = WORD_RE.match(text, i)
-        if m:
-            tokens.append(Token(m.group(0), lineno, i + 1))
-            i = m.end()
-            continue
-        raise ParseError("syntax", f"unexpected character {ch!r}", lineno, i + 1)
+        else:
+            raise ParseError("syntax", f"unexpected character {m[3]!r}", lineno, m.start(3) + 1)
     return tokens
 
 
@@ -140,6 +131,7 @@ class _Parser:
         # raw module lines, resolved after dims are known
         self.module_dims: dict = {}
         self.module_mats: dict = {}
+        self.literals: dict = {}  # [-]literal text -> its field value, once checked
 
     def fail(self, code, message, token: Token):
         raise ParseError(code, message, token.line, token.col)
@@ -317,14 +309,20 @@ class _Parser:
             negate = True
             idx += 1
             tok = self.expect(tokens, idx, "scalar")
-        fld = self.need_field(tok)
-        if not NUMERIC_RE.match(tok.text):
-            self.fail("bad-scalar-literal", f"bad scalar literal {tok.text!r}", tok)
-        try:
-            value = fld.parse_literal(tok.text)
-        except (ValueError, ZeroDivisionError) as exc:
-            self.fail("bad-scalar-literal", str(exc), tok)
-        return (fld.scalar(-value) if negate else value), idx + 1
+        key = "-" + tok.text if negate else tok.text
+        value = self.literals.get(key)
+        if value is None:
+            fld = self.need_field(tok)
+            if not NUMERIC_RE.match(tok.text):
+                self.fail("bad-scalar-literal", f"bad scalar literal {tok.text!r}", tok)
+            try:
+                value = fld.parse_literal(tok.text)
+            except (ValueError, ZeroDivisionError) as exc:
+                self.fail("bad-scalar-literal", str(exc), tok)
+            if negate:
+                value = fld.scalar(-value)
+            self.literals[key] = value
+        return value, idx + 1
 
     def parse_matrix(self, tokens, idx):
         """Parse [[a,b],[c,d]] starting at idx; returns (rows, next_idx)."""
@@ -334,6 +332,8 @@ class _Parser:
         tok = self.expect(tokens, idx, "'[' or ']'")
         if tok.text == "]":
             return rows, idx + 1
+        literals = self.literals
+        n = len(tokens)
         while True:
             self.expect(tokens, idx, "'['", "[")
             idx += 1
@@ -343,15 +343,21 @@ class _Parser:
                 idx += 1
             else:
                 while True:
-                    value, idx = self.parse_scalar(tokens, idx)
+                    # a literal converted before is read without parse_scalar's checks
+                    value = literals.get(tokens[idx].text) if idx < n else None
+                    if value is None:
+                        value, idx = self.parse_scalar(tokens, idx)
+                    else:
+                        idx += 1
                     row.append(value)
-                    tok = self.expect(tokens, idx, "',' or ']'")
-                    if tok.text == ",":
+                    separator = tokens[idx].text if idx < n else None
+                    if separator == ",":
                         idx += 1
                         continue
-                    if tok.text == "]":
+                    if separator == "]":
                         idx += 1
                         break
+                    tok = self.expect(tokens, idx, "',' or ']'")
                     self.fail("syntax", f"expected ',' or ']', found {tok.text!r}", tok)
             rows.append(row)
             tok = self.expect(tokens, idx, "',' or ']'")

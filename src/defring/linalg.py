@@ -352,7 +352,8 @@ def rref(m) -> RowEchelon:
     return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)
 
 
-def rank(m: Matrix) -> int:
+def rank(m) -> int:
+    """Rank of a Matrix or SparseRows."""
     return rref(m).rank
 
 

@@ -650,20 +650,37 @@ def hom_stable(m: Representation, n: Representation,
     """dim Hom(M, N) minus the maps that factor through a projective.
 
     Every map factoring through any projective factors through the cover
-    of N, so the image of Hom(M, P(N)) under postcomposition is exactly
-    the projectively-trivial part.  system is (m, n)'s DeformationSystem, if any.
+    P(N) = ⊕ Λe_v of N, so the projectively-trivial maps are the composites
+    of Hom(M, P(N)) with the cover.  Hom(M, P(N)) is the sum of the
+    Hom(M, Λe_v) over the summands: each is solved once per distinct summand
+    vertex v, and each basis map is composed with the cover's columns of
+    every summand at v.  dim Hom(M, N) is counted, not solved, as the number
+    of unknowns less the rank of δ = hom_equations(M, N); system, when given,
+    is (m, n)'s DeformationSystem, whose coboundaries are that rank.
     """
     _require_truncated(m.algebra, "stable Hom")
     _same_algebra(m, n)
-    p, cover, _ = projective_cover(n)
-    hom_mn = hom_basis(m, n, system)
-    hom_mp = hom_basis(m, p)
-    layout = hom_mn.layout
+    if system is None:
+        layout, delta = hom_equations(m, n)
+        delta_rank = rank(delta)
+    else:
+        layout, delta_rank = system.delta[0], system.coboundaries.rank
+    _, cover, summands = projective_cover(n)
+    algebra = m.algebra
+    vertices = algebra.quiver.vertices
+    homs = {v: hom_basis(m, algebra.left_projective(v)) for v in dict.fromkeys(summands)}
+    first = dict.fromkeys(vertices, 0)  # P(N)'s first coordinate of the summand at each vertex
     image = []
-    for t in hom_mp.basis:
-        composed = {v: cover[v] * t[v] for v in m.algebra.quiver.vertices}
-        image.append(layout.pack(composed))
-    return hom_mn.dim - row_space(image, m.field, layout.total).rank
+    for v in summands:
+        hom_mv = homs[v]
+        block = {}  # the cover's columns of this summand
+        for w in vertices:
+            lo, hi = first[w], first[w] + hom_mv.target.dims[w]
+            block[w] = Matrix(m.field, n.dims[w], hi - lo,
+                              [x for r in range(n.dims[w]) for x in cover[w].row(r)[lo:hi]])
+            first[w] = hi
+        image += [layout.pack({w: block[w] * t[w] for w in vertices}) for t in hom_mv.basis]
+    return layout.total - delta_rank - row_space(image, m.field, layout.total).rank
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Shared corpus loading and reference implementations for the test suite."""
 
+import re
 from pathlib import Path
 
 from defring import PresentedAlgebra, Representation, parse
 import itertools
+
+from defring.dsl import ParseError, Token
 
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
 from defring.linalg import Matrix, rank, row_space, solve_matrix
@@ -81,6 +84,18 @@ def reference_valid_points(v, order):
                for block in reference_residual_coefficients(lift, j)):
             valid.append(point)
     return v.field.p ** (width * order), valid
+
+
+def reference_hom_stable(m, n):
+    """hom_stable with Hom(M, N) solved as a kernel basis and Hom(M, P(N))
+    solved as one system against the whole projective cover P(N) of N."""
+    p, cover, _ = projective_cover(n)
+    hom_mn = hom_basis(m, n)
+    hom_mp = hom_basis(m, p)
+    layout = hom_mn.layout
+    image = [layout.pack({v: cover[v] * t[v] for v in m.algebra.quiver.vertices})
+             for t in hom_mp.basis]
+    return hom_mn.dim - row_space(image, m.field, layout.total).rank
 
 
 def reference_projective_cover(m):
@@ -515,3 +530,39 @@ def reference_deformation_matrix(m, n):
     if rows:
         return Matrix.from_rows(field, rows)
     return Matrix.zeros(field, 0, layout.total)
+
+
+# ----------------------------------------------------------------------
+# the character-by-character tokenizer
+
+
+REFERENCE_WORD_RE = re.compile(r"[A-Za-z0-9_/]+")
+
+
+def reference_tokenize(text, lineno):
+    """dsl._tokenize one character at a time."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(Token("->", lineno, i + 1))
+            i += 2
+            continue
+        if ch in ":=[],*+-":
+            tokens.append(Token(ch, lineno, i + 1))
+            i += 1
+            continue
+        m = REFERENCE_WORD_RE.match(text, i)
+        if m:
+            tokens.append(Token(m.group(0), lineno, i + 1))
+            i = m.end()
+            continue
+        raise ParseError("syntax", f"unexpected character {ch!r}", lineno, i + 1)
+    return tokens

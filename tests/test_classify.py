@@ -7,9 +7,13 @@ import pytest
 
 from defring import (
     ClassifyConfig,
+    PresentedAlgebra,
+    Representation,
     classify,
+    direct_sum,
     ladder_search,
     parse,
+    projective_cover,
     serialize_report,
     source_digest,
     tangent_dimension,
@@ -439,6 +443,48 @@ def test_truncated_classify_builds_each_hom_equations_once(monkeypatch):
     calls.clear()
     assert verify_report(read_corpus("kx3_f5.alg"), "V", serialize_report(report)).ok
     assert set(_builds_per_pair(calls)) == {1}
+
+
+def test_stable_note_solves_one_hom_per_top_vertex(monkeypatch):
+    # P⊕S over k<x,y>/J^3 has the cover P(V) = Λ²: the note solves Hom(V, Λ)
+    # once, and counts dim End(V) off the coboundaries instead of solving δ(V, V)
+    import defring.rep
+
+    def mat(ones):  # the 8x8 matrix with a 1 at each (row, column) of ones
+        rows = [[0] * 8 for _ in range(8)]
+        for r, c in ones:
+            rows[r][c] = 1
+        return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+
+    source = parse("field F 5\nquiver\n  vertex v\n  arrow x: v -> v\n  arrow y: v -> v\n"
+                   "truncate 3\n\nmodule PS\n  dim v = 8\n"
+                   f"  mat x = {mat([(1, 0), (3, 1), (5, 2)])}\n"
+                   f"  mat y = {mat([(2, 0), (4, 1), (6, 2)])}\n")
+    algebra = PresentedAlgebra.from_source(source)
+    v = Representation.from_module_def(algebra, source.modules["PS"])
+    projective = algebra.left_projective("v")
+    assert v == direct_sum(projective, Representation(algebra, {"v": 1}, {}))
+    cover = projective_cover(v)[0]
+    assert cover.dims == {"v": 2 * projective.dims["v"]}
+    deltas = []
+    build = defring.rep.hom_equations
+
+    def recording(m, n):
+        out = build(m, n)
+        if m == v and n == v:
+            deltas.append(out[1])
+        return out
+
+    monkeypatch.setattr(defring.rep, "hom_equations", recording)
+    homs = _count_calls(monkeypatch, defring.rep, "hom_basis")
+    kernels = _count_calls(monkeypatch, defring.rep, "kernel_basis")
+    report = classify(source, "PS")
+    assert ("stable endomorphism dimension: 1 (advisory: the one-dimensional case, "
+            "weak and full deformations agree)") in report.notes
+    assert len(deltas) == 1
+    assert [n == projective for _, n, *_ in homs].count(True) == 1
+    assert not any(n == cover for _, n, *_ in homs)
+    assert not any(args[0] is deltas[0] for args in kernels)
 
 
 def _truncated_loop(n):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring import ParseError, classify, parse, print_source, serialize_report
-from helpers import CORPUS, load_source, read_corpus
+from defring.dsl import _tokenize
+from helpers import CORPUS, load_source, read_corpus, reference_tokenize
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.alg"))
 
@@ -62,7 +63,9 @@ def test_omitted_dim_defaults_to_zero():
 @pytest.mark.parametrize("name", ALL_CORPUS)
 def test_print_parse_round_trip(name):
     text = read_corpus(name)
-    once = print_source(parse(text, name))
+    src = parse(text, name)
+    once = print_source(src)
+    assert parse(once, name) == src
     again = print_source(parse(once, name))
     assert once == again
 
@@ -168,6 +171,17 @@ def test_fraction_scalars_over_q():
     assert "-1/2" in print_source(src)
 
 
+@pytest.mark.parametrize("field,entries,values", [
+    ("F 5", "1,-1,-1,1,2,-2", "1,4,4,1,2,3"),
+    ("Q", "1/2,-1/2,-1/2,1/2,2,-2", "1/2,-1/2,-1/2,1/2,2,-2"),
+])
+def test_repeated_literals_keep_their_sign(field, entries, values):
+    # each literal is converted once per parse, with and without its sign
+    text = (f"field {field}\nquiver\n  vertex u w\n  arrow a: u -> w\n\n"
+            f"module M\n  dim u = 6\n  dim w = 1\n  mat a = [[{entries}]]\n")
+    assert [str(x) for x in parse(text).modules["M"].mats["a"].row(0)] == values.split(",")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=200))
 def test_parser_never_crashes(text):
@@ -185,6 +199,29 @@ def test_parser_survives_mutations(pos, ch):
         parse(mutated)
     except ParseError:
         pass
+
+
+# "- >" is a '-' then a '>' that no token starts with; the whitespace
+# includes what str.isspace accepts beyond ASCII, and 'é', '٣' and '$' are
+# letters, a digit and a symbol outside the token alphabet
+TOKEN_PIECES = (["->", "- >", "#", "/", " ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003",
+                 "é", "٣", "$"]
+                + list(":=[],*+-") + list("0123456789")
+                + list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"))
+
+
+def _tokens_or_error(tokenize, line, lineno):
+    try:
+        return [(tok.text, tok.line, tok.col) for tok in tokenize(line, lineno)]
+    except ParseError as err:
+        return (err.code, err.message, err.line, err.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join), st.integers(1, 500))
+def test_tokenizer_matches_character_loop_reference(line, lineno):
+    assert (_tokens_or_error(_tokenize, line, lineno)
+            == _tokens_or_error(reference_tokenize, line, lineno))
 
 
 def test_serialize_report_leaves_no_reference_cycles():

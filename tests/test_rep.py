@@ -38,7 +38,7 @@ from defring.rep import (NotHereditary, NotInvariant, _quotient_with_projection,
 from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
-                     reference_ext1_syzygy, reference_hom_equations,
+                     reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
                      reference_projective_cover, restricted_cover_homs)
 
 THREE_CHAIN = """\
@@ -560,6 +560,27 @@ def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
     p = projective_cover(m)[0]
     for phi in yoneda_cover_homs(m, n):
         assert is_homomorphism(p, n, phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_module_pairs())
+def test_stable_hom_matches_full_cover_reference(pair):
+    m, n = pair
+    # N ⊕ N has two top vectors at each top vertex of N: its cover repeats summands
+    for target in (n, direct_sum(n, n)):
+        expected = reference_hom_stable(m, target)
+        assert hom_stable(m, target) == expected
+        assert hom_stable(m, target, DeformationSystem(m, target)) == expected
+
+
+def test_stable_hom_matches_full_cover_reference_on_truncated_corpus():
+    # every truncated corpus module, P+S over k<x,y>/J^3 (F_5 and Q) and a ladder top
+    pairs = [(label, m, n) for label, m, n in _equation_pairs() if not m.algebra.hereditary]
+    assert len(pairs) >= 25
+    for label, m, n in pairs:
+        expected = reference_hom_stable(m, n)
+        assert hom_stable(m, n) == expected, label
+        assert hom_stable(m, n, DeformationSystem(m, n)) == expected, label
 
 
 def test_yoneda_maps_need_the_relations():
