@@ -37,7 +37,6 @@ from .lift import (
     Ladder,
     LadderTranscript,
     Lift,
-    LiftExtensions,
     Obstruction,
     as_representation,
     extend_step,
@@ -92,7 +91,6 @@ __all__ = [
     "Ladder",
     "LadderTranscript",
     "Lift",
-    "LiftExtensions",
     "Matrix",
     "ModuleDef",
     "Obstruction",

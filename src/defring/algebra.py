@@ -137,7 +137,6 @@ class PresentedAlgebra:
                 expr[j] = scalar(-rows[r].get(i, zero))
             reduction[paths[c]] = tuple(expr)
         self._reduction = reduction
-        self._paths = paths
         for rel in self.relations:
             if any(self.reduce_terms(rel.terms)):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")

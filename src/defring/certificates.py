@@ -9,7 +9,7 @@ carried over from the run that produced the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import PresentedAlgebra
 from .classify import (nontriviality_checks_pass, sigma_checks_pass,

@@ -43,13 +43,17 @@ def tangent_dimension(v: Representation, system: DeformationSystem | None = None
 # ladder search
 
 
+def _require_max_order(max_order: int):
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+
+
 @dataclass
 class SearchResult:
     kind: str  # terminated | reached_bound | unobstructed
     ladder: Ladder | None
     terminated_at: int | None = None
     obstruction: Obstruction | None = None
-    kernel_dims: list = dc_field(default_factory=list)
     notes: list = dc_field(default_factory=list)
 
 
@@ -75,11 +79,11 @@ def ladder_search(base: Representation, max_order: int = 10,
     coboundary and extended by the particular solution at each order.
     It stops at an obstruction (terminated) or at max_order (reached_bound,
     or unobstructed for a relation-free algebra, whose extension system is
-    empty and always feasible).  kernel_dims lists dim Z and then the
-    kernel dimension of each extension step.
+    empty and always feasible).  Every step solves the same equations, so
+    the kernel of each feasible step is Z, and the notes list dim Z once per
+    order of the chain.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    _require_max_order(max_order)
     if system is None:
         system = DeformationSystem(base, base)
     cocycles = system.cocycles
@@ -88,16 +92,14 @@ def ladder_search(base: Representation, max_order: int = 10,
         return SearchResult("terminated", ladder=None, terminated_at=0,
                             notes=["no nonzero tangent class to seed a chain"])
     lift = Lift.first_order(base, system.layout.unpack(seed))
-    kernel_dims = [len(cocycles)]
     obstruction = None
     while lift.order < max_order:
         step = extend_step(lift, system)
         if isinstance(step, Obstruction):
             obstruction = step
             break
-        kernel_dims.append(step.kernel_dim)
-        lift = step.particular()
-    notes = [f"extension kernel dimensions per order: {kernel_dims}"]
+        lift = step
+    notes = [f"extension kernel dimensions per order: {[len(cocycles)] * lift.order}"]
     if obstruction is not None:
         kind = "terminated"
     elif base.algebra.hereditary:
@@ -107,7 +109,7 @@ def ladder_search(base: Representation, max_order: int = 10,
         kind = "reached_bound"
     return SearchResult(kind, Ladder(lift),
                         terminated_at=lift.order if obstruction is not None else None,
-                        obstruction=obstruction, kernel_dims=kernel_dims, notes=notes)
+                        obstruction=obstruction, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +173,7 @@ def classify(source: SourceFile, module_name: str,
              config: ClassifyConfig | None = None) -> ClassificationReport:
     """Full pipeline: tangent gate, ladder search, side conditions, verdict."""
     cfg = config or ClassifyConfig()
+    _require_max_order(cfg.max_order)
     if module_name not in source.modules:
         raise ValueError(f"no module named {module_name!r} in input")
     from .algebra import PresentedAlgebra
@@ -213,11 +216,7 @@ def classify(source: SourceFile, module_name: str,
 
     search = ladder_search(rep, max_order=cfg.max_order, system=system)
     notes.extend(search.notes)
-    ladder = search.ladder
-    if ladder is None:
-        # unreachable when the tangent gate passed, kept for robustness
-        return report(Verdict("point"),
-                      extra=["no nontrivial first-order lift: the ring is the base field"])
+    ladder = search.ladder  # tangent 1: some cocycle is not a coboundary, so a seed exists
     ob = search.obstruction
     if ob is not None:
         notes.append(f"obstruction at order {ob.order}: "

@@ -43,10 +43,6 @@ def _load(args):
     return text, source
 
 
-def _algebra(source) -> PresentedAlgebra:
-    return PresentedAlgebra.from_source(source)
-
-
 def _module(source, algebra, name: str | None) -> Representation:
     if name is None:
         if len(source.modules) == 1:
@@ -70,7 +66,7 @@ def _print_maps(maps: dict, indent: str = "  "):
 
 def cmd_check(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     print(f"field: {source.field!r}")
     q = source.quiver
     print(f"quiver: {len(q.vertices)} vertices, {len(q.arrows)} arrows")
@@ -98,7 +94,7 @@ def cmd_check(args) -> int:
 
 def cmd_hom(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     n = _module(source, algebra, args.other or args.module)
     space = hom_basis(m, n)
@@ -111,7 +107,7 @@ def cmd_hom(args) -> int:
 
 def cmd_ext(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     n = _module(source, algebra, args.other or args.module)
     try:
@@ -127,7 +123,7 @@ def cmd_ext(args) -> int:
 
 def cmd_stable_end(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     try:
         dim = hom_stable(m, m)
@@ -139,7 +135,7 @@ def cmd_stable_end(args) -> int:
 
 def cmd_ladder(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     system = DeformationSystem(m, m)
     tangent = tangent_dimension(m, system)
@@ -175,7 +171,7 @@ def cmd_ladder(args) -> int:
 
 def cmd_classify(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     _module(source, algebra, args.module)  # existence + validity with clean errors
     name = args.module or next(iter(source.modules))
     report = classify(source, name, ClassifyConfig(max_order=args.max_order))
@@ -188,7 +184,7 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     _, source = _load(args)
-    algebra = _algebra(source)
+    algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     if m.field.p is None:
         raise InputProblem("oracle enumeration needs a prime field")

@@ -603,15 +603,6 @@ def serialize_report(report) -> str:
     return _indented_json(obj) + "\n"
 
 
-VERDICT_TEXT = {
-    "point": "R^w ≅ k",
-    "finite": "R^w ≅ k[[t]]/(t^{})",
-    "power_series": "R^w ≅ k[[t]]",
-    "inconclusive": "inconclusive",
-    "out_of_scope": "out of scope",
-}
-
-
 def report_to_text(report) -> str:
     """Human-readable summary of a classification report."""
     lines = [

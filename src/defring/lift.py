@@ -172,35 +172,9 @@ class Obstruction:
         return self.rank_augmented > self.rank_coefficient
 
 
-@dataclass
-class LiftExtensions:
-    """The affine space of valid next coefficient tuples of a lift."""
-
-    lift: Lift
-    system: DeformationSystem
-    solution: object  # AffineSolutionSpace over packed arrow matrices
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.solution.kernel)
-
-    def point(self, coeffs) -> Lift:
-        vec = self.solution.point(coeffs)
-        return self._make(vec)
-
-    def particular(self) -> Lift:
-        return self._make(self.solution.particular)
-
-    def _make(self, vec) -> Lift:
-        b = self.system.layout.unpack(vec)
-        extended = self.lift.extended(b)
-        for block in residual_coefficients(extended, extended.order):
-            assert block.is_zero(), "extension point failed its residual check"
-        return extended
-
-
 def extend_step(lift: Lift, system: DeformationSystem | None = None):
-    """Solve for the next coefficient tuple; Obstruction when infeasible."""
+    """The lift extended by the particular solution of the next order's
+    step, or an Obstruction when that step is infeasible."""
     if system is None:
         system = DeformationSystem(lift.base, lift.base)
     rhs = residual_coefficients(lift, lift.order + 1)
@@ -213,7 +187,10 @@ def extend_step(lift: Lift, system: DeformationSystem | None = None):
             rank_coefficient=sol.rank,
             rank_augmented=sol.rank_augmented,
         )
-    return LiftExtensions(lift, system, sol)
+    extended = lift.extended(system.layout.unpack(sol.particular))
+    for block in residual_coefficients(extended, extended.order):
+        assert block.is_zero(), "extension point failed its residual check"
+    return extended
 
 
 # ----------------------------------------------------------------------

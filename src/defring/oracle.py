@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lift import (Lift, Obstruction, as_representation, extend_step, is_valid,
-                   residual_coefficients)
+from .lift import Lift, as_representation, is_valid, residual_coefficients
 from .linalg import AffineSolutionSpace, in_row_span
 from .rep import DeformationSystem, Representation, arrow_layout, iso_test
 
@@ -234,13 +233,13 @@ def incremental_valid_points(v: Representation, order: int,
     while len(out) < order:
         next_frontier = []
         for lift in frontier:
-            step = extend_step(lift, system)
-            if isinstance(step, Obstruction):
+            step = system.solve_step(residual_coefficients(lift, lift.order + 1))
+            if not step.feasible:
                 continue  # obstructed chain contributes nothing further
-            needed = len(next_frontier) + field.p ** len(step.solution.kernel)
+            needed = len(next_frontier) + field.p ** len(step.kernel)
             if needed > budget:
                 raise BudgetExceeded("incremental frontier", needed, budget)
-            for vec in solution_points(step.solution, field):
+            for vec in solution_points(step, field):
                 next_frontier.append(lift.extended(system.layout.unpack(vec)))
         frontier = next_frontier
         out.append(sorted(point_from_lift(l) for l in frontier))

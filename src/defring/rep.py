@@ -87,14 +87,6 @@ class Representation:
         return tree.fold(lambda v: Matrix.identity(self.field, self.dims[v]),
                          lambda a, below: self.mats[a.name] * below)
 
-    def terms_value(self, terms) -> Matrix:
-        """A linear combination of parallel paths, shared prefixes evaluated once."""
-        tree = PathTree()
-        nodes = [(coeff, tree.add(p)) for coeff, p in terms if coeff]
-        first = terms[0][1]
-        return combination(self.field, self.dims[first.target], self.dims[first.source],
-                           nodes, self.path_values(tree))
-
     def __eq__(self, other):
         return (
             isinstance(other, Representation)
@@ -269,21 +261,26 @@ def hom_equations(m: Representation, n: Representation):
     return layout, SparseRows.from_dicts(m.field, layout.total, rows)
 
 
-def hom_basis(m: Representation, n: Representation,
-              system: DeformationSystem | None = None) -> HomSpace:
+def hom_basis(m: Representation, n: Representation) -> HomSpace:
     """Solve the intertwining equations T_t M_a = N_a T_s for all arrows.
 
     Relations impose nothing extra: any arrow-wise intertwiner between
-    valid modules automatically respects them.  system is (m, n)'s DeformationSystem, if any.
+    valid modules automatically respects them.
     """
-    layout, equations = hom_equations(m, n) if system is None else system.delta
+    layout, equations = hom_equations(m, n)
     basis = [layout.unpack(v) for v in kernel_basis(equations)]
     return HomSpace(m, n, layout, basis)
 
 
 def hom_dim(m: Representation, n: Representation,
             system: DeformationSystem | None = None) -> int:
-    return hom_basis(m, n, system).dim
+    """dim Hom(M, N), counted as the unknowns of δ = hom_equations(M, N) less
+    its rank; system, when given, is (m, n)'s DeformationSystem, whose δ is
+    reused.  δ is row-reduced here, apart from the column elimination behind
+    system.coboundaries, so the hereditary closed form checks the cocycle route.
+    """
+    layout, delta = hom_equations(m, n) if system is None else system.delta
+    return layout.total - rank(delta)
 
 
 def is_homomorphism(m: Representation, n: Representation, maps: dict) -> bool:
@@ -560,14 +557,14 @@ def syzygy(m: Representation) -> Representation:
 def ext1_syzygy(m: Representation, n: Representation) -> int:
     """dim Ext^1 as dim Hom(ΩM, N) minus the rank of the restrictions to ΩM
     of Hom(P, N), P = ⊕ Λe_v the projective cover; Hom(Λe_v, N) is read
-    off N (Yoneda), once per top vertex v.
+    off N (Yoneda), once per top vertex v.  dim Hom(ΩM, N) is counted as
+    the unknowns of hom_equations(ΩM, N) less its rank.
 
     N must satisfy the relations, or the Yoneda maps are not homomorphisms.
     """
     _require_truncated(m.algebra, "syzygy route to Ext")
     summands, omega, incl = syzygy_data(m)
-    hom_on = hom_basis(omega, n)
-    layout = hom_on.layout
+    layout, delta = hom_equations(omega, n)
     vertices = m.algebra.quiver.vertices
     homs = {v: yoneda_homs(v, n) for v in set(summands)}
     first = dict.fromkeys(vertices, 0)  # P's first coordinate of the summand at each vertex
@@ -581,7 +578,7 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
                               incl[w].data[first[w] * k:(first[w] + widths[w]) * k])
             first[w] += widths[w]
         image += [layout.pack({w: phi[w] * block[w] for w in vertices}) for phi in homs[v]]
-    return hom_on.dim - row_space(image, m.field, layout.total).rank
+    return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
 
 
 def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None,
@@ -786,7 +783,7 @@ class DeformationSystem:
         """Echelon form of the coboundaries B, the image of δ; computed on
         first use.  The rows of δ are indexed by this system's packed arrow
         coordinates, so B is spanned by its columns.  This is an elimination
-        of its own, apart from the kernel that hom_basis takes.
+        of its own, apart from the row elimination that hom_dim takes.
         """
         return column_space(self.delta[1])
 

@@ -25,6 +25,7 @@ from defring import (
     incremental_valid_points,
     ladder_search,
     oracle_max_order,
+    residual_coefficients,
     serialize_report,
     tangent_dimension,
     validate,
@@ -74,15 +75,16 @@ def test_criterion_3_free_loop_is_a_power_series_ring():
         assert report.verdict.proved is True, name
         # the extension system is empty: kernel dimension 1 at every order
         base = load_module(name, "V")
-        search = ladder_search(base, max_order=10)
+        system = DeformationSystem(base, base)
+        search = ladder_search(base, max_order=10, system=system)
         assert search.kind == "unobstructed"
-        assert search.kernel_dims == [1] * 10
+        assert f"extension kernel dimensions per order: {[1] * 10}" in search.notes
         lift = Lift.first_order(base, search.ladder.first_order_class)
         for _ in range(9):
-            step = extend_step(lift)
-            assert step.kernel_dim == 1
-            lift = step.particular()
-        assert lift.order == 10
+            step = system.solve_step(residual_coefficients(lift, lift.order + 1))
+            assert step.feasible and len(step.kernel) == 1
+            lift = extend_step(lift, system)
+        assert lift.order == 10 and lift == search.ladder.top
         assert verify_report(read_corpus(name), "V", serialize_report(report), name).ok
 
 

@@ -149,14 +149,23 @@ def test_one_chain_needs_no_budget():
     assert (report.verdict.type, report.verdict.n, report.verdict.proved) == ("finite", 11, False)
     # dim Z = 5 for PV, yet one chain settles it
     search = ladder_search(load_module("kx2_f5.alg", "PV"))
-    assert (search.kind, search.terminated_at, search.kernel_dims) == ("terminated", 1, [5])
+    assert (search.kind, search.terminated_at) == ("terminated", 1)
+    assert search.notes == ["extension kernel dimensions per order: [5]"]
+
+
+@pytest.mark.parametrize("module, tangent", [("P1", 0), ("VV", 4)])
+def test_classify_rejects_max_order_below_one_before_the_tangent_gate(module, tangent):
+    assert tangent_dimension(load_module("kx2_f5.alg", module)) == tangent
+    for max_order in (0, -3):
+        with pytest.raises(ValueError, match=f"max_order must be at least 1, got {max_order}$"):
+            classify(load_source("kx2_f5.alg"), module, ClassifyConfig(max_order=max_order))
 
 
 def test_ladder_search_result_shape():
     v = load_module("kx3_f5.alg", "V")
     result = ladder_search(v, max_order=10)
     assert result.kind == "terminated"
-    assert result.kernel_dims == [1, 1]
+    assert result.notes == ["extension kernel dimensions per order: [1, 1]"]
     assert result.terminated_at == 2
     assert result.obstruction is not None and result.obstruction.certifies
     assert result.ladder.length == 2
@@ -165,7 +174,7 @@ def test_ladder_search_result_shape():
     loop = load_module("loop_free_f3.alg", "V")
     free = ladder_search(loop, max_order=10)
     assert free.kind == "unobstructed"
-    assert free.kernel_dims == [1] * 10
+    assert free.notes[1] == f"extension kernel dimensions per order: {[1] * 10}"
 
     bounded = ladder_search(v, max_order=1)
     assert bounded.kind == "reached_bound"
@@ -394,13 +403,29 @@ def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):
 
 
 def test_ext_at_the_ladder_top_reuses_its_hom(monkeypatch):
-    # hereditary: Hom(V, V) for the closed form of the tangent space, then
-    # Hom(top, V) once for both hom_top_dim and the closed form of ext_top_dim
+    # hereditary: dim Hom(V, V) for the closed form of the tangent space,
+    # through rep's binding of hom_dim, then dim Hom(top, V) once, through
+    # classify's, for both hom_top_dim and the closed form of ext_top_dim;
+    # each δ is row-reduced once (the coboundaries reduce its columns)
+    import defring.linalg
     import defring.rep
-    calls = _count_calls(monkeypatch, defring.rep, "hom_basis")
+    deltas = []
+    build = defring.rep.hom_equations
+
+    def recording(m, n):
+        out = build(m, n)
+        deltas.append(out[1])
+        return out
+
+    monkeypatch.setattr(defring.rep, "hom_equations", recording)
+    eliminations = _count_calls(monkeypatch, defring.linalg, "rref")
+    counted = [_count_calls(monkeypatch, module, "hom_dim")
+               for module in (defring.rep, sys.modules["defring.classify"])]
     report = run("loop_free_q.alg", "V", max_order=3)
     assert report.checks.hom_top_dim == 1 and report.checks.ext_top_dim == 1
-    assert len(calls) == 2
+    assert len(deltas) == 2
+    assert [sum(args[0] is delta for args in eliminations) for delta in deltas] == [1, 1]
+    assert [len(calls) for calls in counted] == [1, 1]
 
 
 

@@ -108,6 +108,14 @@ def test_classify_point_text(capsys):
     assert "no first-order deformations" in out
 
 
+@pytest.mark.parametrize("module", ["V", "P1", "VV"])
+def test_classify_rejects_max_order_zero_for_every_module(capsys, module):
+    # tangent dimension 1, 0 and 2: only V reaches the ladder search
+    code, out, err = run(capsys, "classify", KX2, "-m", module, "--max-order", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: max_order must be at least 1, got 0\n"
+
+
 def test_classify_json_round_trip(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "classify", KX2, "-m", "V", "--json", str(out_path))

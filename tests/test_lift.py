@@ -8,7 +8,6 @@ from defring import (
     DeformationSystem,
     Ladder,
     Lift,
-    LiftExtensions,
     Obstruction,
     PresentedAlgebra,
     Representation,
@@ -25,8 +24,8 @@ from defring import (
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
-from helpers import (base_embedding, dense_verify_ladder, load_module, read_corpus,
-                     reference_coboundary_vectors, reference_deformation_matrix,
+from helpers import (CORPUS, base_embedding, dense_verify_ladder, load_module, load_source,
+                     read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
                      reference_residual_coefficients, reference_shift_checks,
                      shift_endomorphism)
 
@@ -80,15 +79,41 @@ def test_first_order_space_matches_cocycles():
 def test_extend_step_solves_next_order():
     v = load_module("kx3_f5.alg", "V")
     lift = unit_lift(v, 1)
-    step = extend_step(lift)
-    assert isinstance(step, LiftExtensions)
-    ext = step.particular()
-    assert ext.order == 2
+    ext = extend_step(lift)
+    assert isinstance(ext, Lift)
+    assert ext.order == 2 and ext.coeffs["x"][:2] == lift.coeffs["x"]
     assert is_valid(ext)
-    # kernel freedom: every point of the solution space is a valid lift
-    assert step.kernel_dim == 1
-    points = [ext]
-    assert all(is_valid(p) for p in points)
+    # the step's kernel is the cocycle space Z, and every point of the
+    # solution space is a valid lift
+    system = DeformationSystem(v, v)
+    step = system.solve_step(residual_coefficients(lift, 2))
+    assert len(step.kernel) == len(system.cocycles) == 1
+    assert system.layout.unpack(step.particular) == {"x": ext.coeffs["x"][2]}
+    for c in range(5):
+        assert is_valid(lift.extended(system.layout.unpack(step.point([c]))))
+
+
+CORPUS_MODULES = [(path.name, name) for path in sorted(CORPUS.glob("*.alg"))
+                  for name in load_source(path.name).modules]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS_MODULES), st.data())
+def test_every_feasible_step_has_the_cocycles_as_kernel(case, data):
+    # every step solves system.equations, so a feasible step's solutions are
+    # a point plus Z: the fact behind the "extension kernel dimensions" note
+    v = load_module(*case)
+    system = DeformationSystem(v, v)
+    lift = Lift.trivial(v)
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = system.solve_step(residual_coefficients(lift, lift.order + 1))
+        if not step.feasible:
+            break
+        assert len(step.kernel) == len(system.cocycles)
+        size = len(step.kernel)
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        lift = lift.extended(system.layout.unpack(step.point(coeffs)))
+    assert is_valid(lift)
 
 
 def test_extend_step_reports_obstruction():
@@ -285,7 +310,7 @@ def tangent_one_ladders(draw):
             step = extend_step(lift)
             if isinstance(step, Obstruction):
                 break
-            lift = step.particular()
+            lift = step
         return Ladder(lift)
     return ladder
 
