@@ -43,12 +43,19 @@ def _load(args):
     return text, source
 
 
+def _module_name(source, name: str | None) -> str:
+    """name, or the file's only module when no name is given."""
+    if name is not None:
+        return name
+    if not source.modules:
+        raise InputProblem("the file declares no module")
+    if len(source.modules) > 1:
+        raise InputProblem("several modules in the file; pick one with -m")
+    return next(iter(source.modules))
+
+
 def _module(source, algebra, name: str | None) -> Representation:
-    if name is None:
-        if len(source.modules) == 1:
-            name = next(iter(source.modules))
-        else:
-            raise InputProblem("several modules in the file; pick one with -m")
+    name = _module_name(source, name)
     if name not in source.modules:
         known = ", ".join(sorted(source.modules)) or "none"
         raise InputProblem(f"no module named {name!r} (file has: {known})")
@@ -172,8 +179,8 @@ def cmd_ladder(args) -> int:
 def cmd_classify(args) -> int:
     _, source = _load(args)
     algebra = PresentedAlgebra.from_source(source)
-    _module(source, algebra, args.module)  # existence + validity with clean errors
-    name = args.module or next(iter(source.modules))
+    name = _module_name(source, args.module)
+    _module(source, algebra, name)  # existence + validity with clean errors
     report = classify(source, name, ClassifyConfig(max_order=args.max_order))
     sys.stdout.write(report_to_text(report))
     if args.json:
@@ -209,11 +216,8 @@ def cmd_verify(args) -> int:
         report_json = Path(args.json).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputProblem(f"{args.json}: {exc.strerror or exc}") from exc
-    if args.module is None:
-        if len(source.modules) != 1:
-            raise InputProblem("several modules in the file; pick one with -m")
-        args.module = next(iter(source.modules))
-    result = verify_report(text, args.module, report_json, filename=args.file)
+    name = _module_name(source, args.module)
+    result = verify_report(text, name, report_json, filename=args.file)
     print(result.summary())
     return 0 if result.ok else 1
 

@@ -25,7 +25,6 @@ from .linalg import (
     in_row_span,
     kernel_basis,
     rank,
-    reduce_mod_rows,
     row_space,
     solve_affine,
     solve_matrix,
@@ -406,42 +405,15 @@ def sub_from_maps(m: Representation, bases: dict) -> Representation:
     return Representation(m.algebra, dims, mats)
 
 
-def _quotient_with_projection(m: Representation, bases: dict):
-    field = m.field
-    ech = {}
-    free = {}
+def _top_columns(m: Representation) -> dict:
+    """The standard-basis columns c of each M_v that span M's top: those that
+    are not pivots of the radical's echelon form at v."""
+    rad = radical_subspaces(m)
+    out = {}
     for v in m.algebra.quiver.vertices:
-        e = row_space(bases.get(v, []), field, m.dims[v])
-        ech[v] = e
-        pivot_set = set(e.pivots)
-        free[v] = [c for c in range(m.dims[v]) if c not in pivot_set]
-
-    def project(v, vec):
-        reduced = reduce_mod_rows(ech[v], vec)
-        return tuple(reduced[c] for c in free[v])
-
-    proj = {}
-    for v in m.algebra.quiver.vertices:
-        identity = Matrix.identity(field, m.dims[v])
-        proj[v] = Matrix.from_columns(field, len(free[v]),
-                                      [project(v, identity.column(j)) for j in range(m.dims[v])])
-    mats = {}
-    for a in m.algebra.quiver.arrows:
-        # stability check: each subspace vector must map into the target subspace
-        for vec in bases.get(a.source, []):
-            image = m.mats[a.name].apply(vec)
-            if not in_row_span(ech[a.target], image):
-                raise NotInvariant(f"subspace not stable under arrow {a.name}")
-        mats[a.name] = proj[a.target] * m.mats[a.name] * _pseudo_section(m, free, a.source)
-    dims = {v: len(free[v]) for v in m.algebra.quiver.vertices}
-    quotient = Representation(m.algebra, dims, mats)
-    return quotient, proj
-
-
-def _pseudo_section(m: Representation, free: dict, v: str) -> Matrix:
-    """Standard-basis lift of quotient coordinates (free coordinates of v)."""
-    identity = Matrix.identity(m.field, m.dims[v])
-    return Matrix.from_columns(m.field, m.dims[v], [identity.column(f) for f in free[v]])
+        pivots = set(row_space(rad[v], m.field, m.dims[v]).pivots)
+        out[v] = [c for c in range(m.dims[v]) if c not in pivots]
+    return out
 
 
 def radical(m: Representation) -> Representation:
@@ -450,10 +422,7 @@ def radical(m: Representation) -> Representation:
 
 def top(m: Representation) -> Representation:
     """M modulo its radical; every arrow acts by zero there."""
-    t, _ = _quotient_with_projection(m, radical_subspaces(m))
-    for a in m.algebra.quiver.arrows:
-        assert t.mats[a.name].is_zero()
-    return t
+    return Representation(m.algebra, {v: len(c) for v, c in _top_columns(m).items()}, {})
 
 
 # ----------------------------------------------------------------------
@@ -463,42 +432,26 @@ def top(m: Representation) -> Representation:
 def projective_cover(m: Representation):
     """Smallest projective mapping onto M: (P, cover, summands).
 
-    One projective summand Λe_v per top basis vector, summands listing
-    their vertices v in order; the cover sends the generator of each
-    summand to the chosen lift and extends along paths.
+    One projective summand Λe_v per top column c of M_v, summands listing
+    their vertices v in order; the cover on that summand is the Yoneda map
+    yoneda_homs(v, M)[c], which sends e_v to e_c, and the cover at w puts
+    the summands' blocks side by side.
     """
     _require_truncated(m.algebra, "projective cover")
     algebra = m.algebra
-    field = m.field
-    quiver = algebra.quiver
-    rad = radical_subspaces(m)
-    lifts = []  # (vertex, standard-basis lift vector)
-    for v in quiver.vertices:
-        pivot_set = set(row_space(rad[v], field, m.dims[v]).pivots)
-        identity = Matrix.identity(field, m.dims[v])
-        lifts += [(v, identity.column(c)) for c in range(m.dims[v]) if c not in pivot_set]
-    summands = [v for v, _ in lifts]
+    maps, summands = [], []
+    for v, columns in _top_columns(m).items():
+        if columns:
+            maps += _yoneda_maps(v, m, columns)
+            summands += [v] * len(columns)
     if summands:
         p = direct_sum_many([algebra.left_projective(v) for v in summands])
     else:
         p = Representation(algebra, {}, {})
-    # the images of the lifts at v under every basis path from v, as the
-    # columns of one matrix per path, built along the path tree
-    tops = {v: [u for w, u in lifts if w == v] for v in quiver.vertices}
-    basis_paths = {v: [q for q in algebra.basis if q.source == v and tops[v]]
-                   for v in quiver.vertices}
-    tree = PathTree()
-    nodes = {v: [tree.add(q) for q in paths] for v, paths in basis_paths.items()}
-    values = tree.fold(lambda v: Matrix.from_columns(field, m.dims[v], tops[v]),
-                       lambda a, below: m.mats[a.name] * below)
     cover = {}
-    for w in quiver.vertices:
-        cols = []
-        for v in quiver.vertices:
-            images = [values[node] for q, node in zip(basis_paths[v], nodes[v]) if q.target == w]
-            for j in range(len(tops[v])):
-                cols += [image.column(j) for image in images]
-        cover[w] = Matrix.from_columns(field, m.dims[w], cols)
+    for w in algebra.quiver.vertices:
+        cover[w] = Matrix.from_columns(m.field, m.dims[w], [phi[w].column(k) for phi in maps
+                                                            for k in range(phi[w].ncols)])
         if rank(cover[w]) != m.dims[w]:
             raise AssertionError(f"cover not surjective at vertex {w}")
     return p, cover, summands
@@ -506,24 +459,32 @@ def projective_cover(m: Representation):
 
 def yoneda_homs(v: str, n: Representation) -> list:
     """A basis of Hom(Λe_v, N), Λe_v = algebra.left_projective(v) (Yoneda:
-    Hom(Λe_v, N) ≅ e_vN), read off N without solving a system.
-
-    The map for basis vector e_i of N_v sends the basis path q of Λe_v to
-    N(q)e_i; N's basis-path values come from one fold along the paths from
-    v.  The maps are homomorphisms when N satisfies the relations.
+    Hom(Λe_v, N) ≅ e_vN), read off N without solving a system: the map for
+    basis vector e_i of N_v sends the basis path q of Λe_v to N(q)e_i.  The
+    maps are homomorphisms when N satisfies the relations.
     """
+    return _yoneda_maps(v, n, range(n.dims[v]))
+
+
+def _yoneda_maps(v: str, n: Representation, columns) -> list:
+    """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
+    columns: N's basis-path values on those columns come from one fold along
+    the paths from v, so a cover reads only its top columns."""
     algebra = n.algebra
+    field = n.field
     tree = PathTree()
     nodes = {w: [] for w in algebra.quiver.vertices}
     for q in algebra.basis:
         if q.source == v:
             nodes[q.target].append(tree.add(q))
-    values = n.path_values(tree)
-    width = n.dims[v]
+    identity = Matrix.identity(field, n.dims[v])
+    start = Matrix.from_columns(field, n.dims[v], [identity.column(c) for c in columns])
+    values = tree.fold(lambda _: start, lambda a, below: n.mats[a.name] * below)
+    width = start.ncols
     maps = []
     for i in range(width):
         # entry (r, k) of the map at w is N(q_k)[r, i], q_k the k-th basis path v -> w
-        maps.append({w: Matrix(n.field, n.dims[w], len(at_w),
+        maps.append({w: Matrix(field, n.dims[w], len(at_w),
                                [values[node].data[r * width + i]
                                 for r in range(n.dims[w]) for node in at_w])
                      for w, at_w in nodes.items()})
@@ -648,12 +609,11 @@ def hom_stable(m: Representation, n: Representation,
 
     Every map factoring through any projective factors through the cover
     P(N) = ⊕ Λe_v of N, so the projectively-trivial maps are the composites
-    of Hom(M, P(N)) with the cover.  Hom(M, P(N)) is the sum of the
-    Hom(M, Λe_v) over the summands: each is solved once per distinct summand
-    vertex v, and each basis map is composed with the cover's columns of
-    every summand at v.  dim Hom(M, N) is counted, not solved, as the number
-    of unknowns less the rank of δ = hom_equations(M, N); system, when given,
-    is (m, n)'s DeformationSystem, whose coboundaries are that rank.
+    yoneda_homs(v, N)[c] ∘ t, c a top column of N at v and t a basis map of
+    Hom(M, Λe_v), solved once per vertex v with top columns; no P(N) is
+    built.  dim Hom(M, N) is counted, not solved, as the number of unknowns
+    less the rank of δ = hom_equations(M, N); system, when given, is
+    (m, n)'s DeformationSystem, whose coboundaries are that rank.
     """
     _require_truncated(m.algebra, "stable Hom")
     _same_algebra(m, n)
@@ -662,21 +622,14 @@ def hom_stable(m: Representation, n: Representation,
         delta_rank = rank(delta)
     else:
         layout, delta_rank = system.delta[0], system.coboundaries.rank
-    _, cover, summands = projective_cover(n)
     algebra = m.algebra
     vertices = algebra.quiver.vertices
-    homs = {v: hom_basis(m, algebra.left_projective(v)) for v in dict.fromkeys(summands)}
-    first = dict.fromkeys(vertices, 0)  # P(N)'s first coordinate of the summand at each vertex
     image = []
-    for v in summands:
-        hom_mv = homs[v]
-        block = {}  # the cover's columns of this summand
-        for w in vertices:
-            lo, hi = first[w], first[w] + hom_mv.target.dims[w]
-            block[w] = Matrix(m.field, n.dims[w], hi - lo,
-                              [x for r in range(n.dims[w]) for x in cover[w].row(r)[lo:hi]])
-            first[w] = hi
-        image += [layout.pack({w: block[w] * t[w] for w in vertices}) for t in hom_mv.basis]
+    for v, columns in _top_columns(n).items():
+        if columns:
+            homs = _yoneda_maps(v, n, columns)
+            for t in hom_basis(m, algebra.left_projective(v)).basis:
+                image += [layout.pack({w: phi[w] * t[w] for w in vertices}) for phi in homs]
     return layout.total - delta_rank - row_space(image, m.field, layout.total).rank
 
 

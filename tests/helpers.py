@@ -9,9 +9,9 @@ import itertools
 from defring.dsl import ParseError, Token
 
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
-from defring.linalg import Matrix, rank, row_space, solve_matrix
+from defring.linalg import Matrix, in_row_span, rank, reduce_mod_rows, row_space, solve_matrix
 from defring.oracle import coefficient_slots, lift_from_point
-from defring.rep import (DeformationSystem, MapLayout, direct_sum_many, hom_basis,
+from defring.rep import (DeformationSystem, MapLayout, NotInvariant, direct_sum_many, hom_basis,
                          is_homomorphism, projective_cover, radical_subspaces, syzygy_data)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -121,6 +121,42 @@ def reference_projective_cover(m):
                 for q in algebra.basis if q.source == v and q.target == w]
         cover[w] = Matrix.from_columns(field, m.dims[w], cols)
     return p, cover, [v for v, _ in lifts]
+
+
+def reference_quotient(m, bases):
+    """(M / U, projection): U the arrow-stable subspaces spanned by bases,
+    the quotient on the standard-basis columns that are not pivots of U's
+    echelon form at each vertex, every arrow of M projected through them."""
+    field = m.field
+    ech = {}
+    free = {}
+    for v in m.algebra.quiver.vertices:
+        e = row_space(bases.get(v, []), field, m.dims[v])
+        ech[v] = e
+        pivot_set = set(e.pivots)
+        free[v] = [c for c in range(m.dims[v]) if c not in pivot_set]
+
+    def project(v, vec):
+        reduced = reduce_mod_rows(ech[v], vec)
+        return tuple(reduced[c] for c in free[v])
+
+    proj = {}
+    section = {}  # standard-basis lift of quotient coordinates
+    for v in m.algebra.quiver.vertices:
+        identity = Matrix.identity(field, m.dims[v])
+        proj[v] = Matrix.from_columns(field, len(free[v]),
+                                      [project(v, identity.column(j)) for j in range(m.dims[v])])
+        section[v] = Matrix.from_columns(field, m.dims[v], [identity.column(f) for f in free[v]])
+    mats = {}
+    for a in m.algebra.quiver.arrows:
+        # stability check: each subspace vector must map into the target subspace
+        for vec in bases.get(a.source, []):
+            image = m.mats[a.name].apply(vec)
+            if not in_row_span(ech[a.target], image):
+                raise NotInvariant(f"subspace not stable under arrow {a.name}")
+        mats[a.name] = proj[a.target] * m.mats[a.name] * section[a.source]
+    dims = {v: len(free[v]) for v in m.algebra.quiver.vertices}
+    return Representation(m.algebra, dims, mats), proj
 
 
 # ----------------------------------------------------------------------

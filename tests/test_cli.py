@@ -215,6 +215,36 @@ def test_module_flag_required_when_ambiguous(capsys):
     assert "module" in err.lower()
 
 
+NO_MODULE = "field F 5\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 3\n"
+TWO_MODULES = NO_MODULE + "module A\n  dim v = 1\nmodule B\n  dim v = 2\n"
+PICKING_COMMANDS = [["classify"], ["ladder"], ["hom"], ["ext"], ["stable-end"],
+                    ["oracle", "--order", "1"], ["verify", "--json"]]
+
+
+def _run_without_flag(capsys, tmp_path, text, command):
+    path = tmp_path / "input.alg"
+    path.write_text(text, encoding="utf-8")
+    report = tmp_path / "report.json"
+    report.write_text("{}", encoding="utf-8")
+    argv = [command[0], str(path)] + command[1:]
+    return run(capsys, *argv, *([str(report)] if command[0] == "verify" else []))
+
+
+@pytest.mark.parametrize("command", PICKING_COMMANDS)
+def test_file_without_modules_is_an_input_error(capsys, tmp_path, command):
+    code, out, err = _run_without_flag(capsys, tmp_path, NO_MODULE, command)
+    assert code == 1
+    assert err == "error: the file declares no module\n"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", PICKING_COMMANDS)
+def test_file_with_two_modules_needs_the_flag(capsys, tmp_path, command):
+    code, _, err = _run_without_flag(capsys, tmp_path, TWO_MODULES, command)
+    assert code == 1
+    assert err == "error: several modules in the file; pick one with -m\n"
+
+
 def test_single_module_file_needs_no_flag(capsys):
     code, out, _ = run(capsys, "classify", str(CORPUS / "kx3_q.alg"))
     assert code == 0

@@ -32,14 +32,15 @@ from defring.fields import FieldSpec
 from defring.linalg import Matrix, in_row_span, rank, row_space, solve_matrix
 from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
-from defring.rep import (NotHereditary, NotInvariant, _quotient_with_projection,
-                         direct_sum_many, hom_equations, is_homomorphism, sub_from_maps,
-                         syzygy_data, yoneda_homs)
+from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
+                         is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
+                         yoneda_homs)
 from helpers import (CORPUS, dense_matrix, load_algebra, load_module, load_source,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
-                     reference_projective_cover, restricted_cover_homs)
+                     reference_projective_cover, reference_quotient,
+                     restricted_cover_homs)
 
 THREE_CHAIN = """\
 field F 5
@@ -490,7 +491,7 @@ def valid_module_pairs(draw):
                 break
             for w, y in missing:
                 gens[w].append(y)
-        return _quotient_with_projection(p, {v: bases[v].vectors() for v in vertices})[0]
+        return reference_quotient(p, {v: bases[v].vectors() for v in vertices})[0]
 
     m = module()
     return m, (m if draw(st.booleans()) else module())
@@ -604,6 +605,12 @@ def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
     p = projective_cover(m)[0]
     for phi in yoneda_cover_homs(m, n):
         assert is_homomorphism(p, n, phi)
+    # the cover and the top, each read off the top columns, against the
+    # references that multiply paths out and project M through its radical
+    assert projective_cover(m) == reference_projective_cover(m)
+    quotient = reference_quotient(m, radical_subspaces(m))[0]
+    assert all(x.is_zero() for x in quotient.mats.values())
+    assert top(m) == quotient
 
 
 @settings(max_examples=60, deadline=None)
