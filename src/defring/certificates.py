@@ -9,13 +9,12 @@ carried over from the run that produced the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .algebra import PresentedAlgebra
-from .classify import (nontriviality_checks_pass, sigma_checks_pass,
-                       source_digest, tangent_dimension, top_checks)
+from .classify import Checks, ladder_checks, source_digest, tangent_dimension
 from .dsl import field_to_json, parse
-from .lift import Ladder, Lift, as_representation, verify_ladder
+from .lift import Ladder, Lift, verify_ladder
 from .linalg import Matrix
 from .rep import DeformationSystem, Representation, validate
 
@@ -32,7 +31,7 @@ class VerificationResult:
 
 
 REPORT_KEYS = {"input_digest", "field", "tangent_dim", "verdict", "ladder", "checks", "notes"}
-CHECK_KEYS = {"hom_top_dim", "ext_top_dim", "sigma_nilpotent", "first_order_nontrivial"}
+CHECK_KEYS = {f.name for f in fields(Checks)}
 # the keys of a verdict of each type; an unproved power_series adds max_order_checked
 VERDICT_KEYS = {"point": {"type"}, "out_of_scope": {"type"}, "inconclusive": {"type"},
                 "finite": {"type", "N", "proved"}, "power_series": {"type", "proved"}}
@@ -180,8 +179,6 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         return VerificationResult(False, failures, lines)
 
     transcript = verify_ladder(ladder, system=system)
-    sigma_ok = sigma_checks_pass(transcript)
-    nontrivial_ok = nontriviality_checks_pass(transcript)
     if vtype in ("finite", "power_series"):
         # these verdicts assert a passing certificate; replay every check
         for entry in transcript.checks:
@@ -190,22 +187,18 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         passed = sum(1 for entry in transcript.checks if entry.ok)
         lines.append(f"ladder transcript: {passed}/{len(transcript.checks)} checks pass")
 
-    top = as_representation(ladder.top)
-    top_problems = validate(top)
-    check("top_satisfies_relations", not top_problems, "; ".join(top_problems[:2]))
-    if top_problems:
+    # the top rung is a module exactly when its residuals of degrees 0..N
+    # vanish, and the residuals_vanish checks are cumulative over them
+    failing = [c.order for c in transcript.checks if c.name == "residuals_vanish" and not c.ok]
+    check("top_satisfies_relations", not failing,
+          f"the degree-{failing[0]} residual does not vanish" if failing else "")
+    if failing:
         # hom/ext of a non-module are meaningless; everything downstream is void
         return VerificationResult(False, failures, lines)
-    hom_top, ext_top = top_checks(top, base)
-    check("hom_top_dim_matches", _same(checks.get("hom_top_dim"), hom_top),
-          f"recomputed {hom_top}")
-    check("ext_top_dim_matches", _same(checks.get("ext_top_dim"), ext_top),
-          f"recomputed {ext_top}")
-    check("sigma_nilpotent_matches", _same(checks.get("sigma_nilpotent"), sigma_ok),
-          f"recomputed {sigma_ok}")
-    check("first_order_nontrivial_matches",
-          _same(checks.get("first_order_nontrivial"), nontrivial_ok),
-          f"recomputed {nontrivial_ok}")
+    recomputed = ladder_checks(ladder, transcript, base)
+    for key, value in asdict(recomputed).items():
+        check(f"{key}_matches", _same(checks.get(key), value), f"recomputed {value}")
+    hom_top, ext_top = recomputed.hom_top_dim, recomputed.ext_top_dim
 
     if vtype == "finite":
         n = verdict.get("N")

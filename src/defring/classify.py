@@ -15,7 +15,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .dsl import SourceFile, print_source
 from .lift import (
+    SHIFT_CHECKS,
     Ladder,
+    LadderTranscript,
     Lift,
     Obstruction,
     as_representation,
@@ -161,12 +163,17 @@ def stable_end_note(v: Representation, system: DeformationSystem | None = None) 
     return note
 
 
-def top_checks(top: Representation, base: Representation) -> tuple:
-    """(dim Hom(top, V), dim Ext^1(top, V)), the side conditions at the top
-    of a ladder; one DeformationSystem(top, V) builds δ once for both."""
+def ladder_checks(ladder: Ladder, transcript: LadderTranscript, base: Representation) -> Checks:
+    """The report's checks for a ladder whose top rung is a module: dim Hom and
+    dim Ext^1 from the top to V share one DeformationSystem(top, V), which
+    builds δ once; the shift and nontriviality flags are read off the transcript."""
+    top = as_representation(ladder.top)
     system = DeformationSystem(top, base)
     hom_top = hom_dim(top, base, system)
-    return hom_top, ext1_dim(top, base, backend="all", system=system, hom=hom_top)
+    return Checks(hom_top_dim=hom_top,
+                  ext_top_dim=ext1_dim(top, base, backend="all", system=system, hom=hom_top),
+                  sigma_nilpotent=transcript.passed(*SHIFT_CHECKS),
+                  first_order_nontrivial=transcript.passed("first_order_nontrivial"))
 
 
 def classify(source: SourceFile, module_name: str,
@@ -221,12 +228,9 @@ def classify(source: SourceFile, module_name: str,
     if ob is not None:
         notes.append(f"obstruction at order {ob.order}: "
                      f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
-    hom_top, ext_top = top_checks(as_representation(ladder.top), rep)
     transcript = verify_ladder(ladder, system=system)
     notes.extend(transcript.lines())
-    checks = Checks(hom_top_dim=hom_top, ext_top_dim=ext_top,
-                    sigma_nilpotent=sigma_checks_pass(transcript),
-                    first_order_nontrivial=nontriviality_checks_pass(transcript))
+    checks = ladder_checks(ladder, transcript, rep)
 
     if search.kind == "unobstructed":
         return report(Verdict("power_series", proved=True), ladder, checks)
@@ -236,10 +240,10 @@ def classify(source: SourceFile, module_name: str,
                       extra=[f"no obstruction found up to order {cfg.max_order}; "
                              "the classification is evidence, not proof"])
     failures = []
-    if hom_top != 1:
-        failures.append(f"hom_top_dim = {hom_top} (need 1)")
-    if ext_top != 0:
-        failures.append(f"ext_top_dim = {ext_top} (need 0)")
+    if checks.hom_top_dim != 1:
+        failures.append(f"hom_top_dim = {checks.hom_top_dim} (need 1)")
+    if checks.ext_top_dim != 0:
+        failures.append(f"ext_top_dim = {checks.ext_top_dim} (need 0)")
     if not transcript.ok:
         failures.append("ladder certificate checks failed")
     if failures:
@@ -249,13 +253,3 @@ def classify(source: SourceFile, module_name: str,
         return report(Verdict("finite", n=search.terminated_at, proved=False), ladder, checks,
                       extra=["finite verdicts are marked proved over prime fields only"])
     return report(Verdict("finite", n=search.terminated_at, proved=True), ladder, checks)
-
-
-def sigma_checks_pass(transcript) -> bool:
-    sigma_names = {"sigma_nilpotent", "sigma_power_nonzero", "kernel_is_base_witness",
-                   "image_power_is_base_witness"}
-    return all(c.ok for c in transcript.checks if c.name in sigma_names)
-
-
-def nontriviality_checks_pass(transcript) -> bool:
-    return all(c.ok for c in transcript.checks if c.name == "first_order_nontrivial")

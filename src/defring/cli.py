@@ -184,7 +184,10 @@ def cmd_classify(args) -> int:
     report = classify(source, name, ClassifyConfig(max_order=args.max_order))
     sys.stdout.write(report_to_text(report))
     if args.json:
-        Path(args.json).write_text(serialize_report(report), encoding="utf-8")
+        try:
+            Path(args.json).write_text(serialize_report(report), encoding="utf-8")
+        except OSError as exc:
+            raise InputProblem(f"{args.json}: {exc.strerror or exc}") from exc
         print(f"json report written to {args.json}")
     return 0
 

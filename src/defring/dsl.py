@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import NamedTuple
 
 from .fields import FieldSpec, format_scalar
@@ -108,10 +108,6 @@ class SourceFile:
     relations: list
     modules: dict
     name: str = dc_field(default="<input>", compare=False)
-
-    @property
-    def hereditary(self) -> bool:
-        return self.truncate is None
 
 
 class _Parser:
@@ -592,12 +588,7 @@ def serialize_report(report) -> str:
         "tangent_dim": report.tangent_dim,
         "verdict": verdict,
         "ladder": ladder,
-        "checks": {
-            "hom_top_dim": report.checks.hom_top_dim,
-            "ext_top_dim": report.checks.ext_top_dim,
-            "sigma_nilpotent": report.checks.sigma_nilpotent,
-            "first_order_nontrivial": report.checks.first_order_nontrivial,
-        },
+        "checks": asdict(report.checks),
         "notes": list(report.notes),
     }
     return _indented_json(obj) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lift import Lift, as_representation, is_valid, residual_coefficients
+from .lift import Lift, as_representation, is_valid, residual_coefficients, residuals_vanish
 from .linalg import AffineSolutionSpace, in_row_span
 from .rep import DeformationSystem, Representation, arrow_layout, iso_test
 
@@ -88,7 +88,7 @@ def _valid_points(v: Representation, order: int, budget: int) -> tuple:
         for point, lift in frontier:
             for values, b in degree:
                 extended = lift.extended(b)
-                if all(block.is_zero() for block in residual_coefficients(extended, j)):
+                if residuals_vanish(extended, j):
                     grown.append((point + values, extended))
         frontier = grown
     return total, [point for point, _ in frontier]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from defring import ClassifyConfig, classify, serialize_report, verify_report
+from defring import (ClassifyConfig, DeformationSystem, classify, serialize_report,
+                     verify_report)
 from defring.cli import main
 from helpers import CORPUS, load_source, read_corpus
 
@@ -97,6 +98,28 @@ def test_rejects_wrong_verdict_type():
     result = verify_report(read_corpus("kx2_f5.alg"), "PV", json.dumps(data))
     assert not result.ok
     assert any("hom_top" in f for f in result.failures)
+
+
+def test_padded_inconclusive_report_stops_before_the_top_side_conditions(monkeypatch):
+    # PV's chain obstructs at order 2, so a zero rung of order 2 leaves the
+    # degree-2 residual in place: the top rung is not a module, and verify
+    # must say so before it builds DeformationSystem(top, V) for Hom and Ext
+    data = json.loads(report_for("kx2_f5.alg", "PV"))
+    assert data["verdict"] == {"type": "inconclusive"} and len(data["ladder"]) == 1
+    data["ladder"].append({"order": 2, "matrices": {"x": [["0"] * 3] * 3}})
+    built = []
+    init = DeformationSystem.__init__
+
+    def spy(self, m, n):
+        built.append(m.dims)
+        init(self, m, n)
+
+    monkeypatch.setattr(DeformationSystem, "__init__", spy)
+    result = verify_report(read_corpus("kx2_f5.alg"), "PV", json.dumps(data))
+    assert result.failures == ["top_satisfies_relations"]
+    assert result.lines[-1].startswith("top_satisfies_relations: FAILED")
+    # the top of order 2 is k[t]/(t^3) ⊗ PV, three blocks of PV's dimension 3
+    assert built and {"v": 9} not in built
 
 
 def test_rejects_wrong_module():

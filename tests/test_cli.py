@@ -135,6 +135,16 @@ def test_classify_json_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing/dir/report.json", "."])
+def test_classify_json_to_an_unwritable_path_is_an_input_error(capsys, tmp_path, where):
+    # a missing parent directory raises FileNotFoundError, a directory IsADirectoryError
+    target = tmp_path / where
+    code, _, err = run(capsys, "classify", KX2, "-m", "V", "--json", str(target))
+    assert code == 1
+    assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_tampering(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     run(capsys, "classify", KX2, "-m", "V", "--json", str(out_path))
