@@ -12,9 +12,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .algebra import PresentedAlgebra
-from .classify import Checks, ladder_checks, source_digest, tangent_dimension
-from .dsl import field_to_json, parse
-from .lift import Ladder, Lift, verify_ladder
+from .classify import Checks, decide, ladder_checks, source_digest, tangent_dimension
+from .dsl import field_to_json, parse, verdict_to_json
+from .lift import Ladder, Lift, Obstruction, extend_step, verify_ladder
 from .linalg import Matrix
 from .rep import DeformationSystem, Representation, validate
 
@@ -77,10 +77,7 @@ def _same(claimed, recomputed) -> bool:
 def _parse_entry(field, x):
     if not isinstance(x, str):
         raise ValueError(f"ladder entry {x!r} is not a scalar literal")
-    try:
-        return field.parse_literal(x)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"ladder entry {x!r} divides by zero") from exc
+    return field.parse_literal(x)
 
 
 def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
@@ -123,6 +120,11 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         if not ok:
             failures.append(name)
 
+    def verdict_matches(verdict):
+        expected = verdict_to_json(verdict)
+        check("verdict_matches", _same(report["verdict"], expected),
+              "recomputed " + json.dumps(expected))
+
     try:
         report = json.loads(report_json)
         problem = _shape_problem(report)
@@ -153,21 +155,16 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     check("tangent_dim", _same(report.get("tangent_dim"), tangent),
           f"recomputed {tangent}")
 
-    verdict = report["verdict"]
-    vtype = verdict.get("type")
+    vtype = report["verdict"].get("type")
     ladder_entries = report["ladder"]
     checks = report["checks"]
 
-    if vtype in ("point", "out_of_scope"):
-        if vtype == "point":
-            check("verdict_point_tangent_zero", tangent == 0)
-        else:
-            check("verdict_out_of_scope_tangent", tangent >= 2)
+    if tangent != 1:
+        verdict_matches(decide(tangent))
         check("ladder_empty", not ladder_entries)
         check("checks_null", all(value is None for value in checks.values()))
         return VerificationResult(not failures, failures, lines)
 
-    check("tangent_is_one", tangent == 1)
     try:
         ladder = _ladder_from_json(base, ladder_entries)
     except ValueError as exc:
@@ -198,27 +195,18 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     recomputed = ladder_checks(ladder, transcript, base)
     for key, value in asdict(recomputed).items():
         check(f"{key}_matches", _same(checks.get(key), value), f"recomputed {value}")
-    hom_top, ext_top = recomputed.hom_top_dim, recomputed.ext_top_dim
 
-    if vtype == "finite":
-        n = verdict.get("N")
-        check("ladder_length_is_N", ladder.length == n,
-              f"length {ladder.length}, N {n}")
-        check("hom_top_is_one", hom_top == 1)
-        check("ext_top_is_zero", ext_top == 0)
-        prime = source.field.is_prime_field
-        check("finite_proved_iff_prime_field", verdict.get("proved") is prime,
-              f"proved {verdict.get('proved')}, prime field {prime}")
+    # the search outcome the claim stands for, replayed where it is a fact of the chain
+    if algebra.hereditary:
+        kind = "unobstructed"  # as in ladder_search: no relations, nothing obstructs
     elif vtype == "power_series":
-        if verdict.get("proved"):
-            check("proved_power_series_is_hereditary", algebra.hereditary)
-        else:
-            checked = verdict.get("max_order_checked")
-            check("max_order_checked_is_ladder_length", checked == ladder.length,
-                  f"max_order_checked {checked}, ladder length {ladder.length}")
-    elif vtype == "inconclusive":
-        check("inconclusive_side_condition_fails",
-              hom_top != 1 or ext_top != 0 or not transcript.ok)
+        kind = "reached_bound"
     else:
-        check("verdict_known", False, repr(vtype))
+        kind = "terminated"
+        step = extend_step(ladder.top, system)
+        obstructs = isinstance(step, Obstruction)
+        check("chain_obstructs", obstructs,
+              f"rank {step.rank_coefficient} vs augmented rank {step.rank_augmented}" if obstructs
+              else f"the order-{ladder.length + 1} step is feasible")
+    verdict_matches(decide(tangent, kind, ladder, recomputed, transcript, source.field))
     return VerificationResult(not failures, failures, lines)

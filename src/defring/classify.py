@@ -176,6 +176,40 @@ def ladder_checks(ladder: Ladder, transcript: LadderTranscript, base: Representa
                   first_order_nontrivial=transcript.passed("first_order_nontrivial"))
 
 
+def decide(tangent: int, kind: str | None = None, ladder: Ladder | None = None,
+           checks: Checks | None = None, transcript: LadderTranscript | None = None,
+           field=None) -> Verdict:
+    """The verdict table.  Tangent dimension 1 needs the search's kind, its
+    ladder, the ladder's checks and transcript, and the field; the reason is
+    the note that goes with the verdict."""
+    if tangent == 0:
+        return Verdict("point", reason="no first-order deformations: the ring is the base field")
+    if tangent >= 2:
+        return Verdict("out_of_scope", reason=(
+            f"tangent dimension {tangent} is at least 2: "
+            "the deformation ring need not be a quotient of a power series ring in one variable"))
+    if kind == "unobstructed":
+        return Verdict("power_series", proved=True)
+    if kind == "reached_bound":
+        return Verdict("power_series", proved=False, max_order_checked=ladder.length,
+                       reason=f"no obstruction found up to order {ladder.length}; "
+                              "the classification is evidence, not proof")
+    failures = []
+    if checks.hom_top_dim != 1:
+        failures.append(f"hom_top_dim = {checks.hom_top_dim} (need 1)")
+    if checks.ext_top_dim != 0:
+        failures.append(f"ext_top_dim = {checks.ext_top_dim} (need 0)")
+    if not transcript.ok:
+        failures.append("ladder certificate checks failed")
+    if failures:
+        return Verdict("inconclusive",
+                       reason="side conditions at the ladder top fail: " + "; ".join(failures))
+    if not field.is_prime_field:
+        return Verdict("finite", n=ladder.length, proved=False,
+                       reason="finite verdicts are marked proved over prime fields only")
+    return Verdict("finite", n=ladder.length, proved=True)
+
+
 def classify(source: SourceFile, module_name: str,
              config: ClassifyConfig | None = None) -> ClassificationReport:
     """Full pipeline: tangent gate, ladder search, side conditions, verdict."""
@@ -191,65 +225,29 @@ def classify(source: SourceFile, module_name: str,
     if bad:
         raise ValueError(f"module {module_name!r} violates relations: {', '.join(bad)}")
 
-    digest = source_digest(source)
-    notes = []
-    notes.append("assumes a weak universal deformation ring exists; "
-                 "the tangent-dimension gate below is the computable surrogate")
+    notes = ["assumes a weak universal deformation ring exists; "
+             "the tangent-dimension gate below is the computable surrogate"]
     system = DeformationSystem(rep, rep)
     tangent = tangent_dimension(rep, system)
     notes.append(f"tangent dimension: {tangent}")
     notes.append(stable_end_note(rep, system))
-
-    def report(verdict, ladder=None, checks=None, extra=()):
-        notes.extend(extra)
-        return ClassificationReport(
-            input_digest=digest,
-            field=rep.field,
-            module_name=module_name,
-            tangent_dim=tangent,
-            verdict=verdict,
-            ladder=ladder,
-            checks=checks or Checks(),
-            notes=notes,
-        )
-
-    if tangent == 0:
-        return report(Verdict("point"),
-                      extra=["no first-order deformations: the ring is the base field"])
-    if tangent >= 2:
-        reason = (f"tangent dimension {tangent} is at least 2: "
-                  "the deformation ring need not be a quotient of a power series ring in one variable")
-        return report(Verdict("out_of_scope", reason=reason), extra=[reason])
-
-    search = ladder_search(rep, max_order=cfg.max_order, system=system)
-    notes.extend(search.notes)
-    ladder = search.ladder  # tangent 1: some cocycle is not a coboundary, so a seed exists
-    ob = search.obstruction
-    if ob is not None:
-        notes.append(f"obstruction at order {ob.order}: "
-                     f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
-    transcript = verify_ladder(ladder, system=system)
-    notes.extend(transcript.lines())
-    checks = ladder_checks(ladder, transcript, rep)
-
-    if search.kind == "unobstructed":
-        return report(Verdict("power_series", proved=True), ladder, checks)
-    if search.kind == "reached_bound":
-        return report(Verdict("power_series", proved=False, max_order_checked=cfg.max_order),
-                      ladder, checks,
-                      extra=[f"no obstruction found up to order {cfg.max_order}; "
-                             "the classification is evidence, not proof"])
-    failures = []
-    if checks.hom_top_dim != 1:
-        failures.append(f"hom_top_dim = {checks.hom_top_dim} (need 1)")
-    if checks.ext_top_dim != 0:
-        failures.append(f"ext_top_dim = {checks.ext_top_dim} (need 0)")
-    if not transcript.ok:
-        failures.append("ladder certificate checks failed")
-    if failures:
-        reason = "side conditions at the ladder top fail: " + "; ".join(failures)
-        return report(Verdict("inconclusive", reason=reason), ladder, checks, extra=[reason])
-    if not rep.field.is_prime_field:
-        return report(Verdict("finite", n=search.terminated_at, proved=False), ladder, checks,
-                      extra=["finite verdicts are marked proved over prime fields only"])
-    return report(Verdict("finite", n=search.terminated_at, proved=True), ladder, checks)
+    kind = ladder = transcript = None
+    checks = Checks()
+    if tangent == 1:
+        search = ladder_search(rep, max_order=cfg.max_order, system=system)
+        kind = search.kind
+        notes.extend(search.notes)
+        ladder = search.ladder  # tangent 1: some cocycle is not a coboundary, so a seed exists
+        ob = search.obstruction
+        if ob is not None:
+            notes.append(f"obstruction at order {ob.order}: "
+                         f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
+        transcript = verify_ladder(ladder, system=system)
+        notes.extend(transcript.lines())
+        checks = ladder_checks(ladder, transcript, rep)
+    verdict = decide(tangent, kind, ladder, checks, transcript, rep.field)
+    if verdict.reason is not None:
+        notes.append(verdict.reason)
+    return ClassificationReport(input_digest=source_digest(source), field=rep.field,
+                                module_name=module_name, tangent_dim=tangent, verdict=verdict,
+                                ladder=ladder, checks=checks, notes=notes)

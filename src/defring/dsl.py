@@ -313,7 +313,7 @@ class _Parser:
                 self.fail("bad-scalar-literal", f"bad scalar literal {tok.text!r}", tok)
             try:
                 value = fld.parse_literal(tok.text)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 self.fail("bad-scalar-literal", str(exc), tok)
             if negate:
                 value = fld.scalar(-value)
@@ -561,6 +561,13 @@ def _indented_json(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
+def verdict_to_json(verdict) -> dict:
+    """The report's verdict object; the reason is a note, not part of it."""
+    obj = {"type": verdict.type, "N": verdict.n, "proved": verdict.proved,
+           "max_order_checked": verdict.max_order_checked}
+    return {key: value for key, value in obj.items() if value is not None}
+
+
 def serialize_report(report) -> str:
     """Deterministic JSON text for a classification report.
 
@@ -568,13 +575,6 @@ def serialize_report(report) -> str:
     strings, and nothing time- or environment-dependent is included, so
     two runs on the same input produce identical bytes.
     """
-    verdict: dict = {"type": report.verdict.type}
-    if report.verdict.n is not None:
-        verdict["N"] = report.verdict.n
-    if report.verdict.proved is not None:
-        verdict["proved"] = report.verdict.proved
-    if report.verdict.max_order_checked is not None:
-        verdict["max_order_checked"] = report.verdict.max_order_checked
     ladder = []
     tuples = report.ladder.coefficient_tuples() if report.ladder is not None else []
     for order, mats in enumerate(tuples, start=1):
@@ -586,7 +586,7 @@ def serialize_report(report) -> str:
         "input_digest": report.input_digest,
         "field": field_to_json(report.field),
         "tangent_dim": report.tangent_dim,
-        "verdict": verdict,
+        "verdict": verdict_to_json(report.verdict),
         "ladder": ladder,
         "checks": asdict(report.checks),
         "notes": list(report.notes),

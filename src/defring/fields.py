@@ -102,6 +102,8 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError(f"fraction literal {text!r} not allowed over {self}")
             num, _, den = text.partition("/")
+            if int(den) == 0:
+                raise ValueError(f"scalar literal {text!r} divides by zero")
             return Fraction(int(num), int(den))
         return self.scalar(int(text))
 

@@ -336,14 +336,10 @@ def iso_test(m: Representation, n: Representation) -> IsoResult:
     if m.dims == n.dims and m.mats == n.mats:
         return IsoResult("iso", witness={v: Matrix.identity(field, m.dims[v]) for v in quiver.vertices})
     hom_mn = hom_basis(m, n)
-    hom_nm = hom_basis(n, m)
-    if hom_mn.dim != hom_nm.dim:
-        return IsoResult("not_iso", reason=f"dim Hom asymmetry {hom_mn.dim} vs {hom_nm.dim}")
     h = hom_mn.dim
-    if h == 0:
-        return IsoResult("unknown")
-
-    if field.is_prime_field and field.p ** h <= ISO_POINT_BUDGET:
+    if not h:
+        candidates = ()
+    elif field.is_prime_field and field.p ** h <= ISO_POINT_BUDGET:
         candidates = filter(any, itertools.product(range(field.p), repeat=h))
     else:
         # drawn lazily, as the search reaches them
@@ -356,6 +352,11 @@ def iso_test(m: Representation, n: Representation) -> IsoResult:
         candidate = hom_mn.element(coeffs)
         if _invertible(candidate, m.dims) and is_homomorphism(m, n, candidate):
             return IsoResult("iso", witness=candidate)
+    # M ≅ N forces dim Hom(N, M) = dim Hom(M, N), so the reverse Hom is built
+    # only now, to certify NotIso when the search finds no isomorphism
+    hom_nm = hom_basis(n, m)
+    if hom_nm.dim != h:
+        return IsoResult("not_iso", reason=f"dim Hom asymmetry {h} vs {hom_nm.dim}")
     return IsoResult("unknown")
 
 
@@ -549,7 +550,7 @@ def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None
     hom is dim Hom(M, N) if the caller has it; else it is read off system's δ.
     """
     if not m.algebra.hereditary:
-        raise NotHereditary("closed form only valid without relations")
+        raise NotHereditary("closed form only valid with no relations and no truncate bound")
     _same_algebra(m, n)
     quiver = m.algebra.quiver
     arrows_term = sum(m.dims[a.source] * n.dims[a.target] for a in quiver.arrows)

@@ -224,8 +224,9 @@ def test_criterion_7_finite_reports_reverify_from_file(tmp_path):
         result = verify_report(read_corpus(name), module, path.read_text(encoding="utf-8"), name)
         assert result.ok, (name, result.summary())
         assert any("residuals_vanish" in line and "ok" in line for line in result.lines)
-        assert any(line.startswith("hom_top_is_one: ok") for line in result.lines)
-        assert any(line.startswith("ext_top_is_zero: ok") for line in result.lines)
+        assert "hom_top_dim_matches: ok (recomputed 1)" in result.lines
+        assert "ext_top_dim_matches: ok (recomputed 0)" in result.lines
+        assert any(line.startswith("verdict_matches: ok") for line in result.lines)
 
 
 def test_criterion_8_obstruction_certificate_is_sound():

@@ -91,13 +91,13 @@ def test_rejects_inflated_order_claim():
 
 def test_rejects_wrong_verdict_type():
     # the PV chain terminates but fails the hom side condition; claiming
-    # finite for it must fail the recomputed side checks
+    # finite for it must fail against the recomputed verdict
     blob = report_for("kx2_f5.alg", "PV")
     data = json.loads(blob)
     data["verdict"] = {"type": "finite", "N": len(data["ladder"]), "proved": True}
     result = verify_report(read_corpus("kx2_f5.alg"), "PV", json.dumps(data))
     assert not result.ok
-    assert any("hom_top" in f for f in result.failures)
+    assert result.failures == ["verdict_matches"]
 
 
 def test_padded_inconclusive_report_stops_before_the_top_side_conditions(monkeypatch):
@@ -217,7 +217,7 @@ def test_rejects_finite_relabelled_as_unproved_power_series():
                     {"type": "power_series", "proved": False, "max_order_checked": 99})
     result = verify_report(read_corpus("kx3_f5.alg"), "V", bad)
     assert not result.ok
-    assert result.failures == ["max_order_checked_is_ladder_length"]
+    assert result.failures == ["verdict_matches"]
 
 
 def test_rejects_proved_finite_over_rationals():
@@ -225,12 +225,11 @@ def test_rejects_proved_finite_over_rationals():
     bad = _tampered(blob, ["verdict", "proved"], True)
     result = verify_report(read_corpus("kx3_q.alg"), "V", bad)
     assert not result.ok
-    assert result.failures == ["finite_proved_iff_prime_field"]
+    assert result.failures == ["verdict_matches"]
     # and the converse: an unproved finite verdict over F_p does not verify either
     blob = report_for("kx3_f5.alg", "V")
     bad = _tampered(blob, ["verdict", "proved"], False)
-    assert verify_report(read_corpus("kx3_f5.alg"), "V", bad).failures == [
-        "finite_proved_iff_prime_field"]
+    assert verify_report(read_corpus("kx3_f5.alg"), "V", bad).failures == ["verdict_matches"]
 
 
 @pytest.mark.parametrize(
@@ -279,3 +278,55 @@ def test_rejects_claims_it_does_not_check(name, module, forge, failure):
     result = verify_report(read_corpus(name), module, json.dumps(data))
     assert not result.ok
     assert result.failures == [failure]
+
+
+@pytest.mark.parametrize("name,module", [("loop_free_f3.alg", "V"), ("kronecker_q.alg", "M11")])
+@pytest.mark.parametrize(
+    "verdict",
+    [{"type": "inconclusive"},
+     {"type": "power_series", "proved": False, "max_order_checked": 10}],
+    ids=["inconclusive", "unproved-power-series"],
+)
+def test_rejects_relation_free_power_series_relabelled(name, module, verdict):
+    # without relations nothing obstructs, so the one verdict is a proved k[[t]]
+    bad = _tampered(report_for(name, module), ["verdict"], verdict)
+    result = verify_report(read_corpus(name), module, bad)
+    assert result.failures == ["verdict_matches"]
+    assert 'verdict_matches: FAILED (recomputed {"type": "power_series", "proved": true})' \
+        in result.lines
+
+
+def test_rejects_inconclusive_claim_for_a_chain_that_extends():
+    # the order-1 ladder of k[x]/(x^3) extends to order 2, so it did not terminate
+    bad = _tampered(report_for("kx3_f5.alg", "V", max_order=1), ["verdict"],
+                    {"type": "inconclusive"})
+    result = verify_report(read_corpus("kx3_f5.alg"), "V", bad)
+    assert result.failures == ["chain_obstructs"]
+    assert "chain_obstructs: FAILED (the order-2 step is feasible)" in result.lines
+
+
+GRID_REPORTS = [("a2_f5.alg", "S1", 10), ("kx2_f5.alg", "VV", 10), ("kx3_f5.alg", "V", 1),
+                ("kx3_f5.alg", "V", 2), ("kx3_f5.alg", "V", 10), ("kx3_q.alg", "V", 10),
+                ("kx2_f5.alg", "PV", 1), ("kx2_f5.alg", "PV", 10), ("loop_free_f3.alg", "V", 10)]
+GRID_VERDICTS = (
+    [{"type": kind} for kind in ("point", "out_of_scope", "inconclusive")]
+    + [{"type": "finite", "N": n, "proved": proved} for n in (1, 2, 10) for proved in (True, False)]
+    + [{"type": "power_series", "proved": True}]
+    + [{"type": "power_series", "proved": False, "max_order_checked": m} for m in (1, 2, 10)])
+
+
+@pytest.mark.parametrize("name,module,max_order", GRID_REPORTS)
+def test_verify_accepts_exactly_the_verdicts_classify_writes(name, module, max_order):
+    # classify at some max_order writes a verdict for this ladder exactly when
+    # verify accepts that verdict on a report with this ladder
+    blob = report_for(name, module, max_order=max_order)
+    ladder = json.loads(blob)["ladder"]
+    written = []
+    for m in range(1, 13):
+        data = json.loads(report_for(name, module, max_order=m))
+        if data["ladder"] == ladder:
+            written.append(data["verdict"])
+    accepted = [v for v in GRID_VERDICTS
+                if verify_report(read_corpus(name), module, _tampered(blob, ["verdict"], v)).ok]
+    assert written and all(v in GRID_VERDICTS for v in written)
+    assert sorted(map(json.dumps, accepted)) == sorted(set(map(json.dumps, written)))

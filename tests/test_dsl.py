@@ -150,6 +150,19 @@ def test_error_bad_scalar_literal():
     _expect_error(BASE.replace("[[0]]", "[[1/2]]"), "bad-scalar-literal")
 
 
+@pytest.mark.parametrize(
+    "old,new,line,col",
+    [("[[0]]", "[[1/0]]", 9, 13), ("truncate 3\n", "truncate 3\nrelations\n  1/0*x*x\n", 7, 3)],
+    ids=["matrix", "relation-coefficient"],
+)
+def test_error_scalar_literal_dividing_by_zero(old, new, line, col):
+    # over Q a fraction literal is well formed; a zero denominator is named as such
+    err = _expect_error(BASE.replace("field F 5", "field Q").replace(old, new),
+                        "bad-scalar-literal", line=line)
+    assert err.message == "scalar literal '1/0' divides by zero"
+    assert err.col == col
+
+
 def test_error_duplicate_name():
     _expect_error(BASE + "\n" + BASE.split("truncate 3\n\n")[1], "duplicate-name")
     _expect_error(BASE.replace("vertex v", "vertex v v"), "duplicate-name")

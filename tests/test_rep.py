@@ -255,6 +255,21 @@ def test_iso_test_kinds():
     assert iso_test(vv, p1).kind == "unknown"
 
 
+def test_iso_test_builds_the_reverse_hom_only_without_an_isomorphism(monkeypatch):
+    calls = []
+    monkeypatch.setattr("defring.rep.hom_basis", lambda m, n: calls.append(1) or hom_basis(m, n))
+    p1 = load_module("kx2_f5.alg", "P1")
+    assert iso_test(p1, _conjugate(p1, seed=7)).kind == "iso"
+    assert len(calls) == 1
+    calls.clear()
+    # P1 + S1 and S1 + S1 + S2 over A2 share a dimension vector, but dim Hom
+    # is 4 one way and 3 the other: NotIso, certified after the sweep
+    s1, s2, a2_p1 = (load_module("a2_f5.alg", name) for name in ("S1", "S2", "P1"))
+    res = iso_test(direct_sum(a2_p1, s1), direct_sum_many([s1, s1, s2]))
+    assert (res.kind, res.reason) == ("not_iso", "dim Hom asymmetry 4 vs 3")
+    assert len(calls) == 2
+
+
 def test_direct_sum_blocks():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
