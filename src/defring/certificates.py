@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from .algebra import PresentedAlgebra
 from .classify import Checks, decide, ladder_checks, source_digest, tangent_dimension
 from .dsl import field_to_json, parse, verdict_to_json
+from .fields import format_scalar
 from .lift import Ladder, Lift, Obstruction, extend_step, verify_ladder
 from .linalg import Matrix
 from .rep import DeformationSystem, Representation, validate
@@ -44,10 +45,14 @@ def _shape_problem(report) -> str | None:
         return f"report is a {type(report).__name__}, not an object"
     if not set(report) <= REPORT_KEYS:
         return f"unknown keys {sorted(set(report) - REPORT_KEYS)}"
+    if set(report) != REPORT_KEYS:
+        return f"missing keys {sorted(REPORT_KEYS - set(report))}"
     for key, kind, name in (("verdict", dict, "an object"), ("checks", dict, "an object"),
-                            ("ladder", list, "a list")):
-        if not isinstance(report.get(key), kind):
+                            ("ladder", list, "a list"), ("notes", list, "a list")):
+        if not isinstance(report[key], kind):
             return f"{key} is not {name}"
+    if not all(isinstance(note, str) for note in report["notes"]):
+        return "notes holds a value that is not a string"
     if set(report["checks"]) != CHECK_KEYS:
         return f"checks has keys {sorted(report['checks'])}, not {sorted(CHECK_KEYS)}"
     verdict = report["verdict"]
@@ -75,9 +80,15 @@ def _same(claimed, recomputed) -> bool:
 
 
 def _parse_entry(field, x):
+    """The value of a ladder entry, which must be written as classify writes
+    it: the canonical literal of a field value."""
     if not isinstance(x, str):
         raise ValueError(f"ladder entry {x!r} is not a scalar literal")
-    return field.parse_literal(x)
+    value = field.parse_literal(x)
+    canonical = format_scalar(value)
+    if canonical != x:
+        raise ValueError(f"ladder entry {x!r} is not the canonical literal {canonical!r}")
+    return value
 
 
 def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
@@ -134,8 +145,8 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     if problem is not None:
         return VerificationResult(False, failures, lines)
     source = parse(source_text, filename)
-    check("input_digest", report.get("input_digest") == source_digest(source))
-    check("field", _same(report.get("field"), field_to_json(source.field)))
+    check("input_digest", report["input_digest"] == source_digest(source))
+    check("field", _same(report["field"], field_to_json(source.field)))
     if module_name not in source.modules:
         check("module_exists", False, module_name)
         return VerificationResult(False, failures, lines)
@@ -152,7 +163,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
     # one system serves the tangent space and the ladder certificate
     system = DeformationSystem(base, base)
     tangent = tangent_dimension(base, system)
-    check("tangent_dim", _same(report.get("tangent_dim"), tangent),
+    check("tangent_dim", _same(report["tangent_dim"], tangent),
           f"recomputed {tangent}")
 
     vtype = report["verdict"].get("type")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, SparseRows, rank
+from .linalg import Matrix, rank
 from .rep import DeformationSystem, Representation, combination
 
 
@@ -203,7 +203,7 @@ def as_representation(lift: Lift) -> Representation:
     Vertex spaces get one block per degree 0..order; arrow block (i, j)
     is the degree i-j coefficient.  The lift is valid exactly when this
     representation satisfies the relations, so `validate` of it is empty exactly
-    when `is_valid(lift)`, which reads the residuals without dense products.
+    when `is_valid(lift)`, which reads the residuals without forming it.
     """
     base = lift.base
     field = lift.field
@@ -212,13 +212,11 @@ def as_representation(lift: Lift) -> Representation:
     mats = {}
     for a in base.algebra.quiver.arrows:
         series = lift.coeffs[a.name]
-        zero = [field.zero()] * base.dims[a.source]
-        data = []
-        for bi in range(ell + 1):
-            for r in range(base.dims[a.target]):
-                for bj in range(ell + 1):
-                    data += series[bi - bj].row(r) if bj <= bi else zero
-        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], data)
+        width = base.dims[a.source]
+        rows = [{bj * width + j: x
+                 for bj in range(bi + 1) for j, x in series[bi - bj].rows[r].items()}
+                for bi in range(ell + 1) for r in range(base.dims[a.target])]
+        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], rows)
     return Representation(base.algebra, dims, mats)
 
 
@@ -292,21 +290,16 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
     """Facts about the nilpotent shift J of k[t]/(t^blocks), with top line e_top.
 
     Returns whether J^(ell+1) = 0, whether J^ell != 0, whether ker J is
-    spanned by e_top, and whether im J^ell is spanned by e_top.  J^ell's rows
-    are read once as sparse rows, and rank J is taken on J's sparse rows.
+    spanned by e_top, and whether im J^ell is spanned by e_top.
     """
     one = field.one()
-    rows = [{}] + [{i - 1: one} for i in range(1, blocks)]
-    data = [field.zero()] * (blocks * blocks)
-    data[blocks::blocks + 1] = [one] * (blocks - 1)  # entries (i, i - 1)
-    shift = Matrix(field, blocks, blocks, data)
+    rows = [{}] + [{i - 1: one} for i in range(1, blocks)]  # entries (i, i - 1)
+    shift = Matrix(field, blocks, blocks, rows)
     power = shift.power(ell)
-    power_rows = power.sparse_rows().rows
-    nonzero = any(power_rows)
-    kernel = (not any(blocks - 1 in row for row in rows)
-              and rank(SparseRows(field, blocks, rows)) == blocks - 1)
+    nonzero = not power.is_zero()
+    kernel = not any(blocks - 1 in row for row in rows) and rank(shift) == blocks - 1
     # a nonzero matrix whose rows below the top one vanish has image <e_top>
-    image = nonzero and not any(power_rows[:-1])
+    image = nonzero and not any(power.rows[:-1])
     return (power * shift).is_zero(), nonzero, kernel, image
 
 

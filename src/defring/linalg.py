@@ -1,24 +1,24 @@
-"""Exact linear algebra over a FieldSpec, with sparse elimination.
+"""Exact linear algebra over a FieldSpec, on sparse rows.
 
 A Matrix holds plain field values in canonical form: `int` residues in
-0..p-1 over F_p and `Fraction`s over Q (see fields.py).  `from_rows` and
-`from_columns` are where entries are brought into that form; the bare
-constructor trusts its input.  Every operation that forms new values
-(`+`, `-`, negation, `scale`, `*`, `apply` and the elimination kernel)
-reduces them with `% p` over F_p, the path chosen from `field.p`, so
-vectors and matrices handed out are always canonical.  `*` is the dense
-product; `power` squares on sparse rows and builds a dense Matrix only
-for the result.
+0..p-1 over F_p and `Fraction`s over Q (see fields.py).  It stores them as
+sparse rows, one {column: value} dict per row that holds only the nonzero
+entries; a zero row is an empty dict and keeps its index.  `from_rows`,
+`from_columns` and `from_dicts` are where entries are brought into that
+form; the bare constructor trusts its input.  Every operation that forms
+new values (`+`, `-`, negation, `scale`, `*`, `apply` and the elimination
+kernel) reduces them with `% p` over F_p, the path chosen from `field.p`,
+and drops the zeros, so vectors and matrices handed out are always
+canonical.  `*` is the one product: it visits only nonzero entries, and
+`power` squares with it.
 
 Linear systems are row-reduced sparsely: `rref` is the one elimination
-kernel, and it works on SparseRows, one {column: value} dict of nonzero
-entries per row.  A Matrix is converted once on the way in; the
-deformation and Hom systems are built as SparseRows directly.  The
-reduced row echelon form of a matrix is unique, so pivots, echelon rows,
-kernel bases (one vector per free column, that column set to 1) and
-particular solutions (free variables set to 0) are canonical for a given
-input, whatever order the elimination visits rows in.  Infeasibility of a
-linear system is a value, not an error.
+kernel.  The deformation and Hom systems are built as sparse rows
+directly.  The reduced row echelon form of a matrix is unique, so pivots,
+echelon rows, kernel bases (one vector per free column, that column set to
+1) and particular solutions (free variables set to 0) are canonical for a
+given input, whatever order the elimination visits rows in.  Infeasibility
+of a linear system is a value, not an error.
 """
 
 from __future__ import annotations
@@ -45,71 +45,92 @@ def _sparse(values) -> dict:
     return {j: x for j, x in enumerate(values) if x}
 
 
+def _dense(row: dict, ncols: int, zero) -> list:
+    """The ncols values of a sparse row."""
+    out = [zero] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _add_scaled(entries: dict, c, part: dict) -> dict:
+    """entries += c * part, in place, for {column: value} dicts; values are
+    not reduced and zeros are kept."""
+    for col, y in part.items():
+        y = y if c == 1 else c * y
+        entries[col] = entries[col] + y if col in entries else y
+    return entries
+
+
 class Matrix:
-    """Immutable dense matrix of canonical field values, row-major storage."""
+    """Immutable nrows x ncols matrix of canonical field values, held as one
+    {column: value} dict of nonzero entries per row."""
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: FieldSpec, nrows: int, ncols: int, data: list):
-        assert len(data) == nrows * ncols
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows: list):
+        assert len(rows) == nrows
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.data = data
+        self.rows = rows
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: list) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        data = []
+        out = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            data += _canonical(field, r)
-        return cls(field, nrows, ncols, data)
+            out.append(_sparse(_canonical(field, r)))
+        return cls(field, nrows, ncols, out)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, nrows: int, columns: list) -> "Matrix":
-        ncols = len(columns)
-        zero = field.zero()
-        data = [zero] * (nrows * ncols)
+        rows = [{} for _ in range(nrows)]
         for j, col in enumerate(columns):
             assert len(col) == nrows
-            data[j::ncols] = _canonical(field, col)
-        return cls(field, nrows, ncols, data)
+            for row, x in zip(rows, _canonical(field, col)):
+                if x:
+                    row[j] = x
+        return cls(field, nrows, len(columns), rows)
+
+    @classmethod
+    def from_dicts(cls, field: FieldSpec, ncols: int, rows: list) -> "Matrix":
+        """Rows of {column: int or Fraction}, reduced into field, zeros dropped."""
+        p = field.p
+        if p:
+            rows = [{j: y for j, x in row.items() if (y := x % p)} for row in rows]
+        else:
+            scalar = field.scalar
+            rows = [{j: x if x.__class__ is Fraction else scalar(x) for j, x in row.items() if x}
+                    for row in rows]
+        return cls(field, len(rows), ncols, rows)
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, [field.zero()] * (nrows * ncols))
+        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        m = [field.zero()] * (n * n)
         one = field.one()
-        for i in range(n):
-            m[i * n + i] = one
-        return cls(field, n, n, m)
+        return cls(field, n, n, [{i: one} for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i * self.ncols + j]
+        return self.rows[i].get(j, self.field.zero())
 
     def row(self, i: int) -> Vector:
-        return tuple(self.data[i * self.ncols : (i + 1) * self.ncols])
+        return tuple(_dense(self.rows[i], self.ncols, self.field.zero()))
 
     def column(self, j: int) -> Vector:
-        return tuple(self.data[i * self.ncols + j] for i in range(self.nrows))
-
-    def rows(self) -> list:
-        return [self.row(i) for i in range(self.nrows)]
-
-    def sparse_rows(self) -> "SparseRows":
-        n = self.ncols
-        return SparseRows(self.field, n, [_sparse(self.data[i * n:(i + 1) * n])
-                                          for i in range(self.nrows)])
+        zero = self.field.zero()
+        return tuple(row.get(j, zero) for row in self.rows)
 
     def tolist(self) -> list:
-        return [list(self.row(i)) for i in range(self.nrows)]
+        zero = self.field.zero()
+        return [_dense(row, self.ncols, zero) for row in self.rows]
 
     def __eq__(self, other):
         return (
@@ -117,11 +138,8 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.data == other.data
+            and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, tuple(self.data)))
 
     def __repr__(self):
         rows = ", ".join("[" + ", ".join(map(format_scalar, self.row(i))) + "]"
@@ -129,82 +147,75 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, [{rows}])"
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.rows)
 
     def _same_field(self, other: "Matrix"):
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def _reduced(self, data: list) -> "Matrix":
-        """A matrix of this shape holding data, reduced into the field."""
-        p = self.field.p
-        return Matrix(self.field, self.nrows, self.ncols, [x % p for x in data] if p else data)
+    def _termwise(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other."""
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_field(other)
+        rows = [_add_scaled(dict(a), c, b) for a, b in zip(self.rows, other.rows)]
+        return Matrix.from_dicts(self.field, self.ncols, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        self._same_field(other)
-        return self._reduced([a + b for a, b in zip(self.data, other.data)])
+        return self._termwise(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
-        self._same_field(other)
-        return self._reduced([a - b for a, b in zip(self.data, other.data)])
+        return self._termwise(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return self._reduced([-a for a in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        return self._reduced([c * a for a in self.data])
+        return Matrix.from_dicts(self.field, self.ncols,
+                                 [{j: c * x for j, x in row.items()} for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         self._same_field(other)
-        p = self.field.p
-        zero = self.field.zero()
-        inner, width = self.ncols, other.ncols
-        b = other.data
-        # each row of other as its nonzero (column, value) pairs
-        b_rows = [[(j, y) for j, y in enumerate(b[k * width:(k + 1) * width]) if y]
-                  for k in range(inner)]
+        b = other.rows
         out = []
-        for i in range(self.nrows):
-            acc = [zero] * width
-            for x, pairs in zip(self.data[i * inner:(i + 1) * inner], b_rows):
-                if x:
-                    for j, y in pairs:
-                        acc[j] += x * y
-            out += [v % p for v in acc] if p else acc
-        return Matrix(self.field, self.nrows, width, out)
+        for row in self.rows:
+            acc = {}
+            for k, x in row.items():
+                for j, y in b[k].items():
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append(acc)
+        return Matrix.from_dicts(self.field, other.ncols, out)
 
     def power(self, n: int) -> "Matrix":
-        """self^n by repeated squaring on sparse rows; only the result is dense."""
+        """self^n by repeated squaring."""
         assert self.nrows == self.ncols and n >= 0
-        p, one, zero = self.field.p, self.field.one(), self.field.zero()
-        out = [{i: one} for i in range(self.nrows)]
-        square = self.sparse_rows().rows
+        out = Matrix.identity(self.field, self.nrows)
+        square = self
         while n:
             if n & 1:
-                out = _sparse_product(out, square, p)
+                out = out * square
             n >>= 1
             if n:
-                square = _sparse_product(square, square, p)
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [row.get(j, zero) for row in out for j in range(self.ncols)])
+                square = square * square
+        return out
 
     def transpose(self) -> "Matrix":
-        data = [self.data[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows)]
-        return Matrix(self.field, self.ncols, self.nrows, data)
+        columns = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                columns[j][i] = x
+        return Matrix(self.field, self.ncols, self.nrows, columns)
 
     def apply(self, v: Vector) -> Vector:
         assert len(v) == self.ncols
         p = self.field.p
-        n = self.ncols
         out = []
-        for i in range(self.nrows):
+        for row in self.rows:
             acc = self.field.zero()
-            for a, x in zip(self.data[i * n:(i + 1) * n], v):
+            for j, a in row.items():
+                x = v[j]
                 if x:
                     acc += a * x
             out.append(acc % p if p else acc)
@@ -212,56 +223,16 @@ class Matrix:
 
     def hstack(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.field == other.field
-        data = []
-        for i in range(self.nrows):
-            data.extend(self.row(i))
-            data.extend(other.row(i))
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols, data)
+        n = self.ncols
+        rows = [{**a, **{n + j: x for j, x in b.items()}} if b else a
+                for a, b in zip(self.rows, other.rows)]
+        return Matrix(self.field, self.nrows, n + other.ncols, rows)
 
-
-def _sparse_product(a: list, b: list, p) -> list:
-    """Product of two matrices given as lists of {column: value} rows."""
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: y for j, x in acc.items() if (y := x % p)} if p
-                   else {j: x for j, x in acc.items() if x})
-    return out
-
-
-class SparseRows:
-    """The rows of an nrows x ncols matrix as {column: value} dicts that hold
-    only the nonzero entries, canonical values of field.  A zero row is an
-    empty dict and keeps its index.  The bare constructor trusts its input;
-    `from_dicts` brings accumulated entries into canonical form."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: FieldSpec, ncols: int, rows: list):
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = rows
-
-    @classmethod
-    def from_dicts(cls, field: FieldSpec, ncols: int, rows: list) -> "SparseRows":
-        """Rows of {column: int or Fraction}, reduced into field, zeros dropped."""
-        p = field.p
-        if p:
-            rows = [{j: y for j, x in row.items() if (y := x % p)} for row in rows]
-        else:
-            scalar = field.scalar
-            rows = [{j: scalar(x) for j, x in row.items() if x} for row in rows]
-        return cls(field, ncols, rows)
-
-    def augmented(self, column) -> "SparseRows":
+    def augmented(self, column) -> "Matrix":
         """[self | column] for a column of nrows canonical values."""
         n = self.ncols
         rows = [{**row, n: x} if x else row for row, x in zip(self.rows, column)]
-        return SparseRows(self.field, n + 1, rows)
+        return Matrix(self.field, self.nrows, n + 1, rows)
 
 
 class RowEchelon:
@@ -284,14 +255,13 @@ class RowEchelon:
     def vectors(self) -> list:
         """The nonzero rows as dense tuples."""
         zero = self.field.zero()
-        return [tuple(row.get(j, zero) for j in range(self.ncols)) for row in self.rows]
+        return [tuple(_dense(row, self.ncols, zero)) for row in self.rows]
 
     @property
     def matrix(self) -> Matrix:
         """The echelon form padded with zero rows to nrows."""
-        data = [x for row in self.vectors() for x in row]
-        data += [self.field.zero()] * ((self.nrows - self.rank) * self.ncols)
-        return Matrix(self.field, self.nrows, self.ncols, data)
+        return Matrix(self.field, self.nrows, self.ncols,
+                      self.rows + [{} for _ in range(self.nrows - self.rank)])
 
 
 def _subtract_multiple(row: dict, f, other: dict, p):
@@ -312,8 +282,8 @@ def _subtract_multiple(row: dict, f, other: dict, p):
                 del row[j]
 
 
-def rref(m) -> RowEchelon:
-    """Reduced row echelon form of a Matrix or SparseRows, by sparse Gauss–Jordan.
+def rref(m: Matrix) -> RowEchelon:
+    """Reduced row echelon form of a Matrix, by sparse Gauss–Jordan.
 
     Every pivot row holds 1 at its pivot and 0 at every other pivot column.
     Each incoming row is reduced against the pivot rows, which leaves it
@@ -323,8 +293,6 @@ def rref(m) -> RowEchelon:
     ever visited.  The reduced row echelon form is unique, so the result is
     the same as any elimination order gives.
     """
-    if isinstance(m, Matrix):
-        m = m.sparse_rows()
     p = m.field.p
     pivot_rows = {}  # pivot column -> its row
     for row in m.rows:
@@ -352,8 +320,7 @@ def rref(m) -> RowEchelon:
     return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)
 
 
-def rank(m) -> int:
-    """Rank of a Matrix or SparseRows."""
+def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
@@ -379,9 +346,8 @@ def _kernel(field: FieldSpec, rows: list, pivots: list, ncols: int) -> list:
     return basis
 
 
-def kernel_basis(m) -> list:
-    """Echelon-normalized basis of the right kernel of a Matrix or SparseRows;
-    len == ncols - rank."""
+def kernel_basis(m: Matrix) -> list:
+    """Echelon-normalized basis of the right kernel of m; len == ncols - rank."""
     ech = rref(m)
     return _kernel(m.field, ech.rows, ech.pivots, m.ncols)
 
@@ -417,19 +383,17 @@ class AffineSolutionSpace:
         return tuple(_canonical(self.field, out))
 
 
-def solve_affine(a, b: Vector) -> AffineSolutionSpace:
+def solve_affine(a: Matrix, b: Vector) -> AffineSolutionSpace:
     """Solve A x = b exactly with one row reduction of [A | b].
 
-    A is a Matrix or SparseRows.  The first ncols columns of rref([A | b])
-    are rref(A), so the kernel basis and rank(A) are read from it too.  The
-    system is feasible exactly when column ncols holds no pivot, i.e.
-    rank(A) == rank([A | b]); the particular solution sets every free
-    variable to zero.
+    The first ncols columns of rref([A | b]) are rref(A), so the kernel
+    basis and rank(A) are read from it too.  The system is feasible exactly
+    when column ncols holds no pivot, i.e. rank(A) == rank([A | b]); the
+    particular solution sets every free variable to zero.
     """
     assert len(b) == a.nrows
     n = a.ncols
-    rows = a.sparse_rows() if isinstance(a, Matrix) else a
-    ech = rref(rows.augmented(_canonical(a.field, b)))
+    ech = rref(a.augmented(_canonical(a.field, b)))
     feasible = not ech.pivots or ech.pivots[-1] != n
     pivots = ech.pivots if feasible else ech.pivots[:-1]
     kern = _kernel(a.field, ech.rows, pivots, n)
@@ -448,23 +412,21 @@ def solve_matrix(a: Matrix, b: Matrix):
     of X is what solve_affine(A, B[:, j]) gives: the rows of rref([A | B])
     restricted to [A | B[:, j]] are rref([A | B[:, j]])."""
     assert a.nrows == b.nrows
-    n, k = a.ncols, b.ncols
+    n = a.ncols
     ech = rref(a.hstack(b))
     if ech.pivots and ech.pivots[-1] >= n:
         return None
-    data = [a.field.zero()] * (n * k)
+    rows = [{} for _ in range(n)]
     for row, c in zip(ech.rows, ech.pivots):
-        for j, x in row.items():
-            if j >= n:
-                data[c * k + j - n] = x
-    return Matrix(a.field, n, k, data)
+        rows[c] = {j - n: x for j, x in row.items() if j >= n}
+    return Matrix(a.field, n, b.ncols, rows)
 
 
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
     """Echelonized span of the given row vectors."""
     if not vectors:
         return RowEchelon(field, 0, width, [], [])
-    ech = rref(SparseRows(field, width, [_sparse(_canonical(field, v)) for v in vectors]))
+    ech = rref(Matrix(field, len(vectors), width, [_sparse(_canonical(field, v)) for v in vectors]))
     return RowEchelon(field, ech.rank, width, ech.rows, ech.pivots)
 
 
@@ -492,11 +454,6 @@ def in_row_span(ech: RowEchelon, v: Vector) -> bool:
     return not any(_reduce_values(ech, _canonical(ech.field, v)))
 
 
-def column_space(m: SparseRows) -> RowEchelon:
+def column_space(m: Matrix) -> RowEchelon:
     """Echelonized span of the columns of m, i.e. the image of the map it stands for."""
-    columns = [{} for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for j, x in row.items():
-            columns[j][i] = x
-    return rref(SparseRows(m.field, m.nrows, columns))
-
+    return rref(m.transpose())

@@ -19,8 +19,9 @@ from .fields import FieldSpec
 from .linalg import (
     Matrix,
     RowEchelon,
-    SparseRows,
+    _add_scaled,
     _canonical,
+    _sparse,
     column_space,
     in_row_span,
     kernel_basis,
@@ -138,15 +139,12 @@ def direct_sum_many(parts: list) -> Representation:
     dims = {v: sum(p.dims[v] for p in parts) for v in algebra.quiver.vertices}
     mats = {}
     for a in algebra.quiver.arrows:
-        data, left = [], 0
+        rows, left = [], 0
         for p in parts:
             block = p.mats[a.name]
-            before = [field.zero()] * left
-            after = [field.zero()] * (dims[a.source] - left - block.ncols)
-            for row in block.rows():
-                data += before + list(row) + after
+            rows += [{left + j: x for j, x in row.items()} for row in block.rows]
             left += block.ncols
-        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], data)
+        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], rows)
     return Representation(algebra, dims, mats)
 
 
@@ -172,7 +170,8 @@ class MapLayout:
         for key, nrows, ncols in self.shapes:
             m = mats[key]
             assert (m.nrows, m.ncols) == (nrows, ncols)
-            out.extend(m.data)
+            for row in m.tolist():
+                out += row
         return tuple(out)
 
     def unpack(self, vec) -> dict:
@@ -180,9 +179,10 @@ class MapLayout:
         out = {}
         pos = 0
         for key, nrows, ncols in self.shapes:
-            size = nrows * ncols
-            out[key] = Matrix(self.field, nrows, ncols, list(vec[pos : pos + size]))
-            pos += size
+            out[key] = Matrix(self.field, nrows, ncols,
+                              [_sparse(vec[pos + i * ncols:pos + (i + 1) * ncols])
+                               for i in range(nrows)])
+            pos += nrows * ncols
         return out
 
     def zero_vector(self) -> tuple:
@@ -243,21 +243,21 @@ def hom_equations(m: Representation, n: Representation):
         dt_cols = m.dims[a.target]
         off_t = layout.offsets[a.target]
         off_s = layout.offsets[a.source]
-        columns = [[(k, x) for k, x in enumerate(ma.column(j)) if x] for j in range(ds)]
+        columns = ma.transpose().rows
         for i in range(et):
-            na_row = [(l, x) for l, x in enumerate(na.row(i)) if x]
+            na_row = na.rows[i]
             for j in range(ds):
                 row = {}
                 # (T_t M_a)[i, j] = sum_k T_t[i, k] M_a[k, j]
-                for k, x in columns[j]:
+                for k, x in columns[j].items():
                     col = off_t + i * dt_cols + k
                     row[col] = row.get(col, 0) + x
                 # (N_a T_s)[i, j] = sum_l N_a[i, l] T_s[l, j]
-                for l, x in na_row:
+                for l, x in na_row.items():
                     col = off_s + l * ds + j
                     row[col] = row.get(col, 0) - x
                 rows.append(row)
-    return layout, SparseRows.from_dicts(m.field, layout.total, rows)
+    return layout, Matrix.from_dicts(m.field, layout.total, rows)
 
 
 def hom_basis(m: Representation, n: Representation) -> HomSpace:
@@ -478,16 +478,18 @@ def _yoneda_maps(v: str, n: Representation, columns) -> list:
     for q in algebra.basis:
         if q.source == v:
             nodes[q.target].append(tree.add(q))
-    identity = Matrix.identity(field, n.dims[v])
-    start = Matrix.from_columns(field, n.dims[v], [identity.column(c) for c in columns])
+    rows = [{} for _ in range(n.dims[v])]
+    for i, c in enumerate(columns):
+        rows[c][i] = field.one()
+    start = Matrix(field, n.dims[v], len(columns), rows)
     values = tree.fold(lambda _: start, lambda a, below: n.mats[a.name] * below)
-    width = start.ncols
     maps = []
-    for i in range(width):
+    for i in range(start.ncols):
         # entry (r, k) of the map at w is N(q_k)[r, i], q_k the k-th basis path v -> w
         maps.append({w: Matrix(field, n.dims[w], len(at_w),
-                               [values[node].data[r * width + i]
-                                for r in range(n.dims[w]) for node in at_w])
+                               [{k: x for k, node in enumerate(at_w)
+                                 if (x := values[node].rows[r].get(i))}
+                                for r in range(n.dims[w])])
                      for w, at_w in nodes.items()})
     return maps
 
@@ -535,9 +537,8 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
         widths = m.algebra.left_projective(v).dims
         block = {}  # the rows of ΩM's inclusion that lie in this summand
         for w in vertices:
-            k = incl[w].ncols
-            block[w] = Matrix(m.field, widths[w], k,
-                              incl[w].data[first[w] * k:(first[w] + widths[w]) * k])
+            block[w] = Matrix(m.field, widths[w], incl[w].ncols,
+                              incl[w].rows[first[w]:first[w] + widths[w]])
             first[w] += widths[w]
         image += [layout.pack({w: phi[w] * block[w] for w in vertices}) for phi in homs[v]]
     return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
@@ -638,13 +639,6 @@ def hom_stable(m: Representation, n: Representation,
 # first-order deformation system
 
 
-def _add_scaled(entries: dict, c, part: dict):
-    """entries += c * part, for {column: value} dicts."""
-    for col, y in part.items():
-        y = y if c == 1 else c * y
-        entries[col] = entries[col] + y if col in entries else y
-
-
 class DeformationSystem:
     """The linear part of the relation equations around a pair (M, N).
 
@@ -690,7 +684,7 @@ class DeformationSystem:
                 for entries, part in zip(block, derivatives[node]):
                     _add_scaled(entries, coeff, part)
             rows += block
-        self.equations = SparseRows.from_dicts(self.field, self.layout.total, rows)
+        self.equations = Matrix.from_dicts(self.field, self.layout.total, rows)
 
     def _derivative(self, arrow, below: Matrix, derivative: list) -> list:
         """D(node) = N_a·D(parent) + B_a·M(parent) for the node parent-then-a,
@@ -701,17 +695,15 @@ class DeformationSystem:
         out = [{} for _ in range(na.nrows * width)]
         for r in range(na.nrows):
             targets = out[r * width:(r + 1) * width]
-            for l, x in enumerate(na.row(r)):
-                if x:
-                    for entries, part in zip(targets, derivative[l * width:(l + 1) * width]):
-                        _add_scaled(entries, x, part)
+            for l, x in na.rows[r].items():
+                for entries, part in zip(targets, derivative[l * width:(l + 1) * width]):
+                    _add_scaled(entries, x, part)
         # (B_a M(parent))[r, c] = sum_beta B_a[r, beta] M(parent)[beta, c]
         off = self.layout.offsets[arrow.name]
-        for beta in range(below.nrows):
-            nonzero = [(c, y) for c, y in enumerate(below.row(beta)) if y]
+        for beta, nonzero in enumerate(below.rows):
             for r in range(na.nrows):
                 col = off + r * below.nrows + beta
-                for c, y in nonzero:
+                for c, y in nonzero.items():
                     entries = out[r * width + c]
                     entries[col] = entries[col] + y if col in entries else y
         p = self.field.p
@@ -749,5 +741,6 @@ class DeformationSystem:
         rhs = []
         for rel, block in zip(self.relations, rhs_blocks):
             assert (block.nrows, block.ncols) == (self.n.dims[rel.target], self.m.dims[rel.source])
-            rhs += (-block).data
+            for row in (-block).tolist():
+                rhs += row
         return solve_affine(self.equations, rhs)

@@ -326,15 +326,15 @@ def reference_shift_checks(field, blocks, ell):
     data = [field.zero()] * (blocks * blocks)
     for i in range(1, blocks):
         data[i * blocks + i - 1] = field.one()
-    shift = Matrix(field, blocks, blocks, data)
+    shift = dense_to_matrix(field, blocks, blocks, data)
     power = Matrix.identity(field, blocks)
     for _ in range(ell):
-        power = power * shift
+        power = reference_mul(power, shift)
     nonzero = not power.is_zero()
     kernel = not any(shift.column(blocks - 1)) and rank(shift) == blocks - 1
     # a nonzero matrix whose rows below the top one vanish has image <e_top>
-    image = nonzero and not any(power.data[: (blocks - 1) * blocks])
-    return (power * shift).is_zero(), nonzero, kernel, image
+    image = nonzero and not any(x for row in power.tolist()[:-1] for x in row)
+    return reference_mul(power, shift).is_zero(), nonzero, kernel, image
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +347,14 @@ def _field_ops(field):
     inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, p - 2, p))
     return ((lambda a, b: scalar(a + b)), (lambda a, b: scalar(a - b)),
             (lambda a, b: scalar(a * b)), inv)
+
+
+def dense_to_matrix(field, nrows, ncols, flat):
+    """The Matrix of nrows x ncols canonical values given row-major."""
+    assert len(flat) == nrows * ncols
+    if not nrows:
+        return Matrix.zeros(field, 0, ncols)
+    return Matrix.from_rows(field, [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)])
 
 
 def reference_mul(a, b):
@@ -364,7 +372,7 @@ def reference_mul(a, b):
                 y = b[k, j]
                 if y:
                     out[i * b.ncols + j] = add(out[i * b.ncols + j], mul(x, y))
-    return Matrix(a.field, a.nrows, b.ncols, out)
+    return dense_to_matrix(a.field, a.nrows, b.ncols, out)
 
 
 def reference_rref(m):
@@ -393,7 +401,7 @@ def reference_rref(m):
         if r == len(rows):
             break
     flat = [x for row in rows for x in row]
-    return Matrix(m.field, m.nrows, m.ncols, flat), pivots
+    return dense_to_matrix(m.field, m.nrows, m.ncols, flat), pivots
 
 
 def reference_kernel_basis(m):
@@ -429,7 +437,7 @@ def reference_row_space(vectors, field, width):
     if not vectors:
         return [], []
     echelon, pivots = reference_rref(Matrix.from_rows(field, [list(v) for v in vectors]))
-    return echelon.rows()[: len(pivots)], pivots
+    return [echelon.row(i) for i in range(len(pivots))], pivots
 
 
 def reference_reduce_mod_rows(field, rows, pivots, v):
@@ -451,13 +459,6 @@ def reference_complement_representatives(space_basis, subspace_vectors, field, w
 
 # ----------------------------------------------------------------------
 # dense references for the sparse equation builders in rep
-
-
-def dense_matrix(rows):
-    """A SparseRows value as the dense Matrix it stands for."""
-    zero = rows.field.zero()
-    data = [row.get(j, zero) for row in rows.rows for j in range(rows.ncols)]
-    return Matrix(rows.field, rows.nrows, rows.ncols, data)
 
 
 def reference_hom_equations(m, n):

@@ -242,7 +242,7 @@ def test_criterion_8_obstruction_certificate_is_sound():
     assert rank(a) == ob.rank_coefficient == 0
     rhs_entries = []
     for _, res in ob.residuals:
-        rhs_entries.extend(-x for x in res.data)
+        rhs_entries.extend(-x for row in res.tolist() for x in row)
     rhs = Matrix.from_columns(v.field, a.nrows, [rhs_entries])
     assert rank(a.hstack(rhs)) == ob.rank_augmented == 1
     assert ob.rank_augmented > ob.rank_coefficient

@@ -169,8 +169,12 @@ def test_summary_shape():
         lambda blob: _tampered(blob, ["checks"], [1]),
         lambda blob: _tampered(blob, ["ladder"], {"order": 1}),
         lambda blob: _tampered(blob, ["verdict", "proved"], "yes"),
+        lambda blob: json.dumps({k: v for k, v in json.loads(blob).items() if k != "notes"}),
+        lambda blob: _tampered(blob, ["notes"], 7),
+        lambda blob: _tampered(blob, ["notes"], [{"x": 1}]),
     ],
-    ids=["list", "verdict-int", "not-json", "deep-nesting", "checks-list", "ladder-object", "proved-string"],
+    ids=["list", "verdict-int", "not-json", "deep-nesting", "checks-list", "ladder-object", "proved-string",
+         "notes-missing", "notes-int", "notes-objects"],
 )
 def test_malformed_report_fails_shape_check(make_body):
     body = make_body(report_for("kx2_f5.alg", "V"))
@@ -188,6 +192,19 @@ def test_malformed_ladder_entries_fail_to_parse():
                         (["ladder", 0, "matrices", "x"], [["1/0"]])):
         result = verify_report(read_corpus("kx3_q.alg"), "V", _tampered(blob, path, value))
         assert "ladder_parses" in result.failures, (path, value)
+
+
+@pytest.mark.parametrize("name,literal", [("kx3_f5.alg", " 1"), ("kx3_f5.alg", "\u0661"),
+                                          ("kx3_f5.alg", "1_0"), ("kx3_f5.alg", "+1"),
+                                          ("kx3_f5.alg", "6"), ("kx3_q.alg", "2/4")],
+                         ids=["space", "arabic-indic-one", "underscore", "plus", "unreduced-residue",
+                              "unreduced-fraction"])
+def test_ladder_entries_that_are_not_canonical_literals_fail_to_parse(name, literal):
+    # each reads as a field value, but classify writes none of them
+    bad = _tampered(report_for(name, "V"), ["ladder", 0, "matrices", "x"], [[literal]])
+    result = verify_report(read_corpus(name), "V", bad)
+    assert result.failures == ["ladder_parses"]
+    assert any(repr(literal) in line for line in result.lines), result.lines
 
 
 @pytest.mark.parametrize("value", [1, [["1"]], [[]]], ids=["int", "matrix", "empty"])

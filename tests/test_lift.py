@@ -136,7 +136,8 @@ def test_obstruction_ranks_are_those_of_the_step_system(name):
     search = ladder_search(v, system=system)
     ob = search.obstruction
     assert search.kind == "terminated" and ob.order == search.ladder.top.order + 1
-    rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order) for x in block.data]
+    rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order)
+           for row in block.tolist() for x in row]
     a = reference_deformation_matrix(v, v)
     augmented = a.hstack(Matrix.from_columns(v.field, a.nrows, [rhs]))
     assert (ob.rank_coefficient, ob.rank_augmented) == (rank(a), rank(augmented))

@@ -18,9 +18,9 @@ from defring.linalg import (
     solve_affine,
     solve_matrix,
 )
-from helpers import (reference_complement_representatives, reference_kernel_basis,
-                     reference_mul, reference_reduce_mod_rows, reference_row_space,
-                     reference_rref, reference_solve_affine)
+from helpers import (dense_to_matrix, reference_complement_representatives,
+                     reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
+                     reference_row_space, reference_rref, reference_solve_affine)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -29,6 +29,15 @@ Q = FieldSpec.rationals()
 
 def mat(field, rows):
     return Matrix.from_rows(field, rows)
+
+
+def flat(m):
+    """m's values, row-major."""
+    return [x for row in m.tolist() for x in row]
+
+
+def dense_rows(m):
+    return [m.row(i) for i in range(m.nrows)]
 
 
 def test_matrix_arithmetic():
@@ -207,7 +216,7 @@ def test_power_matches_repeated_reference_product(case):
         expected = reference_mul(expected, a)
     result = a.power(n)
     assert result == expected
-    assert canonical(a.field, result.data)
+    assert canonical(a.field, flat(result))
 
 
 KERNEL_FIELDS = [FieldSpec.prime(2), F3, F5, FieldSpec.prime(65521), Q]
@@ -225,8 +234,8 @@ def kernel_case(draw):
         value = st.one_of(st.just(0), st.integers(-3, 3), st.integers(0, field.p - 1))
 
     def matrix(nrows, ncols):
-        flat = draw(st.lists(value, min_size=nrows * ncols, max_size=nrows * ncols))
-        return Matrix(field, nrows, ncols, [field.scalar(x) for x in flat])
+        values = draw(st.lists(value, min_size=nrows * ncols, max_size=nrows * ncols))
+        return dense_to_matrix(field, nrows, ncols, [field.scalar(x) for x in values])
 
     n, m, k, t = (draw(st.integers(0, 5)) for _ in range(4))
     a = matrix(n, m)
@@ -236,12 +245,12 @@ def kernel_case(draw):
     if draw(st.booleans()):
         # zero rows and copies of rows, shuffled in: the shape of the
         # deformation and Hom systems
-        rows = a.rows()
+        rows = dense_rows(a)
         extra = draw(st.lists(st.sampled_from(rows + [(field.zero(),) * m]), max_size=10))
         rows = draw(st.permutations(rows + extra))
-        a = Matrix(field, len(rows), m, [x for row in rows for x in row])
+        a = dense_to_matrix(field, len(rows), m, [x for row in rows for x in row])
         n = a.nrows
-    rhs = tuple(matrix(1, n).data)
+    rhs = tuple(flat(matrix(1, n)))
     return field, a, matrix(m, k), rhs, matrix(t, n)
 
 
@@ -258,7 +267,7 @@ def test_kernels_match_boxed_reference(case):
     ech = rref(a)
     ref_matrix, ref_pivots = reference_rref(a)
     assert ech.pivots == ref_pivots
-    assert ech.matrix == ref_matrix and canonical(field, ech.matrix.data)
+    assert ech.matrix == ref_matrix and canonical(field, flat(ech.matrix))
 
     kernel = kernel_basis(a)
     assert kernel == reference_kernel_basis(a)
@@ -276,20 +285,20 @@ def test_kernels_match_boxed_reference(case):
     assert counted.call_count == 1
     columns = [reference_solve_affine(a, rhs_columns.column(j)) for j in range(c.nrows)]
     if all(col[0] for col in columns):
-        assert x is not None and canonical(field, x.data)
+        assert x is not None and canonical(field, flat(x))
         assert [x.column(j) for j in range(c.nrows)] == [col[1] for col in columns]
     else:
         assert x is None
 
     product = a * b
-    assert product == reference_mul(a, b) and canonical(field, product.data)
+    assert product == reference_mul(a, b) and canonical(field, flat(product))
 
     # the span of C·A lies in the span of A's rows
-    space = a.rows()
-    sub = reference_mul(c, a).rows() if a.nrows else []
+    space = dense_rows(a)
+    sub = dense_rows(reference_mul(c, a)) if a.nrows else []
     ech_sub = row_space(sub, field, a.ncols)
     ref_rows, ref_pivots = reference_row_space(sub, field, a.ncols)
-    assert ech_sub.pivots == ref_pivots and ech_sub.matrix.rows() == ref_rows
+    assert ech_sub.pivots == ref_pivots and dense_rows(ech_sub.matrix) == ref_rows
     for v in space:
         reduced = reduce_mod_rows(ech_sub, v)
         assert reduced == reference_reduce_mod_rows(field, ref_rows, ref_pivots, v)
@@ -335,29 +344,29 @@ def raw_matrices(draw):
 def test_matrix_operations_keep_entries_canonical(case):
     field, n, m, rows, other_rows, right_rows, columns, c = case
     scalar = field.scalar
-    flat = [x for row in rows for x in row]
+    entries = [x for row in rows for x in row]
     other = [x for row in other_rows for x in row]
     a = mat(field, rows) if n else Matrix.zeros(field, 0, m)
     b = mat(field, other_rows) if n else Matrix.zeros(field, 0, m)
     right = mat(field, right_rows) if m else Matrix.zeros(field, 0, 0)
     from_cols = Matrix.from_columns(field, n, columns)
-    assert a.data == [scalar(x) for x in flat]
-    assert from_cols.transpose().data == [scalar(x) for col in columns for x in col]
-    assert (a + b).data == [scalar(x + y) for x, y in zip(flat, other)]
-    assert (a - b).data == [scalar(x - y) for x, y in zip(flat, other)]
-    assert (-a).data == [scalar(-x) for x in flat]
-    assert a.scale(c).data == [scalar(c * x) for x in flat]
+    assert flat(a) == [scalar(x) for x in entries]
+    assert flat(from_cols.transpose()) == [scalar(x) for col in columns for x in col]
+    assert flat(a + b) == [scalar(x + y) for x, y in zip(entries, other)]
+    assert flat(a - b) == [scalar(x - y) for x, y in zip(entries, other)]
+    assert flat(-a) == [scalar(-x) for x in entries]
+    assert flat(a.scale(c)) == [scalar(c * x) for x in entries]
     assert a * right == reference_mul(a, right)
     vector = from_cols.row(0) if n else (field.zero(),) * m
     results = [a, b, from_cols, a + b, a - b, -a, a.scale(c), a * right, a.hstack(b),
                a.transpose(), rref(a).matrix, Matrix.identity(field, n)]
-    entries = [x for r in results for x in r.data] + list(a.apply(vector))
+    entries = [x for r in results for x in flat(r)] + list(a.apply(vector))
     entries += [x for v in kernel_basis(a) for x in v]
     sol = solve_affine(a, b.column(0) if m else (field.zero(),) * n)
     entries += sol.particular or ()
-    ech = row_space(b.rows(), field, m)
+    ech = row_space(dense_rows(b), field, m)
     entries += [x for row in ech.vectors() for x in row]
-    entries += [x for v in a.rows() for x in reduce_mod_rows(ech, v)]
+    entries += [x for v in dense_rows(a) for x in reduce_mod_rows(ech, v)]
     assert canonical(field, entries)
 
 
@@ -365,4 +374,35 @@ def test_from_rows_rejects_what_is_not_in_the_field():
     for bad in ([[0.5]], [[Fraction(1, 2)]]):
         with pytest.raises((TypeError, ValueError)):
             mat(F5, bad)
-    assert mat(Q, [[0.5]]).data == [Fraction(1, 2)]
+    assert mat(Q, [[0.5]]).tolist() == [[Fraction(1, 2)]]
+
+
+def stores_only_nonzero_canonical_values(m):
+    """m holds one dict per row, and each holds nonzero canonical values at
+    columns inside m's shape."""
+    return (len(m.rows) == m.nrows
+            and all(type(row) is dict and all(0 <= j < m.ncols and x for j, x in row.items())
+                    for row in m.rows)
+            and canonical(m.field, [x for row in m.rows for x in row.values()]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_matrices(), st.integers(0, 6))
+def test_matrices_store_no_zero_and_only_canonical_values(case, e):
+    field, n, m, rows, other_rows, right_rows, columns, c = case
+    a = mat(field, rows) if n else Matrix.zeros(field, 0, m)
+    b = mat(field, other_rows) if n else Matrix.zeros(field, 0, m)
+    right = mat(field, right_rows) if m else Matrix.zeros(field, 0, 0)
+    square = a.transpose() * a
+    expected = Matrix.identity(field, m)
+    for _ in range(e):
+        expected = reference_mul(expected, square)
+    results = [a, b, right, Matrix.from_columns(field, n, columns), a + b, a - b, a - a, -a,
+               a.scale(c), a.scale(0), a * right, square, square.power(e), a.transpose(),
+               a.hstack(b), rref(a).matrix, rref(a.hstack(b)).matrix,
+               Matrix.identity(field, n), Matrix.zeros(field, n, m)]
+    assert all(stores_only_nonzero_canonical_values(r) for r in results)
+    assert (a - a).rows == a.scale(0).rows == [{}] * n
+    assert a * right == reference_mul(a, right)
+    assert square == reference_mul(a.transpose(), a)
+    assert square.power(e) == expected

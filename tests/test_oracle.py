@@ -57,7 +57,7 @@ def test_coefficient_slots_follow_the_deformation_layout():
             unit[i] = 1
             mats = layout.unpack(tuple(unit))
             assert mats[arrow][r, c] == 1, (name, module, i)
-            assert sum(x for m in mats.values() for x in m.data) == 1
+            assert sum(x for m in mats.values() for row in m.tolist() for x in row) == 1
 
 
 @settings(max_examples=40, deadline=None)
