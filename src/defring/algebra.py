@@ -111,17 +111,17 @@ class PresentedAlgebra:
             prefixes = [x for x in paths if x.source == rel.target]
             for y in suffixes:
                 for x in prefixes:
-                    vec = [zero] * n
+                    vec = {}
                     for coeff, p in rel.terms:
                         arrows = y.arrows + p.arrows + x.arrows
                         if len(arrows) < m:
                             i = index[Path(arrows, y.source, x.target)]
-                            vec[i] = scalar(vec[i] + coeff)
-                    if any(vec):
-                        key = tuple((i, s) for i, s in enumerate(vec) if s)
-                        if key not in seen:
-                            seen.add(key)
-                            generators.append(vec)
+                            vec[i] = vec.get(i, zero) + coeff
+                    vec = {i: s for i, c in vec.items() if (s := scalar(c))}
+                    key = tuple(sorted(vec.items()))
+                    if vec and key not in seen:
+                        seen.add(key)
+                        generators.append(vec)
         ech = row_space(generators, self.field, n)
         pivots, rows = ech.pivots, ech.rows
         pivot_set = set(pivots)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .algebra import HereditaryModeUnsupported, PresentedAlgebra
 from .certificates import verify_report
-from .classify import ClassifyConfig, classify, ladder_search, tangent_dimension
+from .classify import (ClassifyConfig, _require_max_order, classify, ladder_search,
+                       tangent_dimension)
 from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_report
 from .lift import verify_ladder
 from .oracle import BudgetExceeded, enumerate_lifts
@@ -144,6 +145,7 @@ def cmd_ladder(args) -> int:
     _, source = _load(args)
     algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
+    _require_max_order(args.max_order)  # before anything is printed
     system = DeformationSystem(m, m)
     tangent = tangent_dimension(m, system)
     print(f"tangent dimension: {tangent}")

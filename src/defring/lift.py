@@ -104,11 +104,16 @@ def _series_degree(lift: Lift, d: int) -> list:
     field = lift.field
     tree = base.algebra.generator_tree
     support = {}  # arrow name -> its nonzero (degree, coefficient) pairs up to degree d
+    zeros = {}  # shape -> the one zero matrix that the nodes of that shape share
+
+    def zero(*shape):
+        return zeros.get(shape) or zeros.setdefault(shape, Matrix.zeros(field, *shape))
+
     out = []
     for parent, step, source in zip(tree.parents, tree.steps, tree.sources):
         if parent < 0:
             n = base.dims[step]
-            out.append(Matrix.identity(field, n) if d == 0 else Matrix.zeros(field, n, n))
+            out.append(Matrix.identity(field, n) if d == 0 else zero(n, n))
             continue
         terms = support.get(step.name)
         if terms is None:
@@ -121,8 +126,7 @@ def _series_degree(lift: Lift, d: int) -> list:
             if not factor.is_zero():
                 term = coeff * factor
                 value = term if value is None else value + term
-        out.append(Matrix.zeros(field, base.dims[step.target], base.dims[source])
-                   if value is None else value)
+        out.append(zero(base.dims[step.target], base.dims[source]) if value is None else value)
     return out
 
 

@@ -8,9 +8,11 @@ entries; a zero row is an empty dict and keeps its index.  `from_rows`,
 form; the bare constructor trusts its input.  Every operation that forms
 new values (`+`, `-`, negation, `scale`, `*`, `apply` and the elimination
 kernel) reduces them with `% p` over F_p, the path chosen from `field.p`,
-and drops the zeros, so vectors and matrices handed out are always
-canonical.  `*` is the one product: it visits only nonzero entries, and
-`power` squares with it.
+and drops the zeros, so what is handed out is always canonical.  `*` is
+the one product: it visits only nonzero entries, and `power` squares with
+it.  Every vector taken or handed out is held as a row is, an
+{index: value} dict of nonzero canonical values; `row`, `column`,
+`tolist` and `apply` are dense read-outs, for printing and tests.
 
 Linear systems are row-reduced sparsely: `rref` is the one elimination
 kernel.  The deformation and Hom systems are built as sparse rows
@@ -28,9 +30,6 @@ from fractions import Fraction
 
 from .fields import FieldMismatch, FieldSpec, format_scalar
 
-Vector = tuple  # canonical field values
-
-
 def _canonical(field: FieldSpec, entries) -> list:
     """Entries (ints or Fractions) as canonical values of field."""
     p = field.p
@@ -38,11 +37,6 @@ def _canonical(field: FieldSpec, entries) -> list:
     if p is None:
         return [x if x.__class__ is Fraction else scalar(x) for x in entries]
     return [x % p if x.__class__ is int else scalar(x) for x in entries]
-
-
-def _sparse(values) -> dict:
-    """{index: value} of the nonzero canonical values."""
-    return {j: x for j, x in enumerate(values) if x}
 
 
 def _dense(row: dict, ncols: int, zero) -> list:
@@ -83,7 +77,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            out.append(_sparse(_canonical(field, r)))
+            out.append({j: x for j, x in enumerate(_canonical(field, r)) if x})
         return cls(field, nrows, ncols, out)
 
     @classmethod
@@ -121,10 +115,10 @@ class Matrix:
         i, j = ij
         return self.rows[i].get(j, self.field.zero())
 
-    def row(self, i: int) -> Vector:
+    def row(self, i: int) -> tuple:
         return tuple(_dense(self.rows[i], self.ncols, self.field.zero()))
 
-    def column(self, j: int) -> Vector:
+    def column(self, j: int) -> tuple:
         zero = self.field.zero()
         return tuple(row.get(j, zero) for row in self.rows)
 
@@ -208,7 +202,7 @@ class Matrix:
                 columns[j][i] = x
         return Matrix(self.field, self.ncols, self.nrows, columns)
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v) -> tuple:
         assert len(v) == self.ncols
         p = self.field.p
         out = []
@@ -228,10 +222,12 @@ class Matrix:
                 for a, b in zip(self.rows, other.rows)]
         return Matrix(self.field, self.nrows, n + other.ncols, rows)
 
-    def augmented(self, column) -> "Matrix":
-        """[self | column] for a column of nrows canonical values."""
+    def augmented(self, column: dict) -> "Matrix":
+        """[self | column] for a sparse column {row: value}."""
         n = self.ncols
-        rows = [{**row, n: x} if x else row for row, x in zip(self.rows, column)]
+        rows = list(self.rows)
+        for i, x in column.items():
+            rows[i] = {**rows[i], n: x}
         return Matrix(self.field, self.nrows, n + 1, rows)
 
 
@@ -251,11 +247,6 @@ class RowEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def vectors(self) -> list:
-        """The nonzero rows as dense tuples."""
-        zero = self.field.zero()
-        return [tuple(_dense(row, self.ncols, zero)) for row in self.rows]
 
     @property
     def matrix(self) -> Matrix:
@@ -324,86 +315,51 @@ def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
-def _kernel(field: FieldSpec, rows: list, pivots: list, ncols: int) -> list:
-    """Echelon-normalized kernel basis of the first ncols columns of echelon rows."""
-    p = field.p
-    zero, one = field.zero(), field.one()
-    entries = {}  # free column -> (pivot column, entry) pairs of the rows nonzero there
-    for row, c in zip(rows, pivots):
-        for j, x in row.items():
-            if j != c and j < ncols:
-                entries.setdefault(j, []).append((c, p - x if p else -x))
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for c, x in entries.get(f, ()):
-            v[c] = x
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_basis(m: Matrix) -> list:
-    """Echelon-normalized basis of the right kernel of m; len == ncols - rank."""
+    """Echelon-normalized basis of the right kernel of m, len == ncols - rank:
+    per free column f, the vector {f: 1, c: -row_c[f]} over the pivots c."""
     ech = rref(m)
-    return _kernel(m.field, ech.rows, ech.pivots, m.ncols)
+    p = m.field.p
+    pivot_set = set(ech.pivots)
+    basis = {f: {f: m.field.one()} for f in range(m.ncols) if f not in pivot_set}
+    for row, c in zip(ech.rows, ech.pivots):
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = p - x if p else -x
+    return list(basis.values())
 
 
 @dataclass
 class AffineSolutionSpace:
-    """Solutions of A x = b: a particular point plus the kernel of A.
+    """Solvability of A x = b, and a particular solution when there is one.
 
     feasible is False when the system has no solution; then particular is
-    None and kernel still describes ker A for diagnostic use.  rank and
-    rank_augmented are rank(A) and rank([A | b]), which differ exactly
-    when the system is infeasible.
+    None.  rank and rank_augmented are rank(A) and rank([A | b]), which
+    differ exactly when the system is infeasible.  Every solution is
+    particular plus a vector of kernel_basis(A).
     """
 
-    field: FieldSpec
     feasible: bool
-    particular: Vector | None
-    kernel: list
+    particular: dict | None
     rank: int
     rank_augmented: int
 
-    @property
-    def dimension(self) -> int:
-        return len(self.kernel)
 
-    def point(self, coeffs) -> Vector:
-        """particular + sum coeffs[i] * kernel[i]."""
-        assert self.feasible and len(coeffs) == len(self.kernel)
-        out = list(self.particular)
-        for c, k in zip(coeffs, self.kernel):
-            if c:
-                out = [x + c * y for x, y in zip(out, k)]
-        return tuple(_canonical(self.field, out))
+def solve_affine(a: Matrix, b: dict) -> AffineSolutionSpace:
+    """Solve A x = b exactly with one row reduction of [A | b], b a sparse
+    column {row: value} of canonical values.
 
-
-def solve_affine(a: Matrix, b: Vector) -> AffineSolutionSpace:
-    """Solve A x = b exactly with one row reduction of [A | b].
-
-    The first ncols columns of rref([A | b]) are rref(A), so the kernel
-    basis and rank(A) are read from it too.  The system is feasible exactly
-    when column ncols holds no pivot, i.e. rank(A) == rank([A | b]); the
-    particular solution sets every free variable to zero.
+    The first ncols columns of rref([A | b]) are rref(A), so rank(A) is
+    read from it too.  The system is feasible exactly when column ncols
+    holds no pivot, i.e. rank(A) == rank([A | b]); the particular solution
+    sets every free variable to zero.
     """
-    assert len(b) == a.nrows
     n = a.ncols
-    ech = rref(a.augmented(_canonical(a.field, b)))
-    feasible = not ech.pivots or ech.pivots[-1] != n
-    pivots = ech.pivots if feasible else ech.pivots[:-1]
-    kern = _kernel(a.field, ech.rows, pivots, n)
-    if not feasible:
-        return AffineSolutionSpace(a.field, False, None, kern, len(pivots), ech.rank)
-    zero = a.field.zero()
-    x = [zero] * n
-    for row, c in zip(ech.rows, pivots):
-        x[c] = row.get(n, zero)
-    return AffineSolutionSpace(a.field, True, tuple(x), kern, ech.rank, ech.rank)
+    ech = rref(a.augmented(b))
+    if ech.pivots and ech.pivots[-1] == n:
+        return AffineSolutionSpace(False, None, ech.rank - 1, ech.rank)
+    x = {c: row[n] for row, c in zip(ech.rows, ech.pivots) if n in row}
+    return AffineSolutionSpace(True, x, ech.rank, ech.rank)
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -423,35 +379,25 @@ def solve_matrix(a: Matrix, b: Matrix):
 
 
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
-    """Echelonized span of the given row vectors."""
-    if not vectors:
-        return RowEchelon(field, 0, width, [], [])
-    ech = rref(Matrix(field, len(vectors), width, [_sparse(_canonical(field, v)) for v in vectors]))
+    """Echelonized span of the given vectors."""
+    ech = rref(Matrix(field, len(vectors), width, list(vectors)))
     return RowEchelon(field, ech.rank, width, ech.rows, ech.pivots)
 
 
-def _reduce_values(ech: RowEchelon, values: list) -> list:
-    """Subtract echelon rows from canonical values, in place, to zero its pivot coordinates."""
+def reduce_mod_rows(ech: RowEchelon, v: dict) -> dict:
+    """v less the echelon rows that zero out its pivot coordinates.  Each
+    echelon row is zero at the other pivots, so the order does not matter."""
     p = ech.field.p
+    out = dict(v)
     for c, row in zip(ech.pivots, ech.rows):
-        f = values[c]
+        f = out.get(c)
         if f:
-            if p:
-                for j, y in row.items():
-                    values[j] = (values[j] - f * y) % p
-            else:
-                for j, y in row.items():
-                    values[j] -= f * y
-    return values
+            _subtract_multiple(out, f, row, p)
+    return out
 
 
-def reduce_mod_rows(ech: RowEchelon, v: Vector) -> Vector:
-    """Subtract the echelon rows to zero out v's pivot coordinates."""
-    return tuple(_reduce_values(ech, _canonical(ech.field, v)))
-
-
-def in_row_span(ech: RowEchelon, v: Vector) -> bool:
-    return not any(_reduce_values(ech, _canonical(ech.field, v)))
+def in_row_span(ech: RowEchelon, v: dict) -> bool:
+    return not reduce_mod_rows(ech, v)
 
 
 def column_space(m: Matrix) -> RowEchelon:

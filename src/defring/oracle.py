@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lift import Lift, as_representation, is_valid, residual_coefficients, residuals_vanish
-from .linalg import AffineSolutionSpace, in_row_span
+from .linalg import _add_scaled, in_row_span
 from .rep import DeformationSystem, Representation, arrow_layout, iso_test
 
 DEFAULT_BUDGET = 10**7
@@ -35,8 +35,7 @@ class BudgetExceeded(Exception):
 def coefficient_slots(v: Representation) -> list:
     """Matrix entry positions of one degree, (arrow, row, column), in the
     order of the deformation system's coordinates: arrow then row-major."""
-    return [(name, r, c) for name, rows, cols in arrow_layout(v, v).shapes
-            for r in range(rows) for c in range(cols)]
+    return arrow_layout(v, v).slots
 
 
 def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
@@ -47,15 +46,15 @@ def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
     assert len(point) == width * order
     lift = Lift.trivial(v)
     for j in range(order):
-        lift = lift.extended(layout.unpack(point[j * width:(j + 1) * width]))
+        lift = lift.extended(layout.unpack(dict(enumerate(point[j * width:(j + 1) * width]))))
     return lift
 
 
 def point_from_lift(lift: Lift) -> tuple:
     """Flatten a lift's coefficients of degrees 1..order to residues."""
-    layout = arrow_layout(lift.base, lift.base)
-    return tuple(x for j in range(1, lift.order + 1)
-                 for x in layout.pack({name: series[j] for name, series in lift.coeffs.items()}))
+    slots = arrow_layout(lift.base, lift.base).slots
+    return tuple(lift.coeffs[name][j][r, c]
+                 for j in range(1, lift.order + 1) for name, r, c in slots)
 
 
 def _require_order(order: int, name: str = "order"):
@@ -79,7 +78,7 @@ def _valid_points(v: Representation, order: int, budget: int) -> tuple:
     total = field.p ** (layout.total * order)
     if total > budget:
         raise BudgetExceeded("oracle enumeration", total, budget)
-    degree = [(values, layout.unpack(values))
+    degree = [(values, layout.unpack(dict(enumerate(values))))
               for values in itertools.product(range(field.p), repeat=layout.total)]
     trivial = Lift.trivial(v)
     frontier = [((), trivial)] if is_valid(trivial) else []
@@ -96,7 +95,9 @@ def _valid_points(v: Representation, order: int, budget: int) -> tuple:
 
 def _first_degree_nontrivial(system: DeformationSystem, points: list) -> int:
     width = system.layout.total  # the degree-1 slots of a point
-    return sum(1 for point in points if not in_row_span(system.coboundaries, point[:width]))
+    return sum(1 for point in points
+               if not in_row_span(system.coboundaries,
+                                  {i: x for i, x in enumerate(point[:width]) if x}))
 
 
 @dataclass
@@ -197,16 +198,14 @@ def oracle_max_order(v: Representation, max_order: int,
     return best
 
 
-def _vector_key(vec) -> tuple:
-    return tuple(map(str, vec))
-
-
-def solution_points(solution, field) -> list:
-    """Every point of an affine solution space over a prime field, sorted."""
-    points = [solution.point(combo)
-              for combo in itertools.product(range(field.p), repeat=len(solution.kernel))]
-    points.sort(key=_vector_key)
-    return points
+def _affine_points(layout, particular: dict, kernel: list, p: int):
+    """The coefficient matrices of every point particular + sum c_i kernel[i],
+    the c_i running over F_p."""
+    for combo in itertools.product(range(p), repeat=len(kernel)):
+        vec = dict(particular)
+        for c, k in zip(combo, kernel):
+            _add_scaled(vec, c, k)
+        yield layout.unpack(vec)
 
 
 def incremental_valid_points(v: Representation, order: int,
@@ -225,10 +224,7 @@ def incremental_valid_points(v: Representation, order: int,
     count = field.p ** len(z)
     if count > budget:
         raise BudgetExceeded("first-order point enumeration", count, budget)
-    rank = system.layout.total - len(z)
-    first = AffineSolutionSpace(field, True, system.layout.zero_vector(), list(z), rank, rank)
-    frontier = [Lift.first_order(v, system.layout.unpack(vec))
-                for vec in solution_points(first, field)]
+    frontier = [Lift.first_order(v, b) for b in _affine_points(system.layout, {}, z, field.p)]
     out = [sorted(point_from_lift(l) for l in frontier)]
     while len(out) < order:
         next_frontier = []
@@ -236,11 +232,12 @@ def incremental_valid_points(v: Representation, order: int,
             step = system.solve_step(residual_coefficients(lift, lift.order + 1))
             if not step.feasible:
                 continue  # obstructed chain contributes nothing further
-            needed = len(next_frontier) + field.p ** len(step.kernel)
+            # every step solves the system's own equations, so its kernel is z
+            needed = len(next_frontier) + count
             if needed > budget:
                 raise BudgetExceeded("incremental frontier", needed, budget)
-            for vec in solution_points(step, field):
-                next_frontier.append(lift.extended(system.layout.unpack(vec)))
+            for b in _affine_points(system.layout, step.particular, z, field.p):
+                next_frontier.append(lift.extended(b))
         frontier = next_frontier
         out.append(sorted(point_from_lift(l) for l in frontier))
     return out

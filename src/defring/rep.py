@@ -9,6 +9,7 @@ with the lifting engine is the DeformationSystem at the bottom.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -20,8 +21,6 @@ from .linalg import (
     Matrix,
     RowEchelon,
     _add_scaled,
-    _canonical,
-    _sparse,
     column_space,
     in_row_span,
     kernel_basis,
@@ -153,7 +152,8 @@ def direct_sum_many(parts: list) -> Representation:
 
 
 class MapLayout:
-    """Row-major flat coordinates for an ordered family of matrices."""
+    """Row-major flat coordinates for an ordered family of matrices; a
+    family is packed into one sparse vector {coordinate: value}."""
 
     def __init__(self, field: FieldSpec, shapes: list):
         self.field = field
@@ -165,28 +165,33 @@ class MapLayout:
             total += nrows * ncols
         self.total = total
 
-    def pack(self, mats: dict) -> tuple:
-        out = []
+    @cached_property
+    def slots(self) -> list:
+        """(key, row, column) of every coordinate, in coordinate order."""
+        return [(key, r, c) for key, nrows, ncols in self.shapes
+                for r in range(nrows) for c in range(ncols)]
+
+    def pack(self, mats: dict) -> dict:
+        out = {}
         for key, nrows, ncols in self.shapes:
             m = mats[key]
             assert (m.nrows, m.ncols) == (nrows, ncols)
-            for row in m.tolist():
-                out += row
-        return tuple(out)
-
-    def unpack(self, vec) -> dict:
-        assert len(vec) == self.total
-        out = {}
-        pos = 0
-        for key, nrows, ncols in self.shapes:
-            out[key] = Matrix(self.field, nrows, ncols,
-                              [_sparse(vec[pos + i * ncols:pos + (i + 1) * ncols])
-                               for i in range(nrows)])
-            pos += nrows * ncols
+            off = self.offsets[key]
+            for r, row in enumerate(m.rows):
+                for c, x in row.items():
+                    out[off + r * ncols + c] = x
         return out
 
-    def zero_vector(self) -> tuple:
-        return (self.field.zero(),) * self.total
+    def unpack(self, vec: dict) -> dict:
+        """The matrices of a vector {coordinate: int or Fraction}, its
+        values reduced into the field and its zeros dropped."""
+        rows = {key: [{} for _ in range(nrows)] for key, nrows, _ in self.shapes}
+        slots = self.slots
+        for i, x in vec.items():
+            key, r, c = slots[i]
+            rows[key][r][c] = x
+        return {key: Matrix.from_dicts(self.field, ncols, rows[key])
+                for key, _, ncols in self.shapes}
 
 
 def arrow_layout(m: Representation, n: Representation) -> MapLayout:
@@ -218,11 +223,11 @@ class HomSpace:
         return [self.layout.pack(b) for b in self.basis]
 
     def element(self, coeffs) -> dict:
-        vec = list(self.layout.zero_vector())
+        vec = {}
         for c, b in zip(coeffs, self.packed_basis):
             if c:
-                vec = [x + c * y for x, y in zip(vec, b)]
-        return self.layout.unpack(_canonical(self.layout.field, vec))
+                _add_scaled(vec, c, b)
+        return self.layout.unpack(vec)
 
 
 def _same_algebra(m: Representation, n: Representation):
@@ -371,27 +376,23 @@ def _require_truncated(algebra: PresentedAlgebra, what: str):
 
 
 def radical_subspaces(m: Representation) -> dict:
-    """Echelon bases of the arrow-image subspaces (the radical, J nilpotent)."""
+    """Per vertex, the echelon form of the span of the arrow images (the
+    radical, J nilpotent): the columns of the arrows into it."""
     _require_truncated(m.algebra, "radical")
-    out = {}
-    for v in m.algebra.quiver.vertices:
-        vectors = []
-        for a in m.algebra.quiver.arrows_into(v):
-            mat = m.mats[a.name]
-            for j in range(mat.ncols):
-                vectors.append(mat.column(j))
-        out[v] = row_space(vectors, m.field, m.dims[v]).vectors()
-    return out
+    quiver = m.algebra.quiver
+    return {v: row_space([col for a in quiver.arrows_into(v)
+                          for col in m.mats[a.name].transpose().rows], m.field, m.dims[v])
+            for v in quiver.vertices}
 
 
 def sub_from_maps(m: Representation, bases: dict) -> Representation:
-    """Subrepresentation spanned by the given vectors; must be arrow-stable."""
+    """Subrepresentation spanned by the given sparse vectors; must be arrow-stable."""
     field = m.field
     incl = {}
     dims = {}
     for v in m.algebra.quiver.vertices:
         vecs = bases.get(v, [])
-        mat = Matrix.from_columns(field, m.dims[v], [list(x) for x in vecs])
+        mat = Matrix(field, len(vecs), m.dims[v], vecs).transpose()
         if vecs and rank(mat) != len(vecs):
             raise ValueError(f"vectors at vertex {v} are dependent")
         incl[v] = mat
@@ -409,16 +410,15 @@ def sub_from_maps(m: Representation, bases: dict) -> Representation:
 def _top_columns(m: Representation) -> dict:
     """The standard-basis columns c of each M_v that span M's top: those that
     are not pivots of the radical's echelon form at v."""
-    rad = radical_subspaces(m)
     out = {}
-    for v in m.algebra.quiver.vertices:
-        pivots = set(row_space(rad[v], m.field, m.dims[v]).pivots)
+    for v, rad in radical_subspaces(m).items():
+        pivots = set(rad.pivots)
         out[v] = [c for c in range(m.dims[v]) if c not in pivots]
     return out
 
 
 def radical(m: Representation) -> Representation:
-    return sub_from_maps(m, radical_subspaces(m))
+    return sub_from_maps(m, {v: rad.rows for v, rad in radical_subspaces(m).items()})
 
 
 def top(m: Representation) -> Representation:
@@ -451,8 +451,8 @@ def projective_cover(m: Representation):
         p = Representation(algebra, {}, {})
     cover = {}
     for w in algebra.quiver.vertices:
-        cover[w] = Matrix.from_columns(m.field, m.dims[w], [phi[w].column(k) for phi in maps
-                                                            for k in range(phi[w].ncols)])
+        cover[w] = functools.reduce(Matrix.hstack, [phi[w] for phi in maps],
+                                    Matrix.zeros(m.field, m.dims[w], 0))
         if rank(cover[w]) != m.dims[w]:
             raise AssertionError(f"cover not surjective at vertex {w}")
     return p, cover, summands
@@ -502,9 +502,8 @@ def syzygy_data(m: Representation):
     incl = {}
     bases = {}
     for v in m.algebra.quiver.vertices:
-        kern = kernel_basis(cover[v])
-        bases[v] = kern
-        incl[v] = Matrix.from_columns(field, p.dims[v], [list(k) for k in kern])
+        bases[v] = kernel_basis(cover[v])
+        incl[v] = Matrix(field, len(bases[v]), p.dims[v], bases[v]).transpose()
     omega = sub_from_maps(p, bases)
     return summands, omega, incl
 
@@ -715,7 +714,7 @@ class DeformationSystem:
     @cached_property
     def cocycles(self) -> list:
         """Echelon basis of the kernel of the equations (the cocycles Z), as
-        packed vectors; computed on first use."""
+        sparse packed vectors; computed on first use."""
         return kernel_basis(self.equations)
 
     @cached_property
@@ -738,9 +737,12 @@ class DeformationSystem:
 
     def solve_step(self, rhs_blocks: list):
         """Solve D(B) = -(stacked residual blocks); same row order as the equations."""
-        rhs = []
+        rhs = {}
+        pos = 0
         for rel, block in zip(self.relations, rhs_blocks):
             assert (block.nrows, block.ncols) == (self.n.dims[rel.target], self.m.dims[rel.source])
-            for row in (-block).tolist():
-                rhs += row
+            for r, row in enumerate((-block).rows):
+                for c, x in row.items():
+                    rhs[pos + r * block.ncols + c] = x
+            pos += block.nrows * block.ncols
         return solve_affine(self.equations, rhs)

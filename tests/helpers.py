@@ -35,6 +35,29 @@ def load_module(name, module_name):
     return Representation.from_module_def(algebra, src.modules[module_name])
 
 
+def dense(vec, width):
+    """The width values of a sparse vector {index: value}, zeros filled in."""
+    out = [0] * width
+    for i, x in vec.items():
+        out[i] = x
+    return tuple(out)
+
+
+def sparse(values):
+    """The sparse vector {index: value} of the nonzero values."""
+    return {i: x for i, x in enumerate(values) if x}
+
+
+def affine_point(particular, basis, coeffs):
+    """particular + sum coeffs[i] * basis[i] for sparse vectors, its values
+    left unreduced (MapLayout.unpack reduces them)."""
+    out = dict(particular)
+    for c, v in zip(coeffs, basis):
+        for i, x in v.items():
+            out[i] = out.get(i, 0) + c * x
+    return out
+
+
 # ----------------------------------------------------------------------
 # references for the path series of a lift and the evaluation of paths
 
@@ -107,7 +130,7 @@ def reference_projective_cover(m):
     rad = radical_subspaces(m)
     lifts = []
     for v in quiver.vertices:
-        pivot_set = set(row_space(rad[v], field, m.dims[v]).pivots)
+        pivot_set = set(rad[v].pivots)
         for c in range(m.dims[v]):
             if c not in pivot_set:
                 unit = [field.zero()] * m.dims[v]
@@ -124,9 +147,10 @@ def reference_projective_cover(m):
 
 
 def reference_quotient(m, bases):
-    """(M / U, projection): U the arrow-stable subspaces spanned by bases,
-    the quotient on the standard-basis columns that are not pivots of U's
-    echelon form at each vertex, every arrow of M projected through them."""
+    """(M / U, projection): U the arrow-stable subspaces spanned by bases
+    (per vertex, a list of sparse vectors), the quotient on the
+    standard-basis columns that are not pivots of U's echelon form at each
+    vertex, every arrow of M projected through them."""
     field = m.field
     ech = {}
     free = {}
@@ -137,8 +161,8 @@ def reference_quotient(m, bases):
         free[v] = [c for c in range(m.dims[v]) if c not in pivot_set]
 
     def project(v, vec):
-        reduced = reduce_mod_rows(ech[v], vec)
-        return tuple(reduced[c] for c in free[v])
+        reduced = reduce_mod_rows(ech[v], sparse(vec))
+        return tuple(reduced.get(c, field.zero()) for c in free[v])
 
     proj = {}
     section = {}  # standard-basis lift of quotient coordinates
@@ -151,8 +175,8 @@ def reference_quotient(m, bases):
     for a in m.algebra.quiver.arrows:
         # stability check: each subspace vector must map into the target subspace
         for vec in bases.get(a.source, []):
-            image = m.mats[a.name].apply(vec)
-            if not in_row_span(ech[a.target], image):
+            image = m.mats[a.name].apply(dense(vec, m.dims[a.source]))
+            if not in_row_span(ech[a.target], sparse(image)):
                 raise NotInvariant(f"subspace not stable under arrow {a.name}")
         mats[a.name] = proj[a.target] * m.mats[a.name] * section[a.source]
     dims = {v: len(free[v]) for v in m.algebra.quiver.vertices}
@@ -179,15 +203,19 @@ def restricted_cover_homs(m, n):
 def reference_ext1_syzygy(m, n):
     """dim Hom(ΩM, N) modulo the restrictions of hom_basis(P, N)."""
     hom_on, image = restricted_cover_homs(m, n)
-    return len(reference_complement_representatives(hom_on.packed_basis, image, m.field,
-                                                    hom_on.layout.total))
+    width = hom_on.layout.total
+    return len(reference_complement_representatives(
+        [dense(v, width) for v in hom_on.packed_basis], [dense(v, width) for v in image],
+        m.field, width))
 
 
 def reference_ext1_cocycle(m, n):
     """dim of the cocycles of DeformationSystem(m, n) modulo its coboundaries."""
     system = DeformationSystem(m, n)
+    width = system.layout.total
     return len(reference_complement_representatives(
-        system.cocycles, system.coboundaries.vectors(), m.field, system.layout.total))
+        [dense(v, width) for v in system.cocycles],
+        [dense(v, width) for v in system.coboundaries.rows], m.field, width))
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +530,7 @@ def reference_coboundary_vectors(m, n):
     for v in quiver.vertices:
         for i in range(n.dims[v]):
             for j in range(m.dims[v]):
-                vec = list(layout.zero_vector())
+                vec = [field.zero()] * layout.total
                 for a in quiver.arrows:
                     off = layout.offsets[a.name]
                     width = m.dims[a.source]

@@ -127,6 +127,12 @@ def test_classify_rejects_max_order_zero_for_every_module(capsys, module):
     assert err == "error: max_order must be at least 1, got 0\n"
 
 
+def test_ladder_rejects_max_order_zero_before_printing(capsys):
+    code, out, err = run(capsys, "ladder", KX2, "-m", "V", "--max-order", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: max_order must be at least 1, got 0\n"
+
+
 def test_classify_json_round_trip(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "classify", KX2, "-m", "V", "--json", str(out_path))

@@ -24,10 +24,11 @@ from defring import (
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
-from helpers import (CORPUS, base_embedding, dense_verify_ladder, load_module, load_source,
+from helpers import (CORPUS, affine_point, base_embedding, dense_verify_ladder, load_module,
+                     load_source,
                      read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
                      reference_residual_coefficients, reference_shift_checks,
-                     shift_endomorphism)
+                     shift_endomorphism, sparse)
 
 
 def unit_lift(v, *degrees):
@@ -87,10 +88,11 @@ def test_extend_step_solves_next_order():
     # solution space is a valid lift
     system = DeformationSystem(v, v)
     step = system.solve_step(residual_coefficients(lift, 2))
-    assert len(step.kernel) == len(system.cocycles) == 1
+    assert system.layout.total - step.rank == len(system.cocycles) == 1
     assert system.layout.unpack(step.particular) == {"x": ext.coeffs["x"][2]}
     for c in range(5):
-        assert is_valid(lift.extended(system.layout.unpack(step.point([c]))))
+        point = affine_point(step.particular, system.cocycles, [c])
+        assert is_valid(lift.extended(system.layout.unpack(point)))
 
 
 CORPUS_MODULES = [(path.name, name) for path in sorted(CORPUS.glob("*.alg"))
@@ -109,10 +111,11 @@ def test_every_feasible_step_has_the_cocycles_as_kernel(case, data):
         step = system.solve_step(residual_coefficients(lift, lift.order + 1))
         if not step.feasible:
             break
-        assert len(step.kernel) == len(system.cocycles)
-        size = len(step.kernel)
+        assert system.layout.total - step.rank == len(system.cocycles)
+        size = len(system.cocycles)
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
-        lift = lift.extended(system.layout.unpack(step.point(coeffs)))
+        point = affine_point(step.particular, system.cocycles, coeffs)
+        lift = lift.extended(system.layout.unpack(point))
     assert is_valid(lift)
 
 
@@ -304,7 +307,7 @@ def tangent_one_ladders(draw):
         return Ladder(Lift(base, top.order, coeffs))
     if kind == "coboundary":
         layout = DeformationSystem(base, base).layout
-        cob = [layout.unpack(v) for v in reference_coboundary_vectors(base, base)]
+        cob = [layout.unpack(sparse(v)) for v in reference_coboundary_vectors(base, base)]
         lift = (Lift.first_order(base, cob[draw(st.integers(0, len(cob) - 1))])
                 if cob else Lift.trivial(base, 1))
         for _ in range(draw(st.integers(0, 2))):

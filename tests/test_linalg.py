@@ -18,9 +18,10 @@ from defring.linalg import (
     solve_affine,
     solve_matrix,
 )
-from helpers import (dense_to_matrix, reference_complement_representatives,
+from defring.rep import MapLayout
+from helpers import (dense, dense_to_matrix, reference_complement_representatives,
                      reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
-                     reference_row_space, reference_rref, reference_solve_affine)
+                     reference_row_space, reference_rref, reference_solve_affine, sparse)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -88,24 +89,26 @@ def test_kernel_basis_annihilates():
     ker = kernel_basis(a)
     assert len(ker) == 3 - rank(a)
     for v in ker:
-        assert not any(a.apply(v))
+        assert not any(a.apply(dense(v, a.ncols)))
 
 
 def test_solve_affine_feasible():
     a = mat(Q, [[1, 1], [0, 0]])
     b = tuple(Q.scalar(x) for x in (3, 0))
-    sol = solve_affine(a, b)
+    sol = solve_affine(a, sparse(b))
     assert sol.feasible
-    assert a.apply(sol.particular) == b
-    assert len(sol.kernel) == 1
+    particular = dense(sol.particular, 2)
+    assert a.apply(particular) == b
+    [kernel] = kernel_basis(a)
     assert (sol.rank, sol.rank_augmented) == (1, 1)
-    assert a.apply(sol.point([Q.scalar(7)])) == b
+    point = tuple(x + Q.scalar(7) * y for x, y in zip(particular, dense(kernel, 2)))
+    assert a.apply(point) == b
 
 
 def test_solve_affine_infeasible():
     a = mat(Q, [[1, 1], [1, 1]])
     b = tuple(Q.scalar(x) for x in (0, 1))
-    sol = solve_affine(a, b)
+    sol = solve_affine(a, sparse(b))
     assert not sol.feasible
     assert (sol.rank, sol.rank_augmented) == (1, 2)
 
@@ -120,12 +123,12 @@ def test_solve_matrix_inverse():
 
 
 def test_row_space_membership():
-    vectors = [tuple(F3.scalar(x) for x in row) for row in ([1, 0, 1], [0, 1, 1])]
+    vectors = [{0: 1, 2: 1}, {1: 1, 2: 1}]
     ech = row_space(vectors, F3, 3)
-    assert in_row_span(ech, tuple(F3.scalar(x) for x in (1, 2, 0)))
-    assert not in_row_span(ech, tuple(F3.scalar(x) for x in (0, 0, 1)))
-    reduced = reduce_mod_rows(ech, tuple(F3.scalar(x) for x in (1, 0, 1)))
-    assert not any(reduced)
+    assert in_row_span(ech, {0: 1, 1: 2})
+    assert not in_row_span(ech, {2: 1})
+    reduced = reduce_mod_rows(ech, {0: 1, 2: 1})
+    assert reduced == {}
 
 
 @st.composite
@@ -166,9 +169,9 @@ def test_solve_affine_consistent_rhs(a, coeffs):
         F3.zero() for _ in range(max(0, a.ncols - len(coeffs)))
     )
     b = a.apply(v)
-    sol = solve_affine(a, b)
+    sol = solve_affine(a, sparse(b))
     assert sol.feasible
-    assert a.apply(sol.particular) == b
+    assert a.apply(dense(sol.particular, a.ncols)) == b
 
 
 @pytest.mark.parametrize("field", [F5, Q])
@@ -270,13 +273,15 @@ def test_kernels_match_boxed_reference(case):
     assert ech.matrix == ref_matrix and canonical(field, flat(ech.matrix))
 
     kernel = kernel_basis(a)
-    assert kernel == reference_kernel_basis(a)
-    assert all(canonical(field, v) for v in kernel)
+    dense_kernel = [dense(v, a.ncols) for v in kernel]
+    assert dense_kernel == reference_kernel_basis(a)
+    assert all(canonical(field, v.values()) for v in kernel)
 
-    sol = solve_affine(a, rhs)
-    assert ((sol.feasible, sol.particular, sol.kernel, sol.rank, sol.rank_augmented)
+    sol = solve_affine(a, sparse(rhs))
+    particular = None if sol.particular is None else dense(sol.particular, a.ncols)
+    assert ((sol.feasible, particular, dense_kernel, sol.rank, sol.rank_augmented)
             == reference_solve_affine(a, rhs))
-    assert sol.particular is None or canonical(field, sol.particular)
+    assert sol.particular is None or canonical(field, sol.particular.values())
 
     # A X = C^T with one row reduction, column by column as solve_affine
     rhs_columns = c.transpose()
@@ -296,18 +301,18 @@ def test_kernels_match_boxed_reference(case):
     # the span of C·A lies in the span of A's rows
     space = dense_rows(a)
     sub = dense_rows(reference_mul(c, a)) if a.nrows else []
-    ech_sub = row_space(sub, field, a.ncols)
+    ech_sub = row_space([sparse(v) for v in sub], field, a.ncols)
     ref_rows, ref_pivots = reference_row_space(sub, field, a.ncols)
     assert ech_sub.pivots == ref_pivots and dense_rows(ech_sub.matrix) == ref_rows
     for v in space:
-        reduced = reduce_mod_rows(ech_sub, v)
-        assert reduced == reference_reduce_mod_rows(field, ref_rows, ref_pivots, v)
-        assert canonical(field, reduced)
-        assert in_row_span(ech_sub, v) == (not any(reduced))
+        reduced = reduce_mod_rows(ech_sub, sparse(v))
+        assert dense(reduced, a.ncols) == reference_reduce_mod_rows(field, ref_rows, ref_pivots, v)
+        assert canonical(field, reduced.values())
+        assert in_row_span(ech_sub, sparse(v)) == (not reduced)
     # the quotient span(A)/span(C·A) has dimension rank(A) - rank(C·A): the
     # count both Ext^1 routes make instead of forming the quotient
     reps = reference_complement_representatives(space, sub, field, a.ncols)
-    assert len(reps) == row_space(space, field, a.ncols).rank - ech_sub.rank
+    assert len(reps) == row_space(a.rows, field, a.ncols).rank - ech_sub.rank
 
 
 def test_product_rejects_foreign_fields():
@@ -361,12 +366,12 @@ def test_matrix_operations_keep_entries_canonical(case):
     results = [a, b, from_cols, a + b, a - b, -a, a.scale(c), a * right, a.hstack(b),
                a.transpose(), rref(a).matrix, Matrix.identity(field, n)]
     entries = [x for r in results for x in flat(r)] + list(a.apply(vector))
-    entries += [x for v in kernel_basis(a) for x in v]
-    sol = solve_affine(a, b.column(0) if m else (field.zero(),) * n)
-    entries += sol.particular or ()
-    ech = row_space(dense_rows(b), field, m)
-    entries += [x for row in ech.vectors() for x in row]
-    entries += [x for v in dense_rows(a) for x in reduce_mod_rows(ech, v)]
+    entries += [x for v in kernel_basis(a) for x in v.values()]
+    sol = solve_affine(a, sparse(b.column(0)) if m else {})
+    entries += (sol.particular or {}).values()
+    ech = row_space(b.rows, field, m)
+    entries += [x for row in ech.rows for x in row.values()]
+    entries += [x for v in a.rows for x in reduce_mod_rows(ech, v).values()]
     assert canonical(field, entries)
 
 
@@ -403,6 +408,22 @@ def test_matrices_store_no_zero_and_only_canonical_values(case, e):
                Matrix.identity(field, n), Matrix.zeros(field, n, m)]
     assert all(stores_only_nonzero_canonical_values(r) for r in results)
     assert (a - a).rows == a.scale(0).rows == [{}] * n
+    # vectors are stored as matrix rows are: kernel vectors, particular
+    # solutions (of b's first column and of A's own first column), echelon
+    # rows, reduced vectors and packed matrices
+    layout = MapLayout(field, [("a", n, m), ("b", n, m), ("right", right.nrows, right.ncols)])
+    packed = layout.pack({"a": a, "b": b, "right": right})
+    vectors = [(v, m) for v in kernel_basis(a)] + [(packed, layout.total)]
+    for rhs in ([b.transpose().rows[0], a.transpose().rows[0]] if m else [{}]):
+        sol = solve_affine(a, rhs)
+        vectors += [(sol.particular, m)] if sol.feasible else []
+    assert m == 0 or solve_affine(a, a.transpose().rows[0]).feasible
+    ech = row_space(b.rows, field, m)
+    vectors += [(row, m) for row in ech.rows + rref(a).rows]
+    vectors += [(reduce_mod_rows(ech, row), m) for row in a.rows]
+    assert all(stores_only_nonzero_canonical_values(Matrix(field, 1, width, [v]))
+               for v, width in vectors)
+    assert layout.unpack(packed) == {"a": a, "b": b, "right": right}
     assert a * right == reference_mul(a, right)
     assert square == reference_mul(a.transpose(), a)
     assert square.power(e) == expected

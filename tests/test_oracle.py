@@ -53,9 +53,7 @@ def test_coefficient_slots_follow_the_deformation_layout():
         slots = coefficient_slots(v)
         assert len(slots) == layout.total
         for i, (arrow, r, c) in enumerate(slots):
-            unit = [0] * layout.total
-            unit[i] = 1
-            mats = layout.unpack(tuple(unit))
+            mats = layout.unpack({i: 1})
             assert mats[arrow][r, c] == 1, (name, module, i)
             assert sum(x for m in mats.values() for row in m.tolist() for x in row) == 1
 

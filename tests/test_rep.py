@@ -35,12 +35,12 @@ from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
                          is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
                          yoneda_homs)
-from helpers import (CORPUS, load_algebra, load_module, load_source,
+from helpers import (CORPUS, dense, load_algebra, load_module, load_source,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
                      reference_projective_cover, reference_quotient,
-                     restricted_cover_homs)
+                     restricted_cover_homs, sparse)
 
 THREE_CHAIN = """\
 field F 5
@@ -283,10 +283,10 @@ def test_sub_from_maps_requires_invariance():
     p1 = load_module("kx2_f5.alg", "P1")
     field = p1.field
     # the span of the generator is not x-invariant
-    bad = {"v": [(field.one(), field.zero())]}
+    bad = {"v": [{0: field.one()}]}
     with pytest.raises(NotInvariant):
         sub_from_maps(p1, bad)
-    good = {"v": [(field.zero(), field.one())]}
+    good = {"v": [{1: field.one()}]}
     sub = sub_from_maps(p1, good)
     assert sub.dim_vector == (1,)
 
@@ -346,7 +346,7 @@ def test_sparse_equations_match_dense_reference():
         # the coboundary generators are the columns of the Hom equations
         cob = reference_coboundary_vectors(m, n)
         assert [tuple(row) for row in equations.transpose().tolist()] == cob, label
-        ech = row_space(cob, m.field, system.layout.total)
+        ech = row_space([sparse(v) for v in cob], m.field, system.layout.total)
         assert system.coboundaries.pivots == ech.pivots, label
         assert system.coboundaries.rows == ech.rows, label
 
@@ -495,18 +495,18 @@ def valid_module_pairs(draw):
             # a random vector moved into the radical by a random arrow
             a = draw(st.sampled_from(algebra.quiver.arrows))
             x = tuple(draw(values) for _ in range(p.dims[a.source]))
-            gens[a.target].append(p.mats[a.name].apply(x))
+            gens[a.target].append(sparse(p.mats[a.name].apply(x)))
         # close the generators under the arrows
         while True:
             bases = {v: row_space(gens[v], p.field, p.dims[v]) for v in vertices}
-            images = [(a.target, p.mats[a.name].apply(x))
-                      for a in algebra.quiver.arrows for x in bases[a.source].vectors()]
+            images = [(a.target, sparse(p.mats[a.name].apply(dense(x, p.dims[a.source]))))
+                      for a in algebra.quiver.arrows for x in bases[a.source].rows]
             missing = [(w, y) for w, y in images if not in_row_span(bases[w], y)]
             if not missing:
                 break
             for w, y in missing:
                 gens[w].append(y)
-        return reference_quotient(p, {v: bases[v].vectors() for v in vertices})[0]
+        return reference_quotient(p, {v: bases[v].rows for v in vertices})[0]
 
     m = module()
     return m, (m if draw(st.booleans()) else module())
@@ -550,15 +550,15 @@ def test_ext_rank_counts_match_quotient_references(pair):
     hom_pn = hom_basis(projective_cover(m)[0], n)
     width = hom_pn.layout.total
     assert len(maps) == hom_pn.dim
-    assert (row_space([hom_pn.layout.pack(t) for t in maps], m.field, width).vectors()
-            == row_space(hom_pn.packed_basis, m.field, width).vectors())
+    assert (row_space([hom_pn.layout.pack(t) for t in maps], m.field, width).rows
+            == row_space(hom_pn.packed_basis, m.field, width).rows)
     _, _, incl = syzygy_data(m)
     hom_on, image = restricted_cover_homs(m, n)
     layout = hom_on.layout
     restricted = [layout.pack({v: t[v] * incl[v] for v in m.algebra.quiver.vertices})
                   for t in maps]
-    assert (row_space(restricted, m.field, layout.total).vectors()
-            == row_space(image, m.field, layout.total).vectors())
+    assert (row_space(restricted, m.field, layout.total).rows
+            == row_space(image, m.field, layout.total).rows)
 
 
 KRONECKER_MODULES = """\
@@ -623,7 +623,7 @@ def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
     # the cover and the top, each read off the top columns, against the
     # references that multiply paths out and project M through its radical
     assert projective_cover(m) == reference_projective_cover(m)
-    quotient = reference_quotient(m, radical_subspaces(m))[0]
+    quotient = reference_quotient(m, {v: rad.rows for v, rad in radical_subspaces(m).items()})[0]
     assert all(x.is_zero() for x in quotient.mats.values())
     assert top(m) == quotient
 
