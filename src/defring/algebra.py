@@ -4,7 +4,9 @@ A presentation is a quiver, a list of relations (linear combinations of
 parallel paths) and a truncation bound m that kills every path of length m.
 The algebra is the path algebra modulo the ideal generated by the relations
 and the length-m paths; truncation makes it finite dimensional, with a
-canonical basis of path representatives.
+canonical basis of path representatives.  A path's coordinates in that
+basis are a {basis index: value} dict of nonzero canonical values, the form
+of every vector in linalg.
 
 Relation-free inputs without a truncation bound are kept in hereditary mode:
 no basis is materialized (the path algebra may be infinite dimensional) and
@@ -40,18 +42,20 @@ class PresentedAlgebra:
         self.relations = list(relations)
         self.truncate = truncate
         self.basis: list | None = None
-        self.basis_index: dict | None = None
-        self._reduction: dict | None = None
+        self._coords: dict | None = None  # path shorter than the bound -> its coordinates
+        # vertex v -> target w -> indices of the basis paths v -> w, in basis order
+        self.paths_from: dict | None = None
         self._generators = ()
         # vertex -> (dims, mats) of its left projective, built on first use; a
         # Representation here would make a reference cycle with the algebra
         self._projectives = {}
         if truncate is not None:
             one = field.one()
+            paths = quiver.paths_up_to(truncate)
             self._generators = tuple(self.relations) + tuple(
                 Relation(((one, p),), p.source, p.target)
-                for p in quiver.paths_of_length(truncate))
-            self._build()
+                for p in paths if p.length == truncate)
+            self._build([p for p in paths if p.length < truncate])
         # the generator paths with their prefixes shared, and per generator
         # its nonzero terms as (coefficient, node of the path)
         self.generator_tree = PathTree()
@@ -97,9 +101,9 @@ class PresentedAlgebra:
     # ------------------------------------------------------------------
     # basis construction (truncated mode)
 
-    def _build(self):
+    def _build(self, paths: list):
+        """The basis and the coordinates of paths: those shorter than the bound."""
         m = self.truncate
-        paths = self.quiver.paths_up_to(m - 1)
         index = {p: i for i, p in enumerate(paths)}
         n = len(paths)
         zero = self.field.zero()
@@ -123,51 +127,41 @@ class PresentedAlgebra:
                         seen.add(key)
                         generators.append(vec)
         ech = row_space(generators, self.field, n)
-        pivots, rows = ech.pivots, ech.rows
-        pivot_set = set(pivots)
-        self.basis = [p for i, p in enumerate(paths) if i not in pivot_set]
-        self.basis_index = {p: i for i, p in enumerate(self.basis)}
-        free_cols = [i for i in range(n) if i not in pivot_set]
-        free_positions = {col: j for j, col in enumerate(free_cols)}
-        # pivot path -> its expression in basis coordinates
-        reduction = {}
-        for r, c in enumerate(pivots):
-            expr = [zero] * len(self.basis)
-            for i, j in free_positions.items():
-                expr[j] = scalar(-rows[r].get(i, zero))
-            reduction[paths[c]] = tuple(expr)
-        self._reduction = reduction
+        pivot_set = set(ech.pivots)
+        free = [i for i in range(n) if i not in pivot_set]
+        position = {col: j for j, col in enumerate(free)}
+        self.basis = [paths[i] for i in free]
+        # a basis path is its own coordinate; a pivot path is minus the free
+        # part of its reduced echelon row
+        one = self.field.one()
+        self._coords = {paths[col]: {j: one} for j, col in enumerate(free)}
+        for c, row in zip(ech.pivots, ech.rows):
+            self._coords[paths[c]] = {position[i]: scalar(-x) for i, x in row.items() if i != c}
+        self.paths_from = {v: {w: [] for w in self.quiver.vertices} for v in self.quiver.vertices}
+        for j, q in enumerate(self.basis):
+            self.paths_from[q.source][q.target].append(j)
         for rel in self.relations:
-            if any(self.reduce_terms(rel.terms)):
+            if self.reduce_terms(rel.terms):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")
 
-    def reduce_path(self, path: Path) -> tuple:
-        """Coordinates of a path in the canonical basis (zero if truncated away)."""
+    def reduce_path(self, path: Path) -> dict:
+        """Coordinates {basis index: value} of a path in the canonical basis,
+        empty if truncated away; the dict is shared and must not be changed."""
         if self.hereditary:
             raise HereditaryModeUnsupported("no basis in hereditary mode")
-        zero = self.field.zero()
         if path.length >= self.truncate:
-            return tuple([zero] * len(self.basis))
-        if path in self._reduction:
-            return self._reduction[path]
-        out = [zero] * len(self.basis)
-        out[self.basis_index[path]] = self.field.one()
-        return tuple(out)
+            return {}
+        return self._coords[path]
 
-    def reduce_terms(self, terms) -> tuple:
+    def reduce_terms(self, terms) -> dict:
         """Reduce a linear combination of paths to basis coordinates."""
-        out = [self.field.zero()] * len(self.basis)
+        zero = self.field.zero()
+        out = {}
         for coeff, p in terms:
             if coeff:
-                for j, x in enumerate(self.reduce_path(p)):
-                    out[j] += coeff * x
-        return tuple(map(self.field.scalar, out))
-
-    def multiply_basis(self, first: Path, then: Path) -> tuple:
-        """Product of two basis paths, applied first-then, in basis coordinates."""
-        if first.target != then.source:
-            return tuple([self.field.zero()] * len(self.basis))
-        return self.reduce_path(Path(first.arrows + then.arrows, first.source, then.target))
+                for j, x in self.reduce_path(p).items():
+                    out[j] = out.get(j, zero) + coeff * x
+        return {j: s for j, x in out.items() if (s := self.field.scalar(x))}
 
     # ------------------------------------------------------------------
 
@@ -186,26 +180,16 @@ class PresentedAlgebra:
             raise KeyError(v)
         if v in self._projectives:
             return Representation(self, *self._projectives[v])
-        basis_v = [p for p in self.basis if p.source == v]
-        by_vertex = {w: [p for p in basis_v if p.target == w] for w in self.quiver.vertices}
-        slot = {}
-        for w, plist in by_vertex.items():
-            for i, p in enumerate(plist):
-                slot[p] = i
-        dims = {w: len(by_vertex[w]) for w in self.quiver.vertices}
+        listing = self.paths_from[v]
+        dims = {w: len(js) for w, js in listing.items()}
+        slot = {j: k for js in listing.values() for k, j in enumerate(js)}
         mats = {}
         for a in self.quiver.arrows:
-            cols = []
-            for p in by_vertex[a.source]:
-                extended = Path(p.arrows + (a,), p.source, a.target)
-                reduced = self.reduce_path(extended)
-                col = [self.field.zero()] * dims[a.target]
-                for j, coeff in enumerate(reduced):
-                    if coeff:
-                        q = self.basis[j]
-                        assert q.source == v and q.target == a.target
-                        col[slot[q]] = coeff
-                cols.append(col)
-            mats[a.name] = Matrix.from_columns(self.field, dims[a.target], cols)
+            rows = [{} for _ in range(dims[a.target])]
+            for k, j in enumerate(listing[a.source]):
+                p = self.basis[j]
+                for i, x in self.reduce_path(Path(p.arrows + (a,), v, a.target)).items():
+                    rows[slot[i]][k] = x
+            mats[a.name] = Matrix(self.field, dims[a.target], dims[a.source], rows)
         self._projectives[v] = dims, mats
         return Representation(self, dims, mats)

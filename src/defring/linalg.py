@@ -3,9 +3,9 @@
 A Matrix holds plain field values in canonical form: `int` residues in
 0..p-1 over F_p and `Fraction`s over Q (see fields.py).  It stores them as
 sparse rows, one {column: value} dict per row that holds only the nonzero
-entries; a zero row is an empty dict and keeps its index.  `from_rows`,
-`from_columns` and `from_dicts` are where entries are brought into that
-form; the bare constructor trusts its input.  Every operation that forms
+entries; a zero row is an empty dict and keeps its index.  `from_rows` and
+`from_dicts` are where entries are brought into that form; the bare
+constructor trusts its input.  Every operation that forms
 new values (`+`, `-`, negation, `scale`, `*`, `apply` and the elimination
 kernel) reduces them with `% p` over F_p, the path chosen from `field.p`,
 and drops the zeros, so what is handed out is always canonical.  `*` is
@@ -79,16 +79,6 @@ class Matrix:
                 raise ValueError("ragged rows")
             out.append({j: x for j, x in enumerate(_canonical(field, r)) if x})
         return cls(field, nrows, ncols, out)
-
-    @classmethod
-    def from_columns(cls, field: FieldSpec, nrows: int, columns: list) -> "Matrix":
-        rows = [{} for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            assert len(col) == nrows
-            for row, x in zip(rows, _canonical(field, col)):
-                if x:
-                    row[j] = x
-        return cls(field, nrows, len(columns), rows)
 
     @classmethod
     def from_dicts(cls, field: FieldSpec, ncols: int, rows: list) -> "Matrix":

@@ -149,9 +149,6 @@ class Quiver:
                 break
         return out
 
-    def paths_of_length(self, length: int) -> list:
-        return [p for p in self.paths_up_to(length) if p.length == length]
-
     def __eq__(self, other):
         return (
             isinstance(other, Quiver)

@@ -474,10 +474,8 @@ def _yoneda_maps(v: str, n: Representation, columns) -> list:
     algebra = n.algebra
     field = n.field
     tree = PathTree()
-    nodes = {w: [] for w in algebra.quiver.vertices}
-    for q in algebra.basis:
-        if q.source == v:
-            nodes[q.target].append(tree.add(q))
+    nodes = {w: [tree.add(algebra.basis[j]) for j in js]
+             for w, js in algebra.paths_from[v].items()}
     rows = [{} for _ in range(n.dims[v])]
     for i, c in enumerate(columns):
         rows[c][i] = field.one()
@@ -533,12 +531,10 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
     first = dict.fromkeys(vertices, 0)  # P's first coordinate of the summand at each vertex
     image = []
     for v in summands:
-        widths = m.algebra.left_projective(v).dims
         block = {}  # the rows of ΩM's inclusion that lie in this summand
-        for w in vertices:
-            block[w] = Matrix(m.field, widths[w], incl[w].ncols,
-                              incl[w].rows[first[w]:first[w] + widths[w]])
-            first[w] += widths[w]
+        for w, js in m.algebra.paths_from[v].items():
+            start, first[w] = first[w], first[w] + len(js)
+            block[w] = Matrix(m.field, len(js), incl[w].ncols, incl[w].rows[start:first[w]])
         image += [layout.pack({w: phi[w] * block[w] for w in vertices}) for phi in homs[v]]
     return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
 

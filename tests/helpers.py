@@ -48,6 +48,14 @@ def sparse(values):
     return {i: x for i, x in enumerate(values) if x}
 
 
+def columns_matrix(field, nrows, columns):
+    """The nrows x len(columns) matrix whose columns are the given value lists."""
+    if not columns:
+        return Matrix.zeros(field, nrows, 0)
+    assert all(len(col) == nrows for col in columns)
+    return Matrix.from_rows(field, columns).transpose()
+
+
 def affine_point(particular, basis, coeffs):
     """particular + sum coeffs[i] * basis[i] for sparse vectors, its values
     left unreduced (MapLayout.unpack reduces them)."""
@@ -121,6 +129,32 @@ def reference_hom_stable(m, n):
     return hom_mn.dim - row_space(image, m.field, layout.total).rank
 
 
+def reference_left_projective(algebra, v):
+    """left_projective(v) from dense columns: the basis paths from v found by
+    scanning the basis, and each arrow's column the dense coordinates of a
+    path extended by that arrow, read off at the basis paths v -> target."""
+    field = algebra.field
+    basis_v = [p for p in algebra.basis if p.source == v]
+    by_vertex = {w: [p for p in basis_v if p.target == w] for w in algebra.quiver.vertices}
+    slot = {p: i for plist in by_vertex.values() for i, p in enumerate(plist)}
+    dims = {w: len(plist) for w, plist in by_vertex.items()}
+    mats = {}
+    for a in algebra.quiver.arrows:
+        cols = []
+        for p in by_vertex[a.source]:
+            extended = p.then(algebra.quiver.path([a.name]))
+            reduced = dense(algebra.reduce_path(extended), algebra.dimension)
+            col = [field.zero()] * dims[a.target]
+            for j, coeff in enumerate(reduced):
+                if coeff:
+                    q = algebra.basis[j]
+                    assert q.source == v and q.target == a.target
+                    col[slot[q]] = coeff
+            cols.append(col)
+        mats[a.name] = columns_matrix(field, dims[a.target], cols)
+    return Representation(algebra, dims, mats)
+
+
 def reference_projective_cover(m):
     """projective_cover with every basis path multiplied out from scratch and
     applied to each top vector on its own: (P, cover, summand vertices)."""
@@ -142,7 +176,7 @@ def reference_projective_cover(m):
     for w in quiver.vertices:
         cols = [list(m.path_matrix(q).apply(u)) for v, u in lifts
                 for q in algebra.basis if q.source == v and q.target == w]
-        cover[w] = Matrix.from_columns(field, m.dims[w], cols)
+        cover[w] = columns_matrix(field, m.dims[w], cols)
     return p, cover, [v for v, _ in lifts]
 
 
@@ -168,9 +202,9 @@ def reference_quotient(m, bases):
     section = {}  # standard-basis lift of quotient coordinates
     for v in m.algebra.quiver.vertices:
         identity = Matrix.identity(field, m.dims[v])
-        proj[v] = Matrix.from_columns(field, len(free[v]),
+        proj[v] = columns_matrix(field, len(free[v]),
                                       [project(v, identity.column(j)) for j in range(m.dims[v])])
-        section[v] = Matrix.from_columns(field, m.dims[v], [identity.column(f) for f in free[v]])
+        section[v] = columns_matrix(field, m.dims[v], [identity.column(f) for f in free[v]])
     mats = {}
     for a in m.algebra.quiver.arrows:
         # stability check: each subspace vector must map into the target subspace
@@ -267,7 +301,7 @@ def _unit_columns(lift, rows_of):
     for v, d in lift.base.dims.items():
         n = (lift.order + 1) * d
         cols = [[field.one() if i == r else field.zero() for i in range(n)] for r in rows_of(d)]
-        out[v] = Matrix.from_columns(field, n, cols)
+        out[v] = columns_matrix(field, n, cols)
     return out
 
 
@@ -448,7 +482,7 @@ def reference_kernel_basis(m):
 
 def reference_solve_affine(a, b):
     """(feasible, particular or None, kernel basis, rank A, rank [A | b]) of A x = b."""
-    aug = a.hstack(Matrix.from_columns(a.field, a.nrows, [list(b)]))
+    aug = a.hstack(columns_matrix(a.field, a.nrows, [list(b)]))
     echelon, pivots = reference_rref(aug)
     kern = reference_kernel_basis(a)
     ranks = (len(reference_rref(a)[1]), len(pivots))

@@ -35,8 +35,8 @@ from defring import (
 from defring.cli import main
 from defring.linalg import Matrix, rank, solve_matrix
 from defring.oracle import valid_point_set
-from helpers import (CORPUS, load_algebra, load_module, load_source, read_corpus,
-                     reference_deformation_matrix)
+from helpers import (CORPUS, columns_matrix, load_algebra, load_module, load_source,
+                     read_corpus, reference_deformation_matrix)
 
 
 def test_criterion_1_truncated_family_is_finite():
@@ -243,7 +243,7 @@ def test_criterion_8_obstruction_certificate_is_sound():
     rhs_entries = []
     for _, res in ob.residuals:
         rhs_entries.extend(-x for row in res.tolist() for x in row)
-    rhs = Matrix.from_columns(v.field, a.nrows, [rhs_entries])
+    rhs = columns_matrix(v.field, a.nrows, [rhs_entries])
     assert rank(a.hstack(rhs)) == ob.rank_augmented == 1
     assert ob.rank_augmented > ob.rank_coefficient
 

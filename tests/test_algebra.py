@@ -1,7 +1,34 @@
 import pytest
 
-from defring import HereditaryModeUnsupported, PresentedAlgebra, parse
-from helpers import load_algebra
+from defring import HereditaryModeUnsupported, PresentedAlgebra, Representation, ext1_dim, parse
+from helpers import CORPUS, load_algebra, reference_ext1_syzygy, reference_left_projective
+
+# a skew-commutative algebra whose relations reduce some paths of length 2
+# to multiples of others rather than to zero
+SKEW = """\
+field F 5
+quiver
+  vertex v
+  arrow x: v -> v
+  arrow y: v -> v
+truncate 4
+relations
+  x*y - 2*y*x
+  x*x - y*y
+
+module S
+  dim v = 1
+  mat x = [[0]]
+  mat y = [[0]]
+
+module M
+  dim v = 2
+  mat x = [[0,0],[1,0]]
+  mat y = [[0,0],[3,0]]
+"""
+
+TRUNCATED = [name for name in sorted(p.name for p in CORPUS.glob("*.alg"))
+             if not load_algebra(name)[1].hereditary]
 
 
 def labels(algebra):
@@ -46,41 +73,49 @@ def test_reduce_path_kills_truncated_powers():
     x = alg.quiver.path(["x"])
     xx = alg.quiver.path(["x", "x"])
     xxx = alg.quiver.path(["x", "x", "x"])
-    assert any(alg.reduce_path(xx))
-    assert not any(alg.reduce_path(xxx))
+    assert alg.reduce_path(xx) == {2: 1}
+    assert alg.reduce_path(xxx) == {}
 
 
-def test_multiply_basis_matches_path_reduction():
+def test_products_reduce_through_concatenation():
     _, alg = load_algebra("kx3_f5.alg")
     x = alg.quiver.path(["x"])
     xx = alg.quiver.path(["x", "x"])
-    assert alg.multiply_basis(x, x) == alg.reduce_path(xx)
-    assert not any(alg.multiply_basis(x, xx))
-    # non-composable products vanish
+    assert alg.reduce_path(x.then(x)) == alg.reduce_path(xx)
+    assert not alg.reduce_path(x.then(xx))
+    # non-composable paths have no product
     _, a2 = load_algebra("a2_f5.alg")
     a = a2.quiver.path(["a"])
-    assert not any(a2.multiply_basis(a, a))
+    with pytest.raises(ValueError):
+        a.then(a)
 
 
-def test_multiply_basis_associative_on_basis():
-    _, alg = load_algebra("kx4_f5.alg")
+def test_skew_relations_reduce_to_multiples():
+    alg = PresentedAlgebra.from_source(parse(SKEW))
+    assert labels(alg) == ["e_v", "x", "y", "y*x", "y*y"]
+    path = alg.quiver.path
+    assert alg.reduce_path(path(["x", "y"])) == {3: 2}
+    assert alg.reduce_path(path(["x", "x"])) == {4: 1}
+    assert alg.reduce_path(path(["x", "x", "y"])) == {}
+
+
+@pytest.mark.parametrize("text", [None, SKEW], ids=["kx4_f5", "skew"])
+def test_path_products_associative_on_basis(text):
+    alg = PresentedAlgebra.from_source(parse(text)) if text else load_algebra("kx4_f5.alg")[1]
     scalar = alg.field.scalar
 
-    def mul_coords(coords, path):
-        # multiply a coordinate vector by a basis path on the right
-        out = tuple([alg.field.zero()] * len(alg.basis))
-        for c, p in zip(coords, alg.basis):
-            if c:
-                out = tuple(scalar(x + c * y) for x, y in zip(out, alg.multiply_basis(p, path)))
-        return out
+    def times(coords, path):
+        # a coordinate dict times a path on the right
+        out = {}
+        for j, c in coords.items():
+            for i, y in alg.reduce_path(alg.basis[j].then(path)).items():
+                out[i] = out.get(i, 0) + c * y
+        return {i: s for i, x in out.items() if (s := scalar(x))}
 
     for p in alg.basis:
         for q in alg.basis:
             for r in alg.basis:
-                left = mul_coords(alg.multiply_basis(p, q), r)
-                right = mul_coords(alg.reduce_path(p), q.then(r)) if q.target == r.source else None
-                if right is not None:
-                    assert left == right
+                assert times(alg.reduce_path(p.then(q)), r) == times(alg.reduce_path(p), q.then(r))
 
 
 def test_generating_relations_cover_truncation():
@@ -131,10 +166,28 @@ def test_hereditary_mode_guards():
 
 
 def test_declared_relations_reduce_to_zero():
-    for name in ("kx2_rel_f5.alg", "parallel_rel_f3.alg"):
-        _, alg = load_algebra(name)
+    algebras = [load_algebra(name)[1] for name in ("kx2_rel_f5.alg", "parallel_rel_f3.alg")]
+    for alg in algebras + [PresentedAlgebra.from_source(parse(SKEW))]:
         for rel in alg.relations:
-            assert not any(alg.reduce_terms(rel.terms))
+            assert alg.reduce_terms(rel.terms) == {}
+
+
+@pytest.mark.parametrize("name", TRUNCATED + ["skew"])
+def test_left_projective_matches_dense_reference(name):
+    alg = PresentedAlgebra.from_source(parse(SKEW)) if name == "skew" else load_algebra(name)[1]
+    for v in alg.quiver.vertices:
+        p = alg.left_projective(v)
+        assert p == reference_left_projective(alg, v)
+        assert p.dims == {w: len(js) for w, js in alg.paths_from[v].items()}
+
+
+def test_skew_ext_backends_agree_with_the_syzygy_reference():
+    src = parse(SKEW)
+    alg = PresentedAlgebra.from_source(src)
+    modules = [Representation.from_module_def(alg, src.modules[name]) for name in ("S", "M")]
+    for m in modules:
+        for n in modules:
+            assert ext1_dim(m, n, "all") == reference_ext1_syzygy(m, n)
 
 
 def test_relation_spanning_a_generator_shrinks_basis():

@@ -24,8 +24,8 @@ from defring import (
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
-from helpers import (CORPUS, affine_point, base_embedding, dense_verify_ladder, load_module,
-                     load_source,
+from helpers import (CORPUS, affine_point, base_embedding, columns_matrix, dense_verify_ladder,
+                     load_module, load_source,
                      read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
                      reference_residual_coefficients, reference_shift_checks,
                      shift_endomorphism, sparse)
@@ -142,7 +142,7 @@ def test_obstruction_ranks_are_those_of_the_step_system(name):
     rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order)
            for row in block.tolist() for x in row]
     a = reference_deformation_matrix(v, v)
-    augmented = a.hstack(Matrix.from_columns(v.field, a.nrows, [rhs]))
+    augmented = a.hstack(columns_matrix(v.field, a.nrows, [rhs]))
     assert (ob.rank_coefficient, ob.rank_augmented) == (rank(a), rank(augmented))
     assert ob.certifies
 

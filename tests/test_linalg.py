@@ -19,13 +19,19 @@ from defring.linalg import (
     solve_matrix,
 )
 from defring.rep import MapLayout
-from helpers import (dense, dense_to_matrix, reference_complement_representatives,
+from helpers import (CORPUS, columns_matrix, dense, dense_to_matrix, load_algebra,
+                     reference_complement_representatives,
                      reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
                      reference_row_space, reference_rref, reference_solve_affine, sparse)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 Q = FieldSpec.rationals()
+
+# every truncated corpus algebra with the paths shorter than its bound
+SHORT_PATHS = [(alg, alg.quiver.paths_up_to(alg.truncate - 1))
+               for alg in (load_algebra(p.name)[1] for p in sorted(CORPUS.glob("*.alg")))
+               if not alg.hereditary]
 
 
 def mat(field, rows):
@@ -354,7 +360,7 @@ def test_matrix_operations_keep_entries_canonical(case):
     a = mat(field, rows) if n else Matrix.zeros(field, 0, m)
     b = mat(field, other_rows) if n else Matrix.zeros(field, 0, m)
     right = mat(field, right_rows) if m else Matrix.zeros(field, 0, 0)
-    from_cols = Matrix.from_columns(field, n, columns)
+    from_cols = columns_matrix(field, n, columns)
     assert flat(a) == [scalar(x) for x in entries]
     assert flat(from_cols.transpose()) == [scalar(x) for col in columns for x in col]
     assert flat(a + b) == [scalar(x + y) for x, y in zip(entries, other)]
@@ -402,7 +408,7 @@ def test_matrices_store_no_zero_and_only_canonical_values(case, e):
     expected = Matrix.identity(field, m)
     for _ in range(e):
         expected = reference_mul(expected, square)
-    results = [a, b, right, Matrix.from_columns(field, n, columns), a + b, a - b, a - a, -a,
+    results = [a, b, right, columns_matrix(field, n, columns), a + b, a - b, a - a, -a,
                a.scale(c), a.scale(0), a * right, square, square.power(e), a.transpose(),
                a.hstack(b), rref(a).matrix, rref(a.hstack(b)).matrix,
                Matrix.identity(field, n), Matrix.zeros(field, n, m)]
@@ -423,6 +429,10 @@ def test_matrices_store_no_zero_and_only_canonical_values(case, e):
     vectors += [(reduce_mod_rows(ech, row), m) for row in a.rows]
     assert all(stores_only_nonzero_canonical_values(Matrix(field, 1, width, [v]))
                for v, width in vectors)
+    # and so are the coordinates of paths in an algebra's basis
+    assert all(stores_only_nonzero_canonical_values(
+        Matrix(alg.field, 1, alg.dimension, [alg.reduce_path(p)]))
+        for alg, paths in SHORT_PATHS for p in paths)
     assert layout.unpack(packed) == {"a": a, "b": b, "right": right}
     assert a * right == reference_mul(a, right)
     assert square == reference_mul(a.transpose(), a)

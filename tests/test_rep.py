@@ -35,7 +35,7 @@ from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
                          is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
                          yoneda_homs)
-from helpers import (CORPUS, dense, load_algebra, load_module, load_source,
+from helpers import (CORPUS, columns_matrix, dense, load_algebra, load_module, load_source,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
@@ -521,7 +521,7 @@ def yoneda_cover_homs(m, n):
     first = dict.fromkeys(vertices, 0)
     for v in summands:
         for phi in yoneda_homs(v, n):
-            out.append({w: Matrix.from_columns(
+            out.append({w: columns_matrix(
                 m.field, n.dims[w],
                 [(m.field.zero(),) * n.dims[w]] * first[w]
                 + [phi[w].column(j) for j in range(phi[w].ncols)]
