@@ -42,6 +42,7 @@ from .lift import (
     extend_step,
     is_valid,
     residual_coefficients,
+    validate,
     verify_ladder,
 )
 from .linalg import Matrix
@@ -71,7 +72,6 @@ from .rep import (
     radical,
     syzygy,
     top,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -45,6 +45,9 @@ class PresentedAlgebra:
         self._coords: dict | None = None  # path shorter than the bound -> its coordinates
         # vertex v -> target w -> indices of the basis paths v -> w, in basis order
         self.paths_from: dict | None = None
+        # vertex v -> the tree of the basis paths from v; basis index -> its node there
+        self.basis_trees: dict | None = None
+        self.basis_nodes: list | None = None
         self._generators = ()
         # vertex -> (dims, mats) of its left projective, built on first use; a
         # Representation here would make a reference cycle with the algebra
@@ -140,6 +143,8 @@ class PresentedAlgebra:
         self.paths_from = {v: {w: [] for w in self.quiver.vertices} for v in self.quiver.vertices}
         for j, q in enumerate(self.basis):
             self.paths_from[q.source][q.target].append(j)
+        self.basis_trees = {v: PathTree() for v in self.quiver.vertices}
+        self.basis_nodes = [self.basis_trees[q.source].add(q) for q in self.basis]
         for rel in self.relations:
             if self.reduce_terms(rel.terms):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")

@@ -15,9 +15,9 @@ from .algebra import PresentedAlgebra
 from .classify import Checks, decide, ladder_checks, source_digest, tangent_dimension
 from .dsl import field_to_json, parse, verdict_to_json
 from .fields import format_scalar
-from .lift import Ladder, Lift, Obstruction, extend_step, verify_ladder
+from .lift import Ladder, Lift, Obstruction, extend_step, validate, verify_ladder
 from .linalg import Matrix
-from .rep import DeformationSystem, Representation, validate
+from .rep import DeformationSystem, Representation
 
 
 @dataclass
@@ -79,16 +79,18 @@ def _same(claimed, recomputed) -> bool:
     return type(claimed) is type(recomputed) and claimed == recomputed
 
 
-def _parse_entry(field, x):
+def _parse_entry(field, x, literals: dict):
     """The value of a ladder entry, which must be written as classify writes
-    it: the canonical literal of a field value."""
+    it: the canonical literal of a field value.  literals maps the entries
+    read so far to their values, so each distinct text is checked once."""
     if not isinstance(x, str):
         raise ValueError(f"ladder entry {x!r} is not a scalar literal")
-    value = field.parse_literal(x)
-    canonical = format_scalar(value)
-    if canonical != x:
-        raise ValueError(f"ladder entry {x!r} is not the canonical literal {canonical!r}")
-    return value
+    if x not in literals:
+        canonical = format_scalar(value := field.parse_literal(x))
+        if canonical != x:
+            raise ValueError(f"ladder entry {x!r} is not the canonical literal {canonical!r}")
+        literals[x] = value
+    return literals[x]
 
 
 def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
@@ -96,6 +98,7 @@ def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
         return None
     field = base.field
     coeffs = {a.name: [base.mats[a.name]] for a in base.algebra.quiver.arrows}
+    literals = {}
     for expected_order, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
             raise ValueError(f"ladder entry {expected_order} is not an object with matrices")
@@ -113,9 +116,9 @@ def _ladder_from_json(base: Representation, entries: list) -> Ladder | None:
             if (not isinstance(rows, list) or len(rows) != dt
                     or any(not isinstance(r, list) or len(r) != ds for r in rows)):
                 raise ValueError(f"ladder matrix shape mismatch for {a.name}")
-            parsed = [[_parse_entry(field, x) for x in r] for r in rows]
-            coeffs[a.name].append(
-                Matrix.from_rows(field, parsed) if dt else Matrix.zeros(field, 0, ds))
+            coeffs[a.name].append(Matrix(field, dt, ds, [
+                {j: value for j, x in enumerate(r) if (value := _parse_entry(field, x, literals))}
+                for r in rows]))
     return Ladder(Lift(base, len(entries), coeffs))
 
 

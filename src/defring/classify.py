@@ -22,10 +22,11 @@ from .lift import (
     Obstruction,
     as_representation,
     extend_step,
+    validate,
     verify_ladder,
 )
 from .linalg import in_row_span
-from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, hom_stable, validate
+from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, hom_stable
 
 
 @dataclass

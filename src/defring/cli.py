@@ -18,7 +18,7 @@ from .certificates import verify_report
 from .classify import (ClassifyConfig, _require_max_order, classify, ladder_search,
                        tangent_dimension)
 from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_report
-from .lift import verify_ladder
+from .lift import validate, verify_ladder
 from .oracle import BudgetExceeded, enumerate_lifts
 from .rep import (
     DeformationSystem,
@@ -27,7 +27,6 @@ from .rep import (
     ext1_dim,
     hom_basis,
     hom_stable,
-    validate,
 )
 
 

@@ -22,9 +22,9 @@ relations and no truncate the input is in relation-free (hereditary) mode.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import asdict, dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .fields import FieldSpec, format_scalar
@@ -541,24 +541,35 @@ def field_to_json(field: FieldSpec) -> dict:
     return {"kind": "prime", "p": field.p}
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[format_scalar(x) for x in m.row(i)] for i in range(m.nrows)]
-
-
-def _indented_json(obj, indent: str = "") -> str:
-    """The text of json.dumps(obj, indent=2), with every leaf through the C encoder.
-
+def _write_json(obj, out: list, indent: str = ""):
+    """Append the text of json.dumps(obj, indent=2) at this indent; a Matrix
+    is written as its rows of scalar literals, read off its sparse rows.
     json.dumps with an indent runs the pure-Python encoder, whose nested
-    closures leave a reference cycle behind on every call.
-    """
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        items = (f"{inner}{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, list) and obj:
-        items = (inner + _indented_json(v, inner) for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return json.dumps(obj)
+    closures leave a reference cycle behind on every call."""
+    kind = obj.__class__
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is dict or kind is list:
+        inner, keyed = indent + "  ", kind is dict
+        out.append("{" if keyed else "[")
+        for k, item in enumerate(obj.items() if keyed else obj):
+            out += (",\n" if k else "\n", inner, _quote(item[0]) + ": " if keyed else "")
+            _write_json(item[1] if keyed else item, out, inner)
+        out += ("\n" + indent if obj else "", "}" if keyed else "]")
+    elif kind is Matrix:
+        inner, cell = indent + "  ", indent + "    "
+        zero = cell + _quote(format_scalar(obj.field.zero()))
+        rows = []
+        for row in obj.rows:
+            cells = [zero] * obj.ncols
+            for j, x in row.items():
+                cells[j] = cell + _quote(format_scalar(x))
+            rows.append("[\n" + ",\n".join(cells) + "\n" + inner + "]" if cells else "[]")
+        out.append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]" if rows else "[]")
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    else:  # an int: int.__repr__ raises TypeError for anything else
+        out.append(int.__repr__(obj))
 
 
 def verdict_to_json(verdict) -> dict:
@@ -575,13 +586,8 @@ def serialize_report(report) -> str:
     strings, and nothing time- or environment-dependent is included, so
     two runs on the same input produce identical bytes.
     """
-    ladder = []
     tuples = report.ladder.coefficient_tuples() if report.ladder is not None else []
-    for order, mats in enumerate(tuples, start=1):
-        ladder.append({
-            "order": order,
-            "matrices": {name: matrix_to_json(m) for name, m in mats.items()},
-        })
+    ladder = [{"order": order, "matrices": mats} for order, mats in enumerate(tuples, start=1)]
     obj = {
         "input_digest": report.input_digest,
         "field": field_to_json(report.field),
@@ -591,7 +597,9 @@ def serialize_report(report) -> str:
         "checks": asdict(report.checks),
         "notes": list(report.notes),
     }
-    return _indented_json(obj) + "\n"
+    out = []
+    _write_json(obj, out)
+    return "".join(out) + "\n"
 
 
 def report_to_text(report) -> str:

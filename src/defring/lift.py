@@ -9,30 +9,33 @@ right hand side is the next residual.  Infeasibility is an obstruction and
 carries a rank certificate.
 
 A lift carries the t-series of every prefix of every generator path (the
-nodes of the algebra's generator tree) through degree L.  Extending the lift
-computes one new degree per prefix, sum_i C_i(a) * prefix_(d-i), so a chain
-of length N costs about N^2 block products per prefix rather than N^3, and
-far fewer when the coefficients are sparse; residuals are read off the
-stored degrees, and the degree L+1 residual is completed from them.
+nodes of the algebra's generator tree) through degree L, per degree only
+the nonzero ones.  Extending the lift computes one new degree at the
+prefixes that can be nonzero there, so a degree costs what its nonzero
+terms cost; residuals are read off the stored degrees, and the degree L+1
+residual is completed from them.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 
 from .linalg import Matrix, rank
-from .rep import DeformationSystem, Representation, combination
+from .rep import DeformationSystem, Representation
 
 
 class Lift:
     """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base.
 
-    A lift also holds the t-series of every node of its algebra's
-    generator tree (every prefix of every generating-relation path),
-    through degree order: series[node][d] is the t^d coefficient of that
-    prefix evaluated at the arrow polynomials.  The constructor grows them
-    degree by degree and `extended` adds the one new degree, so a residual
-    is read off rather than re-expanded.
+    A lift also holds the t-series of the nodes of its algebra's generator
+    tree (every prefix of every generating-relation path), through degree
+    order: series[d] maps each node whose t^d coefficient is nonzero, that
+    prefix evaluated at the arrow polynomials, to that coefficient.  The
+    constructor grows them degree by degree and `extended` adds the one new
+    degree, so a residual is read off rather than re-expanded.  support
+    lists per arrow the degrees of its nonzero coefficients.
     """
 
     def __init__(self, base: Representation, order: int, coeffs: dict):
@@ -48,10 +51,11 @@ class Lift:
                 assert (m.nrows, m.ncols) == (base.dims[a.target], base.dims[a.source])
             self.coeffs[a.name] = series
         self.field = base.field
-        self.series = [[] for _ in range(len(base.algebra.generator_tree))]
+        self.support = {name: [i for i, m in enumerate(series) if not m.is_zero()]
+                        for name, series in self.coeffs.items()}
+        self.series = []
         for d in range(order + 1):
-            for series, value in zip(self.series, _series_degree(self, d)):
-                series.append(value)
+            self.series.append(_series_degree(self, d))
 
     @classmethod
     def trivial(cls, base: Representation, order: int = 0) -> "Lift":
@@ -73,8 +77,9 @@ class Lift:
         out = Lift.__new__(Lift)  # from parts that already agree with each other
         out.base, out.field, out.order, out.series = base, self.field, self.order + 1, self.series
         out.coeffs = {name: series + [b[name]] for name, series in self.coeffs.items()}
-        out.series = [series + [value]
-                      for series, value in zip(self.series, _series_degree(out, out.order))]
+        out.support = {name: degrees if b[name].is_zero() else degrees + [out.order]
+                       for name, degrees in self.support.items()}
+        out.series = self.series + [_series_degree(out, out.order)]
         return out
 
     def __eq__(self, other):
@@ -93,40 +98,40 @@ class Lift:
 # residuals
 
 
-def _series_degree(lift: Lift, d: int) -> list:
-    """The t^d coefficient of every generator-tree node at the lift.
+def _series_degree(lift: Lift, d: int) -> dict:
+    """The nonzero t^d coefficients of the generator-tree nodes, {node: value}.
 
-    Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), with C_i
-    the arrow's degree-i coefficient (zero above lift.order).  The parent's
-    degrees below d are read from lift.series, its degree d from this pass.
+    Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), C_i the
+    arrow's degree-i coefficient, so it is visited, in tree order, only when
+    its parent is nonzero at d - i for some i in the arrow's support: read
+    from lift.series for i > 0, and found in this pass for i = 0.
     """
-    base = lift.base
-    field = lift.field
-    tree = base.algebra.generator_tree
-    support = {}  # arrow name -> its nonzero (degree, coefficient) pairs up to degree d
-    zeros = {}  # shape -> the one zero matrix that the nodes of that shape share
-
-    def zero(*shape):
-        return zeros.get(shape) or zeros.setdefault(shape, Matrix.zeros(field, *shape))
-
-    out = []
-    for parent, step, source in zip(tree.parents, tree.steps, tree.sources):
-        if parent < 0:
-            n = base.dims[step]
-            out.append(Matrix.identity(field, n) if d == 0 else zero(n, n))
+    tree = lift.base.algebra.generator_tree
+    if not tree.parents:  # no generator paths: nothing to evaluate
+        return {}
+    terms = {name: [(i, lift.coeffs[name][i]) for i in degrees if i <= d]
+             for name, degrees in lift.support.items()}
+    now = [name for name, pairs in terms.items() if pairs and pairs[0][0] == 0]  # C_0 nonzero
+    queue = [node for node, parent in enumerate(tree.parents) if parent < 0] if d == 0 else []
+    queue += [child for name, pairs in terms.items() for i, _ in pairs if i
+              for node in lift.series[d - i] if (child := tree.nodes.get((node, name))) is not None]
+    heapq.heapify(queue)
+    out = {}
+    while queue:
+        node = heapq.heappop(queue)
+        if node in out:  # queued more than once
             continue
-        terms = support.get(step.name)
-        if terms is None:
-            coeffs = lift.coeffs[step.name][:d + 1]
-            terms = support[step.name] = [(i, c) for i, c in enumerate(coeffs) if not c.is_zero()]
-        below = lift.series[parent]
-        value = None
-        for i, coeff in terms:
-            factor = out[parent] if i == 0 else below[d - i]
-            if not factor.is_zero():
-                term = coeff * factor
-                value = term if value is None else value + term
-        out.append(zero(base.dims[step.target], base.dims[source]) if value is None else value)
+        parent, step = tree.parents[node], tree.steps[node]
+        if parent < 0:
+            products = [Matrix.identity(lift.field, lift.base.dims[step])]
+        else:
+            products = [coeff * factor for i, coeff in terms[step.name]
+                        if (factor := (lift.series[d - i] if i else out).get(parent)) is not None]
+        if products and not (value := functools.reduce(Matrix.__add__, products)).is_zero():
+            out[node] = value
+            for name in now:
+                if (child := tree.nodes.get((node, name))) is not None:
+                    heapq.heappush(queue, child)
     return out
 
 
@@ -137,11 +142,27 @@ def residual_coefficients(lift: Lift, j: int) -> list:
     order + 1 is completed from them without being stored.
     """
     assert j <= lift.order + 1
-    values = [series[j] for series in lift.series] if j <= lift.order else _series_degree(lift, j)
+    values = lift.series[j] if j <= lift.order else _series_degree(lift, j)
     algebra = lift.base.algebra
     dims = lift.base.dims
     return [combination(lift.field, dims[rel.target], dims[rel.source], terms, values)
             for rel, terms in zip(algebra.generating_relations(), algebra.generator_terms)]
+
+
+def combination(field, nrows: int, ncols: int, terms, values: dict) -> Matrix:
+    """The sum of coeff * values[node] over (coeff, node) terms, an nrows x
+    ncols matrix; values holds the nonzero values, {node: value}."""
+    parts = [values[node] if coeff == 1 else values[node].scale(coeff)
+             for coeff, node in terms if node in values]
+    return functools.reduce(Matrix.__add__, parts) if parts else Matrix.zeros(field, nrows, ncols)
+
+
+def validate(rep: Representation) -> list:
+    """Labels of violated ideal generators, empty for a valid module: the
+    nonzero degree-0 residuals of its trivial lift, each prefix evaluated once."""
+    residuals = residual_coefficients(Lift.trivial(rep), 0)
+    return [rel.label() for rel, block in zip(rep.algebra.generating_relations(), residuals)
+            if not block.is_zero()]
 
 
 def residuals_vanish(lift: Lift, j: int) -> bool:

@@ -20,11 +20,20 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Path:
-    """A composable arrow sequence, or a trivial path at a vertex."""
+    """A composable arrow sequence, or a trivial path at a vertex.  Its hash
+    is taken once, at construction, from the arrow names, and kept outside
+    the fields, so out of == and repr."""
 
     arrows: tuple
     source: str
     target: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.source, self.target,
+                                                *(a.name for a in self.arrows))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def trivial(cls, vertex: str) -> "Path":
@@ -59,31 +68,24 @@ class PathTree:
     nodes.
     """
 
-    def __init__(self, paths=()):
+    def __init__(self):
         self.parents = []  # node -> parent node, -1 for a trivial path
         self.steps = []  # node -> its last arrow, or the vertex of a trivial path
-        self.sources = []  # node -> source vertex of the prefix
-        self._nodes = {}  # (parent, arrow name or vertex) -> node
-        for path in paths:
-            self.add(path)
+        self.nodes = {}  # (parent, arrow name or vertex) -> node
 
-    def __len__(self) -> int:
-        return len(self.parents)
-
-    def _child(self, parent: int, key: str, step, source: str) -> int:
-        node = self._nodes.get((parent, key))
+    def _child(self, parent: int, key: str, step) -> int:
+        node = self.nodes.get((parent, key))
         if node is None:
-            node = self._nodes[(parent, key)] = len(self.parents)
+            node = self.nodes[(parent, key)] = len(self.parents)
             self.parents.append(parent)
             self.steps.append(step)
-            self.sources.append(source)
         return node
 
     def add(self, path: Path) -> int:
         """The node of path, added with its prefixes unless already present."""
-        node = self._child(-1, path.source, path.source, path.source)
+        node = self._child(-1, path.source, path.source)
         for arrow in path.arrows:
-            node = self._child(node, arrow.name, arrow, path.source)
+            node = self._child(node, arrow.name, arrow)
         return node
 
     def fold(self, root, step) -> list:
@@ -142,7 +144,7 @@ class Quiver:
             for p in frontier:
                 for a in self.arrows:
                     if a.source == p.target:
-                        nxt.append(p.then(Path((a,), a.source, a.target)))
+                        nxt.append(Path(p.arrows + (a,), p.source, a.target))
             out.extend(nxt)
             frontier = nxt
             if not frontier:

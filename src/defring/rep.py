@@ -29,7 +29,7 @@ from .linalg import (
     solve_affine,
     solve_matrix,
 )
-from .quiver import Path, PathTree
+from .quiver import Path
 
 
 class NotHereditary(Exception):
@@ -81,11 +81,6 @@ class Representation:
             out = self.mats[a.name] * out
         return out
 
-    def path_values(self, tree: PathTree) -> list:
-        """The matrix of every node of tree, one product per node."""
-        return tree.fold(lambda v: Matrix.identity(self.field, self.dims[v]),
-                         lambda a, below: self.mats[a.name] * below)
-
     def __eq__(self, other):
         return (
             isinstance(other, Representation)
@@ -96,32 +91,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
-
-
-def combination(field: FieldSpec, nrows: int, ncols: int, terms, values: list) -> Matrix:
-    """The sum of coeff * values[node] over (coeff, node) terms, an nrows x
-    ncols matrix; zero values are skipped."""
-    out = None
-    for coeff, node in terms:
-        value = values[node]
-        if value.is_zero():
-            continue
-        term = value if coeff == 1 else value.scale(coeff)
-        out = term if out is None else out + term
-    return Matrix.zeros(field, nrows, ncols) if out is None else out
-
-
-def validate(rep: Representation) -> list:
-    """Labels of violated ideal generators; empty means the module is valid.
-    Every prefix of the generator paths is evaluated once."""
-    algebra = rep.algebra
-    values = rep.path_values(algebra.generator_tree)
-    bad = []
-    for rel, terms in zip(algebra.generating_relations(), algebra.generator_terms):
-        if not combination(rep.field, rep.dims[rel.target], rep.dims[rel.source],
-                           terms, values).is_zero():
-            bad.append(rel.label())
-    return bad
 
 
 def direct_sum(m: Representation, n: Representation) -> Representation:
@@ -469,27 +438,19 @@ def yoneda_homs(v: str, n: Representation) -> list:
 
 def _yoneda_maps(v: str, n: Representation, columns) -> list:
     """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
-    columns: N's basis-path values on those columns come from one fold along
-    the paths from v, so a cover reads only its top columns."""
-    algebra = n.algebra
-    field = n.field
-    tree = PathTree()
-    nodes = {w: [tree.add(algebra.basis[j]) for j in js]
-             for w, js in algebra.paths_from[v].items()}
-    rows = [{} for _ in range(n.dims[v])]
-    for i, c in enumerate(columns):
-        rows[c][i] = field.one()
-    start = Matrix(field, n.dims[v], len(columns), rows)
-    values = tree.fold(lambda _: start, lambda a, below: n.mats[a.name] * below)
-    maps = []
-    for i in range(start.ncols):
-        # entry (r, k) of the map at w is N(q_k)[r, i], q_k the k-th basis path v -> w
-        maps.append({w: Matrix(field, n.dims[w], len(at_w),
-                               [{k: x for k, node in enumerate(at_w)
-                                 if (x := values[node].rows[r].get(i))}
-                                for r in range(n.dims[w])])
-                     for w, at_w in nodes.items()})
-    return maps
+    columns: N's basis-path values on those columns come from one fold of
+    the algebra's tree of the basis paths from v, so a cover reads only its
+    top columns.  The values are held transposed, N(q)ᵀ restricted to the
+    columns, so each product costs the nonzeros it meets."""
+    field, algebra = n.field, n.algebra
+    nodes = {w: [algebra.basis_nodes[j] for j in js] for w, js in algebra.paths_from[v].items()}
+    start = Matrix(field, len(columns), n.dims[v], [{c: field.one()} for c in columns])
+    transposed = {name: m.transpose() for name, m in n.mats.items()}
+    values = algebra.basis_trees[v].fold(lambda _: start,
+                                         lambda a, below: below * transposed[a.name])
+    # the map at w has column k N(q_k) restricted to c_i, q_k the k-th basis path v -> w
+    return [{w: Matrix(field, len(at_w), n.dims[w], [values[node].rows[i] for node in at_w]).transpose()
+             for w, at_w in nodes.items()} for i in range(len(columns))]
 
 
 def syzygy_data(m: Representation):

@@ -11,6 +11,7 @@ from defring.dsl import ParseError, Token
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
 from defring.linalg import Matrix, in_row_span, rank, reduce_mod_rows, row_space, solve_matrix
 from defring.oracle import coefficient_slots, lift_from_point
+from defring.quiver import Path as QuiverPath
 from defring.rep import (DeformationSystem, MapLayout, NotInvariant, direct_sum_many, hom_basis,
                          is_homomorphism, projective_cover, radical_subspaces, syzygy_data)
 
@@ -68,6 +69,15 @@ def affine_point(particular, basis, coeffs):
 
 # ----------------------------------------------------------------------
 # references for the path series of a lift and the evaluation of paths
+
+
+def node_paths(tree):
+    """The path of every node of a quiver.PathTree, rebuilt from its parents."""
+    paths = []
+    for parent, step in zip(tree.parents, tree.steps):
+        paths.append(QuiverPath.trivial(step) if parent < 0 else
+                     QuiverPath(paths[parent].arrows + (step,), paths[parent].source, step.target))
+    return paths
 
 
 def reference_path_poly(lift, path, max_deg):

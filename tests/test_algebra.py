@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from defring import HereditaryModeUnsupported, PresentedAlgebra, Representation, ext1_dim, parse
+from defring.quiver import Arrow, Path
 from helpers import CORPUS, load_algebra, reference_ext1_syzygy, reference_left_projective
 
 # a skew-commutative algebra whose relations reduce some paths of length 2
@@ -207,3 +210,12 @@ module V
 """
     alg = PresentedAlgebra.from_source(parse(text))
     assert labels(alg) == ["e_v"]
+
+
+def test_path_hash_is_taken_at_construction_and_stays_out_of_eq_and_repr():
+    x, y = Arrow("x", "v", "v"), Arrow("y", "v", "v")
+    p, q = Path((x, y), "v", "v"), Path((x,), "v", "v").then(Path((y,), "v", "v"))
+    assert vars(p)["_hash"] == hash(p) == hash(q) and p == q
+    assert [f.name for f in dataclasses.fields(Path)] == ["arrows", "source", "target"]
+    assert repr(p) == "x*y" and repr(Path.trivial("v")) == "e_v"
+    assert p != Path((y, x), "v", "v") and len({p, q, Path((y, x), "v", "v")}) == 2

@@ -207,6 +207,23 @@ def test_ladder_entries_that_are_not_canonical_literals_fail_to_parse(name, lite
     assert any(repr(literal) in line for line in result.lines), result.lines
 
 
+@pytest.mark.parametrize("earlier,literal", [("1", "01"), ("1/2", "2/4"), ("0", "-0"), ("1", " 1"),
+                                             ("1", 1), ("01", "01")],
+                         ids=["leading-zero", "unreduced-fraction", "minus-zero", "space",
+                              "json-number", "repeated"])
+def test_repeated_non_canonical_literals_fail_to_parse(earlier, literal):
+    # verify reads each distinct entry text once: a canonical text of the same
+    # value, or the same bad text, earlier in the report must not let it through
+    blob = json.loads(report_for("kx3_q.alg", "V"))
+    assert [entry["order"] for entry in blob["ladder"]] == [1, 2]
+    blob["notes"].insert(0, str(literal))
+    blob["ladder"][0]["matrices"]["x"] = [[earlier]]
+    blob["ladder"][1]["matrices"]["x"] = [[literal]]
+    result = verify_report(read_corpus("kx3_q.alg"), "V", json.dumps(blob))
+    assert result.failures == ["ladder_parses"]
+    assert any(repr(literal) in line for line in result.lines), result.lines
+
+
 @pytest.mark.parametrize("value", [1, [["1"]], [[]]], ids=["int", "matrix", "empty"])
 def test_ladder_entries_naming_an_unknown_arrow_fail_to_parse(value):
     blob = report_for("kx3_f5.alg", "V")

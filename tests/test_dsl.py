@@ -1,11 +1,15 @@
 import gc
+import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring import ParseError, classify, parse, print_source, serialize_report
-from defring.dsl import _tokenize
+from defring.dsl import _tokenize, _write_json
+from defring.fields import FieldSpec, format_scalar
+from defring.linalg import Matrix
 from helpers import CORPUS, load_source, read_corpus, reference_tokenize
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.alg"))
@@ -249,3 +253,72 @@ def test_serialize_report_leaves_no_reference_cycles():
         if was_enabled:
             gc.enable()
     assert blob.startswith('{\n  "input_digest": ') and blob.endswith("\n}\n")
+
+
+# ----------------------------------------------------------------------
+# the report's text
+
+
+@st.composite
+def report_matrices(draw):
+    """A Matrix over F_2, F_5 or Q, zero rows and zero columns included."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()]))
+    values = (st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-7, 3)]) if field.p is None
+              else st.integers(0, field.p - 1))
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = [{j: x for j in range(ncols) if (x := field.scalar(draw(values)))} for _ in range(nrows)]
+    return Matrix(field, nrows, ncols, rows)
+
+
+def _as_lists(obj):
+    """obj with every Matrix as the rows of literals the report holds."""
+    if isinstance(obj, Matrix):
+        return [[format_scalar(x) for x in row] for row in obj.tolist()]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return [_as_lists(value) for value in obj] if isinstance(obj, list) else obj
+
+
+flags = st.none() | st.booleans()
+counts = st.none() | st.integers(-2, 10**20)
+report_objects = st.fixed_dictionaries({
+    "input_digest": st.text(),
+    "field": st.sampled_from([{"kind": "rationals"}, {"kind": "prime", "p": 5}]),
+    "tangent_dim": st.integers(0, 3),
+    "verdict": st.dictionaries(st.sampled_from(["type", "N", "proved", "max_order_checked"]),
+                               st.text() | st.integers() | st.booleans()),
+    "ladder": st.lists(st.fixed_dictionaries({
+        "order": st.integers(1, 50),
+        "matrices": st.dictionaries(st.text(max_size=3), report_matrices(), max_size=3)}), max_size=3),
+    "checks": st.fixed_dictionaries({"hom_top_dim": counts, "ext_top_dim": counts,
+                                     "sigma_nilpotent": flags, "first_order_nontrivial": flags}),
+    "notes": st.lists(st.text(), max_size=4),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_objects)
+def test_report_writer_matches_json_dumps(obj):
+    out = []
+    _write_json(obj, out)
+    assert "".join(out) == json.dumps(_as_lists(obj), indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {"notes": ["\u00e9t\u00e9 \u2192 \U0001d538", 'a "quoted" \\ back\\slash', "tab\tnew\nline\x00"]},
+    {"ladder": [], "notes": []},
+    {"ladder": [{"order": 1, "matrices": {"x": Matrix(FieldSpec.prime(3), 0, 2, []),
+                                          "y": Matrix(FieldSpec.prime(3), 2, 0, [{}, {}])}}]},
+    {"checks": {"hom_top_dim": None, "ext_top_dim": 0, "sigma_nilpotent": True,
+                "first_order_nontrivial": False}},
+], ids=["escaped-notes", "empty-ladder", "zero-row-and-zero-column-matrices", "checks-literals"])
+def test_report_writer_matches_json_dumps_on_edge_cases(obj):
+    out = []
+    _write_json(obj, out)
+    assert "".join(out) == json.dumps(_as_lists(obj), indent=2)
+
+
+def test_report_writer_refuses_values_a_report_does_not_hold():
+    for value in (1.5, (1, 2), {1: "x"}):
+        with pytest.raises(TypeError):
+            _write_json({"notes": [value]}, [])

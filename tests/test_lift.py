@@ -25,9 +25,9 @@ from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
 from helpers import (CORPUS, affine_point, base_embedding, columns_matrix, dense_verify_ladder,
-                     load_module, load_source,
+                     load_module, load_source, node_paths,
                      read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
-                     reference_residual_coefficients, reference_shift_checks,
+                     reference_path_poly, reference_residual_coefficients, reference_shift_checks,
                      shift_endomorphism, sparse)
 
 
@@ -401,3 +401,31 @@ def test_series_residuals_match_reference(history):
         if lift.order >= 1:
             # verify_report's top_satisfies_relations reads these checks
             assert verify_ladder(Ladder(lift)).passed("residuals_vanish") == dense_valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lifts())
+def test_series_hold_exactly_the_nonzero_prefix_coefficients(history):
+    # degree d of the series maps each generator-tree node whose t^d coefficient
+    # is nonzero to it, and stores no zero matrix
+    for lift in history:
+        paths = node_paths(lift.base.algebra.generator_tree)
+        assert len(lift.series) == lift.order + 1
+        for d, values in enumerate(lift.series):
+            assert all(not value.is_zero() for value in values.values()), d
+            for node, path in enumerate(paths):
+                expected = reference_path_poly(lift, path, d)[d]
+                assert values.get(node, Matrix.zeros(lift.field, expected.nrows,
+                                                     expected.ncols)) == expected, (d, path)
+
+
+def test_long_ladder_series_hold_one_value_per_degree():
+    # k[x]/(x^40): the chain x -> t lifts through order 39, and at degree d only
+    # x^d is nonzero, so the series hold 40 values, not one per node and degree
+    source = parse("field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 40\n"
+                   "module V\n  dim v = 1\n  mat x = [[0]]\n")
+    v = Representation.from_module_def(PresentedAlgebra.from_source(source), source.modules["V"])
+    top = ladder_search(v, max_order=40).ladder.top
+    assert top.order == 39
+    assert len(v.algebra.generator_tree.parents) == 41
+    assert sum(len(values) for values in top.series) == 40

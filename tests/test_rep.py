@@ -30,12 +30,14 @@ from defring import (
 from defring.dsl import Relation
 from defring.fields import FieldSpec
 from defring.linalg import Matrix, in_row_span, rank, row_space, solve_matrix
+from defring import quiver
 from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
                          is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
                          yoneda_homs)
 from helpers import (CORPUS, columns_matrix, dense, load_algebra, load_module, load_source,
+                     node_paths,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
@@ -657,3 +659,30 @@ def test_yoneda_maps_need_the_relations():
     assert validate(bad) == ["x*x*x"]
     [phi] = yoneda_homs("v", bad)
     assert not is_homomorphism(algebra.left_projective("v"), bad, phi)
+
+
+@pytest.mark.parametrize("name,module", [("kx2_rel_f5.alg", "P1"), ("a2_f5.alg", "P1"),
+                                         ("parallel_rel_f3.alg", "M"), ("kx4_f5.alg", "V")])
+def test_yoneda_maps_fold_the_algebras_basis_trees(monkeypatch, name, module):
+    # the algebra builds one tree of its basis paths per vertex, once; the node
+    # of basis path j is the path itself, and no Yoneda call builds a tree again
+    m = load_module(name, module)
+    algebra = m.algebra
+    for v, tree in algebra.basis_trees.items():
+        paths = node_paths(tree)
+        for js in algebra.paths_from[v].values():
+            assert [paths[algebra.basis_nodes[j]] for j in js] == [algebra.basis[j] for j in js]
+    built = []
+    init = quiver.PathTree.__init__
+
+    def counting_init(tree):
+        built.append(tree)
+        init(tree)
+
+    monkeypatch.setattr(quiver.PathTree, "__init__", counting_init)
+    for v in algebra.quiver.vertices:
+        first = yoneda_homs(v, m)
+        assert yoneda_homs(v, m) == first
+        for phi in first:
+            assert is_homomorphism(algebra.left_projective(v), m, phi)
+    assert built == []
