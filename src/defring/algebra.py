@@ -4,9 +4,13 @@ A presentation is a quiver, a list of relations (linear combinations of
 parallel paths) and a truncation bound m that kills every path of length m.
 The algebra is the path algebra modulo the ideal generated by the relations
 and the length-m paths; truncation makes it finite dimensional, with a
-canonical basis of path representatives.  A path's coordinates in that
-basis are a {basis index: value} dict of nonzero canonical values, the form
-of every vector in linalg.
+canonical basis of path representatives.  Every path fact is read from one
+quiver.PathTree, grown with the algebra: every path of length <= m in
+degree-lex order, then the relation paths longer than m.  The nodes shorter
+than m are the columns of the relation span and carry their coordinates, a
+{basis index: value} dict of nonzero canonical values like every vector in
+linalg; the length-m nodes are generators, and a path times an arrow is a
+child node.
 
 Relation-free inputs without a truncation bound are kept in hereditary mode:
 no basis is materialized (the path algebra may be infinite dimensional) and
@@ -41,30 +45,29 @@ class PresentedAlgebra:
         self.quiver = quiver
         self.relations = list(relations)
         self.truncate = truncate
+        self.tree = PathTree()
+        self.short = 0  # the tree's nodes shorter than the bound come first
         self.basis: list | None = None
-        self._coords: dict | None = None  # path shorter than the bound -> its coordinates
+        self.basis_nodes: list | None = None  # basis index -> its node
+        self._coords: list | None = None  # node of length <= the bound -> its coordinates
         # vertex v -> target w -> indices of the basis paths v -> w, in basis order
         self.paths_from: dict | None = None
-        # vertex v -> the tree of the basis paths from v; basis index -> its node there
-        self.basis_trees: dict | None = None
-        self.basis_nodes: list | None = None
-        self._generators = ()
         # vertex -> (dims, mats) of its left projective, built on first use; a
         # Representation here would make a reference cycle with the algebra
         self._projectives = {}
+        paths = []
         if truncate is not None:
-            one = field.one()
-            paths = quiver.paths_up_to(truncate)
-            self._generators = tuple(self.relations) + tuple(
-                Relation(((one, p),), p.source, p.target)
-                for p in paths if p.length == truncate)
-            self._build([p for p in paths if p.length < truncate])
-        # the generator paths with their prefixes shared, and per generator
-        # its nonzero terms as (coefficient, node of the path)
-        self.generator_tree = PathTree()
+            self.short = self.tree.grow(quiver, truncate)
+            paths = self.tree.fold(Path.trivial,
+                                   lambda a, p: Path(p.arrows + (a,), p.source, a.target))
+            self._build(paths)
+        one = field.one()
+        self._generators = tuple(self.relations) + tuple(
+            Relation(((one, p),), p.source, p.target) for p in paths[self.short:])
+        # per generator its nonzero terms as (coefficient, node of the path)
         self.generator_terms = tuple(
-            tuple((c, self.generator_tree.add(p)) for c, p in rel.terms if c)
-            for rel in self._generators)
+            tuple((c, self.tree.add(p)) for c, p in rel.terms if c) for rel in self.relations
+        ) + tuple(((one, node),) for node in range(self.short, len(paths)))
 
     @classmethod
     def from_source(cls, src) -> "PresentedAlgebra":
@@ -105,24 +108,22 @@ class PresentedAlgebra:
     # basis construction (truncated mode)
 
     def _build(self, paths: list):
-        """The basis and the coordinates of paths: those shorter than the bound."""
+        """The basis and the coordinates of the nodes, paths[node] their paths."""
         m = self.truncate
-        index = {p: i for i, p in enumerate(paths)}
-        n = len(paths)
+        n = self.short
         zero = self.field.zero()
         scalar = self.field.scalar
         generators = []
         seen = set()
         for rel in self.relations:
-            suffixes = [y for y in paths if y.target == rel.source]
-            prefixes = [x for x in paths if x.source == rel.target]
+            suffixes = [y for y in range(n) if paths[y].target == rel.source]
+            prefixes = [x for x in paths[:n] if x.source == rel.target]
             for y in suffixes:
                 for x in prefixes:
                     vec = {}
                     for coeff, p in rel.terms:
-                        arrows = y.arrows + p.arrows + x.arrows
-                        if len(arrows) < m:
-                            i = index[Path(arrows, y.source, x.target)]
+                        if paths[y].length + p.length + x.length < m:
+                            i = self.tree.walk(y, p.arrows + x.arrows)
                             vec[i] = vec.get(i, zero) + coeff
                     vec = {i: s for i, c in vec.items() if (s := scalar(c))}
                     key = tuple(sorted(vec.items()))
@@ -134,17 +135,18 @@ class PresentedAlgebra:
         free = [i for i in range(n) if i not in pivot_set]
         position = {col: j for j, col in enumerate(free)}
         self.basis = [paths[i] for i in free]
+        self.basis_nodes = free
         # a basis path is its own coordinate; a pivot path is minus the free
-        # part of its reduced echelon row
+        # part of its reduced echelon row; a length-m path is 0
         one = self.field.one()
-        self._coords = {paths[col]: {j: one} for j, col in enumerate(free)}
+        self._coords = [{}] * len(paths)
+        for j, col in enumerate(free):
+            self._coords[col] = {j: one}
         for c, row in zip(ech.pivots, ech.rows):
-            self._coords[paths[c]] = {position[i]: scalar(-x) for i, x in row.items() if i != c}
+            self._coords[c] = {position[i]: scalar(-x) for i, x in row.items() if i != c}
         self.paths_from = {v: {w: [] for w in self.quiver.vertices} for v in self.quiver.vertices}
         for j, q in enumerate(self.basis):
             self.paths_from[q.source][q.target].append(j)
-        self.basis_trees = {v: PathTree() for v in self.quiver.vertices}
-        self.basis_nodes = [self.basis_trees[q.source].add(q) for q in self.basis]
         for rel in self.relations:
             if self.reduce_terms(rel.terms):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")
@@ -156,7 +158,7 @@ class PresentedAlgebra:
             raise HereditaryModeUnsupported("no basis in hereditary mode")
         if path.length >= self.truncate:
             return {}
-        return self._coords[path]
+        return self._coords[self.tree.walk(self.tree.nodes[(-1, path.source)], path.arrows)]
 
     def reduce_terms(self, terms) -> dict:
         """Reduce a linear combination of paths to basis coordinates."""
@@ -192,8 +194,8 @@ class PresentedAlgebra:
         for a in self.quiver.arrows:
             rows = [{} for _ in range(dims[a.target])]
             for k, j in enumerate(listing[a.source]):
-                p = self.basis[j]
-                for i, x in self.reduce_path(Path(p.arrows + (a,), v, a.target)).items():
+                child = self.tree.nodes[(self.basis_nodes[j], a.name)]  # basis path j, then a
+                for i, x in self._coords[child].items():
                     rows[slot[i]][k] = x
             mats[a.name] = Matrix(self.field, dims[a.target], dims[a.source], rows)
         self._projectives[v] = dims, mats

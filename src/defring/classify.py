@@ -211,20 +211,26 @@ def decide(tangent: int, kind: str | None = None, ladder: Ladder | None = None,
     return Verdict("finite", n=ladder.length, proved=True)
 
 
+def load_module(source: SourceFile, algebra, name: str) -> Representation:
+    """The file's module name over algebra; ValueError if absent or invalid."""
+    if name not in source.modules:
+        known = ", ".join(sorted(source.modules)) or "none"
+        raise ValueError(f"no module named {name!r} (file has: {known})")
+    rep = Representation.from_module_def(algebra, source.modules[name])
+    bad = validate(rep)
+    if bad:
+        raise ValueError(f"module {name!r} violates relations: {', '.join(bad)}")
+    return rep
+
+
 def classify(source: SourceFile, module_name: str,
              config: ClassifyConfig | None = None) -> ClassificationReport:
     """Full pipeline: tangent gate, ladder search, side conditions, verdict."""
-    cfg = config or ClassifyConfig()
-    _require_max_order(cfg.max_order)
-    if module_name not in source.modules:
-        raise ValueError(f"no module named {module_name!r} in input")
     from .algebra import PresentedAlgebra
 
-    algebra = PresentedAlgebra.from_source(source)
-    rep = Representation.from_module_def(algebra, source.modules[module_name])
-    bad = validate(rep)
-    if bad:
-        raise ValueError(f"module {module_name!r} violates relations: {', '.join(bad)}")
+    cfg = config or ClassifyConfig()
+    rep = load_module(source, PresentedAlgebra.from_source(source), module_name)
+    _require_max_order(cfg.max_order)
 
     notes = ["assumes a weak universal deformation ring exists; "
              "the tangent-dimension gate below is the computable surrogate"]

@@ -16,7 +16,7 @@ from pathlib import Path
 from .algebra import HereditaryModeUnsupported, PresentedAlgebra
 from .certificates import verify_report
 from .classify import (ClassifyConfig, _require_max_order, classify, ladder_search,
-                       tangent_dimension)
+                       load_module, tangent_dimension)
 from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_report
 from .lift import validate, verify_ladder
 from .oracle import BudgetExceeded, enumerate_lifts
@@ -55,15 +55,7 @@ def _module_name(source, name: str | None) -> str:
 
 
 def _module(source, algebra, name: str | None) -> Representation:
-    name = _module_name(source, name)
-    if name not in source.modules:
-        known = ", ".join(sorted(source.modules)) or "none"
-        raise InputProblem(f"no module named {name!r} (file has: {known})")
-    rep = Representation.from_module_def(algebra, source.modules[name])
-    bad = validate(rep)
-    if bad:
-        raise InputProblem(f"module {name!r} violates relations: {', '.join(bad)}")
-    return rep
+    return load_module(source, algebra, _module_name(source, name))
 
 
 def _print_maps(maps: dict, indent: str = "  "):
@@ -179,10 +171,8 @@ def cmd_ladder(args) -> int:
 
 def cmd_classify(args) -> int:
     _, source = _load(args)
-    algebra = PresentedAlgebra.from_source(source)
-    name = _module_name(source, args.module)
-    _module(source, algebra, name)  # existence + validity with clean errors
-    report = classify(source, name, ClassifyConfig(max_order=args.max_order))
+    report = classify(source, _module_name(source, args.module),
+                      ClassifyConfig(max_order=args.max_order))
     sys.stdout.write(report_to_text(report))
     if args.json:
         try:

@@ -8,9 +8,9 @@ matrix is the first-order deformation system of the base module and whose
 right hand side is the next residual.  Infeasibility is an obstruction and
 carries a rank certificate.
 
-A lift carries the t-series of every prefix of every generator path (the
-nodes of the algebra's generator tree) through degree L, per degree only
-the nonzero ones.  Extending the lift computes one new degree at the
+A lift carries the t-series of the nodes of the algebra's path tree, which
+holds every prefix of every generator path, through degree L, per degree
+only the nonzero ones.  Extending the lift computes one new degree at the
 prefixes that can be nonzero there, so a degree costs what its nonzero
 terms cost; residuals are read off the stored degrees, and the degree L+1
 residual is completed from them.
@@ -29,10 +29,10 @@ from .rep import DeformationSystem, Representation
 class Lift:
     """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base.
 
-    A lift also holds the t-series of the nodes of its algebra's generator
-    tree (every prefix of every generating-relation path), through degree
-    order: series[d] maps each node whose t^d coefficient is nonzero, that
-    prefix evaluated at the arrow polynomials, to that coefficient.  The
+    A lift also holds the t-series of the nodes of its algebra's path tree
+    (among them every prefix of every generating-relation path), through
+    degree order: series[d] maps each node whose t^d coefficient is
+    nonzero, that path evaluated at the arrow polynomials, to it.  The
     constructor grows them degree by degree and `extended` adds the one new
     degree, so a residual is read off rather than re-expanded.  support
     lists per arrow the degrees of its nonzero coefficients.
@@ -99,15 +99,15 @@ class Lift:
 
 
 def _series_degree(lift: Lift, d: int) -> dict:
-    """The nonzero t^d coefficients of the generator-tree nodes, {node: value}.
+    """The nonzero t^d coefficients of the path-tree nodes, {node: value}.
 
     Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), C_i the
     arrow's degree-i coefficient, so it is visited, in tree order, only when
     its parent is nonzero at d - i for some i in the arrow's support: read
     from lift.series for i > 0, and found in this pass for i = 0.
     """
-    tree = lift.base.algebra.generator_tree
-    if not tree.parents:  # no generator paths: nothing to evaluate
+    tree = lift.base.algebra.tree
+    if not tree.parents:  # hereditary mode: no generator paths to evaluate
         return {}
     terms = {name: [(i, lift.coeffs[name][i]) for i in degrees if i <= d]
              for name, degrees in lift.support.items()}

@@ -59,13 +59,12 @@ class Path:
 
 
 class PathTree:
-    """Every prefix of a family of paths, each stored once as a node.
+    """Paths stored as nodes, each shared prefix once.
 
     A node is the trivial path at a vertex (parent -1, step the vertex) or
     its parent node followed by one arrow (step that arrow).  Parents come
     before their children, so one pass in node order evaluates every
-    prefix from its parent's value; paths that share a prefix share its
-    nodes.
+    prefix from its parent's value.
     """
 
     def __init__(self):
@@ -81,6 +80,17 @@ class PathTree:
             self.steps.append(step)
         return node
 
+    def grow(self, quiver: Quiver, length: int) -> int:
+        """Add every path of length <= length in degree-lex order: the trivial
+        paths in vertex order, then level by level each node of the last level
+        extended by the arrows in input order.  Returns the first node of the
+        last level, on an empty tree the number of paths shorter than length."""
+        level = [(self._child(-1, v, v), v) for v in quiver.vertices]
+        for _ in range(length):
+            level = [(self._child(node, a.name, a), a.target)
+                     for node, v in level for a in quiver.arrows if a.source == v]
+        return len(self.parents) - len(level)
+
     def add(self, path: Path) -> int:
         """The node of path, added with its prefixes unless already present."""
         node = self._child(-1, path.source, path.source)
@@ -88,12 +98,20 @@ class PathTree:
             node = self._child(node, arrow.name, arrow)
         return node
 
-    def fold(self, root, step) -> list:
-        """Values per node: root(vertex) at a trivial path, else
-        step(arrow, value of the parent)."""
+    def walk(self, node: int, arrows) -> int:
+        """The node of node's path followed by arrows, which must be in the tree."""
+        for arrow in arrows:
+            node = self.nodes[(node, arrow.name)]
+        return node
+
+    def fold(self, root, step, end: int | None = None) -> list:
+        """Values of the nodes before end (all by default): root(vertex) at a
+        trivial path, else step(arrow, value of the parent), or None if that
+        is None, so a root valued None leaves out the paths from its vertex."""
         values = []
-        for parent, s in zip(self.parents, self.steps):
-            values.append(root(s) if parent < 0 else step(s, values[parent]))
+        for parent, s in zip(self.parents[:end], self.steps[:end]):
+            values.append(root(s) if parent < 0 else
+                          None if values[parent] is None else step(s, values[parent]))
         return values
 
 
@@ -130,26 +148,6 @@ class Quiver:
         for a in arrows[1:]:
             p = p.then(Path((a,), a.source, a.target))
         return p
-
-    def paths_up_to(self, max_length: int) -> list:
-        """All paths of length <= max_length in degree-lex order.
-
-        Within a fixed length the order is lexicographic in arrow input
-        order, which falls out of extending shorter paths in order.
-        """
-        out = [Path.trivial(v) for v in self.vertices]
-        frontier = list(out)
-        for _ in range(max_length):
-            nxt = []
-            for p in frontier:
-                for a in self.arrows:
-                    if a.source == p.target:
-                        nxt.append(Path(p.arrows + (a,), p.source, a.target))
-            out.extend(nxt)
-            frontier = nxt
-            if not frontier:
-                break
-        return out
 
     def __eq__(self, other):
         return (

@@ -439,15 +439,16 @@ def yoneda_homs(v: str, n: Representation) -> list:
 def _yoneda_maps(v: str, n: Representation, columns) -> list:
     """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
     columns: N's basis-path values on those columns come from one fold of
-    the algebra's tree of the basis paths from v, so a cover reads only its
-    top columns.  The values are held transposed, N(q)ᵀ restricted to the
-    columns, so each product costs the nonzeros it meets."""
+    the algebra's path tree over the paths from v shorter than the bound,
+    so a cover reads only its top columns.  The values are held transposed,
+    N(q)ᵀ restricted to the columns, so each product costs the nonzeros it
+    meets."""
     field, algebra = n.field, n.algebra
     nodes = {w: [algebra.basis_nodes[j] for j in js] for w, js in algebra.paths_from[v].items()}
     start = Matrix(field, len(columns), n.dims[v], [{c: field.one()} for c in columns])
     transposed = {name: m.transpose() for name, m in n.mats.items()}
-    values = algebra.basis_trees[v].fold(lambda _: start,
-                                         lambda a, below: below * transposed[a.name])
+    values = algebra.tree.fold(lambda w: start if w == v else None,
+                               lambda a, below: below * transposed[a.name], algebra.short)
     # the map at w has column k N(q_k) restricted to c_i, q_k the k-th basis path v -> w
     return [{w: Matrix(field, len(at_w), n.dims[w], [values[node].rows[i] for node in at_w]).transpose()
              for w, at_w in nodes.items()} for i in range(len(columns))]
@@ -602,7 +603,7 @@ class DeformationSystem:
     dim M(source).  For every ideal generator the directional derivative
     replaces one arrow occurrence at a time by B, with N matrices to the
     left of the replacement and M matrices to the right.  It is folded
-    along the algebra's generator tree: the node parent-then-a has
+    along the algebra's path tree: the node parent-then-a has
     D(node) = N_a·D(parent) + B_a·M(parent), so a prefix shared by
     generator paths is differentiated once.  The kernel is the cocycle
     space; for M == N it is also the space of valid first-order lift
@@ -622,7 +623,7 @@ class DeformationSystem:
         algebra = m.algebra
         self.relations = algebra.generating_relations()
         self.layout = arrow_layout(m, n)
-        tree = algebra.generator_tree
+        tree = algebra.tree
         inner = set(tree.parents)
         values = []  # M(node), taken only where some node extends it
         derivatives = []

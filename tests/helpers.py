@@ -71,6 +71,28 @@ def affine_point(particular, basis, coeffs):
 # references for the path series of a lift and the evaluation of paths
 
 
+def paths_up_to(quiver, max_length):
+    """All paths of length <= max_length in degree-lex order: the reference
+    enumeration of the algebra's path tree.
+
+    Within a fixed length the order is lexicographic in arrow input
+    order, which falls out of extending shorter paths in order.
+    """
+    out = [QuiverPath.trivial(v) for v in quiver.vertices]
+    frontier = list(out)
+    for _ in range(max_length):
+        nxt = []
+        for p in frontier:
+            for a in quiver.arrows:
+                if a.source == p.target:
+                    nxt.append(QuiverPath(p.arrows + (a,), p.source, a.target))
+        out.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
+
+
 def node_paths(tree):
     """The path of every node of a quiver.PathTree, rebuilt from its parents."""
     paths = []

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 from defring import HereditaryModeUnsupported, PresentedAlgebra, Representation, ext1_dim, parse
-from defring.quiver import Arrow, Path
-from helpers import CORPUS, load_algebra, reference_ext1_syzygy, reference_left_projective
+from defring.quiver import Arrow, Path, PathTree
+from helpers import (CORPUS, load_algebra, node_paths, paths_up_to, reference_ext1_syzygy,
+                     reference_left_projective)
 
 # a skew-commutative algebra whose relations reduce some paths of length 2
 # to multiples of others rather than to zero
@@ -219,3 +220,42 @@ def test_path_hash_is_taken_at_construction_and_stays_out_of_eq_and_repr():
     assert [f.name for f in dataclasses.fields(Path)] == ["arrows", "source", "target"]
     assert repr(p) == "x*y" and repr(Path.trivial("v")) == "e_v"
     assert p != Path((y, x), "v", "v") and len({p, q, Path((y, x), "v", "v")}) == 2
+
+
+@pytest.mark.parametrize("name", TRUNCATED + ["skew"])
+def test_path_tree_grows_the_degree_lex_enumeration(name):
+    # the nodes shorter than the bound are every such path in degree-lex order,
+    # the next level the length-m paths, which are the truncation generators
+    alg = PresentedAlgebra.from_source(parse(SKEW)) if name == "skew" else load_algebra(name)[1]
+    paths = node_paths(alg.tree)
+    assert paths[:alg.short] == paths_up_to(alg.quiver, alg.truncate - 1)
+    longest = paths_up_to(alg.quiver, alg.truncate)
+    assert paths[:len(longest)] == longest
+    generators = alg.generating_relations()[len(alg.relations):]
+    assert [rel.terms[0][1] for rel in generators] == longest[alg.short:]
+    assert [paths[node] for node in alg.basis_nodes] == alg.basis
+
+
+def test_relation_path_past_the_bound_is_added_after_the_grown_levels():
+    alg = PresentedAlgebra.from_source(parse(
+        "field F 5\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 5\nrelations\n  x*x*x*x*x*x\n"))
+    assert alg.short == 5 and len(alg.tree.parents) == 7
+    assert node_paths(alg.tree)[6].label() == "x*x*x*x*x*x"
+    assert alg.generator_terms == (((1, 6),), ((1, 5),))
+    assert alg.dimension == 5
+
+
+def test_long_truncation_looks_up_each_node_about_once(monkeypatch):
+    # growing k[x]/(x^640) extends each node once; no path is re-added from its root
+    calls = []
+    child = PathTree._child
+
+    def counting(tree, *args):
+        calls.append(args)
+        return child(tree, *args)
+
+    monkeypatch.setattr(PathTree, "_child", counting)
+    alg = PresentedAlgebra.from_source(parse(
+        "field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 640\n"))
+    assert alg.dimension == 640
+    assert len(calls) <= 2 * 641

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defring import (
     ClassifyConfig,
@@ -556,3 +558,82 @@ def test_classify_and_verify_leave_no_reference_cycles(name, module):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_classify_command_builds_one_algebra(monkeypatch, capsys):
+    # the CLI checks the module through classify's loader, on classify's algebra
+    from defring.cli import main
+    built = _count_calls(monkeypatch, PresentedAlgebra, "__init__")
+    assert main(["classify", str(CORPUS / "kx3_f5.alg"), "-m", "V"]) == 0
+    assert "verdict: R^w ≅ k[[t]]/(t^3) (proved)" in capsys.readouterr().out
+    assert len(built) == 1
+
+
+def test_classify_raises_the_command_line_messages():
+    # classify and the CLI share load_module, so both name the file's modules
+    with pytest.raises(ValueError, match=r"^no module named 'nosuch' \(file has: P1, PV, V, VV\)$"):
+        classify(load_source("kx2_f5.alg"), "nosuch")
+    source = parse(read_corpus("kx3_f5.alg").replace("mat x = [[0]]", "mat x = [[1]]"))
+    with pytest.raises(ValueError, match=r"^module 'V' violates relations: x\*x\*x$"):
+        classify(source, "V")
+
+
+# other presentations of corpus algebras: a relation the truncation already
+# implies, a relation path longer than the bound, and a relation with no
+# nonzero term; each must give the corpus module's verdict
+SECOND_PRESENTATIONS = [("x*x*x", 5, "kx3_f5.alg"), ("x*x*x*x*x*x", 5, "kx5_f5.alg"),
+                        ("0*x*x", 3, "kx3_f5.alg")]
+
+
+@pytest.mark.parametrize("relation,truncate,name", SECOND_PRESENTATIONS)
+def test_second_presentation_keeps_the_verdict(relation, truncate, name):
+    text = (f"field F 5\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {truncate}\n"
+            f"relations\n  {relation}\nmodule V\n  dim v = 1\n  mat x = [[0]]\n")
+    report = classify(parse(text), "V", ClassifyConfig(max_order=12))
+    expected = run(name, "V", max_order=12)
+    assert (report.verdict, report.tangent_dim) == (expected.verdict, expected.tangent_dim)
+    assert verify_report(text, "V", serialize_report(report)).ok
+
+
+CORPUS_MODULES = [(path.name, module) for path in sorted(CORPUS.glob("*.alg"))
+                  for module in sorted(load_source(path.name).modules)]
+NAMES = ["p", "q", "r", "s", "t0", "u_1", "Z", "ab", "vertex_", "e"]
+
+
+@st.composite
+def renamed(draw, src):
+    """src with its vertices and arrows renamed and their declarations
+    permuted, re-read through print_source."""
+    from defring.dsl import ModuleDef, Relation, SourceFile, print_source
+    from defring.quiver import Arrow, Path, Quiver
+
+    old_vertices, old_arrows = src.quiver.vertices, src.quiver.arrows
+    names = draw(st.permutations(NAMES))
+    vertex = dict(zip(old_vertices, names))
+    arrow_name = dict(zip((a.name for a in old_arrows), names[len(old_vertices):]))
+    arrow = {a.name: Arrow(arrow_name[a.name], vertex[a.source], vertex[a.target])
+             for a in old_arrows}
+    quiver = Quiver([vertex[v] for v in draw(st.permutations(old_vertices))],
+                    [arrow[a.name] for a in draw(st.permutations(old_arrows))])
+    relations = [Relation(tuple((c, Path(tuple(arrow[a.name] for a in p.arrows),
+                                         vertex[p.source], vertex[p.target]))
+                                for c, p in rel.terms), vertex[rel.source], vertex[rel.target])
+                 for rel in src.relations]
+    modules = {m: ModuleDef(m, {vertex[v]: d for v, d in mod.dims.items()},
+                            {arrow_name[a]: x for a, x in mod.mats.items()})
+               for m, mod in src.modules.items()}
+    return parse(print_source(SourceFile(src.field, quiver, src.truncate, relations, modules)))
+
+
+@pytest.mark.parametrize("name,module", CORPUS_MODULES)
+def test_verdicts_do_not_depend_on_names_or_declaration_order(name, module):
+    # the input digests differ, so only the verdict and the tangent dimension are compared
+    expected = run(name, module, max_order=12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(renamed(load_source(name)))
+    def check(source):
+        report = classify(source, module, ClassifyConfig(max_order=12))
+        assert (report.verdict, report.tangent_dim) == (expected.verdict, expected.tangent_dim)
+
+    check()

@@ -409,7 +409,7 @@ def test_series_hold_exactly_the_nonzero_prefix_coefficients(history):
     # degree d of the series maps each generator-tree node whose t^d coefficient
     # is nonzero to it, and stores no zero matrix
     for lift in history:
-        paths = node_paths(lift.base.algebra.generator_tree)
+        paths = node_paths(lift.base.algebra.tree)
         assert len(lift.series) == lift.order + 1
         for d, values in enumerate(lift.series):
             assert all(not value.is_zero() for value in values.values()), d
@@ -427,5 +427,5 @@ def test_long_ladder_series_hold_one_value_per_degree():
     v = Representation.from_module_def(PresentedAlgebra.from_source(source), source.modules["V"])
     top = ladder_search(v, max_order=40).ladder.top
     assert top.order == 39
-    assert len(v.algebra.generator_tree.parents) == 41
+    assert len(v.algebra.tree.parents) == 41
     assert sum(len(values) for values in top.series) == 40

@@ -22,14 +22,14 @@ from defring.rep import MapLayout
 from helpers import (CORPUS, columns_matrix, dense, dense_to_matrix, load_algebra,
                      reference_complement_representatives,
                      reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
-                     reference_row_space, reference_rref, reference_solve_affine, sparse)
+                     reference_row_space, reference_rref, reference_solve_affine, paths_up_to, sparse)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 Q = FieldSpec.rationals()
 
 # every truncated corpus algebra with the paths shorter than its bound
-SHORT_PATHS = [(alg, alg.quiver.paths_up_to(alg.truncate - 1))
+SHORT_PATHS = [(alg, paths_up_to(alg.quiver, alg.truncate - 1))
                for alg in (load_algebra(p.name)[1] for p in sorted(CORPUS.glob("*.alg")))
                if not alg.hereditary]
 

@@ -37,7 +37,7 @@ from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equat
                          is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
                          yoneda_homs)
 from helpers import (CORPUS, columns_matrix, dense, load_algebra, load_module, load_source,
-                     node_paths,
+                     node_paths, paths_up_to,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
@@ -73,7 +73,7 @@ def test_path_matrix_composes_left_to_right():
 
 def test_trivial_path_matrix_is_identity():
     v = load_module("kx2_f5.alg", "P1")
-    e = v.algebra.quiver.paths_up_to(0)[0]
+    e = paths_up_to(v.algebra.quiver, 0)[0]
     assert v.path_matrix(e) == Matrix.identity(v.field, 2)
 
 
@@ -375,7 +375,7 @@ def deformation_pairs(draw):
     relations = []
     if truncate is not None:
         groups = {}
-        for path in quiver.paths_up_to(3):
+        for path in paths_up_to(quiver, 3):
             if path.length:
                 groups.setdefault((path.source, path.target), []).append(path)
         for _ in range(draw(st.integers(0, 2))):
@@ -411,7 +411,7 @@ def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, l
     alg = PresentedAlgebra.from_source(parse(
         f"field F 5\nquiver\n  vertex v\n{arrows}truncate {length}\n"))
     ps = direct_sum(alg.left_projective("v"), Representation(alg, {"v": 1}, {}))
-    tree = alg.generator_tree
+    tree = alg.tree
     assert len({p for p in tree.parents if p >= 0 and tree.parents[p] >= 0}) == inner
     calls = []
     original = Matrix.__mul__
@@ -664,14 +664,16 @@ def test_yoneda_maps_need_the_relations():
 @pytest.mark.parametrize("name,module", [("kx2_rel_f5.alg", "P1"), ("a2_f5.alg", "P1"),
                                          ("parallel_rel_f3.alg", "M"), ("kx4_f5.alg", "V")])
 def test_yoneda_maps_fold_the_algebras_basis_trees(monkeypatch, name, module):
-    # the algebra builds one tree of its basis paths per vertex, once; the node
-    # of basis path j is the path itself, and no Yoneda call builds a tree again
+    # the basis paths from each vertex are a subtree of the algebra's one path
+    # tree, built once: the node of basis path j is the path itself, its parent
+    # is a basis path too, and no Yoneda call builds a tree again
     m = load_module(name, module)
     algebra = m.algebra
-    for v, tree in algebra.basis_trees.items():
-        paths = node_paths(tree)
-        for js in algebra.paths_from[v].values():
-            assert [paths[algebra.basis_nodes[j]] for j in js] == [algebra.basis[j] for j in js]
+    tree = algebra.tree
+    paths = node_paths(tree)
+    assert [paths[node] for node in algebra.basis_nodes] == algebra.basis
+    basis = set(algebra.basis_nodes)
+    assert all(tree.parents[node] < 0 or tree.parents[node] in basis for node in basis)
     built = []
     init = quiver.PathTree.__init__
 
