@@ -12,9 +12,11 @@ than m are the columns of the relation span and carry their coordinates, a
 linalg; the length-m nodes are generators, and a path times an arrow is a
 child node.
 
-Relation-free inputs without a truncation bound are kept in hereditary mode:
-no basis is materialized (the path algebra may be infinite dimensional) and
-the operations that need the radical filtration refuse to run.
+A truncation bound materialises the basis; without one (and so with no
+relation) the algebra may be infinite dimensional, and what needs the radical
+filtration refuses to run (require_basis).  With no ideal generators, no
+relation and no path as long as the bound, the algebra is the path algebra kQ:
+no deformation chain obstructs and Ext^1 has the Euler form.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from .quiver import Path, PathTree, Quiver
 
 
 class HereditaryModeUnsupported(Exception):
-    """Raised by operations that need a finite dimensional presented algebra."""
+    """Raised by operations that need the basis a truncation bound materialises."""
 
 
 class PresentedAlgebra:
     """A presented quiver algebra with its canonical path basis.
 
-    In truncated mode the basis consists of the path representatives left
+    With a truncation bound the basis consists of the path representatives left
     over after row-reducing the relation span in degree-lex path order, and
     reduce_path projects any path onto that basis.  Multiplication is path
     concatenation followed by reduction.
@@ -73,10 +75,6 @@ class PresentedAlgebra:
     def from_source(cls, src) -> "PresentedAlgebra":
         return cls(src.field, src.quiver, src.relations, src.truncate)
 
-    @property
-    def hereditary(self) -> bool:
-        return self.truncate is None
-
     def __eq__(self, other):
         return (
             isinstance(other, PresentedAlgebra)
@@ -87,25 +85,29 @@ class PresentedAlgebra:
         )
 
     def __repr__(self):
-        mode = "hereditary" if self.hereditary else f"truncated at {self.truncate}"
+        mode = "untruncated" if self.truncate is None else f"truncated at {self.truncate}"
         return f"PresentedAlgebra({self.quiver!r}, {mode})"
 
     # ------------------------------------------------------------------
 
     def generating_relations(self) -> tuple:
         """Ideal generators: the declared relations plus all length-m paths,
-        computed once with the algebra (none in hereditary mode)."""
+        computed once with the algebra; none exactly when it is the path algebra."""
         return self._generators
+
+    def require_basis(self, what: str):
+        """Refuse what needs the basis when no truncation bound materialised it."""
+        if self.basis is None:
+            raise HereditaryModeUnsupported(
+                f"{what} needs the radical filtration of a truncated presentation")
 
     @property
     def dimension(self) -> int:
-        if self.hereditary:
-            raise HereditaryModeUnsupported(
-                "hereditary mode materializes no finite basis; add a truncate bound")
+        self.require_basis("dimension")
         return len(self.basis)
 
     # ------------------------------------------------------------------
-    # basis construction (truncated mode)
+    # basis construction (with a truncation bound)
 
     def _build(self, paths: list):
         """The basis and the coordinates of the nodes, paths[node] their paths."""
@@ -154,8 +156,7 @@ class PresentedAlgebra:
     def reduce_path(self, path: Path) -> dict:
         """Coordinates {basis index: value} of a path in the canonical basis,
         empty if truncated away; the dict is shared and must not be changed."""
-        if self.hereditary:
-            raise HereditaryModeUnsupported("no basis in hereditary mode")
+        self.require_basis("path reduction")
         if path.length >= self.truncate:
             return {}
         return self._coords[self.tree.walk(self.tree.nodes[(-1, path.source)], path.arrows)]
@@ -181,8 +182,7 @@ class PresentedAlgebra:
         """
         from .rep import Representation
 
-        if self.hereditary:
-            raise HereditaryModeUnsupported("projectives need a truncated presentation")
+        self.require_basis("projective")
         if v not in self.quiver.vertex_set:
             raise KeyError(v)
         if v in self._projectives:

@@ -211,8 +211,8 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         check(f"{key}_matches", _same(checks.get(key), value), f"recomputed {value}")
 
     # the search outcome the claim stands for, replayed where it is a fact of the chain
-    if algebra.hereditary:
-        kind = "unobstructed"  # as in ladder_search: no relations, nothing obstructs
+    if not algebra.generating_relations():
+        kind = "unobstructed"  # as in ladder_search: no generators, nothing obstructs
     elif vtype == "power_series":
         kind = "reached_bound"
     else:

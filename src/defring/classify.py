@@ -4,8 +4,9 @@ The decision tree is driven by the tangent dimension dim Ext^1(V, V):
 zero means the only deformation is trivial (the ring is k), two or more
 puts the ring outside the single-parameter scope of this tool, and one
 triggers the ladder search.  A search that terminates with the right
-side conditions at the top yields k[[t]]/(t^(N+1)); a relation-free
-algebra or a search that never obstructs yields k[[t]].
+side conditions at the top yields k[[t]]/(t^(N+1)).  The path algebra kQ,
+which has no ideal generators with or without a truncation bound, yields
+k[[t]] proved; a search that never obstructs elsewhere yields it unproved.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def ladder_search(base: Representation, max_order: int = 10,
     The chain is seeded with the first cocycle basis vector that is not a
     coboundary and extended by the particular solution at each order.
     It stops at an obstruction (terminated) or at max_order (reached_bound,
-    or unobstructed for a relation-free algebra, whose extension system is
-    empty and always feasible).  Every step solves the same equations, so
+    or unobstructed for an algebra with no ideal generators, whose extension
+    system is empty and always feasible).  Every step solves the same equations, so
     the kernel of each feasible step is Z, and the notes list dim Z once per
     order of the chain.
     """
@@ -105,7 +106,7 @@ def ladder_search(base: Representation, max_order: int = 10,
     notes = [f"extension kernel dimensions per order: {[len(cocycles)] * lift.order}"]
     if obstruction is not None:
         kind = "terminated"
-    elif base.algebra.hereditary:
+    elif not base.algebra.generating_relations():
         kind = "unobstructed"
         notes.insert(0, "no relations: the extension system is empty and always feasible")
     else:
@@ -155,7 +156,7 @@ def source_digest(source: SourceFile) -> str:
 
 def stable_end_note(v: Representation, system: DeformationSystem | None = None) -> str:
     """The stable endomorphism note; system is DeformationSystem(v, v), if built."""
-    if v.algebra.hereditary:
+    if v.algebra.basis is None:
         return "stable endomorphism check not applicable without truncation"
     dim = hom_stable(v, v, system)
     note = f"stable endomorphism dimension: {dim}"

@@ -69,7 +69,7 @@ def cmd_check(args) -> int:
     print(f"field: {source.field!r}")
     q = source.quiver
     print(f"quiver: {len(q.vertices)} vertices, {len(q.arrows)} arrows")
-    if algebra.hereditary:
+    if algebra.basis is None:
         print("algebra: hereditary mode (no relations, no truncation)")
     else:
         print(f"algebra: dimension {algebra.dimension}, "

@@ -16,8 +16,9 @@ column; parsing never raises anything except ParseError on bad input.
 
 Relations are linear combinations of parallel paths ('2*a*b - b*a'); a path
 'a*b' means a first, then b.  If any relation is present a truncate bound is
-required, which makes the presented algebra finite dimensional.  With no
-relations and no truncate the input is in relation-free (hereditary) mode.
+required, which makes the presented algebra finite dimensional and
+materialises its basis.  With no relation and no path as long as the bound
+(or no bound) the algebra is the path algebra kQ.
 """
 
 from __future__ import annotations

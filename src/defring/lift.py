@@ -107,7 +107,7 @@ def _series_degree(lift: Lift, d: int) -> dict:
     from lift.series for i > 0, and found in this pass for i = 0.
     """
     tree = lift.base.algebra.tree
-    if not tree.parents:  # hereditary mode: no generator paths to evaluate
+    if not tree.parents:  # no truncation bound, so no relation: no generator paths to evaluate
         return {}
     terms = {name: [(i, lift.coeffs[name][i]) for i in degrees if i <= d]
              for name, degrees in lift.support.items()}

@@ -104,14 +104,12 @@ class PathTree:
             node = self.nodes[(node, arrow.name)]
         return node
 
-    def fold(self, root, step, end: int | None = None) -> list:
-        """Values of the nodes before end (all by default): root(vertex) at a
-        trivial path, else step(arrow, value of the parent), or None if that
-        is None, so a root valued None leaves out the paths from its vertex."""
+    def fold(self, root, step) -> list:
+        """Values of the nodes: root(vertex) at a trivial path, else
+        step(arrow, value of the parent)."""
         values = []
-        for parent, s in zip(self.parents[:end], self.steps[:end]):
-            values.append(root(s) if parent < 0 else
-                          None if values[parent] is None else step(s, values[parent]))
+        for parent, s in zip(self.parents, self.steps):
+            values.append(root(s) if parent < 0 else step(s, values[parent]))
         return values
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import HereditaryModeUnsupported, PresentedAlgebra
+from .algebra import PresentedAlgebra
 from .fields import FieldSpec
 from .linalg import (
     Matrix,
@@ -338,16 +338,10 @@ def iso_test(m: Representation, n: Representation) -> IsoResult:
 # radical, top, subquotients
 
 
-def _require_truncated(algebra: PresentedAlgebra, what: str):
-    if algebra.hereditary:
-        raise HereditaryModeUnsupported(
-            f"{what} needs the radical filtration of a truncated presentation")
-
-
 def radical_subspaces(m: Representation) -> dict:
     """Per vertex, the echelon form of the span of the arrow images (the
     radical, J nilpotent): the columns of the arrows into it."""
-    _require_truncated(m.algebra, "radical")
+    m.algebra.require_basis("radical")
     quiver = m.algebra.quiver
     return {v: row_space([col for a in quiver.arrows_into(v)
                           for col in m.mats[a.name].transpose().rows], m.field, m.dims[v])
@@ -407,7 +401,7 @@ def projective_cover(m: Representation):
     yoneda_homs(v, M)[c], which sends e_v to e_c, and the cover at w puts
     the summands' blocks side by side.
     """
-    _require_truncated(m.algebra, "projective cover")
+    m.algebra.require_basis("projective cover")
     algebra = m.algebra
     maps, summands = [], []
     for v, columns in _top_columns(m).items():
@@ -438,17 +432,18 @@ def yoneda_homs(v: str, n: Representation) -> list:
 
 def _yoneda_maps(v: str, n: Representation, columns) -> list:
     """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
-    columns: N's basis-path values on those columns come from one fold of
-    the algebra's path tree over the paths from v shorter than the bound,
-    so a cover reads only its top columns.  The values are held transposed,
-    N(q)ᵀ restricted to the columns, so each product costs the nonzeros it
-    meets."""
+    columns: N's basis-path values on those columns come from one pass over
+    the basis nodes from v in tree order, one product per nontrivial path,
+    as the basis paths are closed under prefixes; so a cover reads only its
+    top columns.  The values are held transposed, N(q)ᵀ restricted to the
+    columns, so each product costs the nonzeros it meets."""
     field, algebra = n.field, n.algebra
     nodes = {w: [algebra.basis_nodes[j] for j in js] for w, js in algebra.paths_from[v].items()}
-    start = Matrix(field, len(columns), n.dims[v], [{c: field.one()} for c in columns])
     transposed = {name: m.transpose() for name, m in n.mats.items()}
-    values = algebra.tree.fold(lambda w: start if w == v else None,
-                               lambda a, below: below * transposed[a.name], algebra.short)
+    ordered = sorted(node for at_w in nodes.values() for node in at_w)  # e_v first
+    values = {ordered[0]: Matrix(field, len(columns), n.dims[v], [{c: field.one()} for c in columns])}
+    for node in ordered[1:]:
+        values[node] = values[algebra.tree.parents[node]] * transposed[algebra.tree.steps[node].name]
     # the map at w has column k N(q_k) restricted to c_i, q_k the k-th basis path v -> w
     return [{w: Matrix(field, len(at_w), n.dims[w], [values[node].rows[i] for node in at_w]).transpose()
              for w, at_w in nodes.items()} for i in range(len(columns))]
@@ -485,7 +480,7 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
 
     N must satisfy the relations, or the Yoneda maps are not homomorphisms.
     """
-    _require_truncated(m.algebra, "syzygy route to Ext")
+    m.algebra.require_basis("syzygy route to Ext")
     summands, omega, incl = syzygy_data(m)
     layout, delta = hom_equations(omega, n)
     vertices = m.algebra.quiver.vertices
@@ -503,12 +498,14 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
 
 def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None,
                     system: DeformationSystem | None = None) -> int:
-    """Relation-free closed form via the bilinear form of the quiver.
+    """The Euler form of the quiver, valid when the algebra is the path
+    algebra kQ: no ideal generators, truncated or not.
 
     hom is dim Hom(M, N) if the caller has it; else it is read off system's δ.
     """
-    if not m.algebra.hereditary:
-        raise NotHereditary("closed form only valid with no relations and no truncate bound")
+    if m.algebra.generating_relations():
+        raise NotHereditary(
+            "closed form only valid with no relations and no path as long as the truncate bound")
     _same_algebra(m, n)
     quiver = m.algebra.quiver
     arrows_term = sum(m.dims[a.source] * n.dims[a.target] for a in quiver.arrows)
@@ -533,7 +530,9 @@ def ext1_cocycle(m: Representation, n: Representation,
 
 def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
              system: DeformationSystem | None = None, hom: int | None = None) -> int:
-    """Dimension of Ext^1; backend 'all' cross-checks every applicable route.
+    """Dimension of Ext^1; backend 'all' cross-checks every applicable route:
+    the syzygy route when the algebra has a basis, the Euler form when it has
+    no ideal generators, both when a truncation bound kills no path.
 
     system (the DeformationSystem of (m, n)) is handed to the cocycle route
     and the hereditary closed form, and hom (dim Hom(m, n)) to the latter,
@@ -547,9 +546,9 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
         return ext1_hereditary(m, n, hom, system)
     if backend == "all":
         dims = {"cocycle": ext1_cocycle(m, n, system)}
-        if m.algebra.hereditary:
+        if not m.algebra.generating_relations():
             dims["hereditary"] = ext1_hereditary(m, n, hom, system)
-        else:
+        if m.algebra.basis is not None:
             dims["syzygy"] = ext1_syzygy(m, n)
         values = set(dims.values())
         if len(values) != 1:
@@ -574,7 +573,7 @@ def hom_stable(m: Representation, n: Representation,
     less the rank of δ = hom_equations(M, N); system, when given, is
     (m, n)'s DeformationSystem, whose coboundaries are that rank.
     """
-    _require_truncated(m.algebra, "stable Hom")
+    m.algebra.require_basis("stable Hom")
     _same_algebra(m, n)
     if system is None:
         layout, delta = hom_equations(m, n)

@@ -36,6 +36,23 @@ def load_module(name, module_name):
     return Representation.from_module_def(algebra, src.modules[module_name])
 
 
+def retruncated(name, bound):
+    """The corpus file's text with its truncate line set to bound, or dropped if bound is None."""
+    lines = [line for line in read_corpus(name).splitlines(keepends=True)
+             if not line.startswith("truncate ")]
+    if bound is not None:
+        first_module = next(i for i, line in enumerate(lines) if line.startswith("module "))
+        lines.insert(first_module, f"truncate {bound}\n")
+    return "".join(lines)
+
+
+def text_modules(text):
+    """{name: Representation} of every module of an input text, over its algebra."""
+    src = parse(text)
+    algebra = PresentedAlgebra.from_source(src)
+    return {name: Representation.from_module_def(algebra, mod) for name, mod in src.modules.items()}
+
+
 def dense(vec, width):
     """The width values of a sparse vector {index: value}, zeros filled in."""
     out = [0] * width

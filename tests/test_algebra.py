@@ -32,7 +32,7 @@ module M
 """
 
 TRUNCATED = [name for name in sorted(p.name for p in CORPUS.glob("*.alg"))
-             if not load_algebra(name)[1].hereditary]
+             if load_algebra(name)[1].basis is not None]
 
 
 def labels(algebra):
@@ -159,7 +159,7 @@ def test_projective_dims_sum_to_algebra_dim(name):
 
 def test_hereditary_mode_guards():
     _, alg = load_algebra("loop_free_f2.alg")
-    assert alg.hereditary
+    assert alg.basis is None
     assert alg.generating_relations() == ()
     with pytest.raises(HereditaryModeUnsupported):
         alg.dimension

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from defring import (
     Representation,
     classify,
     direct_sum,
+    ext1_dim,
     ladder_search,
     parse,
     projective_cover,
@@ -22,7 +24,8 @@ from defring import (
     verify_ladder,
     verify_report,
 )
-from helpers import CORPUS, load_module, load_source, read_corpus, reference_coboundary_vectors
+from helpers import (CORPUS, load_module, load_source, read_corpus, reference_coboundary_vectors,
+                     retruncated, text_modules)
 
 
 def run(name, module, **kw):
@@ -593,6 +596,28 @@ def test_second_presentation_keeps_the_verdict(relation, truncate, name):
     expected = run(name, "V", max_order=12)
     assert (report.verdict, report.tangent_dim) == (expected.verdict, expected.tangent_dim)
     assert verify_report(text, "V", serialize_report(report)).ok
+
+
+# the same path algebras kQ presented with and without a truncation bound that
+# kills no path (neither quiver has a path of length 2): the bound materialises
+# a basis but adds no ideal generator, so no chain obstructs either way
+UNKILLING_TRUNCATIONS = [(f"kronecker_{k}.alg", bound) for k in ("f2", "f3", "q")
+                         for bound in (2, 3)] + [("a2_f5.alg", None)]
+
+
+@pytest.mark.parametrize("name,bound", UNKILLING_TRUNCATIONS)
+def test_truncation_that_kills_no_path_keeps_the_verdict(name, bound):
+    text = retruncated(name, bound)
+    source = parse(text)
+    assert source.truncate == bound and not PresentedAlgebra.from_source(source).generating_relations()
+    for module in sorted(source.modules):
+        report = classify(source, module, ClassifyConfig(max_order=12))
+        expected = run(name, module, max_order=12)
+        assert (report.verdict, report.tangent_dim) == (expected.verdict, expected.tangent_dim)
+        assert verify_report(text, module, serialize_report(report)).ok
+    ours, corpus = text_modules(text), text_modules(read_corpus(name))
+    for m, n in itertools.product(sorted(source.modules), repeat=2):
+        assert ext1_dim(ours[m], ours[n], "all") == ext1_dim(corpus[m], corpus[n], "all"), (m, n)
 
 
 CORPUS_MODULES = [(path.name, module) for path in sorted(CORPUS.glob("*.alg"))

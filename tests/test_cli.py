@@ -73,13 +73,14 @@ def test_ext_hereditary_backend_on_truncated_input(capsys):
 
 
 def test_hereditary_backend_error_names_both_conditions():
-    # kx2_f5 has no relations, only a truncate bound, which also rules out the closed form
+    # kx2_f5 has no relations, but its truncate bound kills x*x, which rules out the closed form
     env = dict(os.environ, PYTHONPATH=str(Path(defring.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-m", "defring", "ext", KX2, "-m", "V",
                            "--backend", "hereditary"], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 1
-    assert proc.stderr == "error: closed form only valid with no relations and no truncate bound\n"
+    assert proc.stderr == ("error: closed form only valid with no relations"
+                           " and no path as long as the truncate bound\n")
     assert "Traceback" not in proc.stderr
 
 

@@ -31,7 +31,7 @@ Q = FieldSpec.rationals()
 # every truncated corpus algebra with the paths shorter than its bound
 SHORT_PATHS = [(alg, paths_up_to(alg.quiver, alg.truncate - 1))
                for alg in (load_algebra(p.name)[1] for p in sorted(CORPUS.glob("*.alg")))
-               if not alg.hereditary]
+               if alg.basis is not None]
 
 
 def mat(field, rows):

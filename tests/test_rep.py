@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from helpers import (CORPUS, columns_matrix, dense, load_algebra, load_module, l
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
                      reference_projective_cover, reference_quotient,
-                     restricted_cover_homs, sparse)
+                     restricted_cover_homs, retruncated, sparse, text_modules)
 
 THREE_CHAIN = """\
 field F 5
@@ -180,7 +181,13 @@ def test_hereditary_backend():
     # syzygy backend needs a truncated presentation
     with pytest.raises(HereditaryModeUnsupported):
         ext1_syzygy(m, m)
-    # hereditary backend rejects truncated algebras
+    # a truncation bound that kills no path leaves the path algebra: the closed
+    # form holds, and the bound's basis lets the syzygy route run beside it
+    for text in (retruncated("kronecker_f3.alg", 2), read_corpus("a2_f5.alg")):
+        modules = text_modules(text).values()
+        for x, y in itertools.product(modules, repeat=2):
+            assert ext1_hereditary(x, y) == ext1_cocycle(x, y) == ext1_syzygy(x, y)
+    # hereditary backend rejects a truncation bound that kills a path (x*x)
     v = load_module("kx2_f5.alg", "V")
     with pytest.raises(NotHereditary):
         ext1_hereditary(v, v)
@@ -427,7 +434,7 @@ def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, l
 
 def test_projective_cover_matches_path_matrix_reference():
     # every truncated corpus module, P+S over k<x,y>/J^3 (F_5 and Q) and a ladder top
-    modules = [(label, m) for label, m, _ in _equation_pairs() if not m.algebra.hereditary]
+    modules = [(label, m) for label, m, _ in _equation_pairs() if m.algebra.basis is not None]
     assert len(modules) >= 25
     for label, m in modules:
         assert projective_cover(m) == reference_projective_cover(m), label
@@ -643,7 +650,7 @@ def test_stable_hom_matches_full_cover_reference(pair):
 
 def test_stable_hom_matches_full_cover_reference_on_truncated_corpus():
     # every truncated corpus module, P+S over k<x,y>/J^3 (F_5 and Q) and a ladder top
-    pairs = [(label, m, n) for label, m, n in _equation_pairs() if not m.algebra.hereditary]
+    pairs = [(label, m, n) for label, m, n in _equation_pairs() if m.algebra.basis is not None]
     assert len(pairs) >= 25
     for label, m, n in pairs:
         expected = reference_hom_stable(m, n)
@@ -688,3 +695,25 @@ def test_yoneda_maps_fold_the_algebras_basis_trees(monkeypatch, name, module):
         for phi in first:
             assert is_homomorphism(algebra.left_projective(v), m, phi)
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["kx2_rel_f5.alg", "parallel_rel_f3.alg"])
+def test_yoneda_maps_make_one_product_per_nontrivial_basis_path(monkeypatch, name):
+    # the relations' leading paths (x*x, a) are shorter than the bound but are
+    # no basis paths, so no Yoneda map evaluates N there
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    source, algebra = load_algebra(name)
+    for module in source.modules.values():
+        n = Representation.from_module_def(algebra, module)
+        for v in algebra.quiver.vertices:
+            del products[:]
+            yoneda_homs(v, n)
+            nontrivial = sum(len(js) for js in algebra.paths_from[v].values()) - 1
+            assert len(products) == nontrivial, (module.name, v)
