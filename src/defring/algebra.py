@@ -70,6 +70,11 @@ class PresentedAlgebra:
         self.generator_terms = tuple(
             tuple((c, self.tree.add(p)) for c, p in rel.terms if c) for rel in self.relations
         ) + tuple(((one, node),) for node in range(self.short, len(paths)))
+        self.prefixes = set()  # the nodes that prefix a generator path, those paths included
+        for _, node in (term for terms in self.generator_terms for term in terms):
+            while node >= 0 and node not in self.prefixes:
+                self.prefixes.add(node)
+                node = self.tree.parents[node]
 
     @classmethod
     def from_source(cls, src) -> "PresentedAlgebra":

@@ -8,12 +8,12 @@ matrix is the first-order deformation system of the base module and whose
 right hand side is the next residual.  Infeasibility is an obstruction and
 carries a rank certificate.
 
-A lift carries the t-series of the nodes of the algebra's path tree, which
-holds every prefix of every generator path, through degree L, per degree
-only the nonzero ones.  Extending the lift computes one new degree at the
-prefixes that can be nonzero there, so a degree costs what its nonzero
-terms cost; residuals are read off the stored degrees, and the degree L+1
-residual is completed from them.
+A lift carries the t-series of the generator prefixes, the nodes of the
+algebra's path tree that prefix some generator path, through degree L, per
+degree only the nonzero ones.  Extending the lift computes one new degree
+at the prefixes that can be nonzero there, so a degree costs what its
+nonzero terms cost; residuals are read off the stored degrees, and the
+degree L+1 residual is completed from them.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .rep import DeformationSystem, Representation
 class Lift:
     """Coefficient matrices per arrow, degrees 0..order; degree 0 is the base.
 
-    A lift also holds the t-series of the nodes of its algebra's path tree
-    (among them every prefix of every generating-relation path), through
-    degree order: series[d] maps each node whose t^d coefficient is
+    A lift also holds the t-series of its algebra's generator prefixes
+    (algebra.prefixes, the path-tree nodes that prefix some generator path),
+    through degree order: series[d] maps each node whose t^d coefficient is
     nonzero, that path evaluated at the arrow polynomials, to it.  The
     constructor grows them degree by degree and `extended` adds the one new
     degree, so a residual is read off rather than re-expanded.  support
@@ -99,22 +99,22 @@ class Lift:
 
 
 def _series_degree(lift: Lift, d: int) -> dict:
-    """The nonzero t^d coefficients of the path-tree nodes, {node: value}.
+    """The nonzero t^d coefficients of the generator prefixes, {node: value}.
 
     Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), C_i the
-    arrow's degree-i coefficient, so it is visited, in tree order, only when
-    its parent is nonzero at d - i for some i in the arrow's support: read
-    from lift.series for i > 0, and found in this pass for i = 0.
+    arrow's degree-i coefficient, so a prefix is visited, in tree order, only
+    when its parent is nonzero at d - i for some i in the arrow's support:
+    read from lift.series for i > 0, and found in this pass for i = 0.
     """
-    tree = lift.base.algebra.tree
-    if not tree.parents:  # no truncation bound, so no relation: no generator paths to evaluate
+    tree, prefixes = lift.base.algebra.tree, lift.base.algebra.prefixes
+    if not prefixes:  # no generator path to evaluate
         return {}
     terms = {name: [(i, lift.coeffs[name][i]) for i in degrees if i <= d]
              for name, degrees in lift.support.items()}
     now = [name for name, pairs in terms.items() if pairs and pairs[0][0] == 0]  # C_0 nonzero
-    queue = [node for node, parent in enumerate(tree.parents) if parent < 0] if d == 0 else []
+    queue = [node for node in prefixes if tree.parents[node] < 0] if d == 0 else []
     queue += [child for name, pairs in terms.items() for i, _ in pairs if i
-              for node in lift.series[d - i] if (child := tree.nodes.get((node, name))) is not None]
+              for node in lift.series[d - i] if (child := tree.nodes.get((node, name))) in prefixes]
     heapq.heapify(queue)
     out = {}
     while queue:
@@ -130,7 +130,7 @@ def _series_degree(lift: Lift, d: int) -> dict:
         if products and not (value := functools.reduce(Matrix.__add__, products)).is_zero():
             out[node] = value
             for name in now:
-                if (child := tree.nodes.get((node, name))) is not None:
+                if (child := tree.nodes.get((node, name))) in prefixes:
                     heapq.heappush(queue, child)
     return out
 

@@ -61,6 +61,7 @@ class Representation:
                     f"matrix for {a.name} must be {self.dims[a.target]}x{self.dims[a.source]}, "
                     f"got {m.nrows}x{m.ncols}")
             self.mats[a.name] = m
+        self._yoneda = {}  # (vertex, *columns) -> the maps of _yoneda_maps, evaluated once
 
     @classmethod
     def from_module_def(cls, algebra: PresentedAlgebra, mod) -> "Representation":
@@ -73,6 +74,12 @@ class Representation:
     @property
     def dim_vector(self) -> tuple:
         return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
+
+    @cached_property
+    def top_columns(self) -> dict:
+        """Per vertex v, the columns of M_v off the radical's echelon pivots: M's top."""
+        return {v: sorted(set(range(self.dims[v])).difference(rad.pivots))
+                for v, rad in radical_subspaces(self).items()}
 
     def path_matrix(self, path: Path) -> Matrix:
         """Evaluate a path: matrices compose right to left in application order."""
@@ -99,8 +106,9 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 
 def direct_sum_many(parts: list) -> Representation:
     assert parts
+    if len(parts) == 1:  # one summand passes through unchanged
+        return parts[0]
     algebra = parts[0].algebra
-    field = algebra.field
     for p in parts[1:]:
         if p.algebra != algebra:
             raise ValueError("direct sum across different algebras")
@@ -112,7 +120,7 @@ def direct_sum_many(parts: list) -> Representation:
             block = p.mats[a.name]
             rows += [{left + j: x for j, x in row.items()} for row in block.rows]
             left += block.ncols
-        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], rows)
+        mats[a.name] = Matrix(algebra.field, dims[a.target], dims[a.source], rows)
     return Representation(algebra, dims, mats)
 
 
@@ -257,10 +265,8 @@ def hom_dim(m: Representation, n: Representation,
 
 
 def is_homomorphism(m: Representation, n: Representation, maps: dict) -> bool:
-    for a in m.algebra.quiver.arrows:
-        if not (maps[a.target] * m.mats[a.name] - n.mats[a.name] * maps[a.source]).is_zero():
-            return False
-    return True
+    return all((maps[a.target] * m.mats[a.name] - n.mats[a.name] * maps[a.source]).is_zero()
+               for a in m.algebra.quiver.arrows)
 
 
 # ----------------------------------------------------------------------
@@ -275,12 +281,7 @@ class IsoResult:
 
 
 def _invertible(maps: dict, dims: dict) -> bool:
-    for v, d in dims.items():
-        if maps[v].nrows != maps[v].ncols:
-            return False
-        if rank(maps[v]) != d:
-            return False
-    return True
+    return all(maps[v].nrows == maps[v].ncols and rank(maps[v]) == d for v, d in dims.items())
 
 
 # iso_test sweeps a prime field's Hom(M, N) whole if it has at most
@@ -350,34 +351,19 @@ def radical_subspaces(m: Representation) -> dict:
 
 def sub_from_maps(m: Representation, bases: dict) -> Representation:
     """Subrepresentation spanned by the given sparse vectors; must be arrow-stable."""
-    field = m.field
     incl = {}
-    dims = {}
     for v in m.algebra.quiver.vertices:
         vecs = bases.get(v, [])
-        mat = Matrix(field, len(vecs), m.dims[v], vecs).transpose()
-        if vecs and rank(mat) != len(vecs):
+        incl[v] = Matrix(m.field, len(vecs), m.dims[v], vecs).transpose()
+        if vecs and rank(incl[v]) != len(vecs):
             raise ValueError(f"vectors at vertex {v} are dependent")
-        incl[v] = mat
-        dims[v] = len(vecs)
     mats = {}
     for a in m.algebra.quiver.arrows:
-        image = m.mats[a.name] * incl[a.source]
-        x = solve_matrix(incl[a.target], image)
+        x = solve_matrix(incl[a.target], m.mats[a.name] * incl[a.source])
         if x is None:
             raise NotInvariant(f"subspace not stable under arrow {a.name}")
         mats[a.name] = x
-    return Representation(m.algebra, dims, mats)
-
-
-def _top_columns(m: Representation) -> dict:
-    """The standard-basis columns c of each M_v that span M's top: those that
-    are not pivots of the radical's echelon form at v."""
-    out = {}
-    for v, rad in radical_subspaces(m).items():
-        pivots = set(rad.pivots)
-        out[v] = [c for c in range(m.dims[v]) if c not in pivots]
-    return out
+    return Representation(m.algebra, {v: mat.ncols for v, mat in incl.items()}, mats)
 
 
 def radical(m: Representation) -> Representation:
@@ -386,7 +372,7 @@ def radical(m: Representation) -> Representation:
 
 def top(m: Representation) -> Representation:
     """M modulo its radical; every arrow acts by zero there."""
-    return Representation(m.algebra, {v: len(c) for v, c in _top_columns(m).items()}, {})
+    return Representation(m.algebra, {v: len(c) for v, c in m.top_columns.items()}, {})
 
 
 # ----------------------------------------------------------------------
@@ -399,26 +385,31 @@ def projective_cover(m: Representation):
     One projective summand Λe_v per top column c of M_v, summands listing
     their vertices v in order; the cover on that summand is the Yoneda map
     yoneda_homs(v, M)[c], which sends e_v to e_c, and the cover at w puts
-    the summands' blocks side by side.
+    the summands' blocks side by side.  Each cover[w] is row-reduced once,
+    for its kernel, whose dimension dim P_w - dim M_w certifies it onto.
     """
+    p, cover, parts, _ = _cover(m)
+    return p, cover, [v for v, _ in parts]
+
+
+def _cover(m: Representation):
+    """(P, cover, parts, kernels): projective_cover's P and cover, per summand
+    (its vertex, the cover's map on it), and per w the echelon kernel of
+    cover[w], which certifies the cover onto and is ΩM's basis at w."""
     m.algebra.require_basis("projective cover")
     algebra = m.algebra
-    maps, summands = [], []
-    for v, columns in _top_columns(m).items():
-        if columns:
-            maps += _yoneda_maps(v, m, columns)
-            summands += [v] * len(columns)
-    if summands:
-        p = direct_sum_many([algebra.left_projective(v) for v in summands])
-    else:
-        p = Representation(algebra, {}, {})
-    cover = {}
+    parts = [(v, phi) for v, columns in m.top_columns.items() if columns
+             for phi in _yoneda_maps(v, m, columns)]
+    p = (direct_sum_many([algebra.left_projective(v) for v, _ in parts]) if parts
+         else Representation(algebra, {}, {}))
+    cover, kernels = {}, {}
     for w in algebra.quiver.vertices:
-        cover[w] = functools.reduce(Matrix.hstack, [phi[w] for phi in maps],
+        cover[w] = functools.reduce(Matrix.hstack, [phi[w] for _, phi in parts],
                                     Matrix.zeros(m.field, m.dims[w], 0))
-        if rank(cover[w]) != m.dims[w]:
+        kernels[w] = kernel_basis(cover[w])
+        if len(kernels[w]) != p.dims[w] - m.dims[w]:
             raise AssertionError(f"cover not surjective at vertex {w}")
-    return p, cover, summands
+    return p, cover, parts, kernels
 
 
 def yoneda_homs(v: str, n: Representation) -> list:
@@ -432,35 +423,53 @@ def yoneda_homs(v: str, n: Representation) -> list:
 
 def _yoneda_maps(v: str, n: Representation, columns) -> list:
     """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
-    columns: N's basis-path values on those columns come from one pass over
-    the basis nodes from v in tree order, one product per nontrivial path,
-    as the basis paths are closed under prefixes; so a cover reads only its
-    top columns.  The values are held transposed, N(q)ᵀ restricted to the
-    columns, so each product costs the nonzeros it meets."""
-    field, algebra = n.field, n.algebra
+    columns, evaluated once per (v, columns) and kept on N: so a cover reads
+    only its top columns.  N's basis-path values on them come from one pass
+    over the basis nodes from v in tree order, as the basis paths are closed
+    under prefixes; a path through a zero value is zero, so one product is
+    taken per basis path whose parent's value is nonzero.  The values are
+    held transposed, N(q)ᵀ restricted to the columns, so each product costs
+    the nonzeros it meets."""
+    if (key := (v, *columns)) in n._yoneda:
+        return n._yoneda[key]
+    field, algebra, tree = n.field, n.algebra, n.algebra.tree
     nodes = {w: [algebra.basis_nodes[j] for j in js] for w, js in algebra.paths_from[v].items()}
     transposed = {name: m.transpose() for name, m in n.mats.items()}
     ordered = sorted(node for at_w in nodes.values() for node in at_w)  # e_v first
     values = {ordered[0]: Matrix(field, len(columns), n.dims[v], [{c: field.one()} for c in columns])}
     for node in ordered[1:]:
-        values[node] = values[algebra.tree.parents[node]] * transposed[algebra.tree.steps[node].name]
+        parent = values.get(tree.parents[node])
+        if parent is not None and not (value := parent * transposed[tree.steps[node].name]).is_zero():
+            values[node] = value
     # the map at w has column k N(q_k) restricted to c_i, q_k the k-th basis path v -> w
-    return [{w: Matrix(field, len(at_w), n.dims[w], [values[node].rows[i] for node in at_w]).transpose()
-             for w, at_w in nodes.items()} for i in range(len(columns))]
+    n._yoneda[key] = [{w: Matrix(field, len(at_w), n.dims[w], [
+        values[node].rows[i] if node in values else {} for node in at_w]).transpose()
+        for w, at_w in nodes.items()} for i in range(len(columns))]
+    return n._yoneda[key]
 
 
 def syzygy_data(m: Representation):
-    """(summands, ΩM, incl): the summand vertices of the projective cover P,
-    the kernel of the cover and its inclusion into P, one matrix per vertex."""
-    p, cover, summands = projective_cover(m)
-    field = m.field
-    incl = {}
-    bases = {}
-    for v in m.algebra.quiver.vertices:
-        bases[v] = kernel_basis(cover[v])
-        incl[v] = Matrix(field, len(bases[v]), p.dims[v], bases[v]).transpose()
-    omega = sub_from_maps(p, bases)
-    return summands, omega, incl
+    """(blocks, ΩM, incl): ΩM the kernel of the projective cover P -> M, incl
+    its inclusion into P and, per summand Λe_v of P in order, (v, {w: its
+    rows of incl[w]}).  Each vector of ΩM's basis at w, the echelon kernel of
+    cover[w], is 1 at its free column and 0 at the others: so ΩM's X for a:
+    s -> t is P_a·incl_s at cover[t]'s free columns, if incl_t·X is that."""
+    p, _, parts, kernels = _cover(m)
+    field, algebra = m.field, m.algebra
+    incl = {w: Matrix(field, len(k), p.dims[w], k).transpose() for w, k in kernels.items()}
+    mats = {}
+    for a in algebra.quiver.arrows:
+        image = p.mats[a.name] * incl[a.source]
+        # a kernel vector's free column is its last nonzero coordinate
+        x = Matrix(field, len(kernels[a.target]), image.ncols,
+                   [image.rows[max(vec)] for vec in kernels[a.target]])
+        if incl[a.target] * x != image:
+            raise NotInvariant(f"subspace not stable under arrow {a.name}")
+        mats[a.name] = x
+    rows = {w: iter(mat.rows) for w, mat in incl.items()}  # each summand takes the next rows
+    blocks = [(v, {w: Matrix(field, at_w.ncols, incl[w].ncols, [next(rows[w]) for _ in range(at_w.ncols)])
+                   for w, at_w in phi.items()}) for v, phi in parts]
+    return blocks, Representation(algebra, {w: len(k) for w, k in kernels.items()}, mats), incl
 
 
 def syzygy(m: Representation) -> Representation:
@@ -474,25 +483,18 @@ def syzygy(m: Representation) -> Representation:
 
 def ext1_syzygy(m: Representation, n: Representation) -> int:
     """dim Ext^1 as dim Hom(ΩM, N) minus the rank of the restrictions to ΩM
-    of Hom(P, N), P = ⊕ Λe_v the projective cover; Hom(Λe_v, N) is read
-    off N (Yoneda), once per top vertex v.  dim Hom(ΩM, N) is counted as
-    the unknowns of hom_equations(ΩM, N) less its rank.
+    of Hom(P, N), P = ⊕ Λe_v the projective cover, each summand's maps
+    applied to its rows of ΩM's inclusion; Hom(Λe_v, N) is read off N
+    (Yoneda), once per module and vertex.  dim Hom(ΩM, N) is counted as the
+    unknowns of hom_equations(ΩM, N) less its rank.
 
     N must satisfy the relations, or the Yoneda maps are not homomorphisms.
     """
     m.algebra.require_basis("syzygy route to Ext")
-    summands, omega, incl = syzygy_data(m)
+    blocks, omega, _ = syzygy_data(m)
     layout, delta = hom_equations(omega, n)
-    vertices = m.algebra.quiver.vertices
-    homs = {v: yoneda_homs(v, n) for v in set(summands)}
-    first = dict.fromkeys(vertices, 0)  # P's first coordinate of the summand at each vertex
-    image = []
-    for v in summands:
-        block = {}  # the rows of ΩM's inclusion that lie in this summand
-        for w, js in m.algebra.paths_from[v].items():
-            start, first[w] = first[w], first[w] + len(js)
-            block[w] = Matrix(m.field, len(js), incl[w].ncols, incl[w].rows[start:first[w]])
-        image += [layout.pack({w: phi[w] * block[w] for w in vertices}) for phi in homs[v]]
+    image = [layout.pack({w: phi[w] * block[w] for w in block})
+             for v, block in blocks for phi in yoneda_homs(v, n)]
     return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
 
 
@@ -569,25 +571,18 @@ def hom_stable(m: Representation, n: Representation,
     P(N) = ⊕ Λe_v of N, so the projectively-trivial maps are the composites
     yoneda_homs(v, N)[c] ∘ t, c a top column of N at v and t a basis map of
     Hom(M, Λe_v), solved once per vertex v with top columns; no P(N) is
-    built.  dim Hom(M, N) is counted, not solved, as the number of unknowns
-    less the rank of δ = hom_equations(M, N); system, when given, is
-    (m, n)'s DeformationSystem, whose coboundaries are that rank.
+    built, and N's top columns and Yoneda maps are those its cover reads,
+    kept on N.  dim Hom(M, N) is counted, not solved, as the number of
+    unknowns less the rank of δ = hom_equations(M, N); system, when given,
+    is (m, n)'s DeformationSystem, whose coboundaries are that rank.
     """
     m.algebra.require_basis("stable Hom")
-    _same_algebra(m, n)
-    if system is None:
-        layout, delta = hom_equations(m, n)
-        delta_rank = rank(delta)
-    else:
-        layout, delta_rank = system.delta[0], system.coboundaries.rank
-    algebra = m.algebra
-    vertices = algebra.quiver.vertices
-    image = []
-    for v, columns in _top_columns(n).items():
-        if columns:
-            homs = _yoneda_maps(v, n, columns)
-            for t in hom_basis(m, algebra.left_projective(v)).basis:
-                image += [layout.pack({w: phi[w] * t[w] for w in vertices}) for phi in homs]
+    layout, delta = hom_equations(m, n) if system is None else system.delta
+    delta_rank = rank(delta) if system is None else system.coboundaries.rank
+    image = [layout.pack({w: phi[w] * t[w] for w in t})
+             for v, columns in n.top_columns.items() if columns
+             for t in hom_basis(m, m.algebra.left_projective(v)).basis
+             for phi in _yoneda_maps(v, n, columns)]
     return layout.total - delta_rank - row_space(image, m.field, layout.total).rank
 
 
@@ -602,7 +597,7 @@ class DeformationSystem:
     dim M(source).  For every ideal generator the directional derivative
     replaces one arrow occurrence at a time by B, with N matrices to the
     left of the replacement and M matrices to the right.  It is folded
-    along the algebra's path tree: the node parent-then-a has
+    along the generator prefixes of the algebra's path tree: the node parent-then-a has
     D(node) = N_a·D(parent) + B_a·M(parent), so a prefix shared by
     generator paths is differentiated once.  The kernel is the cocycle
     space; for M == N it is also the space of valid first-order lift
@@ -623,16 +618,16 @@ class DeformationSystem:
         self.relations = algebra.generating_relations()
         self.layout = arrow_layout(m, n)
         tree = algebra.tree
-        inner = set(tree.parents)
-        values = []  # M(node), taken only where some node extends it
-        derivatives = []
-        for node, (parent, step) in enumerate(zip(tree.parents, tree.steps)):
+        inner = {tree.parents[node] for node in algebra.prefixes}
+        values, derivatives = {}, {}  # M(node) only where some generator prefix extends it
+        for node in sorted(algebra.prefixes):
+            parent, step = tree.parents[node], tree.steps[node]
             if parent < 0:
-                values.append(Matrix.identity(self.field, m.dims[step]))
-                derivatives.append([{} for _ in range(n.dims[step] * m.dims[step])])
+                values[node] = Matrix.identity(self.field, m.dims[step])
+                derivatives[node] = [{} for _ in range(n.dims[step] * m.dims[step])]
             else:
-                values.append(m.mats[step.name] * values[parent] if node in inner else None)
-                derivatives.append(self._derivative(step, values[parent], derivatives[parent]))
+                values[node] = m.mats[step.name] * values[parent] if node in inner else None
+                derivatives[node] = self._derivative(step, values[parent], derivatives[parent])
         rows = []
         for rel, terms in zip(self.relations, algebra.generator_terms):
             block = [{} for _ in range(n.dims[rel.target] * m.dims[rel.source])]

@@ -9,11 +9,13 @@ import itertools
 from defring.dsl import ParseError, Token
 
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
-from defring.linalg import Matrix, in_row_span, rank, reduce_mod_rows, row_space, solve_matrix
+from defring.linalg import (Matrix, in_row_span, kernel_basis, rank, reduce_mod_rows, row_space,
+                            solve_matrix)
 from defring.oracle import coefficient_slots, lift_from_point
 from defring.quiver import Path as QuiverPath
 from defring.rep import (DeformationSystem, MapLayout, NotInvariant, direct_sum_many, hom_basis,
-                         is_homomorphism, projective_cover, radical_subspaces, syzygy_data)
+                         is_homomorphism, projective_cover, radical_subspaces, sub_from_maps,
+                         syzygy_data)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -44,6 +46,19 @@ def retruncated(name, bound):
         first_module = next(i for i, line in enumerate(lines) if line.startswith("module "))
         lines.insert(first_module, f"truncate {bound}\n")
     return "".join(lines)
+
+
+# other presentations of corpus algebras: a relation the truncation already
+# implies, a relation path longer than the bound, and a relation with no
+# nonzero term; (relation, truncate, corpus file of the same algebra)
+SECOND_PRESENTATIONS = [("x*x*x", 5, "kx3_f5.alg"), ("x*x*x*x*x*x", 5, "kx5_f5.alg"),
+                        ("0*x*x", 3, "kx3_f5.alg")]
+
+
+def second_presentation(relation, truncate):
+    """The text of the simple module V of k[x] over F_5 with this relation and bound."""
+    return (f"field F 5\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {truncate}\n"
+            f"relations\n  {relation}\nmodule V\n  dim v = 1\n  mat x = [[0]]\n")
 
 
 def text_modules(text):
@@ -227,6 +242,19 @@ def reference_projective_cover(m):
                 for q in algebra.basis if q.source == v and q.target == w]
         cover[w] = columns_matrix(field, m.dims[w], cols)
     return p, cover, [v for v, _ in lifts]
+
+
+def reference_syzygy_data(m):
+    """(ΩM, incl) as sub_from_maps of the reference cover P on the kernel
+    basis of each cover matrix, which is checked to be onto first: ΩM's
+    arrows solved from the inclusion rather than read off it."""
+    p, cover, _ = reference_projective_cover(m)
+    vertices = m.algebra.quiver.vertices
+    if any(rank(cover[w]) != m.dims[w] for w in vertices):
+        raise AssertionError("cover not surjective")
+    bases = {w: kernel_basis(cover[w]) for w in vertices}
+    incl = {w: Matrix(m.field, len(bases[w]), p.dims[w], bases[w]).transpose() for w in vertices}
+    return sub_from_maps(p, bases), incl
 
 
 def reference_quotient(m, bases):

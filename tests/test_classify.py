@@ -24,8 +24,9 @@ from defring import (
     verify_ladder,
     verify_report,
 )
-from helpers import (CORPUS, load_module, load_source, read_corpus, reference_coboundary_vectors,
-                     retruncated, text_modules)
+from helpers import (CORPUS, SECOND_PRESENTATIONS, load_module, load_source, read_corpus,
+                     reference_coboundary_vectors, retruncated, second_presentation,
+                     text_modules)
 
 
 def run(name, module, **kw):
@@ -581,17 +582,10 @@ def test_classify_raises_the_command_line_messages():
         classify(source, "V")
 
 
-# other presentations of corpus algebras: a relation the truncation already
-# implies, a relation path longer than the bound, and a relation with no
-# nonzero term; each must give the corpus module's verdict
-SECOND_PRESENTATIONS = [("x*x*x", 5, "kx3_f5.alg"), ("x*x*x*x*x*x", 5, "kx5_f5.alg"),
-                        ("0*x*x", 3, "kx3_f5.alg")]
-
-
+# each other presentation of a corpus algebra must give the corpus module's verdict
 @pytest.mark.parametrize("relation,truncate,name", SECOND_PRESENTATIONS)
 def test_second_presentation_keeps_the_verdict(relation, truncate, name):
-    text = (f"field F 5\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {truncate}\n"
-            f"relations\n  {relation}\nmodule V\n  dim v = 1\n  mat x = [[0]]\n")
+    text = second_presentation(relation, truncate)
     report = classify(parse(text), "V", ClassifyConfig(max_order=12))
     expected = run(name, "V", max_order=12)
     assert (report.verdict, report.tangent_dim) == (expected.verdict, expected.tangent_dim)

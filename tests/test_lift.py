@@ -24,8 +24,9 @@ from defring import (
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
+from defring.quiver import Path
 from helpers import (CORPUS, affine_point, base_embedding, columns_matrix, dense_verify_ladder,
-                     load_module, load_source, node_paths,
+                     load_algebra, load_module, load_source, node_paths,
                      read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
                      reference_path_poly, reference_residual_coefficients, reference_shift_checks,
                      shift_endomorphism, sparse)
@@ -355,7 +356,7 @@ module M
 """
 
 SERIES_BASES = [(read_corpus("kx2_rel_f5.alg"), "P1"), (read_corpus("parallel_rel_f3.alg"), "M"),
-                (J3_XY, "M")]
+                (J3_XY, "M"), (read_corpus("a2_f5.alg"), "P1")]
 
 
 def _with_field(text, field):
@@ -406,17 +407,58 @@ def test_series_residuals_match_reference(history):
 @settings(max_examples=60, deadline=None)
 @given(random_lifts())
 def test_series_hold_exactly_the_nonzero_prefix_coefficients(history):
-    # degree d of the series maps each generator-tree node whose t^d coefficient
-    # is nonzero to it, and stores no zero matrix
+    # degree d of the series maps each generator prefix whose t^d coefficient
+    # is nonzero to it, stores no zero matrix and no node that prefixes no
+    # generator path
     for lift in history:
+        prefixes = lift.base.algebra.prefixes
         paths = node_paths(lift.base.algebra.tree)
         assert len(lift.series) == lift.order + 1
         for d, values in enumerate(lift.series):
             assert all(not value.is_zero() for value in values.values()), d
-            for node, path in enumerate(paths):
+            assert set(values) <= prefixes, d
+            for node in prefixes:
+                path = paths[node]
                 expected = reference_path_poly(lift, path, d)[d]
                 assert values.get(node, Matrix.zeros(lift.field, expected.nrows,
                                                      expected.ncols)) == expected, (d, path)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CORPUS.glob("*.alg")))
+def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
+    # a node that prefixes no generator path (every node of a2_f5, whose arrow
+    # a is as long as no generator, and e_v2 of parallel_rel_f3) is never
+    # evaluated: the degree-0 series take one product per generator prefix
+    # whose parent's value and arrow matrix are nonzero, and the deformation
+    # system one per generator prefix that another one extends
+    source, algebra = load_algebra(name)
+    tree, paths, prefixes = algebra.tree, node_paths(algebra.tree), algebra.prefixes
+    # the marked nodes are exactly the prefixes of the generator paths
+    assert {paths[node] for node in prefixes} == {
+        Path(p.arrows[:k], p.source, p.arrows[k - 1].target if k else p.source)
+        for rel in algebra.generating_relations() for c, p in rel.terms if c
+        for k in range(p.length + 1)}
+    extended = {tree.parents[node] for node in prefixes}
+    modules, expected = [], []
+    for mod in source.modules.values():
+        m = Representation.from_module_def(algebra, mod)
+        modules.append(m)
+        expected.append((
+            sum(1 for node in prefixes if tree.parents[node] >= 0
+                and not m.mats[tree.steps[node].name].is_zero()
+                and not m.path_matrix(paths[tree.parents[node]]).is_zero()),
+            sum(1 for node in extended if node >= 0 and tree.parents[node] >= 0)))
+    if name == "a2_f5.alg":
+        assert not prefixes and all(counts == (0, 0) for counts in expected)
+    products, mul = [], Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for m, (series, system) in zip(modules, expected):
+        del products[:]
+        Lift.trivial(m)
+        assert len(products) == series, m
+        del products[:]
+        DeformationSystem(m, m)
+        assert len(products) == system, m
 
 
 def test_long_ladder_series_hold_one_value_per_degree():

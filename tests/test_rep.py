@@ -11,6 +11,7 @@ from defring import (
     HereditaryModeUnsupported,
     PresentedAlgebra,
     Representation,
+    classify,
     direct_sum,
     ext1_cocycle,
     ext1_dim,
@@ -31,19 +32,20 @@ from defring import (
 from defring.dsl import Relation
 from defring.fields import FieldSpec
 from defring.linalg import Matrix, in_row_span, rank, row_space, solve_matrix
-from defring import quiver
+from defring import linalg, quiver, rep
 from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
                          is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
                          yoneda_homs)
-from helpers import (CORPUS, columns_matrix, dense, load_algebra, load_module, load_source,
-                     node_paths, paths_up_to,
+from helpers import (CORPUS, SECOND_PRESENTATIONS, columns_matrix, dense, load_algebra,
+                     load_module, load_source, node_paths, paths_up_to,
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
-                     reference_projective_cover, reference_quotient,
-                     restricted_cover_homs, retruncated, sparse, text_modules)
+                     reference_projective_cover, reference_quotient, reference_syzygy_data,
+                     restricted_cover_homs, retruncated, second_presentation, sparse,
+                     text_modules)
 
 THREE_CHAIN = """\
 field F 5
@@ -286,6 +288,8 @@ def test_direct_sum_blocks():
     assert s.dims == {"v": 3}
     x = s.mats["x"].tolist()
     assert x == [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+    # one summand passes through unchanged
+    assert direct_sum_many([p1]) is p1
 
 
 def test_sub_from_maps_requires_invariance():
@@ -697,10 +701,23 @@ def test_yoneda_maps_fold_the_algebras_basis_trees(monkeypatch, name, module):
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["kx2_rel_f5.alg", "parallel_rel_f3.alg"])
+@pytest.mark.parametrize("name", ["kx2_rel_f5.alg", "parallel_rel_f3.alg", "kx3_f5.alg",
+                                  "kx4_f5.alg", "kx2_f5.alg"])
 def test_yoneda_maps_make_one_product_per_nontrivial_basis_path(monkeypatch, name):
     # the relations' leading paths (x*x, a) are shorter than the bound but are
-    # no basis paths, so no Yoneda map evaluates N there
+    # no basis paths, so no Yoneda map evaluates N there; and a path through a
+    # zero value is zero, so one product is taken per basis path whose
+    # parent's value is nonzero (x*x costs none on the simple module of k[x]/(x^3))
+    source, algebra = load_algebra(name)
+    tree, paths = algebra.tree, node_paths(algebra.tree)
+    expected = {}
+    for module in source.modules.values():
+        n = Representation.from_module_def(algebra, module)
+        for v in algebra.quiver.vertices:
+            parents = [tree.parents[algebra.basis_nodes[j]]
+                       for js in algebra.paths_from[v].values() for j in js]
+            expected[module.name, v] = sum(1 for parent in parents if parent >= 0
+                                           and not n.path_matrix(paths[parent]).is_zero())
     products = []
     mul = Matrix.__mul__
 
@@ -709,11 +726,120 @@ def test_yoneda_maps_make_one_product_per_nontrivial_basis_path(monkeypatch, nam
         return mul(a, b)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    source, algebra = load_algebra(name)
     for module in source.modules.values():
         n = Representation.from_module_def(algebra, module)
         for v in algebra.quiver.vertices:
             del products[:]
             yoneda_homs(v, n)
-            nontrivial = sum(len(js) for js in algebra.paths_from[v].values()) - 1
-            assert len(products) == nontrivial, (module.name, v)
+            assert len(products) == expected[module.name, v], (module.name, v)
+
+
+def _syzygy_modules():
+    """(label, M): every truncated module of _equation_pairs and V over each
+    second presentation of k[x]/(x^n)."""
+    modules = [(label, m) for label, m, _ in _equation_pairs() if m.algebra.basis is not None]
+    for relation, truncate, _ in SECOND_PRESENTATIONS:
+        modules.append((f"V with {relation}, truncate {truncate}",
+                        text_modules(second_presentation(relation, truncate))["V"]))
+    return modules
+
+
+def test_syzygy_matches_the_sub_from_maps_reference():
+    # ΩM's arrows read off the echelon kernel are those sub_from_maps solves
+    # for, and each summand's block of rows is its part of the inclusion
+    modules = _syzygy_modules()
+    assert len(modules) >= 28
+    for label, m in modules:
+        blocks, omega, incl = syzygy_data(m)
+        assert (omega, incl) == reference_syzygy_data(m), label
+        summands = projective_cover(m)[2]
+        assert [v for v, _ in blocks] == summands, label
+        for w in m.algebra.quiver.vertices:
+            assert [row for _, block in blocks for row in block[w].rows] == incl[w].rows, label
+            assert ([block[w].nrows for _, block in blocks]
+                    == [m.algebra.left_projective(v).dims[w] for v in summands]), label
+
+
+def _syzygy_or_exception(data):
+    try:
+        return data()
+    except (AssertionError, NotInvariant, HereditaryModeUnsupported) as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(deformation_pairs())
+def test_syzygy_matches_the_reference_or_raises_alike(pair):
+    # on modules that need not satisfy the relations, the cover may fail to
+    # be onto (AssertionError) or its kernel to be arrow-stable (NotInvariant)
+    for m in pair:
+        assert (_syzygy_or_exception(lambda: syzygy_data(m)[1:])
+                == _syzygy_or_exception(lambda: reference_syzygy_data(m)))
+
+
+def test_syzygy_data_row_reduces_each_cover_matrix_once(monkeypatch):
+    for label, m in _syzygy_modules():
+        _, cover, _ = projective_cover(m)  # M's radical and Yoneda maps are kept from here on
+        reduced = []
+        rref = linalg.rref
+
+        def recording_rref(mat):
+            reduced.append(mat)
+            return rref(mat)
+
+        monkeypatch.setattr(linalg, "rref", recording_rref)
+        syzygy_data(m)
+        monkeypatch.setattr(linalg, "rref", rref)
+        assert reduced == [cover[w] for w in m.algebra.quiver.vertices], label
+
+
+@pytest.mark.parametrize("name,module", [("kx3_f5.alg", "V"), ("kx5_q.alg", "V"),
+                                         ("kx2_f5.alg", "PV"), ("parallel_rel_f3.alg", "M")])
+def test_classify_evaluates_each_yoneda_value_of_v_once(monkeypatch, name, module):
+    # the tangent gate's cover and Ext route, the stable note and the top
+    # rung's Ext route all read V's top columns and Yoneda maps: V's radical
+    # is row-reduced once, and its Yoneda maps cost, over a whole classify,
+    # the products of one fresh evaluation per (vertex, columns)
+    loaded, radicals, keys = [], [], []
+    counting = {"on": False, "products": 0}
+    from_module_def = Representation.from_module_def.__func__
+    radical_of, yoneda_maps, mul = rep.radical_subspaces, rep._yoneda_maps, Matrix.__mul__
+
+    def recording_from_module_def(cls, algebra, mod):
+        loaded.append(from_module_def(cls, algebra, mod))
+        return loaded[-1]
+
+    def recording_radical(m):
+        radicals.append(m)
+        return radical_of(m)
+
+    def counted_yoneda(v, n, columns):
+        counting["on"] = True
+        try:
+            return yoneda_maps(v, n, columns)
+        finally:
+            counting["on"] = False
+
+    def recording_yoneda(v, n, columns):
+        if n is not loaded[0]:
+            return yoneda_maps(v, n, columns)
+        keys.append((v, tuple(columns)))
+        return counted_yoneda(v, n, columns)
+
+    def counting_mul(a, b):
+        counting["products"] += counting["on"]
+        return mul(a, b)
+
+    monkeypatch.setattr(Representation, "from_module_def", classmethod(recording_from_module_def))
+    monkeypatch.setattr(rep, "radical_subspaces", recording_radical)
+    monkeypatch.setattr(rep, "_yoneda_maps", recording_yoneda)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    classify(load_source(name), module)
+    monkeypatch.undo()
+    assert sum(1 for m in radicals if m is loaded[0]) == 1
+    assert len(keys) > len(set(keys))  # some maps are read more than once
+    in_classify, counting["products"] = counting["products"], 0
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for vertex, columns in set(keys):
+        counted_yoneda(vertex, load_module(name, module), columns)
+    assert in_classify == counting["products"]
