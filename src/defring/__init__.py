@@ -59,6 +59,7 @@ from .rep import (
     HomSpace,
     IsoResult,
     Representation,
+    deformation_system,
     direct_sum,
     ext1_cocycle,
     ext1_dim,
@@ -106,6 +107,7 @@ __all__ = [
     "VerificationResult",
     "as_representation",
     "classify",
+    "deformation_system",
     "direct_sum",
     "enumerate_lifts",
     "ext1_cocycle",

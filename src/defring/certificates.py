@@ -17,7 +17,7 @@ from .dsl import field_to_json, parse, verdict_to_json
 from .fields import format_scalar
 from .lift import Ladder, Lift, Obstruction, extend_step, validate, verify_ladder
 from .linalg import Matrix
-from .rep import DeformationSystem, Representation
+from .rep import Representation
 
 
 @dataclass
@@ -163,9 +163,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         # Ext of a non-module is meaningless, and its projective cover need not exist
         return VerificationResult(False, failures, lines)
 
-    # one system serves the tangent space and the ladder certificate
-    system = DeformationSystem(base, base)
-    tangent = tangent_dimension(base, system)
+    tangent = tangent_dimension(base)
     check("tangent_dim", _same(report["tangent_dim"], tangent),
           f"recomputed {tangent}")
 
@@ -189,7 +187,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         check("ladder_present", False, "verdict needs a ladder certificate")
         return VerificationResult(False, failures, lines)
 
-    transcript = verify_ladder(ladder, system=system)
+    transcript = verify_ladder(ladder)
     if vtype in ("finite", "power_series"):
         # these verdicts assert a passing certificate; replay every check
         for entry in transcript.checks:
@@ -217,7 +215,7 @@ def verify_report(source_text: str, module_name: str, report_json: str,
         kind = "reached_bound"
     else:
         kind = "terminated"
-        step = extend_step(ladder.top, system)
+        step = extend_step(ladder.top)
         obstructs = isinstance(step, Obstruction)
         check("chain_obstructs", obstructs,
               f"rank {step.rank_coefficient} vs augmented rank {step.rank_augmented}" if obstructs

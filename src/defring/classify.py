@@ -27,7 +27,7 @@ from .lift import (
     verify_ladder,
 )
 from .linalg import in_row_span
-from .rep import DeformationSystem, Representation, ext1_dim, hom_dim, hom_stable
+from .rep import Representation, deformation_system, ext1_dim, hom_dim, hom_stable
 
 
 @dataclass
@@ -35,12 +35,9 @@ class ClassifyConfig:
     max_order: int = 10
 
 
-def tangent_dimension(v: Representation, system: DeformationSystem | None = None) -> int:
-    """dim Ext^1(V, V), cross-checked against the second applicable backend.
-
-    system, when given, is DeformationSystem(v, v), reused by the cocycle route.
-    """
-    return ext1_dim(v, v, backend="all", system=system)
+def tangent_dimension(v: Representation) -> int:
+    """dim Ext^1(V, V), cross-checked against the second applicable backend."""
+    return ext1_dim(v, v, backend="all")
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +58,7 @@ class SearchResult:
     notes: list = dc_field(default_factory=list)
 
 
-def ladder_search(base: Representation, max_order: int = 10,
-                  system: DeformationSystem | None = None) -> SearchResult:
+def ladder_search(base: Representation, max_order: int = 10) -> SearchResult:
     """Grow one chain of lifts order by order up to max_order.
 
     One chain stands for all of them when the tangent dimension is one.
@@ -85,11 +81,11 @@ def ladder_search(base: Representation, max_order: int = 10,
     or unobstructed for an algebra with no ideal generators, whose extension
     system is empty and always feasible).  Every step solves the same equations, so
     the kernel of each feasible step is Z, and the notes list dim Z once per
-    order of the chain.
+    order of the chain.  Z, B and the step equations are those of
+    deformation_system(base, base), which the tangent space reads too.
     """
     _require_max_order(max_order)
-    if system is None:
-        system = DeformationSystem(base, base)
+    system = deformation_system(base, base)
     cocycles = system.cocycles
     seed = next((vec for vec in cocycles if not in_row_span(system.coboundaries, vec)), None)
     if seed is None:
@@ -98,7 +94,7 @@ def ladder_search(base: Representation, max_order: int = 10,
     lift = Lift.first_order(base, system.layout.unpack(seed))
     obstruction = None
     while lift.order < max_order:
-        step = extend_step(lift, system)
+        step = extend_step(lift)
         if isinstance(step, Obstruction):
             obstruction = step
             break
@@ -154,11 +150,11 @@ def source_digest(source: SourceFile) -> str:
     return hashlib.sha256(print_source(source).encode("utf-8")).hexdigest()
 
 
-def stable_end_note(v: Representation, system: DeformationSystem | None = None) -> str:
-    """The stable endomorphism note; system is DeformationSystem(v, v), if built."""
+def stable_end_note(v: Representation) -> str:
+    """The stable endomorphism note."""
     if v.algebra.basis is None:
         return "stable endomorphism check not applicable without truncation"
-    dim = hom_stable(v, v, system)
+    dim = hom_stable(v, v)
     note = f"stable endomorphism dimension: {dim}"
     if dim == 1:
         note += " (advisory: the one-dimensional case, weak and full deformations agree)"
@@ -167,13 +163,11 @@ def stable_end_note(v: Representation, system: DeformationSystem | None = None) 
 
 def ladder_checks(ladder: Ladder, transcript: LadderTranscript, base: Representation) -> Checks:
     """The report's checks for a ladder whose top rung is a module: dim Hom and
-    dim Ext^1 from the top to V share one DeformationSystem(top, V), which
-    builds δ once; the shift and nontriviality flags are read off the transcript."""
+    dim Ext^1 from the top to V, which read the one system of (top, V); the
+    shift and nontriviality flags are read off the transcript."""
     top = as_representation(ladder.top)
-    system = DeformationSystem(top, base)
-    hom_top = hom_dim(top, base, system)
-    return Checks(hom_top_dim=hom_top,
-                  ext_top_dim=ext1_dim(top, base, backend="all", system=system, hom=hom_top),
+    return Checks(hom_top_dim=hom_dim(top, base),
+                  ext_top_dim=ext1_dim(top, base, backend="all"),
                   sigma_nilpotent=transcript.passed(*SHIFT_CHECKS),
                   first_order_nontrivial=transcript.passed("first_order_nontrivial"))
 
@@ -235,14 +229,13 @@ def classify(source: SourceFile, module_name: str,
 
     notes = ["assumes a weak universal deformation ring exists; "
              "the tangent-dimension gate below is the computable surrogate"]
-    system = DeformationSystem(rep, rep)
-    tangent = tangent_dimension(rep, system)
+    tangent = tangent_dimension(rep)
     notes.append(f"tangent dimension: {tangent}")
-    notes.append(stable_end_note(rep, system))
+    notes.append(stable_end_note(rep))
     kind = ladder = transcript = None
     checks = Checks()
     if tangent == 1:
-        search = ladder_search(rep, max_order=cfg.max_order, system=system)
+        search = ladder_search(rep, max_order=cfg.max_order)
         kind = search.kind
         notes.extend(search.notes)
         ladder = search.ladder  # tangent 1: some cocycle is not a coboundary, so a seed exists
@@ -250,7 +243,7 @@ def classify(source: SourceFile, module_name: str,
         if ob is not None:
             notes.append(f"obstruction at order {ob.order}: "
                          f"rank {ob.rank_coefficient} vs augmented rank {ob.rank_augmented}")
-        transcript = verify_ladder(ladder, system=system)
+        transcript = verify_ladder(ladder)
         notes.extend(transcript.lines())
         checks = ladder_checks(ladder, transcript, rep)
     verdict = decide(tangent, kind, ladder, checks, transcript, rep.field)

@@ -20,14 +20,7 @@ from .classify import (ClassifyConfig, _require_max_order, classify, ladder_sear
 from .dsl import ParseError, parse, render_matrix, report_to_text, serialize_report
 from .lift import validate, verify_ladder
 from .oracle import BudgetExceeded, enumerate_lifts
-from .rep import (
-    DeformationSystem,
-    NotHereditary,
-    Representation,
-    ext1_dim,
-    hom_basis,
-    hom_stable,
-)
+from .rep import NotHereditary, Representation, ext1_dim, hom_basis, hom_stable
 
 
 class InputProblem(Exception):
@@ -137,12 +130,11 @@ def cmd_ladder(args) -> int:
     algebra = PresentedAlgebra.from_source(source)
     m = _module(source, algebra, args.module)
     _require_max_order(args.max_order)  # before anything is printed
-    system = DeformationSystem(m, m)
-    tangent = tangent_dimension(m, system)
+    tangent = tangent_dimension(m)
     print(f"tangent dimension: {tangent}")
     if tangent != 1:
         print("note: the tangent dimension is not 1, so this chain stands for no other chain")
-    search = ladder_search(m, max_order=args.max_order, system=system)
+    search = ladder_search(m, max_order=args.max_order)
     for note in search.notes:
         print(f"note: {note}")
     if search.kind == "terminated":
@@ -162,7 +154,7 @@ def cmd_ladder(args) -> int:
         print(f"order {order} coefficients:")
         for name in sorted(mats):
             print(f"  {name}: {render_matrix(mats[name])}")
-    transcript = verify_ladder(search.ladder, system=system)
+    transcript = verify_ladder(search.ladder)
     for line in transcript.lines():
         print(line)
     print("certificate:", "ok" if transcript.ok else "FAILED")

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 
 from .linalg import Matrix, rank
-from .rep import DeformationSystem, Representation
+from .rep import Representation, deformation_system
 
 
 class Lift:
@@ -198,11 +198,11 @@ class Obstruction:
         return self.rank_augmented > self.rank_coefficient
 
 
-def extend_step(lift: Lift, system: DeformationSystem | None = None):
+def extend_step(lift: Lift):
     """The lift extended by the particular solution of the next order's
-    step, or an Obstruction when that step is infeasible."""
-    if system is None:
-        system = DeformationSystem(lift.base, lift.base)
+    step, or an Obstruction when that step is infeasible; the step solves
+    the equations of deformation_system(base, base)."""
+    system = deformation_system(lift.base, lift.base)
     rhs = residual_coefficients(lift, lift.order + 1)
     sol = system.solve_step(rhs)
     if not sol.feasible:
@@ -328,7 +328,7 @@ def _shift_checks(field, blocks: int, ell: int) -> tuple:
     return (power * shift).is_zero(), nonzero, kernel, image
 
 
-def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None) -> LadderTranscript:
+def verify_ladder(ladder: Ladder) -> LadderTranscript:
     """Replay the certificate checks of a ladder that can fail.
 
     `first_order_nontrivial` (order 1): the first-order class is not a
@@ -361,9 +361,7 @@ def verify_ladder(ladder: Ladder, system: DeformationSystem | None = None) -> La
     def add(name, order, ok, detail=""):
         checks.append(LadderCheck(name, order, bool(ok), detail))
 
-    if system is None:
-        system = DeformationSystem(base, base)
-    nontrivial = not system.is_coboundary(ladder.first_order_class)
+    nontrivial = not deformation_system(base, base).is_coboundary(ladder.first_order_class)
     add("first_order_nontrivial", 1, nontrivial,
         "" if nontrivial else "first-order class is a coboundary")
     valid = residuals_vanish(top, 0)

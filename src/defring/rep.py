@@ -4,7 +4,10 @@ A representation assigns a finite dimensional space to each vertex and a
 matrix to each arrow (shape dim target x dim source, column convention).
 Intertwiners, radicals, projective covers, syzygies and three independent
 routes to Ext^1 live here; the first-order deformation machinery shared
-with the lifting engine is the DeformationSystem at the bottom.
+with the lifting engine is the DeformationSystem at the bottom.  Each pair
+(M, N) has one, deformation_system(M, N), built on first use and kept on M;
+every reader of Hom(M, N), Ext^1(M, N) or the lift equations of M fetches it
+there, so no caller hands a system to another.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +66,7 @@ class Representation:
                     f"got {m.nrows}x{m.ncols}")
             self.mats[a.name] = m
         self._yoneda = {}  # (vertex, *columns) -> the maps of _yoneda_maps, evaluated once
+        self._systems = {}  # id(n) -> (weak reference to n, DeformationSystem(self, n))
 
     @classmethod
     def from_module_def(cls, algebra: PresentedAlgebra, mod) -> "Representation":
@@ -253,15 +258,10 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
     return HomSpace(m, n, layout, basis)
 
 
-def hom_dim(m: Representation, n: Representation,
-            system: DeformationSystem | None = None) -> int:
+def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(M, N), counted as the unknowns of δ = hom_equations(M, N) less
-    its rank; system, when given, is (m, n)'s DeformationSystem, whose δ is
-    reused.  δ is row-reduced here, apart from the column elimination behind
-    system.coboundaries, so the hereditary closed form checks the cocycle route.
-    """
-    layout, delta = hom_equations(m, n) if system is None else system.delta
-    return layout.total - rank(delta)
+    its rank: DeformationSystem.hom_dim of (m, n)'s system."""
+    return deformation_system(m, n).hom_dim
 
 
 def is_homomorphism(m: Representation, n: Representation, maps: dict) -> bool:
@@ -498,13 +498,9 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
     return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
 
 
-def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None,
-                    system: DeformationSystem | None = None) -> int:
+def ext1_hereditary(m: Representation, n: Representation) -> int:
     """The Euler form of the quiver, valid when the algebra is the path
-    algebra kQ: no ideal generators, truncated or not.
-
-    hom is dim Hom(M, N) if the caller has it; else it is read off system's δ.
-    """
+    algebra kQ: no ideal generators, truncated or not."""
     if m.algebra.generating_relations():
         raise NotHereditary(
             "closed form only valid with no relations and no path as long as the truncate bound")
@@ -512,44 +508,33 @@ def ext1_hereditary(m: Representation, n: Representation, hom: int | None = None
     quiver = m.algebra.quiver
     arrows_term = sum(m.dims[a.source] * n.dims[a.target] for a in quiver.arrows)
     vertex_term = sum(m.dims[v] * n.dims[v] for v in quiver.vertices)
-    if hom is None:
-        hom = hom_dim(m, n, system)
-    return arrows_term - vertex_term + hom
+    return arrows_term - vertex_term + hom_dim(m, n)
 
 
-def ext1_cocycle(m: Representation, n: Representation,
-                 system: DeformationSystem | None = None) -> int:
+def ext1_cocycle(m: Representation, n: Representation) -> int:
     """dim Ext^1 as dim Z - dim B: the cocycles Z of the first-order
     deformation equations and the coboundaries B, the column space of δ.
-    B lies in Z, so no quotient is formed.
-
-    system, when given, is the DeformationSystem of (m, n).
-    """
-    if system is None:
-        system = DeformationSystem(m, n)
+    B lies in Z, so no quotient is formed."""
+    system = deformation_system(m, n)
     return len(system.cocycles) - system.coboundaries.rank
 
 
-def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
-             system: DeformationSystem | None = None, hom: int | None = None) -> int:
+def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle") -> int:
     """Dimension of Ext^1; backend 'all' cross-checks every applicable route:
     the syzygy route when the algebra has a basis, the Euler form when it has
-    no ideal generators, both when a truncation bound kills no path.
-
-    system (the DeformationSystem of (m, n)) is handed to the cocycle route
-    and the hereditary closed form, and hom (dim Hom(m, n)) to the latter,
-    so a caller that has them computes neither again.
+    no ideal generators, both when a truncation bound kills no path.  The
+    cocycle route and the Euler form read (m, n)'s one DeformationSystem.
     """
     if backend == "cocycle":
-        return ext1_cocycle(m, n, system)
+        return ext1_cocycle(m, n)
     if backend == "syzygy":
         return ext1_syzygy(m, n)
     if backend == "hereditary":
-        return ext1_hereditary(m, n, hom, system)
+        return ext1_hereditary(m, n)
     if backend == "all":
-        dims = {"cocycle": ext1_cocycle(m, n, system)}
+        dims = {"cocycle": ext1_cocycle(m, n)}
         if not m.algebra.generating_relations():
-            dims["hereditary"] = ext1_hereditary(m, n, hom, system)
+            dims["hereditary"] = ext1_hereditary(m, n)
         if m.algebra.basis is not None:
             dims["syzygy"] = ext1_syzygy(m, n)
         values = set(dims.values())
@@ -563,8 +548,7 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle",
 # stable Hom
 
 
-def hom_stable(m: Representation, n: Representation,
-               system: DeformationSystem | None = None) -> int:
+def hom_stable(m: Representation, n: Representation) -> int:
     """dim Hom(M, N) minus the maps that factor through a projective.
 
     Every map factoring through any projective factors through the cover
@@ -573,17 +557,17 @@ def hom_stable(m: Representation, n: Representation,
     Hom(M, Λe_v), solved once per vertex v with top columns; no P(N) is
     built, and N's top columns and Yoneda maps are those its cover reads,
     kept on N.  dim Hom(M, N) is counted, not solved, as the number of
-    unknowns less the rank of δ = hom_equations(M, N); system, when given,
-    is (m, n)'s DeformationSystem, whose coboundaries are that rank.
+    unknowns less the rank of δ = hom_equations(M, N), which is the rank of
+    the coboundaries of (m, n)'s DeformationSystem.
     """
     m.algebra.require_basis("stable Hom")
-    layout, delta = hom_equations(m, n) if system is None else system.delta
-    delta_rank = rank(delta) if system is None else system.coboundaries.rank
+    system = deformation_system(m, n)
+    layout = system.delta[0]
     image = [layout.pack({w: phi[w] * t[w] for w in t})
              for v, columns in n.top_columns.items() if columns
              for t in hom_basis(m, m.algebra.left_projective(v)).basis
              for phi in _yoneda_maps(v, n, columns)]
-    return layout.total - delta_rank - row_space(image, m.field, layout.total).rank
+    return layout.total - system.coboundaries.rank - row_space(image, m.field, layout.total).rank
 
 
 # ----------------------------------------------------------------------
@@ -607,13 +591,15 @@ class DeformationSystem:
     entries of the arrow matrices; most of them are zero rows.  The
     cocycles and the coboundaries, whose quotient is Ext^1(M, N), are each
     computed once.
+
+    A system keeps only the dimensions of M and N, not the modules: M keeps
+    its systems (deformation_system), so a reference back would be a cycle.
     """
 
     def __init__(self, m: Representation, n: Representation):
         _same_algebra(m, n)
-        self.m = m
-        self.n = n
         self.field = m.field
+        self.dims = m.dims, n.dims
         algebra = m.algebra
         self.relations = algebra.generating_relations()
         self.layout = arrow_layout(m, n)
@@ -627,7 +613,8 @@ class DeformationSystem:
                 derivatives[node] = [{} for _ in range(n.dims[step] * m.dims[step])]
             else:
                 values[node] = m.mats[step.name] * values[parent] if node in inner else None
-                derivatives[node] = self._derivative(step, values[parent], derivatives[parent])
+                derivatives[node] = self._derivative(step, n.mats[step.name], values[parent],
+                                                     derivatives[parent])
         rows = []
         for rel, terms in zip(self.relations, algebra.generator_terms):
             block = [{} for _ in range(n.dims[rel.target] * m.dims[rel.source])]
@@ -636,12 +623,13 @@ class DeformationSystem:
                     _add_scaled(entries, coeff, part)
             rows += block
         self.equations = Matrix.from_dicts(self.field, self.layout.total, rows)
+        # the matrix of the map δ: C -> (C_t M_a - N_a C_s)_a, whose kernel is Hom(M, N)
+        self.delta = hom_equations(m, n)
 
-    def _derivative(self, arrow, below: Matrix, derivative: list) -> list:
+    def _derivative(self, arrow, na: Matrix, below: Matrix, derivative: list) -> list:
         """D(node) = N_a·D(parent) + B_a·M(parent) for the node parent-then-a,
-        given M(parent) (below) and D(parent): one {column: value} dict per
-        entry of the node's block, row-major."""
-        na = self.n.mats[arrow.name]
+        given N_a (na), M(parent) (below) and D(parent): one {column: value}
+        dict per entry of the node's block, row-major."""
         width = below.ncols
         out = [{} for _ in range(na.nrows * width)]
         for r in range(na.nrows):
@@ -670,17 +658,18 @@ class DeformationSystem:
         return kernel_basis(self.equations)
 
     @cached_property
-    def delta(self):
-        """hom_equations(M, N), built on first use: the matrix of the map
-        δ: C -> (C_t M_a - N_a C_s)_a, whose kernel is Hom(M, N)."""
-        return hom_equations(self.m, self.n)
+    def hom_dim(self) -> int:
+        """dim Hom(M, N): the unknowns of δ less its rank.  δ is row-reduced
+        here, apart from the column elimination behind coboundaries, so the
+        hereditary closed form checks the cocycle route."""
+        layout, delta = self.delta
+        return layout.total - rank(delta)
 
     @cached_property
     def coboundaries(self) -> RowEchelon:
         """Echelon form of the coboundaries B, the image of δ; computed on
         first use.  The rows of δ are indexed by this system's packed arrow
-        coordinates, so B is spanned by its columns.  This is an elimination
-        of its own, apart from the row elimination that hom_dim takes.
+        coordinates, so B is spanned by its columns.
         """
         return column_space(self.delta[1])
 
@@ -691,10 +680,25 @@ class DeformationSystem:
         """Solve D(B) = -(stacked residual blocks); same row order as the equations."""
         rhs = {}
         pos = 0
+        m_dims, n_dims = self.dims
         for rel, block in zip(self.relations, rhs_blocks):
-            assert (block.nrows, block.ncols) == (self.n.dims[rel.target], self.m.dims[rel.source])
+            assert (block.nrows, block.ncols) == (n_dims[rel.target], m_dims[rel.source])
             for r, row in enumerate((-block).rows):
                 for c, x in row.items():
                     rhs[pos + r * block.ncols + c] = x
             pos += block.nrows * block.ncols
         return solve_affine(self.equations, rhs)
+
+
+def deformation_system(m: Representation, n: Representation) -> DeformationSystem:
+    """The DeformationSystem of (m, n), built on first use and kept on m.
+
+    The memo is keyed by n's identity, not by equality: a module parsed
+    again, as a certificate check does, gets a system of its own.  It holds
+    n through a weak reference, so it keeps no module alive and makes no
+    cycle; an entry whose n has died is rebuilt if its id comes back.
+    """
+    entry = m._systems.get(id(n))
+    if entry is None or entry[0]() is not n:
+        entry = m._systems[id(n)] = (weakref.ref(n), DeformationSystem(m, n))
+    return entry[1]

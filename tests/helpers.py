@@ -387,7 +387,7 @@ def rung(lift, j):
     return Lift(lift.base, j, {a: series[:j + 1] for a, series in lift.coeffs.items()})
 
 
-def dense_verify_ladder(ladder, system=None):
+def dense_verify_ladder(ladder):
     """Every rung-by-rung certificate check, on the dense (order+1)·d matrices.
 
     Builds rung j from the top's coefficients through degree j, then each
@@ -402,9 +402,7 @@ def dense_verify_ladder(ladder, system=None):
     def add(name, order, ok, detail=""):
         checks.append(LadderCheck(name, order, bool(ok), detail))
 
-    if system is None:
-        system = DeformationSystem(base, base)
-    nontrivial = not system.is_coboundary(ladder.first_order_class)
+    nontrivial = not DeformationSystem(base, base).is_coboundary(ladder.first_order_class)
     add("first_order_nontrivial", 1, nontrivial,
         "" if nontrivial else "first-order class is a coboundary")
 

@@ -15,6 +15,7 @@ from defring import (
     Lift,
     Representation,
     classify,
+    deformation_system,
     enumerate_lifts,
     ext1_cocycle,
     ext1_dim,
@@ -75,15 +76,15 @@ def test_criterion_3_free_loop_is_a_power_series_ring():
         assert report.verdict.proved is True, name
         # the extension system is empty: kernel dimension 1 at every order
         base = load_module(name, "V")
-        system = DeformationSystem(base, base)
-        search = ladder_search(base, max_order=10, system=system)
+        system = deformation_system(base, base)
+        search = ladder_search(base, max_order=10)
         assert search.kind == "unobstructed"
         assert f"extension kernel dimensions per order: {[1] * 10}" in search.notes
         lift = Lift.first_order(base, search.ladder.first_order_class)
         for _ in range(9):
             step = system.solve_step(residual_coefficients(lift, lift.order + 1))
             assert step.feasible and system.layout.total - step.rank == 1
-            lift = extend_step(lift, system)
+            lift = extend_step(lift)
         assert lift.order == 10 and lift == search.ladder.top
         assert verify_report(read_corpus(name), "V", serialize_report(report), name).ok
 

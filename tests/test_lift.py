@@ -136,8 +136,7 @@ def test_extend_step_reports_obstruction():
 @pytest.mark.parametrize("name", ["kx2_f5.alg", "kx3_f5.alg"])
 def test_obstruction_ranks_are_those_of_the_step_system(name):
     v = load_module(name, "V")
-    system = DeformationSystem(v, v)
-    search = ladder_search(v, system=system)
+    search = ladder_search(v)
     ob = search.obstruction
     assert search.kind == "terminated" and ob.order == search.ladder.top.order + 1
     rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order)
@@ -153,7 +152,6 @@ def test_extend_step_row_reduces_once(monkeypatch, name):
     # one feasible step and one obstructed step
     import defring.linalg
     v = load_module(name, "V")
-    system = DeformationSystem(v, v)
     calls = []
     original = defring.linalg.rref
 
@@ -162,7 +160,7 @@ def test_extend_step_row_reduces_once(monkeypatch, name):
         return original(m)
 
     monkeypatch.setattr(defring.linalg, "rref", counting)
-    step = extend_step(unit_lift(v, 1), system)
+    step = extend_step(unit_lift(v, 1))
     assert isinstance(step, Obstruction) == (name == "kx2_f5.alg")
     assert len(calls) == 1
 

@@ -12,6 +12,7 @@ from defring import (
     PresentedAlgebra,
     Representation,
     classify,
+    deformation_system,
     direct_sum,
     ext1_cocycle,
     ext1_dim,
@@ -253,6 +254,18 @@ def test_stable_hom():
     assert hom_stable(p1, p1) == 0
 
 
+def test_stable_hom_refuses_before_building_a_system(monkeypatch):
+    # with no truncation bound there is no basis: hom_stable refuses first
+    built = []
+    init = DeformationSystem.__init__
+    monkeypatch.setattr(DeformationSystem, "__init__",
+                        lambda self, m, n: built.append(None) or init(self, m, n))
+    loop = load_module("loop_free_q.alg", "V")
+    with pytest.raises(HereditaryModeUnsupported):
+        hom_stable(loop, loop)
+    assert built == []
+
+
 def test_iso_test_kinds():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
@@ -306,17 +319,41 @@ def test_sub_from_maps_requires_invariance():
 
 def test_deformation_system_shapes():
     v = load_module("kx2_f5.alg", "V")
-    sys_v = DeformationSystem(v, v)
+    sys_v = deformation_system(v, v)
     assert len(sys_v.cocycles) == 1
     assert sys_v.coboundaries.rank == 0
-    assert ext1_cocycle(v, v, sys_v) == 1
+    assert ext1_cocycle(v, v) == 1
 
     p1 = load_module("kx2_f5.alg", "P1")
-    sys_p = DeformationSystem(p1, p1)
-    assert ext1_cocycle(p1, p1, sys_p) == 0
+    sys_p = deformation_system(p1, p1)
+    assert ext1_cocycle(p1, p1) == 0
     # every cocycle of a rigid module is a coboundary
     for z in sys_p.cocycles:
         assert sys_p.is_coboundary(sys_p.layout.unpack(z))
+
+
+def test_deformation_system_is_kept_per_module_object():
+    import gc
+    v = load_module("kx2_f5.alg", "V")
+    system = deformation_system(v, v)
+    assert deformation_system(v, v) is system
+    # a module equal to v but parsed again is another object: it gets its own
+    # system, as a certificate check that reparses its input must
+    w = load_module("kx2_f5.alg", "V")
+    assert w == v and deformation_system(v, w) is not system
+    assert deformation_system(v, w) is deformation_system(v, w)
+    # v holds w weakly: dropping w leaves a dead reference and no cycle
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        ref = v._systems[id(w)][0]
+        del w
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_hom_mismatched_algebras_rejected():
@@ -554,9 +591,8 @@ def test_ext_rank_counts_match_quotient_references(pair):
     assert cocycle == reference_ext1_cocycle(m, n)
     assert ext1_syzygy(m, n) == reference_ext1_syzygy(m, n) == cocycle
     assert ext1_dim(m, n, "all") == cocycle
-    # dim Hom counted by rank, with or without the system's δ, is the size
-    # of the solved basis
-    assert hom_dim(m, n) == hom_dim(m, n, DeformationSystem(m, n)) == hom_basis(m, n).dim
+    # dim Hom counted by the rank of the system's δ is the size of the solved basis
+    assert hom_dim(m, n) == hom_basis(m, n).dim
     # the Yoneda maps are a basis of what hom_basis(P, N) solves for, and
     # their restrictions to ΩM span what its restrictions span
     maps = yoneda_cover_homs(m, n)
@@ -606,10 +642,8 @@ def test_hom_dim_counts_match_the_hom_basis_on_hereditary_pairs(field):
     modules = [Representation.from_module_def(algebra, mod) for mod in source.modules.values()]
     for m in modules:
         for n in modules:
-            system = DeformationSystem(m, n)
-            hom = hom_basis(m, n).dim
-            assert hom_dim(m, n) == hom_dim(m, n, system) == hom
-            assert ext1_dim(m, n, "all", system) == ext1_hereditary(m, n) == ext1_cocycle(m, n)
+            assert hom_dim(m, n) == hom_basis(m, n).dim
+            assert ext1_dim(m, n, "all") == ext1_hereditary(m, n) == ext1_cocycle(m, n)
     # S1, S2, M11 and M12 = Λe_v1: every module but S1 has S2 in its socle,
     # and every one but S2 has S1 on top
     assert ([[hom_dim(m, n) for n in modules] for m in modules]
@@ -649,7 +683,6 @@ def test_stable_hom_matches_full_cover_reference(pair):
     for target in (n, direct_sum(n, n)):
         expected = reference_hom_stable(m, target)
         assert hom_stable(m, target) == expected
-        assert hom_stable(m, target, DeformationSystem(m, target)) == expected
 
 
 def test_stable_hom_matches_full_cover_reference_on_truncated_corpus():
@@ -659,7 +692,6 @@ def test_stable_hom_matches_full_cover_reference_on_truncated_corpus():
     for label, m, n in pairs:
         expected = reference_hom_stable(m, n)
         assert hom_stable(m, n) == expected, label
-        assert hom_stable(m, n, DeformationSystem(m, n)) == expected, label
 
 
 def test_yoneda_maps_need_the_relations():
