@@ -228,21 +228,37 @@ def as_representation(lift: Lift) -> Representation:
     Vertex spaces get one block per degree 0..order; arrow block (i, j)
     is the degree i-j coefficient.  The lift is valid exactly when this
     representation satisfies the relations, so `validate` of it is empty exactly
-    when `is_valid(lift)`, which reads the residuals without forming it.
+    when `is_valid(lift)`, which reads the residuals without forming it.  Its
+    path values sum_d J^d ⊗ S_d(w), S_d(w) the t^d coefficient of w, are read
+    off lift.series when asked (prefix_value), multiplying no matrices.
     """
     base = lift.base
-    field = lift.field
-    ell = lift.order
-    dims = {v: (ell + 1) * base.dims[v] for v in base.algebra.quiver.vertices}
-    mats = {}
-    for a in base.algebra.quiver.arrows:
-        series = lift.coeffs[a.name]
-        width = base.dims[a.source]
-        rows = [{bj * width + j: x
-                 for bj in range(bi + 1) for j, x in series[bi - bj].rows[r].items()}
-                for bi in range(ell + 1) for r in range(base.dims[a.target])]
-        mats[a.name] = Matrix(field, dims[a.target], dims[a.source], rows)
-    return Representation(base.algebra, dims, mats)
+    return _Unrolled(lift, {v: (lift.order + 1) * d for v, d in base.dims.items()}, {
+        a.name: _toeplitz(lift, base.dims[a.target], base.dims[a.source],
+                          [(i, lift.coeffs[a.name][i]) for i in lift.support[a.name]])
+        for a in base.algebra.quiver.arrows})
+
+
+class _Unrolled(Representation):
+    """The module of as_representation, which reads its path values off the lift."""
+
+    def __init__(self, lift: Lift, dims: dict, mats: dict):
+        super().__init__(lift.base.algebra, dims, mats)
+        self.lift = lift
+
+    def prefix_value(self, node: int):
+        terms = [(d, s) for d, values in enumerate(self.lift.series)
+                 if (s := values.get(node)) is not None]
+        return _toeplitz(self.lift, terms[0][1].nrows, terms[0][1].ncols, terms) if terms else None
+
+
+def _toeplitz(lift: Lift, nrows: int, ncols: int, terms: list) -> Matrix:
+    """sum_d J^d ⊗ S_d over the (d, S_d) terms, S_d nrows x ncols and J the
+    shift of k[t]/(t^(order+1)): block (i, i - d) is S_d."""
+    blocks = lift.order + 1
+    return Matrix(lift.field, blocks * nrows, blocks * ncols, [
+        {(i - d) * ncols + j: x for d, s in reversed(terms) if d <= i for j, x in s.rows[r].items()}
+        for i in range(blocks) for r in range(nrows)])
 
 
 # ----------------------------------------------------------------------

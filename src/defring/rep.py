@@ -67,6 +67,8 @@ class Representation:
             self.mats[a.name] = m
         self._yoneda = {}  # (vertex, *columns) -> the maps of _yoneda_maps, evaluated once
         self._systems = {}  # id(n) -> (weak reference to n, DeformationSystem(self, n))
+        self._prefixes = None  # node -> M(node), filled by prefix_value
+        self._suffixes = {}  # arrow names of a generator path's suffix -> N(suffix), None if zero
 
     @classmethod
     def from_module_def(cls, algebra: PresentedAlgebra, mod) -> "Representation":
@@ -85,6 +87,32 @@ class Representation:
         """Per vertex v, the columns of M_v off the radical's echelon pivots: M's top."""
         return {v: sorted(set(range(self.dims[v])).difference(rad.pivots))
                 for v, rad in radical_subspaces(self).items()}
+
+    def prefix_value(self, node: int):
+        """M(node), None when zero, at a node that a generator prefix extends:
+        all are folded on first use, one product per node whose parent's value
+        is nonzero, and kept.  The deformation equations read M through it."""
+        if self._prefixes is None:
+            tree, self._prefixes = self.algebra.tree, {}
+            for inner in sorted({tree.parents[p] for p in self.algebra.prefixes} - {-1}):
+                parent, step = tree.parents[inner], tree.steps[inner]
+                if parent < 0 or parent in self._prefixes:
+                    value = (Matrix.identity(self.field, self.dims[step]) if parent < 0
+                             else self.mats[step.name] * self._prefixes[parent])
+                    if not value.is_zero():
+                        self._prefixes[inner] = value
+        return self._prefixes.get(node)
+
+    def suffix_value(self, names: tuple):
+        """N(u), None when zero, for u the named arrows (application order) of a
+        generator path's suffix whose tail names[1:] has a nonzero value:
+        N(a·u) = N(u)·N_a, one product per suffix of two or more arrows, kept."""
+        if names not in self._suffixes:
+            value = self.mats[names[0]]
+            if len(names) > 1:
+                value = self._suffixes[names[1:]] * value
+            self._suffixes[names] = None if value.is_zero() else value
+        return self._suffixes[names]
 
     def path_matrix(self, path: Path) -> Matrix:
         """Evaluate a path: matrices compose right to left in application order."""
@@ -579,18 +607,16 @@ class DeformationSystem:
 
     Unknowns are per-arrow matrices B_a of shape dim N(target) x
     dim M(source).  For every ideal generator the directional derivative
-    replaces one arrow occurrence at a time by B, with N matrices to the
-    left of the replacement and M matrices to the right.  It is folded
-    along the generator prefixes of the algebra's path tree: the node parent-then-a has
-    D(node) = N_a·D(parent) + B_a·M(parent), so a prefix shared by
-    generator paths is differentiated once.  The kernel is the cocycle
-    space; for M == N it is also the space of valid first-order lift
-    coefficients, and the same equations drive every higher-order
-    extension step.  The equations are sparse rows, one per generator and
-    entry of its block, in generator order, filled from the nonzero
-    entries of the arrow matrices; most of them are zero rows.  The
-    cocycles and the coboundaries, whose quotient is Ext^1(M, N), are each
-    computed once.
+    replaces one arrow occurrence at a time by B: the path p = u·a·w (w
+    first, then a, then u) gives the term N(u)·B_a·M(w).  Each generator path
+    is walked from its last arrow until N(u) is zero, and a term costs the
+    nonzero entries of N(u) times those of M(w), which the modules keep
+    (N.suffix_value, M.prefix_value).  The kernel is the cocycle space; for
+    M == N it is also the space of valid first-order lift coefficients, and
+    the same equations drive every higher-order extension step.  The
+    equations are sparse rows, one per generator and entry of its block, in
+    generator order; most of them are zero rows.  The cocycles and the
+    coboundaries, whose quotient is Ext^1(M, N), are each computed once.
 
     A system keeps only the dimensions of M and N, not the modules: M keeps
     its systems (deformation_system), so a reference back would be a cycle.
@@ -598,58 +624,31 @@ class DeformationSystem:
 
     def __init__(self, m: Representation, n: Representation):
         _same_algebra(m, n)
-        self.field = m.field
-        self.dims = m.dims, n.dims
-        algebra = m.algebra
-        self.relations = algebra.generating_relations()
+        self.field, self.dims = m.field, (m.dims, n.dims)
+        self.relations = m.algebra.generating_relations()
         self.layout = arrow_layout(m, n)
-        tree = algebra.tree
-        inner = {tree.parents[node] for node in algebra.prefixes}
-        values, derivatives = {}, {}  # M(node) only where some generator prefix extends it
-        for node in sorted(algebra.prefixes):
-            parent, step = tree.parents[node], tree.steps[node]
-            if parent < 0:
-                values[node] = Matrix.identity(self.field, m.dims[step])
-                derivatives[node] = [{} for _ in range(n.dims[step] * m.dims[step])]
-            else:
-                values[node] = m.mats[step.name] * values[parent] if node in inner else None
-                derivatives[node] = self._derivative(step, n.mats[step.name], values[parent],
-                                                     derivatives[parent])
-        rows = []
-        for rel, terms in zip(self.relations, algebra.generator_terms):
+        tree, offsets, rows = m.algebra.tree, self.layout.offsets, []
+        for rel, terms in zip(self.relations, m.algebra.generator_terms):
             block = [{} for _ in range(n.dims[rel.target] * m.dims[rel.source])]
             for coeff, node in terms:
-                for entries, part in zip(block, derivatives[node]):
-                    _add_scaled(entries, coeff, part)
+                names, left = (), Matrix.identity(self.field, n.dims[rel.target])  # N(u), u empty
+                while left is not None and (parent := tree.parents[node]) >= 0:
+                    arrow = tree.steps[node]
+                    if (right := m.prefix_value(parent)) is not None:  # M(w), w = parent
+                        for r, nonzero in enumerate(left.rows):
+                            for alpha, x in nonzero.items():
+                                x *= coeff
+                                for beta, values in enumerate(right.rows):
+                                    col = offsets[arrow.name] + alpha * right.nrows + beta
+                                    for c, y in values.items():
+                                        entries = block[r * right.ncols + c]
+                                        entries[col] = entries[col] + x * y if col in entries else x * y
+                    names, node = (arrow.name, *names), parent
+                    left = n.suffix_value(names) if tree.parents[parent] >= 0 else None
             rows += block
         self.equations = Matrix.from_dicts(self.field, self.layout.total, rows)
         # the matrix of the map δ: C -> (C_t M_a - N_a C_s)_a, whose kernel is Hom(M, N)
         self.delta = hom_equations(m, n)
-
-    def _derivative(self, arrow, na: Matrix, below: Matrix, derivative: list) -> list:
-        """D(node) = N_a·D(parent) + B_a·M(parent) for the node parent-then-a,
-        given N_a (na), M(parent) (below) and D(parent): one {column: value}
-        dict per entry of the node's block, row-major."""
-        width = below.ncols
-        out = [{} for _ in range(na.nrows * width)]
-        for r in range(na.nrows):
-            targets = out[r * width:(r + 1) * width]
-            for l, x in na.rows[r].items():
-                for entries, part in zip(targets, derivative[l * width:(l + 1) * width]):
-                    _add_scaled(entries, x, part)
-        # (B_a M(parent))[r, c] = sum_beta B_a[r, beta] M(parent)[beta, c]
-        off = self.layout.offsets[arrow.name]
-        for beta, nonzero in enumerate(below.rows):
-            for r in range(na.nrows):
-                col = off + r * below.nrows + beta
-                for c, y in nonzero.items():
-                    entries = out[r * width + c]
-                    entries[col] = entries[col] + y if col in entries else y
-        p = self.field.p
-        if p:  # keep F_p values small along long paths
-            out = [{j: y for j, x in entries.items() if (y := x % p)} if entries else entries
-                   for entries in out]
-        return out
 
     @cached_property
     def cocycles(self) -> list:

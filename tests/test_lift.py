@@ -428,7 +428,9 @@ def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
     # a is as long as no generator, and e_v2 of parallel_rel_f3) is never
     # evaluated: the degree-0 series take one product per generator prefix
     # whose parent's value and arrow matrix are nonzero, and the deformation
-    # system one per generator prefix that another one extends
+    # system one per generator prefix that another one extends whose parent's
+    # value is nonzero, plus one per distinct generator suffix of two or more
+    # arrows that its walk reaches, which stops past the first zero suffix value
     source, algebra = load_algebra(name)
     tree, paths, prefixes = algebra.tree, node_paths(algebra.tree), algebra.prefixes
     # the marked nodes are exactly the prefixes of the generator paths
@@ -445,7 +447,9 @@ def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
             sum(1 for node in prefixes if tree.parents[node] >= 0
                 and not m.mats[tree.steps[node].name].is_zero()
                 and not m.path_matrix(paths[tree.parents[node]]).is_zero()),
-            sum(1 for node in extended if node >= 0 and tree.parents[node] >= 0)))
+            sum(1 for node in extended if node >= 0 and tree.parents[node] >= 0
+                and not m.path_matrix(paths[tree.parents[node]]).is_zero())
+            + len(_reached_suffixes(m))))
     if name == "a2_f5.alg":
         assert not prefixes and all(counts == (0, 0) for counts in expected)
     products, mul = [], Matrix.__mul__
@@ -457,6 +461,22 @@ def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
         del products[:]
         DeformationSystem(m, m)
         assert len(products) == system, m
+
+
+def _reached_suffixes(m):
+    """The generator suffixes of two or more arrows whose value the walk of
+    the deformation system takes: the suffixes of p of 1..length-1 arrows,
+    from the shortest, through the first whose value on m is zero."""
+    reached = set()
+    for rel in m.algebra.generating_relations():
+        for _, p in (term for term in rel.terms if term[0]):
+            for k in range(p.length - 1, 0, -1):
+                suffix = Path(p.arrows[k:], p.arrows[k].source, p.target)
+                if k < p.length - 1:
+                    reached.add(suffix)
+                if m.path_matrix(suffix).is_zero():
+                    break
+    return reached
 
 
 def test_long_ladder_series_hold_one_value_per_degree():

@@ -384,7 +384,37 @@ def _equation_pairs():
     return pairs
 
 
+def _ladder_tops():
+    """(label, top, V): the top of the ladder of every tangent-1 corpus
+    module, of the simple module of k[x]/(x^40) over F_3 and of Kronecker
+    M11 over Q at order 20, each as as_representation returns it."""
+    bases = [(f"{path.stem} {module}", load_module(path.name, module), 10)
+             for path in sorted(CORPUS.glob("*.alg")) for module in load_source(path.name).modules]
+    source = parse("field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 40\n"
+                   "module V\n  dim v = 1\n  mat x = [[0]]\n")
+    x40 = Representation.from_module_def(PresentedAlgebra.from_source(source), source.modules["V"])
+    bases += [("x^40", x40, 40), ("kronecker_q M11 at order 20", load_module("kronecker_q.alg", "M11"), 20)]
+    return [(label, as_representation(ladder_search(v, max_order).ladder.top), v)
+            for label, v, max_order in bases if ext1_dim(v, v, "all") == 1]
+
+
 def test_sparse_equations_match_dense_reference():
+    # the (top, V) equations read the top's path values off its lift's series;
+    # they match the dense reference and those of the same top built plainly
+    tops = _ladder_tops()
+    assert len(tops) >= 12
+    assert {"x^40", "kronecker_q M11 at order 20"} <= {label for label, _, _ in tops}
+    for label, top_rep, v in tops:
+        assert type(top_rep).prefix_value is not Representation.prefix_value, label
+        plain = Representation(top_rep.algebra, top_rep.dims, top_rep.mats)
+        equations = DeformationSystem(top_rep, v).equations
+        assert equations == reference_deformation_matrix(top_rep, v), label
+        assert equations == DeformationSystem(plain, v).equations, label
+        if label == "x^40":
+            assert top_rep.total_dim == 40
+            assert sum(1 for row in equations.rows if row) == 1
+        if label == "kronecker_q M11 at order 20":
+            assert top_rep.total_dim == 2 * 21
     pairs = _equation_pairs()
     assert len(pairs) >= 30
     for label, m, n in pairs:
@@ -454,13 +484,21 @@ def test_tree_built_deformation_system_matches_reference(pair):
 
 @pytest.mark.parametrize("loops,length,inner", [("xy", 4, 14), ("xyz", 3, 12)])
 def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, length, inner):
-    # D(node) reads M(parent) only, so no product is taken at a leaf
+    # M(w) is folded at the inner nodes only, so no product is taken at a leaf,
+    # and N(u) once per distinct generator suffix of two or more arrows, every
+    # path of length 2..length-1: on P+S every such value is nonzero.  On S every
+    # arrow is zero, so no product is taken through a zero value: one per
+    # arrow, M_a·M(e_v), and none for N(u)
+    suffixes = sum(len(loops) ** k for k in range(2, length))
     arrows = "".join(f"  arrow {a}: v -> v\n" for a in loops)
     alg = PresentedAlgebra.from_source(parse(
         f"field F 5\nquiver\n  vertex v\n{arrows}truncate {length}\n"))
-    ps = direct_sum(alg.left_projective("v"), Representation(alg, {"v": 1}, {}))
+    s = Representation(alg, {"v": 1}, {})
+    ps = direct_sum(alg.left_projective("v"), s)
     tree = alg.tree
     assert len({p for p in tree.parents if p >= 0 and tree.parents[p] >= 0}) == inner
+    generators = [p for rel in alg.generating_relations() for _, p in rel.terms]
+    assert len({p.arrows[k:] for p in generators for k in range(1, length - 1)}) == suffixes
     calls = []
     original = Matrix.__mul__
 
@@ -470,7 +508,10 @@ def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, l
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
     DeformationSystem(ps, ps)
-    assert len(calls) == inner
+    assert len(calls) == inner + suffixes
+    del calls[:]
+    DeformationSystem(s, s)
+    assert len(calls) == len(loops)
 
 
 def test_projective_cover_matches_path_matrix_reference():
