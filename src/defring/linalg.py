@@ -14,13 +14,13 @@ it.  Every vector taken or handed out is held as a row is, an
 {index: value} dict of nonzero canonical values; `row`, `column`,
 `tolist` and `apply` are dense read-outs, for printing and tests.
 
-Linear systems are row-reduced sparsely: `rref` is the one elimination
-kernel.  The deformation and Hom systems are built as sparse rows
-directly.  The reduced row echelon form of a matrix is unique, so pivots,
-echelon rows, kernel bases (one vector per free column, that column set to
-1) and particular solutions (free variables set to 0) are canonical for a
-given input, whatever order the elimination visits rows in.  Infeasibility
-of a linear system is a value, not an error.
+Linear systems are row-reduced sparsely by one kernel, the forward pass
+`echelon`; a rank or a span to reduce against needs nothing more, and
+`rref` back-substitutes it.  The reduced row echelon form of a matrix is
+unique, so pivots, reduced rows, kernel bases (one vector per free column,
+that column set to 1) and particular solutions (free variables set to 0)
+are canonical for a given input, whatever order the elimination visits rows
+in.  Infeasibility of a linear system is a value, not an error.
 """
 
 from __future__ import annotations
@@ -222,8 +222,9 @@ class Matrix:
 
 
 class RowEchelon:
-    """Reduced row echelon form of an nrows x ncols matrix: its nonzero rows,
-    as {column: value} dicts in pivot order, and their pivot columns."""
+    """Forward (echelon) or reduced (rref) row echelon form of an nrows x ncols
+    matrix: its nonzero rows, as {column: value} dicts in pivot order, each 1
+    at its pivot and 0 left of it (and, reduced, at every other pivot)."""
 
     __slots__ = ("field", "nrows", "ncols", "rows", "pivots")
 
@@ -263,28 +264,23 @@ def _subtract_multiple(row: dict, f, other: dict, p):
                 del row[j]
 
 
-def rref(m: Matrix) -> RowEchelon:
-    """Reduced row echelon form of a Matrix, by sparse Gauss–Jordan.
+def echelon(m: Matrix) -> RowEchelon:
+    """Forward row echelon form of a Matrix: the one elimination kernel.
 
-    Every pivot row holds 1 at its pivot and 0 at every other pivot column.
-    Each incoming row is reduced against the pivot rows, which leaves it
-    zero at every pivot column; if anything is left, its first nonzero
-    column becomes a new pivot, the row is scaled to 1 there, and that
-    column is cleared from the other pivot rows.  Only nonzero entries are
-    ever visited.  The reduced row echelon form is unique, so the result is
-    the same as any elimination order gives.
+    Each incoming row is reduced against the pivot rows in ascending order
+    of its leading column, until that column holds no pivot yet; if anything
+    is left, it becomes a new pivot row, scaled to 1 there.  Earlier pivot
+    rows are never touched, so a banded matrix stays banded, and only
+    nonzero entries are ever visited.  The pivots are those of rref(m).
     """
     p = m.field.p
     pivot_rows = {}  # pivot column -> its row
-    for row in m.rows:
-        if not row:
-            continue
+    for row in filter(None, m.rows):
         row = dict(row)
-        for c in [c for c in row if c in pivot_rows]:
-            _subtract_multiple(row, row[c], pivot_rows[c], p)
+        while row and (other := pivot_rows.get(c := min(row))) is not None:
+            _subtract_multiple(row, row[c], other, p)
         if not row:
             continue
-        c = min(row)
         if row[c] != 1:
             if p:
                 inv = pow(row[c], -1, p)
@@ -292,22 +288,38 @@ def rref(m: Matrix) -> RowEchelon:
             else:
                 inv = 1 / row[c]
                 row = {j: x * inv for j, x in row.items()}
-        for other in pivot_rows.values():
-            f = other.get(c)
-            if f:
-                _subtract_multiple(other, f, row, p)
         pivot_rows[c] = row
     pivots = sorted(pivot_rows)
     return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)
 
 
+def rref(m: Matrix | RowEchelon) -> RowEchelon:
+    """Reduced row echelon form of a Matrix, or of a forward echelon form of one:
+    echelon(m), then each pivot row, in descending pivot order, is cleared at
+    the later pivots against rows already reduced.  The reduced form is
+    unique, so the result is the same as any elimination order gives."""
+    ech = m if isinstance(m, RowEchelon) else echelon(m)
+    if ech.rank < 2:  # a forward form of rank 0 or 1 is reduced
+        return ech
+    p = ech.field.p
+    reduced = {}  # pivot column -> its reduced row
+    for c, row in zip(reversed(ech.pivots), reversed(ech.rows)):
+        if later := [j for j in row if j in reduced]:
+            row = dict(row)
+            for j in later:
+                _subtract_multiple(row, row[j], reduced[j], p)
+        reduced[c] = row
+    return RowEchelon(ech.field, ech.nrows, ech.ncols, [reduced[c] for c in ech.pivots], ech.pivots)
+
+
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return echelon(m).rank
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Echelon-normalized basis of the right kernel of m, len == ncols - rank:
-    per free column f, the vector {f: 1, c: -row_c[f]} over the pivots c."""
+def kernel_basis(m: Matrix | RowEchelon) -> list:
+    """Basis of the right kernel of m (a Matrix or, as for rref, its forward
+    echelon form), len == ncols - rank: per free column f, the vector
+    {f: 1, c: -row_c[f]} over the pivots c of rref(m)."""
     ech = rref(m)
     p = m.field.p
     pivot_set = set(ech.pivots)
@@ -369,14 +381,15 @@ def solve_matrix(a: Matrix, b: Matrix):
 
 
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:
-    """Echelonized span of the given vectors."""
+    """Reduced echelon form of the span of the given vectors."""
     ech = rref(Matrix(field, len(vectors), width, list(vectors)))
     return RowEchelon(field, ech.rank, width, ech.rows, ech.pivots)
 
 
 def reduce_mod_rows(ech: RowEchelon, v: dict) -> dict:
-    """v less the echelon rows that zero out its pivot coordinates.  Each
-    echelon row is zero at the other pivots, so the order does not matter."""
+    """v less the echelon rows that zero out its pivot coordinates, in
+    ascending pivot order: a row is 0 left of its pivot, so the form may be
+    forward or reduced, and the remainder, 0 at every pivot, is the same."""
     p = ech.field.p
     out = dict(v)
     for c, row in zip(ech.pivots, ech.rows):
@@ -389,7 +402,3 @@ def reduce_mod_rows(ech: RowEchelon, v: dict) -> dict:
 def in_row_span(ech: RowEchelon, v: dict) -> bool:
     return not reduce_mod_rows(ech, v)
 
-
-def column_space(m: Matrix) -> RowEchelon:
-    """Echelonized span of the columns of m, i.e. the image of the map it stands for."""
-    return rref(m.transpose())

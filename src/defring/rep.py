@@ -25,7 +25,7 @@ from .linalg import (
     Matrix,
     RowEchelon,
     _add_scaled,
-    column_space,
+    echelon,
     in_row_span,
     kernel_basis,
     rank,
@@ -523,7 +523,7 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
     layout, delta = hom_equations(omega, n)
     image = [layout.pack({w: phi[w] * block[w] for w in block})
              for v, block in blocks for phi in yoneda_homs(v, n)]
-    return layout.total - rank(delta) - row_space(image, m.field, layout.total).rank
+    return layout.total - rank(delta) - rank(Matrix(m.field, len(image), layout.total, image))
 
 
 def ext1_hereditary(m: Representation, n: Representation) -> int:
@@ -540,11 +540,11 @@ def ext1_hereditary(m: Representation, n: Representation) -> int:
 
 
 def ext1_cocycle(m: Representation, n: Representation) -> int:
-    """dim Ext^1 as dim Z - dim B: the cocycles Z of the first-order
+    """dim Ext^1 as dim Z - dim B, by rank: the cocycles Z of the first-order
     deformation equations and the coboundaries B, the column space of δ.
-    B lies in Z, so no quotient is formed."""
+    B lies in Z, so no quotient is formed, and no basis of Z."""
     system = deformation_system(m, n)
-    return len(system.cocycles) - system.coboundaries.rank
+    return system.layout.total - system.equations_echelon.rank - system.coboundaries.rank
 
 
 def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle") -> int:
@@ -595,7 +595,7 @@ def hom_stable(m: Representation, n: Representation) -> int:
              for v, columns in n.top_columns.items() if columns
              for t in hom_basis(m, m.algebra.left_projective(v)).basis
              for phi in _yoneda_maps(v, n, columns)]
-    return layout.total - system.coboundaries.rank - row_space(image, m.field, layout.total).rank
+    return layout.total - system.coboundaries.rank - rank(Matrix(m.field, len(image), layout.total, image))
 
 
 # ----------------------------------------------------------------------
@@ -615,8 +615,8 @@ class DeformationSystem:
     M == N it is also the space of valid first-order lift coefficients, and
     the same equations drive every higher-order extension step.  The
     equations are sparse rows, one per generator and entry of its block, in
-    generator order; most of them are zero rows.  The cocycles and the
-    coboundaries, whose quotient is Ext^1(M, N), are each computed once.
+    generator order; most of them are zero rows.  They are eliminated forward
+    once, and δ's columns once: Ext^1(M, N) = Z/B is counted from the ranks.
 
     A system keeps only the dimensions of M and N, not the modules: M keeps
     its systems (deformation_system), so a reference back would be a cycle.
@@ -651,26 +651,32 @@ class DeformationSystem:
         self.delta = hom_equations(m, n)
 
     @cached_property
+    def equations_echelon(self) -> RowEchelon:
+        """Forward echelon form of the equations, their one elimination: dim Z
+        is the unknowns less its rank."""
+        return echelon(self.equations)
+
+    @cached_property
     def cocycles(self) -> list:
         """Echelon basis of the kernel of the equations (the cocycles Z), as
-        sparse packed vectors; computed on first use."""
-        return kernel_basis(self.equations)
+        sparse packed vectors; back-substitutes equations_echelon on first use."""
+        return kernel_basis(self.equations_echelon)
 
     @cached_property
     def hom_dim(self) -> int:
-        """dim Hom(M, N): the unknowns of δ less its rank.  δ is row-reduced
-        here, apart from the column elimination behind coboundaries, so the
-        hereditary closed form checks the cocycle route."""
+        """dim Hom(M, N): the unknowns of δ less its rank.  δ's rows are
+        eliminated forward here, apart from the column elimination behind
+        coboundaries, so the hereditary closed form checks the cocycle route."""
         layout, delta = self.delta
         return layout.total - rank(delta)
 
     @cached_property
     def coboundaries(self) -> RowEchelon:
-        """Echelon form of the coboundaries B, the image of δ; computed on
-        first use.  The rows of δ are indexed by this system's packed arrow
+        """Forward echelon form of the coboundaries B, the image of δ; computed
+        on first use.  The rows of δ are indexed by this system's packed arrow
         coordinates, so B is spanned by its columns.
         """
-        return column_space(self.delta[1])
+        return echelon(self.delta[1].transpose())
 
     def is_coboundary(self, mats: dict) -> bool:
         return in_row_span(self.coboundaries, self.layout.pack(mats))

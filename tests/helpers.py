@@ -9,8 +9,8 @@ import itertools
 from defring.dsl import ParseError, Token
 
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
-from defring.linalg import (Matrix, in_row_span, kernel_basis, rank, reduce_mod_rows, row_space,
-                            solve_matrix)
+from defring.linalg import (Matrix, RowEchelon, _subtract_multiple, in_row_span, kernel_basis, rank,
+                            reduce_mod_rows, row_space, solve_matrix)
 from defring.oracle import coefficient_slots, lift_from_point
 from defring.quiver import Path as QuiverPath
 from defring.rep import (DeformationSystem, MapLayout, NotInvariant, direct_sum_many, hom_basis,
@@ -512,7 +512,7 @@ def reference_mul(a, b):
     return dense_to_matrix(a.field, a.nrows, b.ncols, out)
 
 
-def reference_rref(m):
+def reference_dense_rref(m):
     """(echelon Matrix, pivots): first-nonzero pivoting over whole rows."""
     _, sub, mul, inv = _field_ops(m.field)
     rows = [list(m.row(i)) for i in range(m.nrows)]
@@ -541,9 +541,42 @@ def reference_rref(m):
     return dense_to_matrix(m.field, m.nrows, m.ncols, flat), pivots
 
 
+def reference_rref(m):
+    """RowEchelon of m by sparse Gauss–Jordan: each incoming row is reduced
+    against the pivot rows, which leaves it zero at every pivot column; if
+    anything is left, its first nonzero column becomes a new pivot, the row
+    is scaled to 1 there, and that column is cleared from the other pivot
+    rows.  Every pivot row holds 1 at its pivot and 0 at every other pivot."""
+    p = m.field.p
+    pivot_rows = {}  # pivot column -> its row
+    for row in m.rows:
+        if not row:
+            continue
+        row = dict(row)
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract_multiple(row, row[c], pivot_rows[c], p)
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            if p:
+                inv = pow(row[c], -1, p)
+                row = {j: x * inv % p for j, x in row.items()}
+            else:
+                inv = 1 / row[c]
+                row = {j: x * inv for j, x in row.items()}
+        for other in pivot_rows.values():
+            f = other.get(c)
+            if f:
+                _subtract_multiple(other, f, row, p)
+        pivot_rows[c] = row
+    pivots = sorted(pivot_rows)
+    return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)
+
+
 def reference_kernel_basis(m):
     _, sub, _, _ = _field_ops(m.field)
-    echelon, pivots = reference_rref(m)
+    echelon, pivots = reference_dense_rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -558,9 +591,9 @@ def reference_kernel_basis(m):
 def reference_solve_affine(a, b):
     """(feasible, particular or None, kernel basis, rank A, rank [A | b]) of A x = b."""
     aug = a.hstack(columns_matrix(a.field, a.nrows, [list(b)]))
-    echelon, pivots = reference_rref(aug)
+    echelon, pivots = reference_dense_rref(aug)
     kern = reference_kernel_basis(a)
-    ranks = (len(reference_rref(a)[1]), len(pivots))
+    ranks = (len(reference_dense_rref(a)[1]), len(pivots))
     if a.ncols in pivots:
         return (False, None, kern) + ranks
     x = [a.field.zero()] * a.ncols
@@ -573,7 +606,7 @@ def reference_row_space(vectors, field, width):
     """(nonzero echelon rows, pivots) of the span of vectors."""
     if not vectors:
         return [], []
-    echelon, pivots = reference_rref(Matrix.from_rows(field, [list(v) for v in vectors]))
+    echelon, pivots = reference_dense_rref(Matrix.from_rows(field, [list(v) for v in vectors]))
     return [echelon.row(i) for i in range(len(pivots))], pivots
 
 

@@ -344,18 +344,34 @@ def test_verify_report_builds_one_deformation_system_for_the_base(monkeypatch):
     assert [args[1] is args[2] for args in built] == [True, False]
 
 
-def _count_first_order_reductions(monkeypatch, base):
-    """[cocycle kernels, coboundary row spaces] taken for DeformationSystem(V, V).
-
-    Counts row reductions: of the system's own equations for the cocycles,
-    and of the coboundary generators (one row per elementary vertex map of
-    base) on the system's behalf, i.e. with one of its methods on the stack.
-    """
+def _count_eliminations(monkeypatch, counting):
+    """Route every forward elimination, linalg's and rep's own, through
+    counting(m) before it runs; rref and rank eliminate through linalg's."""
     import defring.linalg
+    import defring.rep
+    echelon = defring.linalg.echelon
+
+    def counted(m):
+        counting(m)
+        return echelon(m)
+
+    for module in (defring.linalg, defring.rep):
+        monkeypatch.setattr(module, "echelon", counted)
+
+
+def _count_first_order_reductions(monkeypatch, base):
+    """[eliminations of the equations, of the coboundary generators] for
+    DeformationSystem(V, V), and the systems built.
+
+    Counts forward eliminations: of the system's own equations, which dim Z
+    and the cocycle basis read, and of the coboundary generators (one row per
+    elementary vertex map of base) on the system's behalf, i.e. with one of
+    its methods on the stack.
+    """
     from defring.rep import DeformationSystem
     systems = []
     counts = [0, 0]
-    init, rref = DeformationSystem.__init__, defring.linalg.rref
+    init = DeformationSystem.__init__
     vectors = reference_coboundary_vectors(base, base)
     generators = [{j: x for j, x in enumerate(v) if x} for v in vectors]
 
@@ -365,29 +381,29 @@ def _count_first_order_reductions(monkeypatch, base):
             systems.append(self)
 
     def on_behalf_of_a_system():
-        frame = sys._getframe(2)
+        frame = sys._getframe(1)
         while frame is not None:
             if any(frame.f_locals.get("self") is s for s in systems):
                 return True
             frame = frame.f_back
         return False
 
-    def counting_rref(m):
+    def counting(m):
         if any(m is s.equations for s in systems):
             counts[0] += 1
         elif (m.ncols, m.rows) == (len(vectors[0]), generators) and on_behalf_of_a_system():
             counts[1] += 1
-        return rref(m)
 
     monkeypatch.setattr(DeformationSystem, "__init__", recording_init)
-    monkeypatch.setattr(defring.linalg, "rref", counting_rref)
-    return counts
+    _count_eliminations(monkeypatch, counting)
+    return counts, systems
 
 
 def test_first_order_space_is_computed_once_per_system(monkeypatch):
-    # finite: the tangent space, the chain's seed and the certificate's
-    # nontriviality check read one cocycle basis and one coboundary space
-    counts = _count_first_order_reductions(monkeypatch, load_module("kx3_f5.alg", "V"))
+    # finite: the tangent space (dim Z), the chain's seed (the cocycle basis)
+    # and the certificate's nontriviality check read one forward elimination
+    # of the equations and one of the coboundary generators
+    counts, systems = _count_first_order_reductions(monkeypatch, load_module("kx3_f5.alg", "V"))
     report = run("kx3_f5.alg", "V")
     assert report.verdict.type == "finite"
     assert counts == [1, 1]
@@ -395,6 +411,10 @@ def test_first_order_space_is_computed_once_per_system(monkeypatch):
     blob = serialize_report(report)
     assert verify_report(read_corpus("kx3_f5.alg"), "V", blob, "kx3_f5.alg").ok
     assert counts == [1, 1]
+    # each system read both dim Z and the cocycle basis off that one elimination
+    assert len(systems) == 2
+    assert all(len(s.cocycles) == s.layout.total - s.equations_echelon.rank for s in systems)
+    assert all({"equations_echelon", "cocycles"} <= vars(s).keys() for s in systems)
 
 
 def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):
@@ -410,9 +430,8 @@ def test_ladder_command_builds_one_deformation_system(monkeypatch, capsys):
 def test_ext_at_the_ladder_top_reuses_its_hom(monkeypatch):
     # hereditary: dim Hom(V, V) for the closed form of the tangent space,
     # then dim Hom(top, V) for both hom_top_dim and the closed form of
-    # ext_top_dim; each δ is built once and row-reduced once (the
-    # coboundaries reduce its columns)
-    import defring.linalg
+    # ext_top_dim; each δ is built once and its rows are eliminated forward
+    # once (the coboundaries eliminate its columns)
     import defring.rep
     deltas = []
     build = defring.rep.hom_equations
@@ -423,13 +442,50 @@ def test_ext_at_the_ladder_top_reuses_its_hom(monkeypatch):
         return out
 
     monkeypatch.setattr(defring.rep, "hom_equations", recording)
-    eliminations = _count_calls(monkeypatch, defring.linalg, "rref")
+    eliminations = []
+    _count_eliminations(monkeypatch, eliminations.append)
     report = run("loop_free_q.alg", "V", max_order=3)
     assert report.checks.hom_top_dim == 1 and report.checks.ext_top_dim == 1
     assert len(deltas) == 2
-    assert [sum(args[0] is delta for args in eliminations) for delta in deltas] == [1, 1]
+    assert [sum(m is delta for m in eliminations) for delta in deltas] == [1, 1]
 
 
+def _elimination_calls_in_ladder_checks(n):
+    """The built-in calls (dict lookups and copies, min, sorted, ...) made from
+    linalg's frames while ladder_checks reads the top of k[x]/(x^n) over F_3.
+
+    Its row operations (_subtract_multiple) are none: δ(top, V) has one
+    nonzero per row and the top is projective.  What an elimination costs
+    there is its visits to earlier pivot rows, which these calls count."""
+    from defring import linalg
+    from defring.classify import ladder_checks
+    text = read_corpus("kx2_f5.alg").replace("field F 5", "field F 3")
+    source = parse(text.replace("truncate 2", f"truncate {n}"), "kx.alg")
+    v = Representation.from_module_def(PresentedAlgebra.from_source(source), source.modules["V"])
+    search = ladder_search(v, max_order=n)
+    assert search.kind == "terminated" and search.ladder.length == n - 1
+    transcript = verify_ladder(search.ladder)
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename == linalg.__file__:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        checks = ladder_checks(search.ladder, transcript, v)
+    finally:
+        sys.setprofile(None)
+    assert (checks.hom_top_dim, checks.ext_top_dim) == (1, 0)
+    return calls[0]
+
+
+def test_ladder_top_elimination_grows_linearly():
+    # Gauss–Jordan visits every earlier pivot row for each new pivot, so its
+    # work on the ladder top grows with the square of the ladder's length
+    # (about 3.7x from x^80 to x^160); the forward pass visits only the rows
+    # it reduces against
+    assert _elimination_calls_in_ladder_checks(160) <= 2.5 * _elimination_calls_in_ladder_checks(80)
 
 
 def _builds_per_pair(calls):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from defring.fields import FieldMismatch, FieldSpec
 from defring.linalg import (
     Matrix,
+    echelon,
     in_row_span,
     kernel_basis,
     rank,
@@ -22,7 +23,8 @@ from defring.rep import MapLayout
 from helpers import (CORPUS, columns_matrix, dense, dense_to_matrix, load_algebra,
                      reference_complement_representatives,
                      reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
-                     reference_row_space, reference_rref, reference_solve_affine, paths_up_to, sparse)
+                     reference_dense_rref, reference_row_space, reference_rref, reference_solve_affine,
+                     paths_up_to, sparse)
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -274,7 +276,7 @@ def canonical(field, entries):
 def test_kernels_match_boxed_reference(case):
     field, a, b, rhs, c = case
     ech = rref(a)
-    ref_matrix, ref_pivots = reference_rref(a)
+    ref_matrix, ref_pivots = reference_dense_rref(a)
     assert ech.pivots == ref_pivots
     assert ech.matrix == ref_matrix and canonical(field, flat(ech.matrix))
 
@@ -319,6 +321,81 @@ def test_kernels_match_boxed_reference(case):
     # count both Ext^1 routes make instead of forming the quotient
     reps = reference_complement_representatives(space, sub, field, a.ncols)
     assert len(reps) == row_space(a.rows, field, a.ncols).rank - ech_sub.rank
+
+
+@st.composite
+def elimination_case(draw):
+    """A matrix over F_2, F_3, F_5 or Q and vectors to reduce against its
+    rows.  The matrix is random at a drawn density (in part of the examples a
+    product, so rank deficient), banded, or shift-like: one band of values
+    repeated one column further right on each row, as δ(top, V) is for
+    k[x]/(x^n), which Gauss–Jordan fills in; possibly transposed, with zero
+    rows and repeated rows shuffled in."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), F3, F5, Q]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "product", "banded", "shift"]))
+    n, m = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    width = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+
+    def value(nonzero=False):
+        if field.p is None:
+            x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            x = rng.randrange(field.p)
+        return value(nonzero) if nonzero and not x else x
+
+    band = [value(nonzero=True) for _ in range(width)]
+    if kind == "shift":
+        rows = [[band[j - i] if 0 <= j - i < width else 0 for j in range(m)] for i in range(n)]
+    elif kind == "banded":
+        rows = [[value() if 0 <= j - i < width and rng.random() < density else 0
+                 for j in range(m)] for i in range(n)]
+    else:
+        rows = [[value() if rng.random() < density else 0 for j in range(m)] for i in range(n)]
+    a = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, m)
+    if kind == "product" and n and m:
+        inner = rng.randint(1, min(n, m))
+        left = Matrix.from_rows(field, [[value() for _ in range(inner)] for _ in range(n)])
+        a = left * Matrix.from_rows(field, [[value() for _ in range(m)] for _ in range(inner)])
+    if draw(st.booleans()):
+        a = a.transpose()
+    rows = a.rows + [{}] * draw(st.integers(0, 4))
+    rows += [rng.choice(rows) for _ in range(draw(st.integers(0, 6)) if rows else 0)]
+    rng.shuffle(rows)
+    a = Matrix(field, len(rows), a.ncols, rows)
+    vectors = [{j: x for j in range(a.ncols) if (x := field.scalar(value()))}
+               for _ in range(3)] + a.rows[:3]
+    if a.nrows >= 2:
+        vectors.append((a + a).rows[0] if rng.random() < 0.5 else reference_mul(
+            Matrix.from_rows(field, [[value() for _ in range(a.nrows)]]), a).rows[0])
+    return a, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_case())
+def test_forward_elimination_matches_gauss_jordan(case):
+    # rref is the forward pass plus back-substitution: it, rank and the
+    # remainders reduce_mod_rows leaves all agree with sparse Gauss–Jordan
+    a, vectors = case
+    field = a.field
+    ref = reference_rref(a)
+    reduced = rref(a)
+    assert (reduced.pivots, reduced.rows) == (ref.pivots, ref.rows)
+    assert rank(a) == ref.rank
+    forward = echelon(a)
+    assert forward.pivots == ref.pivots and (forward.nrows, forward.ncols) == (a.nrows, a.ncols)
+    for row, c in zip(forward.rows, forward.pivots):
+        assert min(row) == c and row[c] == 1 and canonical(field, row.values())
+    # back-substituting a kept forward form gives the same and leaves it as it was
+    kept = [dict(row) for row in forward.rows]
+    again = rref(forward)
+    assert (again.pivots, again.rows) == (ref.pivots, ref.rows)
+    assert forward.rows == kept
+    assert kernel_basis(forward) == kernel_basis(a)
+    for v in vectors:
+        assert reduce_mod_rows(forward, v) == reduce_mod_rows(reduced, v)
+        assert in_row_span(forward, v) == in_row_span(reduced, v)
 
 
 def test_product_rejects_foreign_fields():

@@ -44,9 +44,9 @@ from helpers import (CORPUS, SECOND_PRESENTATIONS, columns_matrix, dense, load_a
                      read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
-                     reference_projective_cover, reference_quotient, reference_syzygy_data,
-                     restricted_cover_homs, retruncated, second_presentation, sparse,
-                     text_modules)
+                     reference_projective_cover, reference_quotient, reference_rref,
+                     reference_syzygy_data, restricted_cover_homs, retruncated,
+                     second_presentation, sparse, text_modules)
 
 THREE_CHAIN = """\
 field F 5
@@ -427,8 +427,11 @@ def test_sparse_equations_match_dense_reference():
         cob = reference_coboundary_vectors(m, n)
         assert [tuple(row) for row in equations.transpose().tolist()] == cob, label
         ech = row_space([sparse(v) for v in cob], m.field, system.layout.total)
-        assert system.coboundaries.pivots == ech.pivots, label
-        assert system.coboundaries.rows == ech.rows, label
+        # the coboundaries are a forward echelon form: same span, same pivots
+        cob_ech = system.coboundaries
+        assert cob_ech.pivots == ech.pivots, label
+        spanned = Matrix(m.field, cob_ech.rank, cob_ech.ncols, cob_ech.rows)
+        assert reference_rref(spanned).rows == ech.rows, label
 
 
 @st.composite
