@@ -21,6 +21,8 @@ no deformation chain obstructs and Ext^1 has the Euler form.
 
 from __future__ import annotations
 
+import functools
+
 from .dsl import Relation
 from .fields import FieldSpec
 from .linalg import Matrix, row_space
@@ -49,7 +51,6 @@ class PresentedAlgebra:
         self.truncate = truncate
         self.tree = PathTree()
         self.short = 0  # the tree's nodes shorter than the bound come first
-        self.basis: list | None = None
         self.basis_nodes: list | None = None  # basis index -> its node
         self._coords: list | None = None  # node of length <= the bound -> its coordinates
         # vertex v -> target w -> indices of the basis paths v -> w, in basis order
@@ -57,19 +58,17 @@ class PresentedAlgebra:
         # vertex -> (dims, mats) of its left projective, built on first use; a
         # Representation here would make a reference cycle with the algebra
         self._projectives = {}
-        paths = []
         if truncate is not None:
             self.short = self.tree.grow(quiver, truncate)
-            paths = self.tree.fold(Path.trivial,
-                                   lambda a, p: Path(p.arrows + (a,), p.source, a.target))
-            self._build(paths)
+            self._build()
         one = field.one()
+        grown = range(self.short, len(self.tree.parents))  # the length-m nodes
         self._generators = tuple(self.relations) + tuple(
-            Relation(((one, p),), p.source, p.target) for p in paths[self.short:])
+            Relation(((one, p),), p.source, p.target) for p in map(self.tree.path, grown))
         # per generator its nonzero terms as (coefficient, node of the path)
         self.generator_terms = tuple(
             tuple((c, self.tree.add(p)) for c, p in rel.terms if c) for rel in self.relations
-        ) + tuple(((one, node),) for node in range(self.short, len(paths)))
+        ) + tuple(((one, node),) for node in grown)
         self.prefixes = set()  # the nodes that prefix a generator path, those paths included
         for _, node in (term for terms in self.generator_terms for term in terms):
             while node >= 0 and node not in self.prefixes:
@@ -100,28 +99,42 @@ class PresentedAlgebra:
         computed once with the algebra; none exactly when it is the path algebra."""
         return self._generators
 
+    @property
+    def has_basis(self) -> bool:
+        """Whether a truncation bound materialised the basis; builds nothing."""
+        return self.basis_nodes is not None
+
+    @functools.cached_property
+    def basis(self) -> list | None:
+        """The basis paths, built on first read; None without a truncation bound."""
+        return None if self.basis_nodes is None else list(map(self.tree.path, self.basis_nodes))
+
     def require_basis(self, what: str):
         """Refuse what needs the basis when no truncation bound materialised it."""
-        if self.basis is None:
+        if not self.has_basis:
             raise HereditaryModeUnsupported(
                 f"{what} needs the radical filtration of a truncated presentation")
 
     @property
     def dimension(self) -> int:
         self.require_basis("dimension")
-        return len(self.basis)
+        return len(self.basis_nodes)
 
     # ------------------------------------------------------------------
     # basis construction (with a truncation bound)
 
-    def _build(self, paths: list):
-        """The basis and the coordinates of the nodes, paths[node] their paths."""
+    def _build(self):
+        """The basis and the coordinates of the nodes; their paths are built
+        only to span the relations' multiples."""
         m = self.truncate
         n = self.short
         zero = self.field.zero()
         scalar = self.field.scalar
         generators = []
         seen = set()
+        if self.relations:
+            paths = self.tree.fold(Path.trivial,
+                                   lambda a, p: Path(p.arrows + (a,), p.source, a.target))
         for rel in self.relations:
             suffixes = [y for y in range(n) if paths[y].target == rel.source]
             prefixes = [x for x in paths[:n] if x.source == rel.target]
@@ -141,19 +154,20 @@ class PresentedAlgebra:
         pivot_set = set(ech.pivots)
         free = [i for i in range(n) if i not in pivot_set]
         position = {col: j for j, col in enumerate(free)}
-        self.basis = [paths[i] for i in free]
         self.basis_nodes = free
         # a basis path is its own coordinate; a pivot path is minus the free
         # part of its reduced echelon row; a length-m path is 0
         one = self.field.one()
-        self._coords = [{}] * len(paths)
+        self._coords = [{}] * len(self.tree.parents)
         for j, col in enumerate(free):
             self._coords[col] = {j: one}
         for c, row in zip(ech.pivots, ech.rows):
             self._coords[c] = {position[i]: scalar(-x) for i, x in row.items() if i != c}
         self.paths_from = {v: {w: [] for w in self.quiver.vertices} for v in self.quiver.vertices}
-        for j, q in enumerate(self.basis):
-            self.paths_from[q.source][q.target].append(j)
+        ends = self.tree.fold(lambda v: (v, v), lambda a, up: (up[0], a.target))
+        for j, node in enumerate(free):
+            source, target = ends[node]
+            self.paths_from[source][target].append(j)
         for rel in self.relations:
             if self.reduce_terms(rel.terms):
                 raise AssertionError(f"relation {rel.label()} does not reduce to zero")

@@ -152,7 +152,7 @@ def source_digest(source: SourceFile) -> str:
 
 def stable_end_note(v: Representation) -> str:
     """The stable endomorphism note."""
-    if v.algebra.basis is None:
+    if not v.algebra.has_basis:
         return "stable endomorphism check not applicable without truncation"
     dim = hom_stable(v, v)
     note = f"stable endomorphism dimension: {dim}"

@@ -4,15 +4,16 @@ A Matrix holds plain field values in canonical form: `int` residues in
 0..p-1 over F_p and `Fraction`s over Q (see fields.py).  It stores them as
 sparse rows, one {column: value} dict per row that holds only the nonzero
 entries; a zero row is an empty dict and keeps its index.  `from_rows` and
-`from_dicts` are where entries are brought into that form; the bare
-constructor trusts its input.  Every operation that forms
-new values (`+`, `-`, negation, `scale`, `*`, `apply` and the elimination
-kernel) reduces them with `% p` over F_p, the path chosen from `field.p`,
-and drops the zeros, so what is handed out is always canonical.  `*` is
-the one product: it visits only nonzero entries, and `power` squares with
-it.  Every vector taken or handed out is held as a row is, an
-{index: value} dict of nonzero canonical values; `row`, `column`,
-`tolist` and `apply` are dense read-outs, for printing and tests.
+`from_dicts` bring entries into that form; the bare constructor trusts its
+input.  `+`, `-`, negation, `scale` and `*` form each output row in one
+pass that reduces each new value (`% p` over F_p, zeros dropped), so what
+is handed out is always canonical.  A result may share row dicts with its
+operands (a product's row with one entry 1 is a row of the other factor),
+so nothing changes a Matrix or its rows after construction.  `*` visits
+only nonzero entries; `power` squares and multiplies with it.  Every
+vector taken or handed out is held as a row is, an {index: value} dict of
+nonzero canonical values; `row`, `column`, `tolist` and `apply` are dense
+read-outs, for printing and tests.
 
 Linear systems are row-reduced sparsely by one kernel, the forward pass
 `echelon`; a rank or a span to reduce against needs nothing more, and
@@ -47,6 +48,11 @@ def _dense(row: dict, ncols: int, zero) -> list:
     return out
 
 
+def _scaled(row: dict, c, p) -> dict:
+    """c * row for a nonzero canonical c: over a field no product is zero."""
+    return {j: c * x % p for j, x in row.items()} if p else {j: c * x for j, x in row.items()}
+
+
 def _add_scaled(entries: dict, c, part: dict) -> dict:
     """entries += c * part, in place, for {column: value} dicts; values are
     not reduced and zeros are kept."""
@@ -57,8 +63,8 @@ def _add_scaled(entries: dict, c, part: dict) -> dict:
 
 
 class Matrix:
-    """Immutable nrows x ncols matrix of canonical field values, held as one
-    {column: value} dict of nonzero entries per row."""
+    """Immutable nrows x ncols matrix of canonical field values, one {column:
+    value} dict of nonzero entries per row; rows may be shared, never changed."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -134,15 +140,29 @@ class Matrix:
         return not any(self.rows)
 
     def _same_field(self, other: "Matrix"):
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _termwise(self, other: "Matrix", c) -> "Matrix":
-        """self + c * other."""
+        """self + c * other, c = 1 or -1, one pass per row; a zero row takes
+        the other side's row."""
         assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
         self._same_field(other)
-        rows = [_add_scaled(dict(a), c, b) for a, b in zip(self.rows, other.rows)]
-        return Matrix.from_dicts(self.field, self.ncols, rows)
+        p = self.field.p
+        rows = []
+        for a, b in zip(self.rows, other.rows):
+            if not b or not a and c == 1:
+                rows.append(b or a)
+                continue
+            row = dict(a)
+            for j, y in b.items():
+                y = y if c == 1 else p - y if p else -y
+                if j in row and not (y := (row[j] + y) % p if p else row[j] + y):
+                    del row[j]
+                else:
+                    row[j] = y
+            rows.append(row)
+        return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._termwise(other, 1)
@@ -154,35 +174,40 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.scalar(c)
-        return Matrix.from_dicts(self.field, self.ncols,
-                                 [{j: c * x for j, x in row.items()} for row in self.rows])
+        c, p = self.field.scalar(c), self.field.p
+        rows = [_scaled(row, c, p) for row in self.rows] if c else [{} for _ in self.rows]
+        return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """A row with one entry c takes c times a row of other, that row itself
+        when c is 1; a longer row sums its products, then reduces them."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         self._same_field(other)
+        p = self.field.p
         b = other.rows
         out = []
         for row in self.rows:
+            if len(row) == 1:
+                [(k, x)] = row.items()
+                out.append(b[k] if x == 1 else _scaled(b[k], x, p))
+                continue
             acc = {}
             for k, x in row.items():
                 for j, y in b[k].items():
                     acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append(acc)
-        return Matrix.from_dicts(self.field, other.ncols, out)
+            out.append({j: y for j, x in acc.items() if (y := x % p)} if p else
+                       {j: x for j, x in acc.items() if x})
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
     def power(self, n: int) -> "Matrix":
-        """self^n by repeated squaring."""
+        """self^n by square-and-multiply: floor(log2 n) + popcount(n) - 1 products."""
         assert self.nrows == self.ncols and n >= 0
-        out = Matrix.identity(self.field, self.nrows)
-        square = self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
+        if not n:
+            return Matrix.identity(self.field, self.nrows)
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out * self if bit == "1" else out * out
         return out
 
     def transpose(self) -> "Matrix":

@@ -98,6 +98,15 @@ class PathTree:
             node = self._child(node, arrow.name, arrow)
         return node
 
+    def path(self, node: int) -> Path:
+        """The path of a node, read back along its parents."""
+        arrows = []
+        while self.parents[node] >= 0:
+            arrows.append(self.steps[node])
+            node = self.parents[node]
+        vertex = self.steps[node]
+        return Path(tuple(reversed(arrows)), vertex, arrows[0].target if arrows else vertex)
+
     def walk(self, node: int, arrows) -> int:
         """The node of node's path followed by arrows, which must be in the tree."""
         for arrow in arrows:

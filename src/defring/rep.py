@@ -563,7 +563,7 @@ def ext1_dim(m: Representation, n: Representation, backend: str = "cocycle") -> 
         dims = {"cocycle": ext1_cocycle(m, n)}
         if not m.algebra.generating_relations():
             dims["hereditary"] = ext1_hereditary(m, n)
-        if m.algebra.basis is not None:
+        if m.algebra.has_basis:
             dims["syzygy"] = ext1_syzygy(m, n)
         values = set(dims.values())
         if len(values) != 1:

@@ -512,6 +512,37 @@ def reference_mul(a, b):
     return dense_to_matrix(a.field, a.nrows, b.ncols, out)
 
 
+def reference_termwise(a, b, op):
+    """op(a[i, j], b[i, j]) entry by entry, for op one of _field_ops's add and sub."""
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    return dense_to_matrix(a.field, a.nrows, a.ncols,
+                           [op(x, y) for i in range(a.nrows) for x, y in zip(a.row(i), b.row(i))])
+
+
+def reference_add(a, b):
+    return reference_termwise(a, b, _field_ops(a.field)[0])
+
+
+def reference_sub(a, b):
+    return reference_termwise(a, b, _field_ops(a.field)[1])
+
+
+def reference_scale(a, c):
+    """c * a entry by entry, c any value the field reads."""
+    mul = _field_ops(a.field)[2]
+    c = a.field.scalar(c)
+    return dense_to_matrix(a.field, a.nrows, a.ncols,
+                           [mul(c, x) for i in range(a.nrows) for x in a.row(i)])
+
+
+def reference_power(a, n):
+    """a^n as the identity times a, n times."""
+    out = Matrix.identity(a.field, a.nrows)
+    for _ in range(n):
+        out = reference_mul(out, a)
+    return out
+
+
 def reference_dense_rref(m):
     """(echelon Matrix, pivots): first-nonzero pivoting over whole rows."""
     _, sub, mul, inv = _field_ops(m.field)

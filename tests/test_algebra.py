@@ -259,3 +259,32 @@ def test_long_truncation_looks_up_each_node_about_once(monkeypatch):
         "field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate 640\n"))
     assert alg.dimension == 640
     assert len(calls) <= 2 * 641
+
+
+def _arrows_of_paths_built(monkeypatch, n):
+    """The arrows held by every quiver.Path built with k[x]/(x^n) over F_3,
+    and the algebra."""
+    built = [0]
+    post_init = Path.__post_init__
+
+    def counting(path):
+        built[0] += len(path.arrows)
+        post_init(path)
+
+    monkeypatch.setattr(Path, "__post_init__", counting)
+    alg = PresentedAlgebra.from_source(parse(
+        f"field F 3\nquiver\n  vertex v\n  arrow x: v -> v\ntruncate {n}\n"))
+    assert alg.dimension == n and alg.paths_from == {"v": {"v": list(range(n))}}
+    assert [rel.terms[0][1].length for rel in alg.generating_relations()] == [n]
+    return built[0], alg
+
+
+def test_building_a_long_truncation_grows_linearly(monkeypatch):
+    # one Path per tree node, each copying its parent's arrows, made the
+    # build quadratic in the bound (4x from x^320 to x^640); now only the
+    # generator path x^n is built, and the basis paths on first read
+    small, _ = _arrows_of_paths_built(monkeypatch, 320)
+    large, alg = _arrows_of_paths_built(monkeypatch, 640)
+    assert large <= 2.5 * small
+    assert alg.has_basis and "basis" not in vars(alg)
+    assert [p.length for p in alg.basis] == list(range(640))

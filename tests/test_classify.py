@@ -488,6 +488,46 @@ def test_ladder_top_elimination_grows_linearly():
     assert _elimination_calls_in_ladder_checks(160) <= 2.5 * _elimination_calls_in_ladder_checks(80)
 
 
+class _FrozenRow(dict):
+    """A Matrix row whose every in-place change raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a row held by a Matrix was changed")
+
+    __setitem__ = __delitem__ = update = pop = popitem = setdefault = clear = __ior__ = _refuse
+
+
+def test_no_matrix_row_is_changed_after_construction(monkeypatch):
+    # results share row dicts with their operands (a product's unit row is a
+    # row of the other factor), so a row changed in place would change every
+    # matrix that holds it: here every row a Matrix holds is frozen, and every
+    # dict a Matrix was built from must still equal the row it gave
+    from defring.linalg import Matrix
+    given_rows = []
+    init = Matrix.__init__
+
+    def frozen_init(self, field, nrows, ncols, rows):
+        held = []
+        for row in rows:
+            if type(row) is not _FrozenRow:
+                frozen = _FrozenRow(row)
+                given_rows.append((row, frozen))
+                row = frozen
+            held.append(row)
+        init(self, field, nrows, ncols, held)
+
+    monkeypatch.setattr(Matrix, "__init__", frozen_init)
+    kx40 = read_corpus("kx2_f5.alg").replace("field F 5", "field F 3").replace("truncate 2",
+                                                                               "truncate 40")
+    cases = [(read_corpus(name), module, None) for name, module in CORPUS_MODULES]
+    cases += [(kx40, "V", 40), (read_corpus("kronecker_q.alg"), "M11", 20)]
+    for text, module, max_order in cases:
+        config = ClassifyConfig(max_order=max_order) if max_order else None
+        report = classify(parse(text), module, config)
+        assert verify_report(text, module, serialize_report(report)).ok, module
+    assert given_rows and all(row == frozen for row, frozen in given_rows)
+
+
 def _builds_per_pair(calls):
     """How often hom_equations(M, N) was built for each pair, in first-call order."""
     per_pair = {}

@@ -22,8 +22,9 @@ from defring.linalg import (
 from defring.rep import MapLayout
 from helpers import (CORPUS, columns_matrix, dense, dense_to_matrix, load_algebra,
                      reference_complement_representatives,
-                     reference_kernel_basis, reference_mul, reference_reduce_mod_rows,
-                     reference_dense_rref, reference_row_space, reference_rref, reference_solve_affine,
+                     reference_add, reference_kernel_basis, reference_mul, reference_power,
+                     reference_reduce_mod_rows, reference_dense_rref, reference_row_space,
+                     reference_rref, reference_scale, reference_solve_affine, reference_sub,
                      paths_up_to, sparse)
 
 F3 = FieldSpec.prime(3)
@@ -222,11 +223,8 @@ def power_case(draw):
 @given(power_case())
 def test_power_matches_repeated_reference_product(case):
     a, n = case
-    expected = Matrix.identity(a.field, a.nrows)
-    for _ in range(n):
-        expected = reference_mul(expected, a)
     result = a.power(n)
-    assert result == expected
+    assert result == reference_power(a, n)
     assert canonical(a.field, flat(result))
 
 
@@ -482,9 +480,6 @@ def test_matrices_store_no_zero_and_only_canonical_values(case, e):
     b = mat(field, other_rows) if n else Matrix.zeros(field, 0, m)
     right = mat(field, right_rows) if m else Matrix.zeros(field, 0, 0)
     square = a.transpose() * a
-    expected = Matrix.identity(field, m)
-    for _ in range(e):
-        expected = reference_mul(expected, square)
     results = [a, b, right, columns_matrix(field, n, columns), a + b, a - b, a - a, -a,
                a.scale(c), a.scale(0), a * right, square, square.power(e), a.transpose(),
                a.hstack(b), rref(a).matrix, rref(a.hstack(b)).matrix,
@@ -513,4 +508,70 @@ def test_matrices_store_no_zero_and_only_canonical_values(case, e):
     assert layout.unpack(packed) == {"a": a, "b": b, "right": right}
     assert a * right == reference_mul(a, right)
     assert square == reference_mul(a.transpose(), a)
-    assert square.power(e) == expected
+    assert square.power(e) == reference_power(square, e)
+
+
+@st.composite
+def row_kinds(draw):
+    """A field of F_2, F_3, F_5 and Q, and a maker of nrows x ncols matrices
+    whose rows are zero rows, unit rows (one entry 1), single-entry rows,
+    random rows, or repeats of an earlier row of the same matrix, that same
+    dict or a copy; three sizes and a scalar."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), F3, F5, Q]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def value():
+        if field.p is None:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        return rng.randrange(1, field.p)
+
+    def matrix(nrows, ncols):
+        rows = []
+        for _ in range(nrows):
+            kind = rng.choice(["zero", "unit", "single", "random", "repeat"] if ncols else ["zero"])
+            if kind == "repeat" and rows:
+                row = rng.choice(rows)
+                rows.append(row if rng.random() < 0.5 else dict(row))
+                continue
+            cols = {"zero": 0, "unit": 1, "single": 1}.get(kind, rng.randint(0, ncols))
+            row = {j: value() for j in sorted(rng.sample(range(ncols), cols))}
+            rows.append({j: field.one() for j in row} if kind == "unit" else row)
+        return Matrix(field, nrows, ncols, rows)
+
+    scalars = [0, 1, -1, 2, 7] + ([Fraction(2, 3)] if field.p is None else [])
+    return (field, matrix, draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 7)),
+            draw(st.sampled_from(scalars)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_kinds(), st.integers(0, 4))
+def test_one_pass_arithmetic_matches_boxed_references(case, k):
+    # unit rows are taken by reference and zero rows take the other side's
+    # row: every result must still be the reference's, held canonically, and
+    # no operand may change
+    field, matrix, n, m, t, c = case
+    a, b, right, square = matrix(n, m), matrix(n, m), matrix(m, t), matrix(m, m)
+    operands = [a, b, right, square]
+    before = [[dict(row) for row in x.rows] for x in operands]
+    results = [(a * right, reference_mul(a, right)), (a + b, reference_add(a, b)),
+               (a - b, reference_sub(a, b)), (-a, reference_scale(a, -1)),
+               (a.scale(c), reference_scale(a, c)), (b + a, reference_add(b, a)),
+               (a - a, Matrix.zeros(field, n, m))]
+    calls = [0]
+    product = Matrix.__mul__
+
+    def counting(x, y):
+        calls[0] += 1
+        return product(x, y)
+
+    for e in range(2**k + 2):
+        calls[0] = 0
+        with mock.patch.object(Matrix, "__mul__", counting):
+            result = square.power(e)
+        # floor(log2 e) squarings and popcount(e) - 1 products by square
+        assert calls[0] == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0), e
+        results.append((result, reference_power(square, e)))
+    for result, reference in results:
+        assert result == reference
+        assert stores_only_nonzero_canonical_values(result)
+    assert [[dict(row) for row in x.rows] for x in operands] == before
