@@ -60,7 +60,6 @@ from .rep import (
     IsoResult,
     Representation,
     deformation_system,
-    direct_sum,
     ext1_cocycle,
     ext1_dim,
     ext1_hereditary,
@@ -70,9 +69,7 @@ from .rep import (
     hom_stable,
     iso_test,
     projective_cover,
-    radical,
     syzygy,
-    top,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +105,6 @@ __all__ = [
     "as_representation",
     "classify",
     "deformation_system",
-    "direct_sum",
     "enumerate_lifts",
     "ext1_cocycle",
     "ext1_dim",
@@ -126,7 +122,6 @@ __all__ = [
     "parse",
     "print_source",
     "projective_cover",
-    "radical",
     "report_to_text",
     "residual_coefficients",
     "serialize_report",
@@ -134,7 +129,6 @@ __all__ = [
     "stable_end_note",
     "syzygy",
     "tangent_dimension",
-    "top",
     "validate",
     "verify_ladder",
     "verify_report",

@@ -32,10 +32,11 @@ class Lift:
     A lift also holds the t-series of its algebra's generator prefixes
     (algebra.prefixes, the path-tree nodes that prefix some generator path),
     through degree order: series[d] maps each node whose t^d coefficient is
-    nonzero, that path evaluated at the arrow polynomials, to it.  The
-    constructor grows them degree by degree and `extended` adds the one new
-    degree, so a residual is read off rather than re-expanded.  support
-    lists per arrow the degrees of its nonzero coefficients.
+    nonzero, that path evaluated at the arrow polynomials, to it.  Degree 0
+    is the base's own prefix_values; the constructor grows the others degree
+    by degree and `extended` adds the one new degree, so a residual is read
+    off rather than re-expanded.  support lists per arrow the degrees of its
+    nonzero coefficients.
     """
 
     def __init__(self, base: Representation, order: int, coeffs: dict):
@@ -53,8 +54,8 @@ class Lift:
         self.field = base.field
         self.support = {name: [i for i, m in enumerate(series) if not m.is_zero()]
                         for name, series in self.coeffs.items()}
-        self.series = []
-        for d in range(order + 1):
+        self.series = [base.prefix_values]
+        for d in range(1, order + 1):
             self.series.append(_series_degree(self, d))
 
     @classmethod
@@ -99,12 +100,14 @@ class Lift:
 
 
 def _series_degree(lift: Lift, d: int) -> dict:
-    """The nonzero t^d coefficients of the generator prefixes, {node: value}.
+    """The nonzero t^d coefficients of the generator prefixes, {node: value},
+    for d >= 1 (degree 0 is the base's prefix_values).
 
     Node (parent, arrow) has coefficient sum_i C_i * parent_(d-i), C_i the
     arrow's degree-i coefficient, so a prefix is visited, in tree order, only
     when its parent is nonzero at d - i for some i in the arrow's support:
-    read from lift.series for i > 0, and found in this pass for i = 0.
+    read from lift.series for i > 0, and found in this pass for i = 0.  A
+    trivial path is 0 in every degree above 0, so no root is visited.
     """
     tree, prefixes = lift.base.algebra.tree, lift.base.algebra.prefixes
     if not prefixes:  # no generator path to evaluate
@@ -112,22 +115,18 @@ def _series_degree(lift: Lift, d: int) -> dict:
     terms = {name: [(i, lift.coeffs[name][i]) for i in degrees if i <= d]
              for name, degrees in lift.support.items()}
     now = [name for name, pairs in terms.items() if pairs and pairs[0][0] == 0]  # C_0 nonzero
-    queue = [node for node in prefixes if tree.parents[node] < 0] if d == 0 else []
-    queue += [child for name, pairs in terms.items() for i, _ in pairs if i
-              for node in lift.series[d - i] if (child := tree.nodes.get((node, name))) in prefixes]
+    queue = [child for name, pairs in terms.items() for i, _ in pairs if i
+             for node in lift.series[d - i] if (child := tree.nodes.get((node, name))) in prefixes]
     heapq.heapify(queue)
     out = {}
     while queue:
         node = heapq.heappop(queue)
         if node in out:  # queued more than once
             continue
-        parent, step = tree.parents[node], tree.steps[node]
-        if parent < 0:
-            products = [Matrix.identity(lift.field, lift.base.dims[step])]
-        else:
-            products = [coeff * factor for i, coeff in terms[step.name]
-                        if (factor := (lift.series[d - i] if i else out).get(parent)) is not None]
-        if products and not (value := functools.reduce(Matrix.__add__, products)).is_zero():
+        parent = tree.parents[node]
+        products = [coeff * factor for i, coeff in terms[tree.steps[node].name]
+                    if (factor := (lift.series[d - i] if i else out).get(parent)) is not None]
+        if not (value := functools.reduce(Matrix.__add__, products)).is_zero():
             out[node] = value
             for name in now:
                 if (child := tree.nodes.get((node, name))) in prefixes:
@@ -158,11 +157,12 @@ def combination(field, nrows: int, ncols: int, terms, values: dict) -> Matrix:
 
 
 def validate(rep: Representation) -> list:
-    """Labels of violated ideal generators, empty for a valid module: the
-    nonzero degree-0 residuals of its trivial lift, each prefix evaluated once."""
-    residuals = residual_coefficients(Lift.trivial(rep), 0)
-    return [rel.label() for rel, block in zip(rep.algebra.generating_relations(), residuals)
-            if not block.is_zero()]
+    """Labels of violated ideal generators, empty for a valid module: each
+    generator's terms combined from rep.prefix_values, its one fold."""
+    algebra, dims = rep.algebra, rep.dims
+    return [rel.label() for rel, terms in zip(algebra.generating_relations(), algebra.generator_terms)
+            if not combination(rep.field, dims[rel.target], dims[rel.source], terms,
+                               rep.prefix_values).is_zero()]
 
 
 def residuals_vanish(lift: Lift, j: int) -> bool:
@@ -192,10 +192,6 @@ class Obstruction:
     residuals: list  # (generator label, Matrix)
     rank_coefficient: int
     rank_augmented: int
-
-    @property
-    def certifies(self) -> bool:
-        return self.rank_augmented > self.rank_coefficient
 
 
 def extend_step(lift: Lift):

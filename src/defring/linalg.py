@@ -12,8 +12,7 @@ operands (a product's row with one entry 1 is a row of the other factor),
 so nothing changes a Matrix or its rows after construction.  `*` visits
 only nonzero entries; `power` squares and multiplies with it.  Every
 vector taken or handed out is held as a row is, an {index: value} dict of
-nonzero canonical values; `row`, `column`, `tolist` and `apply` are dense
-read-outs, for printing and tests.
+nonzero canonical values; `row` is the one dense read-out, for printing.
 
 Linear systems are row-reduced sparsely by one kernel, the forward pass
 `echelon`; a rank or a span to reduce against needs nothing more, and
@@ -38,14 +37,6 @@ def _canonical(field: FieldSpec, entries) -> list:
     if p is None:
         return [x if x.__class__ is Fraction else scalar(x) for x in entries]
     return [x % p if x.__class__ is int else scalar(x) for x in entries]
-
-
-def _dense(row: dict, ncols: int, zero) -> list:
-    """The ncols values of a sparse row."""
-    out = [zero] * ncols
-    for j, x in row.items():
-        out[j] = x
-    return out
 
 
 def _scaled(row: dict, c, p) -> dict:
@@ -112,15 +103,8 @@ class Matrix:
         return self.rows[i].get(j, self.field.zero())
 
     def row(self, i: int) -> tuple:
-        return tuple(_dense(self.rows[i], self.ncols, self.field.zero()))
-
-    def column(self, j: int) -> tuple:
-        zero = self.field.zero()
-        return tuple(row.get(j, zero) for row in self.rows)
-
-    def tolist(self) -> list:
-        zero = self.field.zero()
-        return [_dense(row, self.ncols, zero) for row in self.rows]
+        zero, row = self.field.zero(), self.rows[i]
+        return tuple(row.get(j, zero) for j in range(self.ncols))
 
     def __eq__(self, other):
         return (
@@ -216,19 +200,6 @@ class Matrix:
             for j, x in row.items():
                 columns[j][i] = x
         return Matrix(self.field, self.ncols, self.nrows, columns)
-
-    def apply(self, v) -> tuple:
-        assert len(v) == self.ncols
-        p = self.field.p
-        out = []
-        for row in self.rows:
-            acc = self.field.zero()
-            for j, a in row.items():
-                x = v[j]
-                if x:
-                    acc += a * x
-            out.append(acc % p if p else acc)
-        return tuple(out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.field == other.field
@@ -387,22 +358,6 @@ def solve_affine(a: Matrix, b: dict) -> AffineSolutionSpace:
         return AffineSolutionSpace(False, None, ech.rank - 1, ech.rank)
     x = {c: row[n] for row, c in zip(ech.rows, ech.pivots) if n in row}
     return AffineSolutionSpace(True, x, ech.rank, ech.rank)
-
-
-def solve_matrix(a: Matrix, b: Matrix):
-    """Solve A X = B with one row reduction of [A | B]; None when any column
-    of B is out of reach, i.e. when a pivot lies in B's columns.  Column j
-    of X is what solve_affine(A, B[:, j]) gives: the rows of rref([A | B])
-    restricted to [A | B[:, j]] are rref([A | B[:, j]])."""
-    assert a.nrows == b.nrows
-    n = a.ncols
-    ech = rref(a.hstack(b))
-    if ech.pivots and ech.pivots[-1] >= n:
-        return None
-    rows = [{} for _ in range(n)]
-    for row, c in zip(ech.rows, ech.pivots):
-        rows[c] = {j - n: x for j, x in row.items() if j >= n}
-    return Matrix(a.field, n, b.ncols, rows)
 
 
 def row_space(vectors: list, field: FieldSpec, width: int) -> RowEchelon:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lift import Lift, as_representation, is_valid, residual_coefficients, residuals_vanish
-from .linalg import _add_scaled, in_row_span
+from .linalg import _add_scaled, in_row_span, rank
 from .rep import DeformationSystem, Representation, arrow_layout, iso_test
 
 DEFAULT_BUDGET = 10**7
@@ -30,12 +30,6 @@ class BudgetExceeded(Exception):
         self.what = what
         self.needed = needed
         self.budget = budget
-
-
-def coefficient_slots(v: Representation) -> list:
-    """Matrix entry positions of one degree, (arrow, row, column), in the
-    order of the deformation system's coordinates: arrow then row-major."""
-    return arrow_layout(v, v).slots
 
 
 def lift_from_point(v: Representation, order: int, point: tuple) -> Lift:
@@ -110,20 +104,12 @@ class EnumerationResult:
     unknown_points: list  # points whose comparison stayed inconclusive
 
 
-def valid_point_set(v: Representation, order: int,
-                    budget: int = DEFAULT_BUDGET) -> list:
-    """Just the sorted valid coefficient tuples, skipping iso grouping."""
-    return _valid_points(v, order, budget)[1]
-
-
 def _rank_profile(rep: Representation) -> tuple:
     """Iso invariant used to avoid pairwise tests across obvious non-isos.
 
     A module isomorphism conjugates each arrow matrix by invertible maps,
     so ranks of arrow matrices (and of arrow powers on loops) must agree.
     """
-    from .linalg import rank
-
     parts = [rep.dim_vector]
     for a in rep.algebra.quiver.arrows:
         m = rep.mats[a.name]

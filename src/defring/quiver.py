@@ -142,20 +142,6 @@ class Quiver:
     def arrows_into(self, v: str):
         return [a for a in self.arrows if a.target == v]
 
-    def path(self, arrow_names) -> Path:
-        """Compose named arrows in application order."""
-        arrows = []
-        for name in arrow_names:
-            if name not in self.arrow_by_name:
-                raise KeyError(name)
-            arrows.append(self.arrow_by_name[name])
-        if not arrows:
-            raise ValueError("empty path needs a vertex")
-        p = Path((arrows[0],), arrows[0].source, arrows[0].target)
-        for a in arrows[1:]:
-            p = p.then(Path((a,), a.source, a.target))
-        return p
-
     def __eq__(self, other):
         return (
             isinstance(other, Quiver)

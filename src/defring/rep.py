@@ -31,9 +31,7 @@ from .linalg import (
     rank,
     row_space,
     solve_affine,
-    solve_matrix,
 )
-from .quiver import Path
 
 
 class NotHereditary(Exception):
@@ -51,6 +49,10 @@ class Representation:
         self.algebra = algebra
         self.field = algebra.field
         quiver = algebra.quiver
+        unknown = ([f"vertex {v}" for v in dims if v not in quiver.vertex_set]
+                   + [f"arrow {a}" for a in mats if a not in quiver.arrow_by_name])
+        if unknown:
+            raise ValueError(f"unknown {', '.join(unknown)}")
         self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
         for v, d in self.dims.items():
             if d < 0:
@@ -65,9 +67,8 @@ class Representation:
                     f"matrix for {a.name} must be {self.dims[a.target]}x{self.dims[a.source]}, "
                     f"got {m.nrows}x{m.ncols}")
             self.mats[a.name] = m
-        self._yoneda = {}  # (vertex, *columns) -> the maps of _yoneda_maps, evaluated once
+        self._yoneda = {}  # (vertex, *columns) -> the maps of yoneda_homs, evaluated once
         self._systems = {}  # id(n) -> (weak reference to n, DeformationSystem(self, n))
-        self._prefixes = None  # node -> M(node), filled by prefix_value
         self._suffixes = {}  # arrow names of a generator path's suffix -> N(suffix), None if zero
 
     @classmethod
@@ -88,20 +89,26 @@ class Representation:
         return {v: sorted(set(range(self.dims[v])).difference(rad.pivots))
                 for v, rad in radical_subspaces(self).items()}
 
+    @cached_property
+    def prefix_values(self) -> dict:
+        """{node: M(node)} at every generator prefix (algebra.prefixes, the
+        generator paths included) whose value is nonzero: one fold in tree
+        order on first use, one product per node whose parent's value is
+        nonzero.  It is the degree-0 series of every lift of M, and validate
+        and the deformation equations read it."""
+        tree, values = self.algebra.tree, {}
+        for node in sorted(self.algebra.prefixes):
+            parent, step = tree.parents[node], tree.steps[node]
+            if parent < 0 or parent in values:
+                value = (Matrix.identity(self.field, self.dims[step]) if parent < 0
+                         else self.mats[step.name] * values[parent])
+                if not value.is_zero():
+                    values[node] = value
+        return values
+
     def prefix_value(self, node: int):
-        """M(node), None when zero, at a node that a generator prefix extends:
-        all are folded on first use, one product per node whose parent's value
-        is nonzero, and kept.  The deformation equations read M through it."""
-        if self._prefixes is None:
-            tree, self._prefixes = self.algebra.tree, {}
-            for inner in sorted({tree.parents[p] for p in self.algebra.prefixes} - {-1}):
-                parent, step = tree.parents[inner], tree.steps[inner]
-                if parent < 0 or parent in self._prefixes:
-                    value = (Matrix.identity(self.field, self.dims[step]) if parent < 0
-                             else self.mats[step.name] * self._prefixes[parent])
-                    if not value.is_zero():
-                        self._prefixes[inner] = value
-        return self._prefixes.get(node)
+        """M(node), None when zero, at a generator prefix."""
+        return self.prefix_values.get(node)
 
     def suffix_value(self, names: tuple):
         """N(u), None when zero, for u the named arrows (application order) of a
@@ -114,13 +121,6 @@ class Representation:
             self._suffixes[names] = None if value.is_zero() else value
         return self._suffixes[names]
 
-    def path_matrix(self, path: Path) -> Matrix:
-        """Evaluate a path: matrices compose right to left in application order."""
-        out = Matrix.identity(self.field, self.dims[path.source])
-        for a in path.arrows:
-            out = self.mats[a.name] * out
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Representation)
@@ -131,10 +131,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
-
-
-def direct_sum(m: Representation, n: Representation) -> Representation:
-    return direct_sum_many([m, n])
 
 
 def direct_sum_many(parts: list) -> Representation:
@@ -364,7 +360,7 @@ def iso_test(m: Representation, n: Representation) -> IsoResult:
 
 
 # ----------------------------------------------------------------------
-# radical, top, subquotients
+# radical
 
 
 def radical_subspaces(m: Representation) -> dict:
@@ -377,57 +373,24 @@ def radical_subspaces(m: Representation) -> dict:
             for v in quiver.vertices}
 
 
-def sub_from_maps(m: Representation, bases: dict) -> Representation:
-    """Subrepresentation spanned by the given sparse vectors; must be arrow-stable."""
-    incl = {}
-    for v in m.algebra.quiver.vertices:
-        vecs = bases.get(v, [])
-        incl[v] = Matrix(m.field, len(vecs), m.dims[v], vecs).transpose()
-        if vecs and rank(incl[v]) != len(vecs):
-            raise ValueError(f"vectors at vertex {v} are dependent")
-    mats = {}
-    for a in m.algebra.quiver.arrows:
-        x = solve_matrix(incl[a.target], m.mats[a.name] * incl[a.source])
-        if x is None:
-            raise NotInvariant(f"subspace not stable under arrow {a.name}")
-        mats[a.name] = x
-    return Representation(m.algebra, {v: mat.ncols for v, mat in incl.items()}, mats)
-
-
-def radical(m: Representation) -> Representation:
-    return sub_from_maps(m, {v: rad.rows for v, rad in radical_subspaces(m).items()})
-
-
-def top(m: Representation) -> Representation:
-    """M modulo its radical; every arrow acts by zero there."""
-    return Representation(m.algebra, {v: len(c) for v, c in m.top_columns.items()}, {})
-
-
 # ----------------------------------------------------------------------
 # projective cover and syzygy
 
 
 def projective_cover(m: Representation):
-    """Smallest projective mapping onto M: (P, cover, summands).
+    """Smallest projective mapping onto M: (P, cover, parts, kernels).
 
-    One projective summand Λe_v per top column c of M_v, summands listing
-    their vertices v in order; the cover on that summand is the Yoneda map
-    yoneda_homs(v, M)[c], which sends e_v to e_c, and the cover at w puts
-    the summands' blocks side by side.  Each cover[w] is row-reduced once,
-    for its kernel, whose dimension dim P_w - dim M_w certifies it onto.
+    One projective summand Λe_v per top column c of M_v; parts lists per
+    summand, in order, its vertex v and the cover's map on it, the Yoneda map
+    yoneda_homs(v, M, top columns)[c], which sends e_v to e_c.  The cover at
+    w puts the summands' blocks side by side.  Each cover[w] is row-reduced
+    once, for kernels[w], its echelon kernel: its dimension dim P_w - dim M_w
+    certifies the cover onto, and it is ΩM's basis at w.
     """
-    p, cover, parts, _ = _cover(m)
-    return p, cover, [v for v, _ in parts]
-
-
-def _cover(m: Representation):
-    """(P, cover, parts, kernels): projective_cover's P and cover, per summand
-    (its vertex, the cover's map on it), and per w the echelon kernel of
-    cover[w], which certifies the cover onto and is ΩM's basis at w."""
     m.algebra.require_basis("projective cover")
     algebra = m.algebra
     parts = [(v, phi) for v, columns in m.top_columns.items() if columns
-             for phi in _yoneda_maps(v, m, columns)]
+             for phi in yoneda_homs(v, m, columns)]
     p = (direct_sum_many([algebra.left_projective(v) for v, _ in parts]) if parts
          else Representation(algebra, {}, {}))
     cover, kernels = {}, {}
@@ -440,24 +403,19 @@ def _cover(m: Representation):
     return p, cover, parts, kernels
 
 
-def yoneda_homs(v: str, n: Representation) -> list:
-    """A basis of Hom(Λe_v, N), Λe_v = algebra.left_projective(v) (Yoneda:
-    Hom(Λe_v, N) ≅ e_vN), read off N without solving a system: the map for
-    basis vector e_i of N_v sends the basis path q of Λe_v to N(q)e_i.  The
-    maps are homomorphisms when N satisfies the relations.
-    """
-    return _yoneda_maps(v, n, range(n.dims[v]))
-
-
-def _yoneda_maps(v: str, n: Representation, columns) -> list:
-    """The maps of yoneda_homs(v, N) for the basis vectors e_c of N_v, c in
-    columns, evaluated once per (v, columns) and kept on N: so a cover reads
-    only its top columns.  N's basis-path values on them come from one pass
-    over the basis nodes from v in tree order, as the basis paths are closed
-    under prefixes; a path through a zero value is zero, so one product is
-    taken per basis path whose parent's value is nonzero.  The values are
-    held transposed, N(q)ᵀ restricted to the columns, so each product costs
-    the nonzeros it meets."""
+def yoneda_homs(v: str, n: Representation, columns) -> list:
+    """The maps Λe_v -> N, Λe_v = algebra.left_projective(v), of the basis
+    vectors e_c of N_v, c in columns (Yoneda: Hom(Λe_v, N) ≅ e_vN, so all
+    columns give a basis), read off N without solving a system: the map of
+    e_c sends the basis path q of Λe_v to N(q)e_c.  The maps are
+    homomorphisms when N satisfies the relations.  They are evaluated once
+    per (v, columns) and kept on N: so a cover reads only its top columns.
+    N's basis-path values on them come from one pass over the basis nodes
+    from v in tree order, as the basis paths are closed under prefixes; a
+    path through a zero value is zero, so one product is taken per basis
+    path whose parent's value is nonzero.  The values are held transposed,
+    N(q)ᵀ restricted to the columns, so each product costs the nonzeros it
+    meets."""
     if (key := (v, *columns)) in n._yoneda:
         return n._yoneda[key]
     field, algebra, tree = n.field, n.algebra, n.algebra.tree
@@ -482,7 +440,7 @@ def syzygy_data(m: Representation):
     rows of incl[w]}).  Each vector of ΩM's basis at w, the echelon kernel of
     cover[w], is 1 at its free column and 0 at the others: so ΩM's X for a:
     s -> t is P_a·incl_s at cover[t]'s free columns, if incl_t·X is that."""
-    p, _, parts, kernels = _cover(m)
+    p, _, parts, kernels = projective_cover(m)
     field, algebra = m.field, m.algebra
     incl = {w: Matrix(field, len(k), p.dims[w], k).transpose() for w, k in kernels.items()}
     mats = {}
@@ -522,7 +480,7 @@ def ext1_syzygy(m: Representation, n: Representation) -> int:
     blocks, omega, _ = syzygy_data(m)
     layout, delta = hom_equations(omega, n)
     image = [layout.pack({w: phi[w] * block[w] for w in block})
-             for v, block in blocks for phi in yoneda_homs(v, n)]
+             for v, block in blocks for phi in yoneda_homs(v, n, range(n.dims[v]))]
     return layout.total - rank(delta) - rank(Matrix(m.field, len(image), layout.total, image))
 
 
@@ -581,12 +539,12 @@ def hom_stable(m: Representation, n: Representation) -> int:
 
     Every map factoring through any projective factors through the cover
     P(N) = ⊕ Λe_v of N, so the projectively-trivial maps are the composites
-    yoneda_homs(v, N)[c] ∘ t, c a top column of N at v and t a basis map of
-    Hom(M, Λe_v), solved once per vertex v with top columns; no P(N) is
-    built, and N's top columns and Yoneda maps are those its cover reads,
-    kept on N.  dim Hom(M, N) is counted, not solved, as the number of
-    unknowns less the rank of δ = hom_equations(M, N), which is the rank of
-    the coboundaries of (m, n)'s DeformationSystem.
+    φ ∘ t, φ in yoneda_homs(v, N, columns), columns the top columns of N at
+    v, and t a basis map of Hom(M, Λe_v), solved once per vertex v with top
+    columns; no P(N) is built, and N's top columns and Yoneda maps are those
+    its cover reads, kept on N.  dim Hom(M, N) is counted, not solved, as
+    the number of unknowns less the rank of δ = hom_equations(M, N), which
+    is the rank of the coboundaries of (m, n)'s DeformationSystem.
     """
     m.algebra.require_basis("stable Hom")
     system = deformation_system(m, n)
@@ -594,7 +552,7 @@ def hom_stable(m: Representation, n: Representation) -> int:
     image = [layout.pack({w: phi[w] * t[w] for w in t})
              for v, columns in n.top_columns.items() if columns
              for t in hom_basis(m, m.algebra.left_projective(v)).basis
-             for phi in _yoneda_maps(v, n, columns)]
+             for phi in yoneda_homs(v, n, columns)]
     return layout.total - system.coboundaries.rank - rank(Matrix(m.field, len(image), layout.total, image))
 
 

@@ -6,15 +6,16 @@ from pathlib import Path
 from defring import PresentedAlgebra, Representation, parse
 import itertools
 
+from defring import linalg
 from defring.dsl import ParseError, Token
 
 from defring.lift import LadderCheck, LadderTranscript, Lift, as_representation, is_valid
 from defring.linalg import (Matrix, RowEchelon, _subtract_multiple, in_row_span, kernel_basis, rank,
-                            reduce_mod_rows, row_space, solve_matrix)
-from defring.oracle import coefficient_slots, lift_from_point
+                            reduce_mod_rows, row_space)
+from defring.oracle import lift_from_point
 from defring.quiver import Path as QuiverPath
-from defring.rep import (DeformationSystem, MapLayout, NotInvariant, direct_sum_many, hom_basis,
-                         is_homomorphism, projective_cover, radical_subspaces, sub_from_maps,
+from defring.rep import (DeformationSystem, MapLayout, NotInvariant, arrow_layout, direct_sum_many,
+                         hom_basis, is_homomorphism, projective_cover, radical_subspaces,
                          syzygy_data)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -81,6 +82,39 @@ def sparse(values):
     return {i: x for i, x in enumerate(values) if x}
 
 
+def tolist(m):
+    """The rows of a Matrix as lists of values, zeros filled in."""
+    return [list(m.row(i)) for i in range(m.nrows)]
+
+
+def column(m, j):
+    """Column j of a Matrix as a tuple of values, zeros filled in."""
+    return tuple(row.get(j, m.field.zero()) for row in m.rows)
+
+
+def apply(m, values):
+    """m times the column of values, as a tuple of field values."""
+    assert len(values) == m.ncols
+    scalar = m.field.scalar
+    return tuple(scalar(sum(x * values[j] for j, x in row.items())) for row in m.rows)
+
+
+def solve_matrix(a, b):
+    """Solve A X = B with one row reduction of [A | B]; None when any column
+    of B is out of reach, i.e. when a pivot lies in B's columns.  Column j
+    of X is what solve_affine(A, B[:, j]) gives: the rows of rref([A | B])
+    restricted to [A | B[:, j]] are rref([A | B[:, j]])."""
+    assert a.nrows == b.nrows
+    n = a.ncols
+    ech = linalg.rref(a.hstack(b))
+    if ech.pivots and ech.pivots[-1] >= n:
+        return None
+    rows = [{} for _ in range(n)]
+    for row, c in zip(ech.rows, ech.pivots):
+        rows[c] = {j - n: x for j, x in row.items() if j >= n}
+    return Matrix(a.field, n, b.ncols, rows)
+
+
 def columns_matrix(field, nrows, columns):
     """The nrows x len(columns) matrix whose columns are the given value lists."""
     if not columns:
@@ -122,6 +156,24 @@ def paths_up_to(quiver, max_length):
         frontier = nxt
         if not frontier:
             break
+    return out
+
+
+def quiver_path(quiver, names):
+    """The path of the named arrows, in application order."""
+    arrows = tuple(quiver.arrow_by_name[name] for name in names)
+    for a, b in zip(arrows, arrows[1:]):
+        if a.target != b.source:
+            raise ValueError(f"{a.name} then {b.name} do not compose")
+    return QuiverPath(arrows, arrows[0].source, arrows[-1].target)
+
+
+def path_matrix(m, path):
+    """M(path): the arrow matrices multiplied out, right to left in
+    application order, from the identity at the path's source."""
+    out = Matrix.identity(m.field, m.dims[path.source])
+    for a in path.arrows:
+        out = m.mats[a.name] * out
     return out
 
 
@@ -171,7 +223,7 @@ def reference_residual_coefficients(lift, j):
 def reference_valid_points(v, order):
     """Every coefficient tuple of degrees 1..order, filtered by the reference
     residuals: (number of points, valid points in lexicographic order)."""
-    width = len(coefficient_slots(v))
+    width = arrow_layout(v, v).total
     valid = []
     for point in itertools.product(range(v.field.p), repeat=width * order):
         lift = lift_from_point(v, order, point)
@@ -184,7 +236,7 @@ def reference_valid_points(v, order):
 def reference_hom_stable(m, n):
     """hom_stable with Hom(M, N) solved as a kernel basis and Hom(M, P(N))
     solved as one system against the whole projective cover P(N) of N."""
-    p, cover, _ = projective_cover(n)
+    p, cover, _, _ = projective_cover(n)
     hom_mn = hom_basis(m, n)
     hom_mp = hom_basis(m, p)
     layout = hom_mn.layout
@@ -206,7 +258,7 @@ def reference_left_projective(algebra, v):
     for a in algebra.quiver.arrows:
         cols = []
         for p in by_vertex[a.source]:
-            extended = p.then(algebra.quiver.path([a.name]))
+            extended = p.then(quiver_path(algebra.quiver, [a.name]))
             reduced = dense(algebra.reduce_path(extended), algebra.dimension)
             col = [field.zero()] * dims[a.target]
             for j, coeff in enumerate(reduced):
@@ -238,7 +290,7 @@ def reference_projective_cover(m):
     p = direct_sum_many(summands) if summands else Representation(algebra, {}, {})
     cover = {}
     for w in quiver.vertices:
-        cols = [list(m.path_matrix(q).apply(u)) for v, u in lifts
+        cols = [list(apply(path_matrix(m, q), u)) for v, u in lifts
                 for q in algebra.basis if q.source == v and q.target == w]
         cover[w] = columns_matrix(field, m.dims[w], cols)
     return p, cover, [v for v, _ in lifts]
@@ -255,6 +307,24 @@ def reference_syzygy_data(m):
     bases = {w: kernel_basis(cover[w]) for w in vertices}
     incl = {w: Matrix(m.field, len(bases[w]), p.dims[w], bases[w]).transpose() for w in vertices}
     return sub_from_maps(p, bases), incl
+
+
+def sub_from_maps(m, bases):
+    """Subrepresentation spanned by the given sparse vectors, its arrows
+    solved from the inclusion; raises NotInvariant unless arrow-stable."""
+    incl = {}
+    for v in m.algebra.quiver.vertices:
+        vecs = bases.get(v, [])
+        incl[v] = Matrix(m.field, len(vecs), m.dims[v], vecs).transpose()
+        if vecs and rank(incl[v]) != len(vecs):
+            raise ValueError(f"vectors at vertex {v} are dependent")
+    mats = {}
+    for a in m.algebra.quiver.arrows:
+        x = solve_matrix(incl[a.target], m.mats[a.name] * incl[a.source])
+        if x is None:
+            raise NotInvariant(f"subspace not stable under arrow {a.name}")
+        mats[a.name] = x
+    return Representation(m.algebra, {v: mat.ncols for v, mat in incl.items()}, mats)
 
 
 def reference_quotient(m, bases):
@@ -280,13 +350,13 @@ def reference_quotient(m, bases):
     for v in m.algebra.quiver.vertices:
         identity = Matrix.identity(field, m.dims[v])
         proj[v] = columns_matrix(field, len(free[v]),
-                                      [project(v, identity.column(j)) for j in range(m.dims[v])])
-        section[v] = columns_matrix(field, m.dims[v], [identity.column(f) for f in free[v]])
+                                      [project(v, column(identity, j)) for j in range(m.dims[v])])
+        section[v] = columns_matrix(field, m.dims[v], [column(identity, f) for f in free[v]])
     mats = {}
     for a in m.algebra.quiver.arrows:
         # stability check: each subspace vector must map into the target subspace
         for vec in bases.get(a.source, []):
-            image = m.mats[a.name].apply(dense(vec, m.dims[a.source]))
+            image = apply(m.mats[a.name], dense(vec, m.dims[a.source]))
             if not in_row_span(ech[a.target], sparse(image)):
                 raise NotInvariant(f"subspace not stable under arrow {a.name}")
         mats[a.name] = proj[a.target] * m.mats[a.name] * section[a.source]
@@ -468,9 +538,9 @@ def reference_shift_checks(field, blocks, ell):
     for _ in range(ell):
         power = reference_mul(power, shift)
     nonzero = not power.is_zero()
-    kernel = not any(shift.column(blocks - 1)) and rank(shift) == blocks - 1
+    kernel = not any(column(shift, blocks - 1)) and rank(shift) == blocks - 1
     # a nonzero matrix whose rows below the top one vanish has image <e_top>
-    image = nonzero and not any(x for row in power.tolist()[:-1] for x in row)
+    image = nonzero and not any(x for row in tolist(power)[:-1] for x in row)
     return reference_mul(power, shift).is_zero(), nonzero, kernel, image
 
 
@@ -679,7 +749,7 @@ def reference_hom_equations(m, n):
             for j in range(ds):
                 row = [zero] * layout.total
                 # (T_t M_a)[i, j] = sum_k T_t[i, k] M_a[k, j]
-                for k, x in enumerate(ma.column(j)):
+                for k, x in enumerate(column(ma, j)):
                     if x:
                         row[off_t + i * dt_cols + k] += x
                 # (N_a T_s)[i, j] = sum_l N_a[i, l] T_s[l, j]
@@ -714,7 +784,7 @@ def reference_coboundary_vectors(m, n):
                                 vec[off + i * width + c] = field.scalar(vec[off + i * width + c] + x)
                     if a.source == v:
                         # (N_a E_ij)[r, c] = N_a[r, i] delta(c, j)
-                        for r, x in enumerate(n.mats[a.name].column(i)):
+                        for r, x in enumerate(column(n.mats[a.name], i)):
                             if x:
                                 vec[off + r * width + j] = field.scalar(vec[off + r * width + j] - x)
                 out.append(tuple(vec))

@@ -14,7 +14,6 @@ from defring import (
     PresentedAlgebra,
     Representation,
     classify,
-    direct_sum,
     ext1_dim,
     ladder_search,
     parse,
@@ -27,7 +26,7 @@ from defring import (
 )
 from helpers import (CORPUS, SECOND_PRESENTATIONS, load_module, load_source, read_corpus,
                      reference_coboundary_vectors, retruncated, second_presentation,
-                     text_modules)
+                     solve_matrix, text_modules)
 
 
 def run(name, module, **kw):
@@ -173,7 +172,8 @@ def test_ladder_search_result_shape():
     assert result.kind == "terminated"
     assert result.notes == ["extension kernel dimensions per order: [1, 1]"]
     assert result.terminated_at == 2
-    assert result.obstruction is not None and result.obstruction.certifies
+    ob = result.obstruction
+    assert ob is not None and ob.rank_augmented > ob.rank_coefficient
     assert result.ladder.length == 2
     assert verify_ladder(result.ladder).ok
 
@@ -586,7 +586,7 @@ def test_stable_note_solves_one_hom_per_top_vertex(monkeypatch):
     algebra = PresentedAlgebra.from_source(source)
     v = Representation.from_module_def(algebra, source.modules["PS"])
     projective = algebra.left_projective("v")
-    assert v == direct_sum(projective, Representation(algebra, {"v": 1}, {}))
+    assert v == defring.rep.direct_sum_many([projective, Representation(algebra, {"v": 1}, {})])
     cover = projective_cover(v)[0]
     assert cover.dims == {"v": 2 * projective.dims["v"]}
     deltas = []
@@ -783,7 +783,7 @@ def conjugated(draw, src, module):
     """src with the module's matrices conjugated by a drawn invertible matrix
     T_v at each vertex: T_t·M_a·T_s⁻¹ for a: s -> t."""
     from defring.dsl import ModuleDef
-    from defring.linalg import Matrix, solve_matrix
+    from defring.linalg import Matrix
     field, mod = src.field, src.modules[module]
     ts = {v: _invertible(draw, field, d) for v, d in mod.dims.items()}
     inverses = {v: solve_matrix(t, Matrix.identity(field, t.nrows)) for v, t in ts.items()}

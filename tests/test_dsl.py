@@ -10,7 +10,7 @@ from defring import ParseError, classify, parse, print_source, serialize_report
 from defring.dsl import _tokenize, _write_json
 from defring.fields import FieldSpec, format_scalar
 from defring.linalg import Matrix
-from helpers import CORPUS, load_source, read_corpus, reference_tokenize
+from helpers import CORPUS, load_source, read_corpus, reference_tokenize, tolist
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.alg"))
 
@@ -273,7 +273,7 @@ def report_matrices(draw):
 def _as_lists(obj):
     """obj with every Matrix as the rows of literals the report holds."""
     if isinstance(obj, Matrix):
-        return [[format_scalar(x) for x in row] for row in obj.tolist()]
+        return [[format_scalar(x) for x in row] for row in tolist(obj)]
     if isinstance(obj, dict):
         return {key: _as_lists(value) for key, value in obj.items()}
     return [_as_lists(value) for value in obj] if isinstance(obj, list) else obj

@@ -12,15 +12,19 @@ from defring import (
     PresentedAlgebra,
     Representation,
     as_representation,
+    classify,
     extend_step,
     is_valid,
     ladder_search,
     parse,
     residual_coefficients,
+    serialize_report,
     tangent_dimension,
     validate,
     verify_ladder,
+    verify_report,
 )
+from defring import lift as lift_module
 from defring.fields import FieldSpec
 from defring.lift import _shift_checks
 from defring.linalg import Matrix, rank
@@ -28,8 +32,8 @@ from defring.quiver import Path
 from helpers import (CORPUS, affine_point, base_embedding, columns_matrix, dense_verify_ladder,
                      load_algebra, load_module, load_source, node_paths,
                      read_corpus, reference_coboundary_vectors, reference_deformation_matrix,
-                     reference_path_poly, reference_residual_coefficients, reference_shift_checks,
-                     shift_endomorphism, sparse)
+                     path_matrix, reference_path_poly, reference_residual_coefficients,
+                     reference_shift_checks, shift_endomorphism, sparse, tolist)
 
 
 def unit_lift(v, *degrees):
@@ -58,7 +62,7 @@ def test_first_order_residual_of_square_relation():
     # the t^2 coefficient of the square is c1^2 = 1
     stuck = lift.extended({"x": Matrix.zeros(v.field, 1, 1)})
     res = residual_coefficients(stuck, 2)
-    assert [r.tolist() for r in res] == [[[1]]]
+    assert [tolist(r) for r in res] == [[[1]]]
     assert not is_valid(stuck)
 
 
@@ -67,7 +71,7 @@ def test_first_order_space_matches_cocycles():
     sys_v = DeformationSystem(v, v)
     cocycles = [sys_v.layout.unpack(z) for z in sys_v.cocycles]
     assert len(cocycles) == 1
-    assert cocycles[0]["x"].tolist() == [[1]]
+    assert tolist(cocycles[0]["x"]) == [[1]]
     assert sys_v.coboundaries.rank == 0
 
     p1 = load_module("kx2_f5.alg", "P1")
@@ -127,10 +131,10 @@ def test_extend_step_reports_obstruction():
     assert step.order == 2
     assert step.rank_coefficient == 0
     assert step.rank_augmented == 1
-    assert step.certifies
+    assert step.rank_augmented > step.rank_coefficient
     labels = [label for label, _ in step.residuals]
     assert labels == ["x*x"]
-    assert [r.tolist() for _, r in step.residuals] == [[[1]]]
+    assert [tolist(r) for _, r in step.residuals] == [[[1]]]
 
 
 @pytest.mark.parametrize("name", ["kx2_f5.alg", "kx3_f5.alg"])
@@ -140,11 +144,11 @@ def test_obstruction_ranks_are_those_of_the_step_system(name):
     ob = search.obstruction
     assert search.kind == "terminated" and ob.order == search.ladder.top.order + 1
     rhs = [-x for block in residual_coefficients(search.ladder.top, ob.order)
-           for row in block.tolist() for x in row]
+           for row in tolist(block) for x in row]
     a = reference_deformation_matrix(v, v)
     augmented = a.hstack(columns_matrix(v.field, a.nrows, [rhs]))
     assert (ob.rank_coefficient, ob.rank_augmented) == (rank(a), rank(augmented))
-    assert ob.certifies
+    assert ob.rank_augmented > ob.rank_coefficient
 
 
 @pytest.mark.parametrize("name", ["kx4_f5.alg", "kx2_f5.alg"])
@@ -178,7 +182,7 @@ def test_as_representation_block_toeplitz():
     rep = as_representation(lift)
     assert rep.dims == {"v": 3}
     # block (i, j) holds coefficient i - j: constant diagonal stripes
-    assert rep.mats["x"].tolist() == [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
+    assert tolist(rep.mats["x"]) == [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
     assert validate(rep) == []
 
 
@@ -194,7 +198,7 @@ def test_shift_endomorphism_structure():
     lift = unit_lift(v, 1, 0)
     rep = as_representation(lift)
     sigma = shift_endomorphism(lift)["v"]
-    assert sigma.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert tolist(sigma) == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     # commutes with the action, cubes to zero, squares to the base embedding
     assert sigma * rep.mats["x"] == rep.mats["x"] * sigma
     assert sigma.power(lift.order + 1).is_zero()
@@ -270,7 +274,7 @@ SHIFT_CHECKS = ("sigma_nilpotent", "sigma_power_nonzero", "kernel_is_base_witnes
 
 
 def _bump(m, r, c):
-    rows = m.tolist()
+    rows = tolist(m)
     rows[r][c] = rows[r][c] + m.field.one()
     return Matrix.from_rows(m.field, rows)
 
@@ -426,10 +430,10 @@ def test_series_hold_exactly_the_nonzero_prefix_coefficients(history):
 def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
     # a node that prefixes no generator path (every node of a2_f5, whose arrow
     # a is as long as no generator, and e_v2 of parallel_rel_f3) is never
-    # evaluated: the degree-0 series take one product per generator prefix
-    # whose parent's value and arrow matrix are nonzero, and the deformation
-    # system one per generator prefix that another one extends whose parent's
-    # value is nonzero, plus one per distinct generator suffix of two or more
+    # evaluated: a module's prefix values, the degree-0 series of its lifts,
+    # are folded once, one product per generator prefix whose parent's value
+    # is nonzero; validate and the deformation system read that fold, and the
+    # system adds one product per distinct generator suffix of two or more
     # arrows that its walk reaches, which stops past the first zero suffix value
     source, algebra = load_algebra(name)
     tree, paths, prefixes = algebra.tree, node_paths(algebra.tree), algebra.prefixes
@@ -438,29 +442,50 @@ def test_only_generator_prefixes_are_multiplied(monkeypatch, name):
         Path(p.arrows[:k], p.source, p.arrows[k - 1].target if k else p.source)
         for rel in algebra.generating_relations() for c, p in rel.terms if c
         for k in range(p.length + 1)}
-    extended = {tree.parents[node] for node in prefixes}
     modules, expected = [], []
     for mod in source.modules.values():
         m = Representation.from_module_def(algebra, mod)
         modules.append(m)
         expected.append((
             sum(1 for node in prefixes if tree.parents[node] >= 0
-                and not m.mats[tree.steps[node].name].is_zero()
-                and not m.path_matrix(paths[tree.parents[node]]).is_zero()),
-            sum(1 for node in extended if node >= 0 and tree.parents[node] >= 0
-                and not m.path_matrix(paths[tree.parents[node]]).is_zero())
-            + len(_reached_suffixes(m))))
+                and not path_matrix(m, paths[tree.parents[node]]).is_zero()),
+            len(_reached_suffixes(m))))
     if name == "a2_f5.alg":
         assert not prefixes and all(counts == (0, 0) for counts in expected)
     products, mul = [], Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-    for m, (series, system) in zip(modules, expected):
+    for m, (fold, system) in zip(modules, expected):
         del products[:]
         Lift.trivial(m)
-        assert len(products) == series, m
+        assert len(products) == fold, m
         del products[:]
+        validate(m)
+        Lift.trivial(m)
         DeformationSystem(m, m)
         assert len(products) == system, m
+
+
+def test_degree_zero_series_is_the_module_fold(monkeypatch):
+    # a lift's degree-0 series is its base's prefix_values, each generator
+    # prefix's value on the module; classify and verify grow every other
+    # degree from it, and never evaluate degree 0 again
+    modules = [(path.name, module) for path in sorted(CORPUS.glob("*.alg"))
+               for module in load_source(path.name).modules]
+    assert len(modules) >= 28
+    for name, module in modules:
+        v = load_module(name, module)
+        paths = node_paths(v.algebra.tree)
+        series = Lift.trivial(v).series[0]
+        assert series is v.prefix_values
+        assert series == {node: value for node in v.algebra.prefixes
+                          if not (value := path_matrix(v, paths[node])).is_zero()}, (name, module)
+    degrees, grow = [], lift_module._series_degree
+    monkeypatch.setattr(lift_module, "_series_degree",
+                        lambda lift, d: degrees.append(d) or grow(lift, d))
+    for name, module in modules:
+        report = serialize_report(classify(load_source(name), module))
+        assert verify_report(read_corpus(name), module, report, name).ok, (name, module)
+    assert degrees and 0 not in degrees
 
 
 def _reached_suffixes(m):
@@ -474,7 +499,7 @@ def _reached_suffixes(m):
                 suffix = Path(p.arrows[k:], p.arrows[k].source, p.target)
                 if k < p.length - 1:
                     reached.add(suffix)
-                if m.path_matrix(suffix).is_zero():
+                if path_matrix(m, suffix).is_zero():
                     break
     return reached
 

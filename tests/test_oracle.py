@@ -17,20 +17,16 @@ from defring import (
     validate,
 )
 from defring.lift import as_representation
-from defring.oracle import (
-    coefficient_slots,
-    lift_from_point,
-    point_from_lift,
-    valid_point_set,
-)
-from helpers import CORPUS, load_module, load_source, reference_valid_points
+from defring.oracle import DEFAULT_BUDGET, _valid_points, lift_from_point, point_from_lift
+from defring.rep import arrow_layout
+from helpers import CORPUS, load_module, load_source, reference_valid_points, tolist
 
 
 def test_coefficient_slots_row_major():
     v = load_module("kx2_f2.alg", "V")
-    assert coefficient_slots(v) == [("x", 0, 0)]
+    assert arrow_layout(v, v).slots == [("x", 0, 0)]
     m = load_module("kronecker_f2.alg", "M11")
-    assert coefficient_slots(m) == [("a", 0, 0), ("b", 0, 0)]
+    assert arrow_layout(m, m).slots == [("a", 0, 0), ("b", 0, 0)]
 
 
 def test_point_lift_round_trip():
@@ -50,19 +46,19 @@ def test_coefficient_slots_follow_the_deformation_layout():
     for name, module in PRIME_CORPUS_MODULES:
         v = load_module(name, module)
         layout = DeformationSystem(v, v).layout
-        slots = coefficient_slots(v)
+        slots = arrow_layout(v, v).slots
         assert len(slots) == layout.total
         for i, (arrow, r, c) in enumerate(slots):
             mats = layout.unpack({i: 1})
             assert mats[arrow][r, c] == 1, (name, module, i)
-            assert sum(x for m in mats.values() for row in m.tolist() for x in row) == 1
+            assert sum(x for m in mats.values() for row in tolist(m) for x in row) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(PRIME_CORPUS_MODULES), st.integers(1, 3), st.data())
 def test_point_lift_round_trip_on_corpus_modules(entry, order, data):
     v = load_module(*entry)
-    slots = coefficient_slots(v)
+    slots = arrow_layout(v, v).slots
     point = tuple(data.draw(st.lists(st.integers(0, v.field.p - 1),
                                      min_size=len(slots) * order, max_size=len(slots) * order)))
     lift = lift_from_point(v, order, point)
@@ -112,7 +108,7 @@ def test_oracle_max_order():
 
 def test_valid_points_are_valid_lifts():
     v = load_module("kx3_f3.alg", "V")
-    for point in valid_point_set(v, 3):
+    for point in _valid_points(v, 3, DEFAULT_BUDGET)[1]:
         lift = lift_from_point(v, 3, point)
         assert is_valid(lift)
         assert validate(as_representation(lift)) == []
@@ -128,7 +124,7 @@ def test_degree_by_degree_points_match_product_enumeration(name, module, order):
     v = load_module(name, module)
     total, valid = reference_valid_points(v, order)
     assert enumerate_lifts(v, order).total_points == total
-    assert valid_point_set(v, order) == valid
+    assert _valid_points(v, order, DEFAULT_BUDGET)[1] == valid
 
 
 def test_incremental_matches_brute_force():
@@ -136,26 +132,25 @@ def test_incremental_matches_brute_force():
     per_order = incremental_valid_points(v, 3)
     assert [len(p) for p in per_order] == [3, 3, 9]
     for order, points in enumerate(per_order, start=1):
-        assert points == valid_point_set(v, order)
+        assert points == _valid_points(v, order, DEFAULT_BUDGET)[1]
 
 
 def test_budget_guard():
     v = load_module("kx2_f3.alg", "V")
     with pytest.raises(BudgetExceeded) as exc:
-        valid_point_set(v, 8, budget=100)
+        _valid_points(v, 8, 100)
     assert exc.value.needed > exc.value.budget
 
 
 def test_prime_field_required():
     v = load_module("kx2_q.alg", "V")
     with pytest.raises(ValueError):
-        valid_point_set(v, 1)
+        _valid_points(v, 1, DEFAULT_BUDGET)
 
 
 
 @pytest.mark.parametrize("order", [0, -1])
-@pytest.mark.parametrize("run", [enumerate_lifts, valid_point_set, oracle_max_order,
-                                 incremental_valid_points])
+@pytest.mark.parametrize("run", [enumerate_lifts, oracle_max_order, incremental_valid_points])
 def test_orders_below_one_are_rejected(run, order):
     v = load_module("kx2_f5.alg", "P1")
     with pytest.raises(ValueError, match=f"at least 1, got {order}"):
@@ -190,7 +185,7 @@ def small_loop_modules(draw):
 def test_one_chain_obstructs_where_the_oracle_does(base):
     assume(validate(base) == [])
     assume(tangent_dimension(base) == 1)
-    slots = len(coefficient_slots(base))
+    slots = arrow_layout(base, base).total
     cap = 1
     while cap < 5 and base.field.p ** (slots * (cap + 1)) <= ORACLE_POINTS:
         cap += 1

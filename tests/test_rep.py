@@ -13,7 +13,6 @@ from defring import (
     Representation,
     classify,
     deformation_system,
-    direct_sum,
     ext1_cocycle,
     ext1_dim,
     ext1_hereditary,
@@ -25,28 +24,26 @@ from defring import (
     ladder_search,
     parse,
     projective_cover,
-    radical,
     syzygy,
-    top,
     validate,
 )
 from defring.dsl import Relation
 from defring.fields import FieldSpec
-from defring.linalg import Matrix, in_row_span, rank, row_space, solve_matrix
+from defring.linalg import Matrix, in_row_span, rank, row_space
 from defring import linalg, quiver, rep
 from defring.quiver import Arrow, Quiver
 from defring.lift import as_representation
 from defring.rep import (NotHereditary, NotInvariant, direct_sum_many, hom_equations,
-                         is_homomorphism, radical_subspaces, sub_from_maps, syzygy_data,
-                         yoneda_homs)
-from helpers import (CORPUS, SECOND_PRESENTATIONS, columns_matrix, dense, load_algebra,
-                     load_module, load_source, node_paths, paths_up_to,
-                     read_corpus, reference_coboundary_vectors,
+                         is_homomorphism, radical_subspaces, syzygy_data, yoneda_homs)
+from helpers import (CORPUS, SECOND_PRESENTATIONS, apply, column, columns_matrix, dense,
+                     load_algebra, load_module, load_source, node_paths, path_matrix,
+                     paths_up_to, quiver_path, read_corpus, reference_coboundary_vectors,
                      reference_deformation_matrix, reference_ext1_cocycle,
                      reference_ext1_syzygy, reference_hom_equations, reference_hom_stable,
                      reference_projective_cover, reference_quotient, reference_rref,
                      reference_syzygy_data, restricted_cover_homs, retruncated,
-                     second_presentation, sparse, text_modules)
+                     second_presentation, solve_matrix, sparse, sub_from_maps,
+                     text_modules, tolist)
 
 THREE_CHAIN = """\
 field F 5
@@ -69,16 +66,16 @@ def test_path_matrix_composes_left_to_right():
     src = parse(THREE_CHAIN)
     alg = PresentedAlgebra.from_source(src)
     m = Representation.from_module_def(alg, src.modules["M"])
-    ab = alg.quiver.path(["a", "b"])
+    ab = quiver_path(alg.quiver, ["a", "b"])
     # a first then b acts as M_b * M_a under the column convention
-    assert m.path_matrix(ab) == m.mats["b"] * m.mats["a"]
-    assert m.path_matrix(ab).tolist()[0][0] == (3 * 1 + 4 * 2) % 5
+    assert path_matrix(m, ab) == m.mats["b"] * m.mats["a"]
+    assert tolist(path_matrix(m, ab))[0][0] == (3 * 1 + 4 * 2) % 5
 
 
 def test_trivial_path_matrix_is_identity():
     v = load_module("kx2_f5.alg", "P1")
     e = paths_up_to(v.algebra.quiver, 0)[0]
-    assert v.path_matrix(e) == Matrix.identity(v.field, 2)
+    assert path_matrix(v, e) == Matrix.identity(v.field, 2)
 
 
 def test_validate_flags_broken_relations():
@@ -105,6 +102,18 @@ module V
     assert problems and "x*x" in problems[0]
 
 
+def test_representation_rejects_an_unknown_vertex():
+    v = load_module("kx3_f5.alg", "V")
+    with pytest.raises(ValueError, match="unknown vertex w"):
+        Representation(v.algebra, {"v": 1, "w": 3}, {})
+
+
+def test_representation_rejects_an_unknown_arrow():
+    v = load_module("kx3_f5.alg", "V")
+    with pytest.raises(ValueError, match="unknown arrow y"):
+        Representation(v.algebra, {"v": 1}, {"y": Matrix.from_rows(v.field, [[1]])})
+
+
 def test_hom_dims_truncated_polynomials():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
@@ -112,7 +121,7 @@ def test_hom_dims_truncated_polynomials():
     assert hom_dim(p1, p1) == 2
     assert hom_dim(p1, v) == 1
     assert hom_dim(v, p1) == 1
-    vv = direct_sum(v, v)
+    vv = direct_sum_many([v, v])
     assert hom_dim(vv, vv) == 4
 
 
@@ -141,11 +150,11 @@ def test_yoneda_on_vertex_projectives():
 def test_radical_top_cover_syzygy():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
-    assert radical(p1).dim_vector == (1,)
-    assert top(p1).dim_vector == (1,)
-    assert radical(v).dim_vector == (0,)
-    cover, cover_maps, summands = projective_cover(v)
-    assert summands == ["v"]
+    assert radical_subspaces(p1)["v"].rank == 1
+    assert p1.top_columns == {"v": [0]}
+    assert radical_subspaces(v)["v"].rank == 0
+    cover, cover_maps, parts, _ = projective_cover(v)
+    assert [w for w, _ in parts] == ["v"]
     assert cover.dim_vector == (2,)
     assert iso_test(cover, p1).kind == "iso"
     assert is_homomorphism(cover, v, cover_maps)
@@ -235,13 +244,13 @@ def test_backend_agreement_on_conjugates():
         load_module("loop_free_f3.alg", "V"),
     ]
     for i, base in enumerate(cases):
-        twisted = _conjugate(direct_sum(base, base), seed=31 + i)
+        twisted = _conjugate(direct_sum_many([base, base]), seed=31 + i)
         assert validate(twisted) == []
         expected = ext1_dim(base, base, "all")
         assert ext1_dim(twisted, twisted, "all") == ext1_dim(
-            direct_sum(base, base), direct_sum(base, base), "all"
+            direct_sum_many([base, base]), direct_sum_many([base, base]), "all"
         )
-        assert iso_test(twisted, direct_sum(base, base)).kind in ("iso", "unknown")
+        assert iso_test(twisted, direct_sum_many([base, base])).kind in ("iso", "unknown")
         assert expected >= 0
 
 
@@ -274,7 +283,7 @@ def test_iso_test_kinds():
     assert res.kind == "iso"
     assert is_homomorphism(p1, twisted, res.witness)
     assert iso_test(v, p1).kind == "not_iso"
-    vv = direct_sum(v, v)
+    vv = direct_sum_many([v, v])
     # same dim vector and symmetric hom dims, but no invertible hom exists
     assert iso_test(vv, p1).kind == "unknown"
 
@@ -289,7 +298,7 @@ def test_iso_test_builds_the_reverse_hom_only_without_an_isomorphism(monkeypatch
     # P1 + S1 and S1 + S1 + S2 over A2 share a dimension vector, but dim Hom
     # is 4 one way and 3 the other: NotIso, certified after the sweep
     s1, s2, a2_p1 = (load_module("a2_f5.alg", name) for name in ("S1", "S2", "P1"))
-    res = iso_test(direct_sum(a2_p1, s1), direct_sum_many([s1, s1, s2]))
+    res = iso_test(direct_sum_many([a2_p1, s1]), direct_sum_many([s1, s1, s2]))
     assert (res.kind, res.reason) == ("not_iso", "dim Hom asymmetry 4 vs 3")
     assert len(calls) == 2
 
@@ -297,9 +306,9 @@ def test_iso_test_builds_the_reverse_hom_only_without_an_isomorphism(monkeypatch
 def test_direct_sum_blocks():
     v = load_module("kx2_f5.alg", "V")
     p1 = load_module("kx2_f5.alg", "P1")
-    s = direct_sum(v, p1)
+    s = direct_sum_many([v, p1])
     assert s.dims == {"v": 3}
-    x = s.mats["x"].tolist()
+    x = tolist(s.mats["x"])
     assert x == [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
     # one summand passes through unchanged
     assert direct_sum_many([p1]) is p1
@@ -376,7 +385,7 @@ def _equation_pairs():
             f"field {field}\nquiver\n  vertex v\n  arrow x: v -> v\n  arrow y: v -> v\n"
             "truncate 3\n"))
         s = Representation(alg, {"v": 1}, {})
-        ps = direct_sum(alg.left_projective("v"), s)
+        ps = direct_sum_many([alg.left_projective("v"), s])
         pairs.append((f"P+S over {field}", ps, ps))
     base = load_module("kx3_f5.alg", "V")
     top_rep = as_representation(ladder_search(base).ladder.top)
@@ -425,7 +434,7 @@ def test_sparse_equations_match_dense_reference():
         assert equations == reference_hom_equations(m, n), label
         # the coboundary generators are the columns of the Hom equations
         cob = reference_coboundary_vectors(m, n)
-        assert [tuple(row) for row in equations.transpose().tolist()] == cob, label
+        assert [tuple(row) for row in tolist(equations.transpose())] == cob, label
         ech = row_space([sparse(v) for v in cob], m.field, system.layout.total)
         # the coboundaries are a forward echelon form: same span, same pivots
         cob_ech = system.coboundaries
@@ -487,17 +496,19 @@ def test_tree_built_deformation_system_matches_reference(pair):
 
 @pytest.mark.parametrize("loops,length,inner", [("xy", 4, 14), ("xyz", 3, 12)])
 def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, length, inner):
-    # M(w) is folded at the inner nodes only, so no product is taken at a leaf,
-    # and N(u) once per distinct generator suffix of two or more arrows, every
-    # path of length 2..length-1: on P+S every such value is nonzero.  On S every
-    # arrow is zero, so no product is taken through a zero value: one per
-    # arrow, M_a·M(e_v), and none for N(u)
+    # M's prefix values are folded once, one product per node below the root:
+    # the inner nodes and the leaves, the generator paths, which validate and
+    # the lifts read.  The system then takes N(u) once per distinct generator
+    # suffix of two or more arrows, every path of length 2..length-1: on P+S
+    # every such value is nonzero.  On S every arrow is zero, so no product is
+    # taken through a zero value: one per arrow, M_a·M(e_v), and none for N(u)
+    leaves = len(loops) ** length
     suffixes = sum(len(loops) ** k for k in range(2, length))
     arrows = "".join(f"  arrow {a}: v -> v\n" for a in loops)
     alg = PresentedAlgebra.from_source(parse(
         f"field F 5\nquiver\n  vertex v\n{arrows}truncate {length}\n"))
     s = Representation(alg, {"v": 1}, {})
-    ps = direct_sum(alg.left_projective("v"), s)
+    ps = direct_sum_many([alg.left_projective("v"), s])
     tree = alg.tree
     assert len({p for p in tree.parents if p >= 0 and tree.parents[p] >= 0}) == inner
     generators = [p for rel in alg.generating_relations() for _, p in rel.terms]
@@ -510,8 +521,11 @@ def test_deformation_system_multiplies_once_per_inner_node(monkeypatch, loops, l
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
+    ps.prefix_values
+    assert len(calls) == inner + leaves
+    del calls[:]
     DeformationSystem(ps, ps)
-    assert len(calls) == inner + suffixes
+    assert len(calls) == suffixes
     del calls[:]
     DeformationSystem(s, s)
     assert len(calls) == len(loops)
@@ -522,7 +536,8 @@ def test_projective_cover_matches_path_matrix_reference():
     modules = [(label, m) for label, m, _ in _equation_pairs() if m.algebra.basis is not None]
     assert len(modules) >= 25
     for label, m in modules:
-        assert projective_cover(m) == reference_projective_cover(m), label
+        p, cover, parts, _ = projective_cover(m)
+        assert (p, cover, [v for v, _ in parts]) == reference_projective_cover(m), label
 
 
 def _all_ones(m):
@@ -542,7 +557,7 @@ def test_validate_matches_path_matrix_sums():
             first = rel.terms[0][1]
             expected = Matrix.zeros(m.field, m.dims[first.target], m.dims[first.source])
             for coeff, path in rel.terms:
-                expected = expected + m.path_matrix(path).scale(coeff)
+                expected = expected + path_matrix(m, path).scale(coeff)
             if not expected.is_zero():
                 bad.append(rel.label())
         assert validate(m) == bad
@@ -589,11 +604,11 @@ def valid_module_pairs(draw):
             # a random vector moved into the radical by a random arrow
             a = draw(st.sampled_from(algebra.quiver.arrows))
             x = tuple(draw(values) for _ in range(p.dims[a.source]))
-            gens[a.target].append(sparse(p.mats[a.name].apply(x)))
+            gens[a.target].append(sparse(apply(p.mats[a.name], x)))
         # close the generators under the arrows
         while True:
             bases = {v: row_space(gens[v], p.field, p.dims[v]) for v in vertices}
-            images = [(a.target, sparse(p.mats[a.name].apply(dense(x, p.dims[a.source]))))
+            images = [(a.target, sparse(apply(p.mats[a.name], dense(x, p.dims[a.source]))))
                       for a in algebra.quiver.arrows for x in bases[a.source].rows]
             missing = [(w, y) for w, y in images if not in_row_span(bases[w], y)]
             if not missing:
@@ -609,16 +624,16 @@ def valid_module_pairs(draw):
 def yoneda_cover_homs(m, n):
     """The Yoneda maps of each summand of M's projective cover P, each
     placed on its summand: maps P -> N, zero on the other summands."""
-    p, _, summands = projective_cover(m)
+    p, _, parts, _ = projective_cover(m)
     vertices = m.algebra.quiver.vertices
     out = []
     first = dict.fromkeys(vertices, 0)
-    for v in summands:
-        for phi in yoneda_homs(v, n):
+    for v, _ in parts:
+        for phi in yoneda_homs(v, n, range(n.dims[v])):
             out.append({w: columns_matrix(
                 m.field, n.dims[w],
                 [(m.field.zero(),) * n.dims[w]] * first[w]
-                + [phi[w].column(j) for j in range(phi[w].ncols)]
+                + [column(phi[w], j) for j in range(phi[w].ncols)]
                 + [(m.field.zero(),) * n.dims[w]] * (p.dims[w] - first[w] - phi[w].ncols))
                 for w in vertices})
         for w in vertices:
@@ -706,17 +721,18 @@ def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
     # Hom(Λe_v, N) ≅ e_vN: each Yoneda map intertwines Λe_v and N, and so
     # each one placed on a summand of the cover intertwines P and N
     for v in m.algebra.quiver.vertices:
-        for phi in yoneda_homs(v, n):
+        for phi in yoneda_homs(v, n, range(n.dims[v])):
             assert is_homomorphism(m.algebra.left_projective(v), n, phi)
     p = projective_cover(m)[0]
     for phi in yoneda_cover_homs(m, n):
         assert is_homomorphism(p, n, phi)
     # the cover and the top, each read off the top columns, against the
     # references that multiply paths out and project M through its radical
-    assert projective_cover(m) == reference_projective_cover(m)
+    p, cover, parts, _ = projective_cover(m)
+    assert (p, cover, [v for v, _ in parts]) == reference_projective_cover(m)
     quotient = reference_quotient(m, {v: rad.rows for v, rad in radical_subspaces(m).items()})[0]
     assert all(x.is_zero() for x in quotient.mats.values())
-    assert top(m) == quotient
+    assert quotient.dims == {v: len(columns) for v, columns in m.top_columns.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -724,7 +740,7 @@ def test_coboundaries_are_cocycles_and_yoneda_maps_are_homs(pair):
 def test_stable_hom_matches_full_cover_reference(pair):
     m, n = pair
     # N ⊕ N has two top vectors at each top vertex of N: its cover repeats summands
-    for target in (n, direct_sum(n, n)):
+    for target in (n, direct_sum_many([n, n])):
         expected = reference_hom_stable(m, target)
         assert hom_stable(m, target) == expected
 
@@ -744,7 +760,7 @@ def test_yoneda_maps_need_the_relations():
     algebra = PresentedAlgebra.from_source(source)
     bad = Representation.from_module_def(algebra, source.modules["V"])
     assert validate(bad) == ["x*x*x"]
-    [phi] = yoneda_homs("v", bad)
+    [phi] = yoneda_homs("v", bad, [0])
     assert not is_homomorphism(algebra.left_projective("v"), bad, phi)
 
 
@@ -770,8 +786,8 @@ def test_yoneda_maps_fold_the_algebras_basis_trees(monkeypatch, name, module):
 
     monkeypatch.setattr(quiver.PathTree, "__init__", counting_init)
     for v in algebra.quiver.vertices:
-        first = yoneda_homs(v, m)
-        assert yoneda_homs(v, m) == first
+        first = yoneda_homs(v, m, range(m.dims[v]))
+        assert yoneda_homs(v, m, range(m.dims[v])) == first
         for phi in first:
             assert is_homomorphism(algebra.left_projective(v), m, phi)
     assert built == []
@@ -793,7 +809,7 @@ def test_yoneda_maps_make_one_product_per_nontrivial_basis_path(monkeypatch, nam
             parents = [tree.parents[algebra.basis_nodes[j]]
                        for js in algebra.paths_from[v].values() for j in js]
             expected[module.name, v] = sum(1 for parent in parents if parent >= 0
-                                           and not n.path_matrix(paths[parent]).is_zero())
+                                           and not path_matrix(n, paths[parent]).is_zero())
     products = []
     mul = Matrix.__mul__
 
@@ -806,7 +822,7 @@ def test_yoneda_maps_make_one_product_per_nontrivial_basis_path(monkeypatch, nam
         n = Representation.from_module_def(algebra, module)
         for v in algebra.quiver.vertices:
             del products[:]
-            yoneda_homs(v, n)
+            yoneda_homs(v, n, range(n.dims[v]))
             assert len(products) == expected[module.name, v], (module.name, v)
 
 
@@ -828,7 +844,7 @@ def test_syzygy_matches_the_sub_from_maps_reference():
     for label, m in modules:
         blocks, omega, incl = syzygy_data(m)
         assert (omega, incl) == reference_syzygy_data(m), label
-        summands = projective_cover(m)[2]
+        summands = [v for v, _ in projective_cover(m)[2]]
         assert [v for v, _ in blocks] == summands, label
         for w in m.algebra.quiver.vertices:
             assert [row for _, block in blocks for row in block[w].rows] == incl[w].rows, label
@@ -855,7 +871,7 @@ def test_syzygy_matches_the_reference_or_raises_alike(pair):
 
 def test_syzygy_data_row_reduces_each_cover_matrix_once(monkeypatch):
     for label, m in _syzygy_modules():
-        _, cover, _ = projective_cover(m)  # M's radical and Yoneda maps are kept from here on
+        _, cover, _, _ = projective_cover(m)  # M's radical and Yoneda maps are kept from here on
         reduced = []
         rref = linalg.rref
 
@@ -879,7 +895,7 @@ def test_classify_evaluates_each_yoneda_value_of_v_once(monkeypatch, name, modul
     loaded, radicals, keys = [], [], []
     counting = {"on": False, "products": 0}
     from_module_def = Representation.from_module_def.__func__
-    radical_of, yoneda_maps, mul = rep.radical_subspaces, rep._yoneda_maps, Matrix.__mul__
+    radical_of, yoneda_maps, mul = rep.radical_subspaces, rep.yoneda_homs, Matrix.__mul__
 
     def recording_from_module_def(cls, algebra, mod):
         loaded.append(from_module_def(cls, algebra, mod))
@@ -908,7 +924,7 @@ def test_classify_evaluates_each_yoneda_value_of_v_once(monkeypatch, name, modul
 
     monkeypatch.setattr(Representation, "from_module_def", classmethod(recording_from_module_def))
     monkeypatch.setattr(rep, "radical_subspaces", recording_radical)
-    monkeypatch.setattr(rep, "_yoneda_maps", recording_yoneda)
+    monkeypatch.setattr(rep, "yoneda_homs", recording_yoneda)
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
     classify(load_source(name), module)
     monkeypatch.undo()
