@@ -1,13 +1,16 @@
 """Exact field elements over the two supported coefficient fields.
 
 A field is either the rationals or a prime field F_p with p < 2**16.
-An element is its canonical raw value: a `Fraction` over Q (reduced, with
-a positive denominator) and an `int` residue in 0..p-1 over F_p.  There is
-no wrapper class.  Plain `==` on canonical values is equality in the
-field, and `if x:` tests for zero.  Arithmetic is Python's: a sum or
-product over F_p is reduced with `% p` by whoever forms it (the Matrix
-operations in linalg do), and `FieldSpec.scalar` turns any int or
-Fraction into the canonical value.
+An element is its canonical raw value, of exactly one type: over Q an
+`int` when it is integral and otherwise a reduced `Fraction` with
+denominator > 1, and over F_p an `int` residue in 0..p-1.  There is no
+wrapper class.  Plain `==` on canonical values is equality in the field,
+and `if x:` tests for zero.  Arithmetic is Python's: whoever forms a sum
+or product brings it back to canonical form, `% p` over F_p and an
+integral `Fraction` to its numerator over Q (the Matrix operations in
+linalg do), and `FieldSpec.scalar` turns any int or Fraction into the
+canonical value.  `FieldSpec.inverse` is the one division of field
+values, so no `int / int` float arises.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ def is_prime(n: int) -> bool:
 
 
 MAX_PRIME = 2**16
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldSpec:
@@ -81,7 +81,11 @@ class FieldSpec:
     def scalar(self, value):
         """The canonical value of an int or Fraction in this field."""
         if self.p is None:
-            return value if value.__class__ is Fraction else Fraction(value)
+            if value.__class__ is int:
+                return value
+            if value.__class__ is not Fraction:
+                value = Fraction(value)
+            return value if value.denominator != 1 else value.numerator
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"fraction {value} is not an element of {self}")
@@ -89,11 +93,17 @@ class FieldSpec:
         # operator.index keeps floats out of F_p
         return operator.index(value) % self.p
 
+    def inverse(self, x):
+        """1/x for a nonzero canonical value x."""
+        if self.p is None:
+            return self.scalar(Fraction(x.denominator, x.numerator))
+        return pow(x, -1, self.p)
+
     def zero(self):
-        return _ZERO if self.p is None else 0
+        return 0
 
     def one(self):
-        return _ONE if self.p is None else 1
+        return 1
 
     def parse_literal(self, text: str):
         """Parse a scalar literal: an integer, or numer/denom over Q."""
@@ -104,7 +114,7 @@ class FieldSpec:
             num, _, den = text.partition("/")
             if int(den) == 0:
                 raise ValueError(f"scalar literal {text!r} divides by zero")
-            return Fraction(int(num), int(den))
+            return self.scalar(Fraction(int(num), int(den)))
         return self.scalar(int(text))
 
     def elements(self):

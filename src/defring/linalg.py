@@ -1,15 +1,17 @@
 """Exact linear algebra over a FieldSpec, on sparse rows.
 
 A Matrix holds plain field values in canonical form: `int` residues in
-0..p-1 over F_p and `Fraction`s over Q (see fields.py).  It stores them as
+0..p-1 over F_p, and over Q an `int` when integral and a `Fraction` with
+denominator > 1 otherwise (see fields.py).  It stores them as
 sparse rows, one {column: value} dict per row that holds only the nonzero
 entries; a zero row is an empty dict and keeps its index.  `from_rows` and
 `from_dicts` bring entries into that form; the bare constructor trusts its
 input.  `+`, `-`, negation, `scale` and `*` form each output row in one
-pass that reduces each new value (`% p` over F_p, zeros dropped), so what
-is handed out is always canonical.  A result may share row dicts with its
-operands (a product's row with one entry 1 is a row of the other factor),
-so nothing changes a Matrix or its rows after construction.  `*` visits
+pass that reduces each new value (`% p` over F_p, an integral Fraction
+to its numerator over Q, zeros dropped), so what is handed out is always
+canonical.  A result may share row dicts with its operands (a product's
+row with one entry 1 is a row of the other factor), so nothing changes a
+Matrix or its rows after construction.  `*` visits
 only nonzero entries; `power` squares and multiplies with it.  Every
 vector taken or handed out is held as a row is, an {index: value} dict of
 nonzero canonical values; `row` is the one dense read-out, for printing.
@@ -26,7 +28,6 @@ in.  Infeasibility of a linear system is a value, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import FieldMismatch, FieldSpec, format_scalar
 
@@ -35,13 +36,18 @@ def _canonical(field: FieldSpec, entries) -> list:
     p = field.p
     scalar = field.scalar
     if p is None:
-        return [x if x.__class__ is Fraction else scalar(x) for x in entries]
+        return [x if x.__class__ is int else scalar(x) for x in entries]
     return [x % p if x.__class__ is int else scalar(x) for x in entries]
+
+
+def _rational(x):
+    """A rational as a canonical value: an integral Fraction becomes its numerator."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 def _scaled(row: dict, c, p) -> dict:
     """c * row for a nonzero canonical c: over a field no product is zero."""
-    return {j: c * x % p for j, x in row.items()} if p else {j: c * x for j, x in row.items()}
+    return {j: c * x % p for j, x in row.items()} if p else {j: _rational(c * x) for j, x in row.items()}
 
 
 def _add_scaled(entries: dict, c, part: dict) -> dict:
@@ -85,7 +91,7 @@ class Matrix:
             rows = [{j: y for j, x in row.items() if (y := x % p)} for row in rows]
         else:
             scalar = field.scalar
-            rows = [{j: x if x.__class__ is Fraction else scalar(x) for j, x in row.items() if x}
+            rows = [{j: x if x.__class__ is int else scalar(x) for j, x in row.items() if x}
                     for row in rows]
         return cls(field, len(rows), ncols, rows)
 
@@ -141,7 +147,7 @@ class Matrix:
             row = dict(a)
             for j, y in b.items():
                 y = y if c == 1 else p - y if p else -y
-                if j in row and not (y := (row[j] + y) % p if p else row[j] + y):
+                if j in row and not (y := (row[j] + y) % p if p else _rational(row[j] + y)):
                     del row[j]
                 else:
                     row[j] = y
@@ -181,7 +187,7 @@ class Matrix:
                 for j, y in b[k].items():
                     acc[j] = acc[j] + x * y if j in acc else x * y
             out.append({j: y for j, x in acc.items() if (y := x % p)} if p else
-                       {j: x for j, x in acc.items() if x})
+                       {j: _rational(x) for j, x in acc.items() if x})
         return Matrix(self.field, self.nrows, other.ncols, out)
 
     def power(self, n: int) -> "Matrix":
@@ -253,7 +259,7 @@ def _subtract_multiple(row: dict, f, other: dict, p):
                 del row[j]
     else:
         for j, y in other.items():
-            x = row.get(j, 0) - f * y
+            x = _rational(row.get(j, 0) - f * y)
             if x:
                 row[j] = x
             else:
@@ -278,12 +284,7 @@ def echelon(m: Matrix) -> RowEchelon:
         if not row:
             continue
         if row[c] != 1:
-            if p:
-                inv = pow(row[c], -1, p)
-                row = {j: x * inv % p for j, x in row.items()}
-            else:
-                inv = 1 / row[c]
-                row = {j: x * inv for j, x in row.items()}
+            row = _scaled(row, m.field.inverse(row[c]), p)
         pivot_rows[c] = row
     pivots = sorted(pivot_rows)
     return RowEchelon(m.field, m.nrows, m.ncols, [pivot_rows[c] for c in pivots], pivots)

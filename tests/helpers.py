@@ -1,6 +1,7 @@
 """Shared corpus loading and reference implementations for the test suite."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from defring import PresentedAlgebra, Representation, parse
@@ -551,9 +552,17 @@ def reference_shift_checks(field, blocks, ell):
 def _field_ops(field):
     """add, sub, mul and inv on canonical values of field, each result reduced."""
     scalar, p = field.scalar, field.p
-    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, p - 2, p))
+    inv = (lambda x: scalar(Fraction(1, x))) if p is None else (lambda x: pow(x, p - 2, p))
     return ((lambda a, b: scalar(a + b)), (lambda a, b: scalar(a - b)),
             (lambda a, b: scalar(a * b)), inv)
+
+
+def canonical(field, entries):
+    """Each value has its one canonical type: over Q an int when it is integral
+    and a Fraction with denominator > 1 otherwise, over F_p an int in 0..p-1."""
+    if field.p is None:
+        return all(type(x) is int or type(x) is Fraction and x.denominator > 1 for x in entries)
+    return all(type(x) is int and 0 <= x < field.p for x in entries)
 
 
 def dense_to_matrix(field, nrows, ncols, flat):
@@ -664,8 +673,8 @@ def reference_rref(m):
                 inv = pow(row[c], -1, p)
                 row = {j: x * inv % p for j, x in row.items()}
             else:
-                inv = 1 / row[c]
-                row = {j: x * inv for j, x in row.items()}
+                inv = Fraction(1, row[c])
+                row = {j: m.field.scalar(x * inv) for j, x in row.items()}
         for other in pivot_rows.values():
             f = other.get(c)
             if f:

@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from hypothesis import strategies as st
 
 from defring import (
     ClassifyConfig,
+    DeformationSystem,
     PresentedAlgebra,
     Representation,
+    as_representation,
     classify,
+    deformation_system,
     ext1_dim,
     ladder_search,
     parse,
@@ -24,8 +29,10 @@ from defring import (
     verify_ladder,
     verify_report,
 )
-from helpers import (CORPUS, SECOND_PRESENTATIONS, load_module, load_source, read_corpus,
-                     reference_coboundary_vectors, retruncated, second_presentation,
+from defring.fields import FieldSpec
+from defring.lift import Ladder
+from helpers import (CORPUS, SECOND_PRESENTATIONS, canonical, load_module, load_source,
+                     read_corpus, reference_coboundary_vectors, retruncated, second_presentation,
                      solve_matrix, text_modules)
 
 
@@ -292,6 +299,61 @@ def test_report_with_fractional_ladder_entries_matches_recorded_digest():
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
         "6d17c96bbe39099bf67d7915690e63e1c13dd9599642f85d54d890a97d7c56a5")
     assert verify_report(FRACTIONAL_Q, "V", blob).ok
+
+
+KRONECKER_32_Q = """\
+field Q
+quiver
+  vertex u v
+  arrow a: u -> v
+  arrow b: u -> v
+module M
+  dim u = 1
+  dim v = 1
+  mat a = [[3]]
+  mat b = [[2]]
+"""
+
+
+def test_values_over_q_stay_canonical_through_classify_and_verify():
+    # over Q a value is an int when it is integral and a Fraction with
+    # denominator > 1 otherwise: no float and no integral Fraction is held in
+    # a ladder (coefficients and series) or in the systems of (V, V) and
+    # (top, V), through classify and verify of every Q corpus module and of a
+    # Kronecker module whose eliminations divide by 3 and 2
+    cases = [(read_corpus(path.name), module, 10) for path in sorted(CORPUS.glob("*_q.alg"))
+             for module in sorted(load_source(path.name).modules)]
+    cases.append((KRONECKER_32_Q, "M", 12))
+    systems, ladders = [], []
+    init, post_init = DeformationSystem.__init__, Ladder.__post_init__
+
+    def keep_system(system, m, n):
+        init(system, m, n)
+        systems.append(system)
+
+    def keep_ladder(ladder):
+        post_init(ladder)
+        ladders.append(ladder)
+
+    with mock.patch.object(DeformationSystem, "__init__", keep_system), \
+            mock.patch.object(Ladder, "__post_init__", keep_ladder):
+        for text, module, max_order in cases:
+            report = classify(parse(text), module, ClassifyConfig(max_order=max_order))
+            assert verify_report(text, module, serialize_report(report)).ok
+            if report.ladder is not None:
+                v, top = report.ladder.base, as_representation(report.ladder.top)
+                assert deformation_system(v, v) in systems
+                assert any(s.dims == (top.dims, v.dims) for s in systems)
+    assert ladders
+    values = [x for s in systems for m in (s.equations, s.equations_echelon, s.coboundaries)
+              for row in m.rows for x in row.values()]
+    for ladder in ladders:
+        top = ladder.top
+        matrices = [m for series in top.coeffs.values() for m in series]
+        matrices += [m for degree in top.series for m in degree.values()]
+        values += [x for m in matrices for row in m.rows for x in row.values()]
+    assert canonical(FieldSpec.rationals(), values)
+    assert any(type(x) is Fraction for x in values) and any(type(x) is int for x in values)
 
 
 KX_F3 = """\

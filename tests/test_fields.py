@@ -65,14 +65,22 @@ def test_prime_canonical_residues():
             F5.scalar(bad)
 
 
-def test_rational_arithmetic_uses_fractions():
+def test_rationals_are_ints_when_integral_and_fractions_otherwise():
     half = Q.parse_literal("1/2")
     third = Q.parse_literal("1/3")
-    assert type(half) is Fraction and type(Q.scalar(3)) is Fraction
-    assert type(Q.zero()) is Fraction and type(Q.one()) is Fraction
+    assert type(half) is Fraction and half.denominator == 2
+    assert type(Q.scalar(3)) is int and type(Q.scalar(Fraction(6, 3))) is int
+    assert Q.scalar(Fraction(6, 3)) == 2 and Q.scalar(True) == 1 and type(Q.scalar(True)) is int
+    assert type(Q.zero()) is int and type(Q.one()) is int
+    assert Q.zero() == 0 and Q.one() == 1
+    assert Q.parse_literal("4/2") == 2 and type(Q.parse_literal("4/2")) is int
+    assert Q.parse_literal("-3/6") == Fraction(-1, 2) and type(Q.parse_literal("-3/6")) is Fraction
     assert half + third == Fraction(5, 6)
     assert half * third == Fraction(1, 6)
-    assert half / third == Fraction(3, 2)
+    assert half * Q.inverse(third) == Fraction(3, 2)
+    assert Q.inverse(half) == 2 and type(Q.inverse(half)) is int
+    assert Q.inverse(-3) == Fraction(-1, 3) and Q.inverse(-1) == -1 and type(Q.inverse(-1)) is int
+    assert F5.inverse(2) == 3
     assert format_scalar(half - half) == "0"
     assert format_scalar(Q.scalar(Fraction(-4, 6))) == "-2/3"
     assert format_scalar(Q.scalar(-4)) == "-4"
@@ -112,6 +120,7 @@ def test_f5_ring_laws_random(a, b, c):
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
 )
 def test_rational_format_round_trip(a, b):
-    s = Q.scalar(a) * Q.scalar(b) + Q.scalar(a)
+    s = Q.scalar(Q.scalar(a) * Q.scalar(b) + Q.scalar(a))
     assert Q.parse_literal(format_scalar(s)) == s
-    assert type(Q.parse_literal(format_scalar(s))) is Fraction
+    assert type(Q.parse_literal(format_scalar(s))) is type(s)
+    assert type(s) is (int if s.denominator == 1 else Fraction)

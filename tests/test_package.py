@@ -36,3 +36,13 @@ def test_package_imports_only_itself_and_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_true_division_outside_fields():
+    # over Q, int / int is a float and exactness is lost in silence:
+    # FieldSpec.inverse in fields.py is the one division of field values
+    divisions = [(path.name, node.lineno) for path in sorted(SOURCE.glob("*.py"))
+                 if path.name != "fields.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == []
