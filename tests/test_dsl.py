@@ -1,5 +1,7 @@
+import ast
 import gc
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring import ParseError, classify, parse, print_source, serialize_report
-from defring.dsl import _tokenize, _write_json
+from defring.dsl import KEYWORDS, _tokenize, _write_json
 from defring.fields import FieldSpec, format_scalar
 from defring.linalg import Matrix
 from helpers import CORPUS, load_source, read_corpus, reference_tokenize, tolist
@@ -197,6 +199,188 @@ def test_repeated_literals_keep_their_sign(field, entries, values):
     text = (f"field {field}\nquiver\n  vertex u w\n  arrow a: u -> w\n\n"
             f"module M\n  dim u = 6\n  dim w = 1\n  mat a = [[{entries}]]\n")
     assert [str(x) for x in parse(text).modules["M"].mats["a"].row(0)] == values.split(",")
+
+
+def _edit(*pairs, text=BASE):
+    """text with each (old, new) pair replaced once; old must occur."""
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+REL = "truncate 3\nrelations\n  "
+TWO_VERTICES = """\
+field F 5
+quiver
+  vertex v1 v2
+  arrow a: v1 -> v2
+  arrow b: v2 -> v1
+truncate 2
+relations
+  a*a
+"""
+
+# one malformed input per place the parser raises, with its exact diagnostic
+DIAGNOSTICS = [
+    ("unexpected-character", _edit(("v -> v\n", "v -> v $\n")),
+     ("syntax", "unexpected character '$'", 4, 19)),
+    ("unexpected-word", _edit(("module V", "modul V")),
+     ("syntax", "unexpected 'modul'", 7, 1)),
+    ("expected-at-end-of-line", _edit(("v -> v\n", "v ->\n")),
+     ("syntax", "expected target vertex", 4, 16)),
+    ("expected-found", _edit(("x: v", "x= v")),
+     ("syntax", "expected ':', found '='", 4, 10)),
+    ("trailing", _edit(("truncate 3", "truncate 3 4")),
+     ("syntax", "trailing '4'", 5, 12)),
+    ("field-twice", _edit(("quiver\n", "field Q\nquiver\n")),
+     ("duplicate-name", "field declared twice", 2, 1)),
+    ("field-kind-missing", _edit(("field F 5", "field")),
+     ("syntax", "expected Q or F", 1, 6)),
+    ("field-modulus-missing", _edit(("field F 5", "field F")),
+     ("syntax", "expected prime modulus", 1, 8)),
+    ("field-modulus-not-integer", _edit(("field F 5", "field F x")),
+     ("bad-modulus", "modulus must be an integer, found 'x'", 1, 9)),
+    ("field-modulus-not-prime", _edit(("field F 5", "field F 6")),
+     ("bad-modulus", "modulus 6 is not prime", 1, 9)),
+    ("field-modulus-out-of-range", _edit(("field F 5", "field F 65537")),
+     ("bad-modulus", "modulus 65537 out of supported range (< 65536)", 1, 9)),
+    ("field-unknown", _edit(("field F 5", "field G 5")),
+     ("syntax", "unknown field 'G'", 1, 7)),
+    ("quiver-twice", _edit(("quiver\n", "quiver\nquiver\n")),
+     ("duplicate-name", "quiver declared twice", 3, 1)),
+    ("vertex-outside-quiver", _edit(("truncate 3\n", "truncate 3\nvertex w\n")),
+     ("syntax", "vertex outside quiver block", 6, 1)),
+    ("vertex-without-name", _edit(("  vertex v\n", "  vertex v\n  vertex\n")),
+     ("syntax", "vertex needs at least one name", 4, 3)),
+    ("vertex-symbol-name", _edit(("vertex v", "vertex v :")),
+     ("syntax", "bad vertex name ':'", 3, 12)),
+    ("vertex-reserved-name", _edit(("vertex v", "vertex v dim")),
+     ("syntax", "vertex name 'dim' is reserved", 3, 12)),
+    ("vertex-twice", _edit(("vertex v", "vertex v v")),
+     ("duplicate-name", "vertex 'v' already declared", 3, 12)),
+    ("arrow-outside-quiver", _edit(("truncate 3\n", "truncate 3\narrow y: v -> v\n")),
+     ("syntax", "arrow outside quiver block", 6, 1)),
+    ("arrow-bad-name", _edit(("arrow x:", "arrow 1x:")),
+     ("syntax", "bad arrow name '1x'", 4, 9)),
+    ("arrow-twice", _edit(("  arrow x: v -> v\n", "  arrow x: v -> v\n  arrow x: v -> v\n")),
+     ("duplicate-name", "arrow 'x' already declared", 5, 9)),
+    ("arrow-unknown-vertex", _edit(("x: v -> v", "x: v -> w")),
+     ("unknown-vertex", "unknown vertex 'w'", 4, 17)),
+    ("truncate-twice", _edit(("truncate 3\n", "truncate 3\ntruncate 3\n")),
+     ("duplicate-name", "truncate declared twice", 6, 1)),
+    ("truncate-not-positive", _edit(("truncate 3", "truncate 0")),
+     ("syntax", "truncate bound must be a positive integer, found '0'", 5, 10)),
+    ("relations-twice", _edit(("truncate 3\n", REL + "x*x*x\nrelations\n")),
+     ("duplicate-name", "relations declared twice", 8, 1)),
+    ("module-bad-name", _edit(("module V", "module dim")),
+     ("syntax", "bad module name 'dim'", 7, 8)),
+    ("module-twice", _edit(("  mat x = [[0]]\n", "  mat x = [[0]]\nmodule V\n")),
+     ("duplicate-name", "module 'V' already declared", 10, 8)),
+    ("dim-outside-module", _edit(("truncate 3\n", "truncate 3\ndim v = 1\n")),
+     ("syntax", "dim outside module block", 6, 1)),
+    ("mat-outside-module", _edit(("truncate 3\n", "truncate 3\nmat x = [[0]]\n")),
+     ("syntax", "mat outside module block", 6, 1)),
+    ("dim-unknown-vertex", _edit(("dim v", "dim w")),
+     ("unknown-vertex", "unknown vertex 'w'", 8, 7)),
+    ("dim-not-integer", _edit(("dim v = 1", "dim v = one")),
+     ("syntax", "dimension must be a nonnegative integer, found 'one'", 8, 11)),
+    ("dim-twice", _edit(("  dim v = 1\n", "  dim v = 1\n  dim v = 1\n")),
+     ("duplicate-name", "dim 'v' given twice", 9, 7)),
+    ("mat-unknown-arrow", _edit(("mat x", "mat y")),
+     ("unknown-arrow", "unknown arrow 'y'", 9, 7)),
+    ("mat-twice", _edit(("  mat x = [[0]]\n", "  mat x = [[0]]\n  mat x = [[1]]\n")),
+     ("duplicate-name", "mat 'x' given twice", 10, 7)),
+    ("scalar-before-field", _edit(("field F 5\n", "")),
+     ("syntax", "field must be declared before scalars are used", 8, 13)),
+    ("scalar-bad-literal", _edit(("[[0]]", "[[q]]")),
+     ("bad-scalar-literal", "bad scalar literal 'q'", 9, 13)),
+    ("scalar-negated-bad-literal", _edit(("[[0]]", "[[-q]]")),
+     ("bad-scalar-literal", "bad scalar literal 'q'", 9, 14)),
+    ("scalar-fraction-over-prime-field", _edit(("[[0]]", "[[1/2]]")),
+     ("bad-scalar-literal", "fraction literal '1/2' not allowed over F_5", 9, 13)),
+    ("scalar-dividing-by-zero", _edit(("field F 5", "field Q"), ("[[0]]", "[[-1/0]]")),
+     ("bad-scalar-literal", "scalar literal '1/0' divides by zero", 9, 14)),
+    ("scalar-missing", _edit(("[[0]]", "[[0,")),
+     ("syntax", "expected scalar", 9, 15)),
+    ("matrix-missing-bracket", _edit(("[[0]]", "0")),
+     ("syntax", "expected '[', found '0'", 9, 11)),
+    ("matrix-open-at-end", _edit(("[[0]]", "[")),
+     ("syntax", "expected '[' or ']'", 9, 12)),
+    ("matrix-row-open-at-end", _edit(("[[0]]", "[[0")),
+     ("syntax", "expected ',' or ']'", 9, 14)),
+    ("matrix-entry-separator", _edit(("[[0]]", "[[0 0]]")),
+     ("syntax", "expected ',' or ']', found '0'", 9, 15)),
+    ("matrix-row-separator", _edit(("[[0]]", "[[0][0]]")),
+     ("syntax", "expected ',' or ']', found '['", 9, 15)),
+    ("relation-leading-plus", _edit(("truncate 3\n", REL + "+ x*x*x\n")),
+     ("syntax", "relation cannot start with '+'", 7, 3)),
+    ("relation-missing-sign", _edit(("truncate 3\n", REL + "x*x*x x\n")),
+     ("syntax", "expected '+' or '-', found 'x'", 7, 9)),
+    ("relation-unknown-arrow", _edit(("truncate 3\n", REL + "x*y\n")),
+     ("unknown-arrow", "unknown arrow 'y'", 7, 5)),
+    ("relation-coefficient-without-star", _edit(("truncate 3\n", REL + "2 x*x*x\n")),
+     ("syntax", "expected '*', found 'x'", 7, 5)),
+    ("relation-arrow-missing", _edit(("truncate 3\n", REL + "x*\n")),
+     ("syntax", "expected arrow name", 7, 5)),
+    ("relation-non-composable", TWO_VERTICES,
+     ("non-composable-path", "a starts at v1, path so far ends at v2", 8, 5)),
+    ("relation-mixed-endpoints", _edit(("a*a", "a + b"), text=TWO_VERTICES),
+     ("mixed-relation-endpoints", "term b runs v2 -> v1, expected v1 -> v2", 8, 3)),
+    ("missing-field", "quiver\n  vertex v\n",
+     ("syntax", "missing field declaration", 1, 1)),
+    ("missing-quiver", "field F 5\n",
+     ("syntax", "missing quiver block", 1, 1)),
+    ("missing-truncation", _edit(("truncate 3\n", "relations\n  x*x*x\n")),
+     ("missing-truncation",
+      "relations need a truncate bound to present a finite dimensional algebra", 5, 1)),
+    ("shape-mismatch", _edit(("[[0]]", "[[0,0]]")),
+     ("shape-mismatch", "mat x must be 1x1 (dim v x dim v), found 1x2", 9, 7)),
+]
+
+
+@pytest.mark.parametrize("text,expected", [case[1:] for case in DIAGNOSTICS],
+                         ids=[case[0] for case in DIAGNOSTICS])
+def test_diagnostic_is_pinned(text, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    err = exc.value
+    assert (err.code, err.message, err.line, err.col) == expected
+
+
+# the pieces a mutation inserts: token pieces, line breaks, keywords and nothing
+MUTATION_PIECES = (["", "\n", "\n\n", "  ", "0", "1", "2", "-1", "1/2", "1/0", "0/1", "[[", "]]",
+                    "[]", "],[", "x", "y", "v", "v1", "V", "->", "- >", "#", "$", "é", " "]
+                   + sorted(KEYWORDS) + list(":=[],*+-"))
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus file with one to four pieces inserted, each replacing up to two characters."""
+    text = read_corpus(draw(st.sampled_from(ALL_CORPUS)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from(MUTATION_PIECES)) + text[pos + draw(st.integers(0, 2)):]
+    return text
+
+
+# a message that quotes the token or character it is raised at
+QUOTING_RE = re.compile(r"(?:found|trailing|unexpected character|unknown \w+|bad [a-z ]+) "
+                        r"('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_corpus_texts())
+def test_diagnostics_point_into_their_line(text):
+    try:
+        parse(text)
+    except ParseError as err:
+        lines = text.splitlines()
+        line = lines[err.line - 1] if lines else ""
+        assert 1 <= err.col <= len(line) + 1
+        quoted = QUOTING_RE.search(err.message)
+        if quoted:
+            assert line[err.col - 1:].startswith(ast.literal_eval(quoted[1]))
 
 
 @settings(max_examples=150, deadline=None)
