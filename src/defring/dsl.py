@@ -3,7 +3,10 @@
 An input file declares one coefficient field, one quiver, an optional
 truncation bound, optional relations, and any number of named modules.
 Comments run from '#' to end of line.  Every diagnostic carries a line and
-column; parsing never raises anything except ParseError on bad input.
+column; parsing never raises anything except ParseError on bad input.  The
+parser reads each line as the plain strings of one regex call; a token's
+column is computed only when a diagnostic needs it, by re-reading its line
+with the positioned tokenizer.
 
     field F 5
     quiver
@@ -57,25 +60,35 @@ class Token(NamedTuple):
 
 SYMBOLS = ("->", ":", "=", "[", "]", ",", "*", "+", "-")
 
+WORD_RE = re.compile(r"->|[:=\[\],*+\-]|[A-Za-z0-9_/]+")
 # after any whitespace: a token (group 1), the start of a comment (group 2)
 # or a character no token can start with (group 3); a run of whitespace at
 # the end of a line matches nothing
-TOKEN_RE = re.compile(r"\s*(?:(->|[:=\[\],*+\-]|[A-Za-z0-9_/]+)|(#)|(\S))")
-# the Token of one tuple, built in C: Token(...) runs a Python-level __new__
-_new_token = tuple.__new__
+TOKEN_RE = re.compile(rf"\s*(?:({WORD_RE.pattern})|(#)|(\S))")
+# a character no token can start with: '>' belongs to a token only after '-'
+BAD_RE = re.compile(r"[^\s:=\[\],*+\-A-Za-z0-9_/>]|(?<!-)>")
 
 
 def _tokenize(text: str, lineno: int) -> list:
+    """The positioned tokens of one line, the one source of columns."""
     tokens = []
     for m in TOKEN_RE.finditer(text):
         kind = m.lastindex
         if kind == 1:
-            tokens.append(_new_token(Token, (m[1], lineno, m.start(1) + 1)))
+            tokens.append(Token(m[1], lineno, m.start(1) + 1))
         elif kind == 2:
             break
         else:
             raise ParseError("syntax", f"unexpected character {m[3]!r}", lineno, m.start(3) + 1)
     return tokens
+
+
+def _words(text: str, lineno: int) -> list:
+    """The token texts of one line, _tokenize's without their positions."""
+    code = text.partition("#")[0]
+    if BAD_RE.search(code):
+        _tokenize(text, lineno)  # raises at the bad character
+    return WORD_RE.findall(code)
 
 
 @dataclass(frozen=True)
@@ -115,207 +128,210 @@ class _Parser:
     def __init__(self, text: str, filename: str):
         self.filename = filename
         self.lines = text.splitlines()
+        self.lineno = 0
         self.field: FieldSpec | None = None
-        self.field_line = None
         self.vertices: list = []
         self.arrows: list = []
         self.quiver_seen = False
         self.truncate: int | None = None
         self.relations: list = []
-        self.relations_header: Token | None = None
-        self.modules: dict = {}
+        self.relations_line: int | None = None
         self.section = None  # None | "quiver" | "relations" | module name
         # raw module lines, resolved after dims are known
         self.module_dims: dict = {}
         self.module_mats: dict = {}
         self.literals: dict = {}  # [-]literal text -> its field value, once checked
 
-    def fail(self, code, message, token: Token):
-        raise ParseError(code, message, token.line, token.col)
+    def fail(self, code, message, idx, lineno=None):
+        """Raise at the column of token idx of a line, the current one by
+        default; an idx past the last token points just after it."""
+        lineno = lineno or self.lineno
+        tokens = _tokenize(self.lines[lineno - 1], lineno)
+        if idx < len(tokens):
+            raise ParseError(code, message, lineno, tokens[idx].col)
+        last = tokens[-1]
+        raise ParseError(code, message, lineno, last.col + len(last.text))
 
     # ------------------------------------------------------------------
     # line dispatch
 
     def run(self) -> SourceFile:
         for lineno, raw in enumerate(self.lines, start=1):
-            tokens = _tokenize(raw, lineno)
-            if not tokens:
-                continue
-            self.dispatch(tokens)
+            tokens = _words(raw, lineno)
+            if tokens:
+                self.lineno = lineno
+                self.dispatch(tokens)
         return self.finish()
 
     def dispatch(self, tokens: list):
         head = tokens[0]
-        if head.text in KEYWORDS:
-            getattr(self, "line_" + head.text)(tokens)
+        if head in KEYWORDS:
+            getattr(self, "line_" + head)(tokens)
             return
         if self.section == "relations":
             self.relation_line(tokens)
             return
-        self.fail("syntax", f"unexpected {head.text!r}", head)
+        self.fail("syntax", f"unexpected {head!r}", 0)
 
     def expect(self, tokens, idx, what, text=None):
         if idx >= len(tokens):
-            last = tokens[-1]
-            raise ParseError("syntax", f"expected {what}", last.line, last.col + len(last.text))
+            self.fail("syntax", f"expected {what}", idx)
         tok = tokens[idx]
-        if text is not None and tok.text != text:
-            self.fail("syntax", f"expected {what}, found {tok.text!r}", tok)
+        if text is not None and tok != text:
+            self.fail("syntax", f"expected {what}, found {tok!r}", idx)
         return tok
 
     def end_of_line(self, tokens, idx):
         if idx < len(tokens):
-            self.fail("syntax", f"trailing {tokens[idx].text!r}", tokens[idx])
+            self.fail("syntax", f"trailing {tokens[idx]!r}", idx)
 
     # ------------------------------------------------------------------
     # directives
 
     def line_field(self, tokens):
-        head = tokens[0]
         if self.field is not None:
-            self.fail("duplicate-name", "field declared twice", head)
+            self.fail("duplicate-name", "field declared twice", 0)
         kind = self.expect(tokens, 1, "Q or F")
-        if kind.text == "Q":
+        if kind == "Q":
             self.end_of_line(tokens, 2)
             self.field = FieldSpec.rationals()
-        elif kind.text == "F":
-            ptok = self.expect(tokens, 2, "prime modulus")
+        elif kind == "F":
+            modulus = self.expect(tokens, 2, "prime modulus")
             self.end_of_line(tokens, 3)
-            if not ptok.text.isdigit():
-                self.fail("bad-modulus", f"modulus must be an integer, found {ptok.text!r}", ptok)
+            if not modulus.isdigit():
+                self.fail("bad-modulus", f"modulus must be an integer, found {modulus!r}", 2)
             try:
-                self.field = FieldSpec.prime(int(ptok.text))
+                self.field = FieldSpec.prime(int(modulus))
             except ValueError as exc:
-                self.fail("bad-modulus", str(exc), ptok)
+                self.fail("bad-modulus", str(exc), 2)
         else:
-            self.fail("syntax", f"unknown field {kind.text!r}", kind)
+            self.fail("syntax", f"unknown field {kind!r}", 1)
         self.section = None
 
     def line_quiver(self, tokens):
         if self.quiver_seen:
-            self.fail("duplicate-name", "quiver declared twice", tokens[0])
+            self.fail("duplicate-name", "quiver declared twice", 0)
         self.end_of_line(tokens, 1)
         self.quiver_seen = True
         self.section = "quiver"
 
     def line_vertex(self, tokens):
         if self.section != "quiver":
-            self.fail("syntax", "vertex outside quiver block", tokens[0])
+            self.fail("syntax", "vertex outside quiver block", 0)
         if len(tokens) == 1:
-            self.fail("syntax", "vertex needs at least one name", tokens[0])
-        for tok in tokens[1:]:
-            if tok.text in SYMBOLS:
-                self.fail("syntax", f"bad vertex name {tok.text!r}", tok)
-            if tok.text in KEYWORDS:
-                self.fail("syntax", f"vertex name {tok.text!r} is reserved", tok)
-            if tok.text in self.vertices:
-                self.fail("duplicate-name", f"vertex {tok.text!r} already declared", tok)
-            self.vertices.append(tok.text)
+            self.fail("syntax", "vertex needs at least one name", 0)
+        for idx, name in enumerate(tokens[1:], start=1):
+            if name in SYMBOLS:
+                self.fail("syntax", f"bad vertex name {name!r}", idx)
+            if name in KEYWORDS:
+                self.fail("syntax", f"vertex name {name!r} is reserved", idx)
+            if name in self.vertices:
+                self.fail("duplicate-name", f"vertex {name!r} already declared", idx)
+            self.vertices.append(name)
 
     def line_arrow(self, tokens):
         if self.section != "quiver":
-            self.fail("syntax", "arrow outside quiver block", tokens[0])
+            self.fail("syntax", "arrow outside quiver block", 0)
         name = self.expect(tokens, 1, "arrow name")
         self.expect(tokens, 2, "':'", ":")
-        src = self.expect(tokens, 3, "source vertex")
+        self.expect(tokens, 3, "source vertex")
         self.expect(tokens, 4, "'->'", "->")
-        tgt = self.expect(tokens, 5, "target vertex")
+        self.expect(tokens, 5, "target vertex")
         self.end_of_line(tokens, 6)
-        if not IDENT_RE.match(name.text) or name.text in KEYWORDS:
-            self.fail("syntax", f"bad arrow name {name.text!r}", name)
-        if any(a.name == name.text for a in self.arrows):
-            self.fail("duplicate-name", f"arrow {name.text!r} already declared", name)
-        for tok in (src, tgt):
-            if tok.text not in self.vertices:
-                self.fail("unknown-vertex", f"unknown vertex {tok.text!r}", tok)
-        self.arrows.append(Arrow(name.text, src.text, tgt.text))
+        if not IDENT_RE.match(name) or name in KEYWORDS:
+            self.fail("syntax", f"bad arrow name {name!r}", 1)
+        if any(a.name == name for a in self.arrows):
+            self.fail("duplicate-name", f"arrow {name!r} already declared", 1)
+        for idx in (3, 5):
+            if tokens[idx] not in self.vertices:
+                self.fail("unknown-vertex", f"unknown vertex {tokens[idx]!r}", idx)
+        self.arrows.append(Arrow(name, tokens[3], tokens[5]))
 
     def line_truncate(self, tokens):
         if self.truncate is not None:
-            self.fail("duplicate-name", "truncate declared twice", tokens[0])
-        mtok = self.expect(tokens, 1, "positive bound")
+            self.fail("duplicate-name", "truncate declared twice", 0)
+        bound = self.expect(tokens, 1, "positive bound")
         self.end_of_line(tokens, 2)
-        if not mtok.text.isdigit() or int(mtok.text) < 1:
-            self.fail("syntax", f"truncate bound must be a positive integer, found {mtok.text!r}", mtok)
-        self.truncate = int(mtok.text)
+        if not bound.isdigit() or int(bound) < 1:
+            self.fail("syntax", f"truncate bound must be a positive integer, found {bound!r}", 1)
+        self.truncate = int(bound)
         self.section = None
 
     def line_relations(self, tokens):
-        if self.relations_header is not None:
-            self.fail("duplicate-name", "relations declared twice", tokens[0])
+        if self.relations_line is not None:
+            self.fail("duplicate-name", "relations declared twice", 0)
         self.end_of_line(tokens, 1)
-        self.relations_header = tokens[0]
+        self.relations_line = self.lineno
         self.section = "relations"
 
     def line_module(self, tokens):
         name = self.expect(tokens, 1, "module name")
         self.end_of_line(tokens, 2)
-        if name.text in SYMBOLS or name.text in KEYWORDS:
-            self.fail("syntax", f"bad module name {name.text!r}", name)
-        if name.text in self.modules:
-            self.fail("duplicate-name", f"module {name.text!r} already declared", name)
-        self.modules[name.text] = name
-        self.module_dims[name.text] = {}
-        self.module_mats[name.text] = {}
-        self.section = ("module", name.text)
+        if name in SYMBOLS or name in KEYWORDS:
+            self.fail("syntax", f"bad module name {name!r}", 1)
+        if name in self.module_dims:
+            self.fail("duplicate-name", f"module {name!r} already declared", 1)
+        self.module_dims[name] = {}
+        self.module_mats[name] = {}
+        self.section = ("module", name)
 
-    def current_module(self, head: Token) -> str:
+    def current_module(self, head: str) -> str:
         if not (isinstance(self.section, tuple) and self.section[0] == "module"):
-            self.fail("syntax", f"{head.text} outside module block", head)
+            self.fail("syntax", f"{head} outside module block", 0)
         return self.section[1]
 
     def line_dim(self, tokens):
         mod = self.current_module(tokens[0])
-        vtok = self.expect(tokens, 1, "vertex name")
+        vertex = self.expect(tokens, 1, "vertex name")
         self.expect(tokens, 2, "'='", "=")
-        ntok = self.expect(tokens, 3, "dimension")
+        dim = self.expect(tokens, 3, "dimension")
         self.end_of_line(tokens, 4)
-        if vtok.text not in self.vertices:
-            self.fail("unknown-vertex", f"unknown vertex {vtok.text!r}", vtok)
-        if not ntok.text.isdigit():
-            self.fail("syntax", f"dimension must be a nonnegative integer, found {ntok.text!r}", ntok)
-        if vtok.text in self.module_dims[mod]:
-            self.fail("duplicate-name", f"dim {vtok.text!r} given twice", vtok)
-        self.module_dims[mod][vtok.text] = int(ntok.text)
+        if vertex not in self.vertices:
+            self.fail("unknown-vertex", f"unknown vertex {vertex!r}", 1)
+        if not dim.isdigit():
+            self.fail("syntax", f"dimension must be a nonnegative integer, found {dim!r}", 3)
+        if vertex in self.module_dims[mod]:
+            self.fail("duplicate-name", f"dim {vertex!r} given twice", 1)
+        self.module_dims[mod][vertex] = int(dim)
 
     def line_mat(self, tokens):
         mod = self.current_module(tokens[0])
-        atok = self.expect(tokens, 1, "arrow name")
+        arrow = self.expect(tokens, 1, "arrow name")
         self.expect(tokens, 2, "'='", "=")
-        if not any(a.name == atok.text for a in self.arrows):
-            self.fail("unknown-arrow", f"unknown arrow {atok.text!r}", atok)
-        if atok.text in self.module_mats[mod]:
-            self.fail("duplicate-name", f"mat {atok.text!r} given twice", atok)
+        if not any(a.name == arrow for a in self.arrows):
+            self.fail("unknown-arrow", f"unknown arrow {arrow!r}", 1)
+        if arrow in self.module_mats[mod]:
+            self.fail("duplicate-name", f"mat {arrow!r} given twice", 1)
         rows, idx = self.parse_matrix(tokens, 3)
         self.end_of_line(tokens, idx)
-        self.module_mats[mod][atok.text] = (rows, atok)
+        self.module_mats[mod][arrow] = (rows, self.lineno)
 
     # ------------------------------------------------------------------
     # expression pieces
 
-    def need_field(self, token: Token) -> FieldSpec:
+    def need_field(self, idx) -> FieldSpec:
         if self.field is None:
-            self.fail("syntax", "field must be declared before scalars are used", token)
+            self.fail("syntax", "field must be declared before scalars are used", idx)
         return self.field
 
     def parse_scalar(self, tokens, idx):
         """Parse [-]literal starting at idx; returns (field value, next_idx)."""
         tok = self.expect(tokens, idx, "scalar")
         negate = False
-        if tok.text == "-":
+        if tok == "-":
             negate = True
             idx += 1
             tok = self.expect(tokens, idx, "scalar")
-        key = "-" + tok.text if negate else tok.text
+        key = "-" + tok if negate else tok
         value = self.literals.get(key)
         if value is None:
-            fld = self.need_field(tok)
-            if not NUMERIC_RE.match(tok.text):
-                self.fail("bad-scalar-literal", f"bad scalar literal {tok.text!r}", tok)
+            fld = self.need_field(idx)
+            if not NUMERIC_RE.match(tok):
+                self.fail("bad-scalar-literal", f"bad scalar literal {tok!r}", idx)
             try:
-                value = fld.parse_literal(tok.text)
+                value = fld.parse_literal(tok)
             except ValueError as exc:
-                self.fail("bad-scalar-literal", str(exc), tok)
+                self.fail("bad-scalar-literal", str(exc), idx)
             if negate:
                 value = fld.scalar(-value)
             self.literals[key] = value
@@ -326,8 +342,7 @@ class _Parser:
         self.expect(tokens, idx, "'['", "[")
         idx += 1
         rows = []
-        tok = self.expect(tokens, idx, "'[' or ']'")
-        if tok.text == "]":
+        if self.expect(tokens, idx, "'[' or ']'") == "]":
             return rows, idx + 1
         literals = self.literals
         n = len(tokens)
@@ -335,19 +350,18 @@ class _Parser:
             self.expect(tokens, idx, "'['", "[")
             idx += 1
             row = []
-            tok = self.expect(tokens, idx, "scalar or ']'")
-            if tok.text == "]":
+            if self.expect(tokens, idx, "scalar or ']'") == "]":
                 idx += 1
             else:
                 while True:
                     # a literal converted before is read without parse_scalar's checks
-                    value = literals.get(tokens[idx].text) if idx < n else None
+                    value = literals.get(tokens[idx]) if idx < n else None
                     if value is None:
                         value, idx = self.parse_scalar(tokens, idx)
                     else:
                         idx += 1
                     row.append(value)
-                    separator = tokens[idx].text if idx < n else None
+                    separator = tokens[idx] if idx < n else None
                     if separator == ",":
                         idx += 1
                         continue
@@ -355,76 +369,70 @@ class _Parser:
                         idx += 1
                         break
                     tok = self.expect(tokens, idx, "',' or ']'")
-                    self.fail("syntax", f"expected ',' or ']', found {tok.text!r}", tok)
+                    self.fail("syntax", f"expected ',' or ']', found {tok!r}", idx)
             rows.append(row)
             tok = self.expect(tokens, idx, "',' or ']'")
-            if tok.text == ",":
+            if tok == ",":
                 idx += 1
                 continue
-            if tok.text == "]":
+            if tok == "]":
                 return rows, idx + 1
-            self.fail("syntax", f"expected ',' or ']', found {tok.text!r}", tok)
+            self.fail("syntax", f"expected ',' or ']', found {tok!r}", idx)
 
     def relation_line(self, tokens):
         terms = []
         idx = 0
-        first = True
         while idx < len(tokens):
             sign = 1
             tok = tokens[idx]
-            if tok.text in ("+", "-"):
-                if first and tok.text == "+":
-                    self.fail("syntax", "relation cannot start with '+'", tok)
-                sign = -1 if tok.text == "-" else 1
+            if tok in ("+", "-"):
+                if not terms and tok == "+":
+                    self.fail("syntax", "relation cannot start with '+'", idx)
+                sign = -1 if tok == "-" else 1
                 idx += 1
-            elif not first:
-                self.fail("syntax", f"expected '+' or '-', found {tok.text!r}", tok)
+            elif terms:
+                self.fail("syntax", f"expected '+' or '-', found {tok!r}", idx)
             coeff, path, idx = self.parse_term(tokens, idx)
             if sign < 0:
                 coeff = self.field.scalar(-coeff)
             terms.append((coeff, path))
-            first = False
-        if not terms:
-            return
         src, tgt = terms[0][1].source, terms[0][1].target
         for _, p in terms[1:]:
             if (p.source, p.target) != (src, tgt):
-                raise ParseError(
-                    "mixed-relation-endpoints",
-                    f"term {p.label()} runs {p.source} -> {p.target}, expected {src} -> {tgt}",
-                    tokens[0].line, tokens[0].col,
-                )
-        self.relations.append(Relation(tuple(terms), src, tgt, line=tokens[0].line))
+                self.fail("mixed-relation-endpoints",
+                          f"term {p.label()} runs {p.source} -> {p.target}, expected {src} -> {tgt}", 0)
+        self.relations.append(Relation(tuple(terms), src, tgt, line=self.lineno))
 
     def parse_term(self, tokens, idx):
         """One summand: [coeff *] arrow [* arrow ...]."""
         tok = self.expect(tokens, idx, "coefficient or arrow")
-        fld = self.need_field(tok)
+        fld = self.need_field(idx)
         coeff = fld.one()
-        if NUMERIC_RE.match(tok.text):
+        if NUMERIC_RE.match(tok):
             coeff, idx = self.parse_scalar(tokens, idx)
             self.expect(tokens, idx, "'*'", "*")
             idx += 1
-            tok = self.expect(tokens, idx, "arrow name")
-        arrow_tokens = [tok]
+            self.expect(tokens, idx, "arrow name")
+        arrow_at = [idx]
         idx += 1
-        while idx < len(tokens) and tokens[idx].text == "*":
+        while idx < len(tokens) and tokens[idx] == "*":
             idx += 1
-            arrow_tokens.append(self.expect(tokens, idx, "arrow name"))
+            self.expect(tokens, idx, "arrow name")
+            arrow_at.append(idx)
             idx += 1
         path = None
-        for atok in arrow_tokens:
-            arrow = next((a for a in self.arrows if a.name == atok.text), None)
+        for at in arrow_at:
+            arrow = next((a for a in self.arrows if a.name == tokens[at]), None)
             if arrow is None:
-                self.fail("unknown-arrow", f"unknown arrow {atok.text!r}", atok)
+                self.fail("unknown-arrow", f"unknown arrow {tokens[at]!r}", at)
             step = Path((arrow,), arrow.source, arrow.target)
             if path is None:
                 path = step
             elif path.target != arrow.source:
                 self.fail(
                     "non-composable-path",
-                    f"{atok.text} starts at {arrow.source}, path so far ends at {path.target}",
-                    atok,
+                    f"{tokens[at]} starts at {arrow.source}, path so far ends at {path.target}",
+                    at,
                 )
             else:
                 path = path.then(step)
@@ -439,16 +447,13 @@ class _Parser:
         if not self.quiver_seen:
             raise ParseError("syntax", "missing quiver block", 1, 1)
         if self.relations and self.truncate is None:
-            hdr = self.relations_header
-            raise ParseError(
-                "missing-truncation",
-                "relations need a truncate bound to present a finite dimensional algebra",
-                hdr.line, hdr.col,
-            )
+            self.fail("missing-truncation",
+                      "relations need a truncate bound to present a finite dimensional algebra",
+                      0, self.relations_line)
         quiver = Quiver(self.vertices, self.arrows)
         modules = {}
-        for name in self.modules:
-            dims = {v: self.module_dims[name].get(v, 0) for v in quiver.vertices}
+        for name, declared in self.module_dims.items():
+            dims = {v: declared.get(v, 0) for v in quiver.vertices}
             mats = {}
             for arrow in quiver.arrows:
                 want_rows = dims[arrow.target]
@@ -457,15 +462,13 @@ class _Parser:
                 if got is None:
                     mats[arrow.name] = Matrix.zeros(self.field, want_rows, want_cols)
                     continue
-                rows, tok = got
+                rows, lineno = got
                 if len(rows) != want_rows or any(len(r) != want_cols for r in rows):
                     shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-                    raise ParseError(
-                        "shape-mismatch",
-                        f"mat {arrow.name} must be {want_rows}x{want_cols} "
-                        f"(dim {arrow.target} x dim {arrow.source}), found {shape}",
-                        tok.line, tok.col,
-                    )
+                    self.fail("shape-mismatch",
+                              f"mat {arrow.name} must be {want_rows}x{want_cols} "
+                              f"(dim {arrow.target} x dim {arrow.source}), found {shape}",
+                              1, lineno)
                 mats[arrow.name] = Matrix.from_rows(self.field, rows) if rows else Matrix.zeros(self.field, 0, want_cols)
             modules[name] = ModuleDef(name, dims, mats)
         return SourceFile(self.field, quiver, self.truncate, list(self.relations), modules, self.filename)
@@ -500,9 +503,14 @@ def render_relation(rel: Relation) -> str:
 
 
 def render_matrix(m: Matrix) -> str:
+    """[[a,b],[c,d]], read off the sparse rows."""
+    zero = format_scalar(m.field.zero())
     rows = []
-    for i in range(m.nrows):
-        rows.append("[" + ",".join(format_scalar(x) for x in m.row(i)) + "]")
+    for row in m.rows:
+        cells = [zero] * m.ncols
+        for j, x in row.items():
+            cells[j] = format_scalar(x)
+        rows.append("[" + ",".join(cells) + "]")
     return "[" + ",".join(rows) + "]"
 
 

@@ -83,9 +83,10 @@ class FieldSpec:
         if self.p is None:
             if value.__class__ is int:
                 return value
-            if value.__class__ is not Fraction:
-                value = Fraction(value)
-            return value if value.denominator != 1 else value.numerator
+            if isinstance(value, Fraction):
+                return value if value.denominator != 1 else value.numerator
+            # operator.index keeps floats out, as over F_p
+            return operator.index(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise ValueError(f"fraction {value} is not an element of {self}")

@@ -5,11 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defring import ParseError, classify, parse, print_source, serialize_report
-from defring.dsl import KEYWORDS, _tokenize, _write_json
+from defring.dsl import KEYWORDS, _tokenize, _words, _write_json, render_matrix
 from defring.fields import FieldSpec, format_scalar
 from defring.linalg import Matrix
 from helpers import CORPUS, load_source, read_corpus, reference_tokenize, tolist
@@ -425,6 +425,24 @@ def test_tokenizer_matches_character_loop_reference(line, lineno):
             == _tokens_or_error(reference_tokenize, line, lineno))
 
 
+def _words_or_error(line, lineno):
+    try:
+        return _words(line, lineno)
+    except ParseError as err:
+        return (err.code, err.message, err.line, err.col)
+
+
+# '>' on its own, after '-' and after "->" exercises the one character that
+# starts no token yet belongs to one
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES + [">"]), max_size=30).map("".join), st.integers(1, 500))
+def test_word_list_matches_character_loop_reference(line, lineno):
+    expected = _tokens_or_error(reference_tokenize, line, lineno)
+    if isinstance(expected, list):
+        expected = [tok[0] for tok in expected]
+    assert _words_or_error(line, lineno) == expected
+
+
 def test_serialize_report_leaves_no_reference_cycles():
     report = classify(load_source("kx3_f5.alg"), "V")
     was_enabled = gc.isenabled()
@@ -452,6 +470,16 @@ def report_matrices(draw):
     nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     rows = [{j: x for j in range(ncols) if (x := field.scalar(draw(values)))} for _ in range(nrows)]
     return Matrix(field, nrows, ncols, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_matrices())
+@example(Matrix(FieldSpec.rationals(), 0, 3, []))
+@example(Matrix(FieldSpec.prime(5), 2, 0, [{}, {}]))
+@example(Matrix.from_rows(FieldSpec.rationals(), [[0, -1, 0], [Fraction(-7, 3), 0, Fraction(1, 2)]]))
+def test_render_matrix_matches_dense_reference(m):
+    dense_rows = ["[" + ",".join(format_scalar(x) for x in row) + "]" for row in tolist(m)]
+    assert render_matrix(m) == "[" + ",".join(dense_rows) + "]"
 
 
 def _as_lists(obj):

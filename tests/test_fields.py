@@ -86,6 +86,13 @@ def test_rationals_are_ints_when_integral_and_fractions_otherwise():
     assert format_scalar(Q.scalar(-4)) == "-4"
 
 
+
+def test_rationals_refuse_floats_as_the_prime_fields_do():
+    # a float's binary expansion is not the value its literal names
+    for bad in (0.1, 0.5, 2.0, float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            Q.scalar(bad)
+
 def test_parse_literal():
     assert F5.parse_literal("-1") == F5.scalar(4)
     assert F5.parse_literal(" 12 ") == 2

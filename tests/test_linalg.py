@@ -454,7 +454,8 @@ def test_from_rows_rejects_what_is_not_in_the_field():
     for bad in ([[0.5]], [[Fraction(1, 2)]]):
         with pytest.raises((TypeError, ValueError)):
             mat(F5, bad)
-    assert tolist(mat(Q, [[0.5]])) == [[Fraction(1, 2)]]
+    with pytest.raises(TypeError):
+        mat(Q, [[0.5]])
 
 
 def stores_only_nonzero_canonical_values(m):
